@@ -68,15 +68,22 @@ class MetricsRecord:
 
 
 class MetricsWriter:
-    """Single-writer JSONL sink; lines are flushed as they are emitted."""
+    """Single-writer JSONL sink; lines are flushed as they are emitted.
+
+    A writer over a stream keeps nothing in memory, so a long run's log
+    costs no heap; read the stream back with `MetricsRecord.from_line`.
+    A writer without a stream (``MetricsWriter(None)``) keeps every record
+    in `records` instead, which is None for a streaming writer.
+    """
 
     def __init__(self, stream):
         self._stream = stream
-        self.records: list[MetricsRecord] = []
+        self.records: list[MetricsRecord] | None = [] if stream is None else None
 
     def emit(self, record: MetricsRecord) -> None:
-        self.records.append(record)
-        if self._stream is not None:
+        if self._stream is None:
+            self.records.append(record)
+        else:
             self._stream.write(record.to_line() + "\n")
             self._stream.flush()
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import os
 import zlib
 from dataclasses import dataclass, field, replace
 
@@ -61,33 +62,58 @@ class RunResult:
         return self.history[-1][1] if self.history else float("nan")
 
 
+class _Presence:
+    """Participant sets under dropout rules, carried forward round by round.
+
+    A stochastic rule is a presence chain from round 1: a participating
+    client drops with probability p afterwards, an absent one rejoins with
+    probability q the next round.  Coins are keyed per (seed, client,
+    round), so presence at round r never depends on how it was queried.
+    Each chain keeps the last round asked about and the state there: a
+    later round draws only the coins in between, an earlier one restarts
+    the chain from round 1.
+    """
+
+    def __init__(self, rules: dict[str, DropoutRule], seed: int):
+        self._rules = rules
+        self._seed = seed
+        self._chains = {
+            cid: (1, True) for cid, rule in rules.items() if rule.mode == "stochastic"
+        }
+
+    def is_present(self, cid: str, round_idx: int) -> bool:
+        rule = self._rules[cid]
+        if rule.mode == "always_on":
+            return True
+        if rule.mode == "absent_rounds":
+            return round_idx not in rule.absent_rounds
+        at, state = self._chains[cid]
+        if round_idx < at:
+            at, state = 1, True
+        key = _cid_key(cid)
+        for k in range(at, round_idx):
+            u = np.random.default_rng(_seed(self._seed, _DROPOUT, key, k)).random()
+            state = (u >= rule.p) if state else (u < rule.q)
+        self._chains[cid] = (max(at, round_idx), state)
+        return state
+
+    def participants(self, round_idx: int) -> list[str]:
+        return [cid for cid in sorted(self._rules) if self.is_present(cid, round_idx)]
+
+    def absorbed(self, cid: str) -> bool:
+        """Absent at the last round asked about, and never to rejoin."""
+        rule = self._rules[cid]
+        return rule.mode == "stochastic" and rule.q == 0.0 and not self._chains[cid][1]
+
+
 def apply_dropout(rules: dict[str, DropoutRule], round_idx: int, seed: int) -> list[str]:
     """Participant set for one round; deterministic in (rules, round, seed).
 
-    Stochastic rules run a presence state machine from round 1: a
-    participating client drops with probability p afterwards, an absent one
-    rejoins with probability q the next round.  Coins are keyed per
-    (seed, client, round), so presence at round r never depends on how it
-    was queried.
+    A fresh `_Presence` advanced to `round_idx`, so every stochastic chain
+    runs from round 1 (see `_Presence` for the state machine).  The engines
+    keep one `_Presence` per run instead, which draws each coin once.
     """
-    present = []
-    for cid in sorted(rules):
-        rule = rules[cid]
-        if rule.mode == "always_on":
-            present.append(cid)
-        elif rule.mode == "absent_rounds":
-            if round_idx not in rule.absent_rounds:
-                present.append(cid)
-        else:
-            state = True
-            for k in range(1, round_idx):
-                u = np.random.default_rng(
-                    _seed(seed, _DROPOUT, _cid_key(cid), k)
-                ).random()
-                state = (u >= rule.p) if state else (u < rule.q)
-            if state:
-                present.append(cid)
-    return present
+    return _Presence(rules, seed).participants(round_idx)
 
 
 def _build_datasets(cfg: ExperimentConfig) -> dict[str, LocalDataset]:
@@ -153,10 +179,9 @@ def _client_duration(
     cfg: ExperimentConfig,
     client: ClientSpec,
     entry: costs.CostEntry,
-    n_samples: int,
+    fraction: float,
     cal: costs.Calibration,
 ) -> float:
-    fraction = n_samples / _pool_total(cfg)
     return costs.client_round_time(
         entry, fraction, client.device, cfg.strategy, cal.fedprox_time_factor
     )
@@ -226,12 +251,14 @@ def run_sync(
         history = list(_resume_state["history"])
 
     rules = {c.client_id: c.dropout for c in cfg.clients}
+    presence = _Presence(rules, cfg.master_seed)
     clients = {c.client_id: c for c in cfg.clients}
+    pool = _pool_total(cfg)
     any_participation = start_round > 1
     last_round = cfg.rounds if stop_after_round is None else min(stop_after_round, cfg.rounds)
 
     for rnd in range(start_round, last_round + 1):
-        participants = apply_dropout(rules, rnd, cfg.master_seed)
+        participants = presence.participants(rnd)
         for cid in sorted(set(rules) - set(participants)):
             sink.emit(MetricsRecord(run_id=run_id, round=rnd, event="dropout", client_id=cid))
         updates = []
@@ -249,7 +276,7 @@ def run_sync(
                 continue
             data = datasets[cid]
             w_new, n, loss = _train_one(cfg, client, data, w, rnd)
-            duration = _client_duration(cfg, client, entry, n, cal)
+            duration = _client_duration(cfg, client, entry, n / pool, cal)
             power, util = costs.sample_power_and_util(
                 entry,
                 costs.TRAINING_PHASE,
@@ -332,6 +359,8 @@ def run_async(cfg: ExperimentConfig, sink: MetricsWriter | None = None) -> RunRe
     budget = cfg.applications_budget()
     eval_every = cfg.eval_every()
     clients = {c.client_id: c for c in cfg.clients}
+    presence = _Presence({c.client_id: c.dropout for c in cfg.clients}, cfg.master_seed)
+    pool = _pool_total(cfg)
 
     w = zero_params(cfg.task.n_features, cfg.task.n_classes)
     version = 0
@@ -354,7 +383,7 @@ def run_async(cfg: ExperimentConfig, sink: MetricsWriter | None = None) -> RunRe
                 )
             )
             continue
-        durations[cid] = _client_duration(cfg, client, entry, len(datasets[cid]), cal)
+        durations[cid] = _client_duration(cfg, client, entry, len(datasets[cid]) / pool, cal)
         fetched[cid] = w
         base[cid] = 0
         attempts[cid] = 0
@@ -364,18 +393,26 @@ def run_async(cfg: ExperimentConfig, sink: MetricsWriter | None = None) -> RunRe
 
     applications = 0
     evals = 0
+    absorbed: set[str] = set()
     while applications < budget:
         t, cid = heapq.heappop(heap)
         clock = t
         client = clients[cid]
         attempts[cid] += 1
-        if apply_dropout({cid: client.dropout}, attempts[cid], cfg.master_seed) != [cid]:
+        if not presence.is_present(cid, attempts[cid]):
             sink.emit(
                 MetricsRecord(
                     run_id=run_id, round=attempts[cid], event="dropout", client_id=cid,
                     t_start_s=t, t_end_s=t,
                 )
             )
+            if presence.absorbed(cid):
+                absorbed.add(cid)
+                if len(absorbed) == len(durations):
+                    raise SimulationError(
+                        f"every client is permanently absent after {applications} of "
+                        f"{budget} applications; the run cannot finish"
+                    )
             heapq.heappush(heap, (t + durations[cid], cid))
             continue
         entry = _client_entry(cfg, client, cal)
@@ -520,8 +557,21 @@ def checkpoint_resume(
 
 
 def write_checkpoint(cp: Checkpoint, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(cp.to_json() + "\n")
+    """Replace the file at `path` atomically: a reader, or a run resumed
+    after a crash, sees the previous checkpoint or this one, never a
+    partial file."""
+    text = cp.to_json() + "\n"
+    tmp = f"{os.fspath(path)}.tmp"
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_checkpoint(path) -> Checkpoint:

@@ -1,0 +1,52 @@
+"""Seed-0 metrics logs are pinned byte for byte.
+
+A run is a pure function of its config and seed, so a change that keeps
+every log below identical cannot have changed behaviour.  A digest here
+changes only with a deliberate, documented change to what a run does.
+"""
+
+import hashlib
+import io
+
+import pytest
+
+from fedsim.config import config_from_dict
+from fedsim.metrics import MetricsWriter
+from fedsim.orchestrator import run
+from fedsim.scenarios import SCENARIOS, bdd_async_hetero, kitti_sync
+
+
+def _stochastic(doc, rounds, p, q):
+    doc["rounds"] = rounds
+    doc["train"]["local_epochs"] = 1
+    for client in doc["clients"]:
+        client["dropout"] = {"mode": "stochastic", "p": p, "q": q}
+    return doc
+
+
+CONFIGS = {name: builder for name, (builder, _) in SCENARIOS.items()}
+CONFIGS["kitti-sync-stochastic"] = lambda seed: _stochastic(kitti_sync(seed), 30, 0.3, 0.4)
+CONFIGS["bdd-async-stochastic"] = lambda seed: _stochastic(bdd_async_hetero(seed), 6, 0.2, 0.5)
+
+DIGESTS = {
+    "bdd-async-hetero": "1164e65bc19955c7d5db042790c916609066d25a0e41a056c62b793e778131d4",
+    "bdd-async-stochastic": "29cf49b16b193449dc05bb03823ceac7444bf780407844e5d5c0c5384357e534",
+    "bdd-dropout-dual": "e76aacc0807c84a9d8cc56795b7df2d258096388cb3f4b77ef846a6d9a40c89e",
+    "hetero-resolution": "0bb52723cf35a016a0685a6bc11845b8b9470a58b23f35129009e7aaab2d2989",
+    "kitti-sync": "8ffd1beb0fa06f8aa51a3f3db61a943903f5f16e3e175d237e887af7a873b70a",
+    "kitti-sync-stochastic": "b0caf9f018bb604d3d1bbecd384e227898b03a705f1525c346d134c2e932f752",
+    "lighting-crossdomain": "dee42e5b8a886bd2af3f41b85a3b31d62f5fc1b147360556199b70eef1320521",
+    "overlap-60": "fe6857da1b4ef91b94c00eb1d9b74dbd618d3a2429758e49274fad402af463ca",
+    "scale-800": "8e2414867efd665f987e0a78266ffb5875137e37b072460e70851a663fc9c0cb",
+}
+
+
+def _log_digest(doc) -> str:
+    buf = io.StringIO()
+    run(config_from_dict(doc), MetricsWriter(buf))
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_seed0_log_digest(name):
+    assert _log_digest(CONFIGS[name](seed=0)) == DIGESTS[name]

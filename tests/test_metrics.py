@@ -71,11 +71,12 @@ class TestWriterReader:
     def test_writer_flushes_lines(self):
         buf = io.StringIO()
         w = MetricsWriter(buf)
-        w.emit(rec(accuracy=0.5))
-        w.emit(train_rec(1, "C1", 0.0, 2.0))
+        emitted = [rec(accuracy=0.5), train_rec(1, "C1", 0.0, 2.0)]
+        for r in emitted:
+            w.emit(r)
         lines = buf.getvalue().splitlines()
-        assert len(lines) == 2
-        assert len(w.records) == 2
+        assert [MetricsRecord.from_line(line) for line in lines] == emitted
+        assert w.records is None  # a streaming writer keeps nothing in memory
 
     def test_read_log_round_trip(self, tmp_path):
         path = tmp_path / "m.jsonl"

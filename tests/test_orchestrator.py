@@ -1,13 +1,23 @@
 """Orchestration: sync rounds, async event loop, dropout, checkpointing."""
 
+import dataclasses
 import io
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fedsim
+from fedsim import orchestrator
 from fedsim.config import DropoutRule, config_from_dict
 from fedsim.errors import ConfigError, SimulationError
-from fedsim.metrics import MetricsWriter, build_report
+from fedsim.metrics import MetricsRecord, MetricsWriter, build_report
 from fedsim.orchestrator import (
     Checkpoint,
     apply_dropout,
@@ -19,6 +29,7 @@ from fedsim.orchestrator import (
     run_sync,
     write_checkpoint,
 )
+from fedsim.scenarios import bdd_async_hetero
 
 
 def small_doc(**overrides):
@@ -34,6 +45,10 @@ def small_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def parse(buf):
+    return [MetricsRecord.from_line(line) for line in buf.getvalue().splitlines()]
 
 
 def capture(cfg, runner=run_sync, **kw):
@@ -100,19 +115,18 @@ class TestRunSync:
     def test_log_is_complete_report(self):
         cfg = config_from_dict(small_doc())
         buf = io.StringIO()
-        sink = MetricsWriter(buf)
-        run_sync(cfg, sink)
-        report = build_report(sink.records)
+        run_sync(cfg, MetricsWriter(buf))
+        report = build_report(parse(buf))
         assert report.complete
         assert len(report.clients) == 4
 
     def test_clock_advances_by_slowest_participant(self):
         cfg = config_from_dict(small_doc(rounds=1))
         buf = io.StringIO()
-        sink = MetricsWriter(buf)
-        run_sync(cfg, sink)
-        trains = [r for r in sink.records if r.event == "train_window"]
-        aggregate = next(r for r in sink.records if r.event == "aggregate")
+        run_sync(cfg, MetricsWriter(buf))
+        records = parse(buf)
+        trains = [r for r in records if r.event == "train_window"]
+        aggregate = next(r for r in records if r.event == "aggregate")
         assert aggregate.t_start_s == pytest.approx(
             max(r.t_end_s for r in trains)
         )
@@ -316,3 +330,130 @@ class TestCheckpoint:
         doc = cp.to_json().replace('"checkpoint_version": 1', '"checkpoint_version": 2')
         with pytest.raises(ConfigError):
             Checkpoint.from_json(doc)
+
+
+def replay(rule, cid, round_idx, seed):
+    """Reference presence: the chain run from round 1 on every query."""
+    state = True
+    for k in range(1, round_idx):
+        u = np.random.default_rng(
+            orchestrator._seed(seed, orchestrator._DROPOUT, orchestrator._cid_key(cid), k)
+        ).random()
+        state = (u >= rule.p) if state else (u < rule.q)
+    return state
+
+
+# A first query at round k (as a resumed run makes), forward steps with
+# repeats and gaps, then arbitrary rounds, backward ones included.
+round_queries = st.tuples(
+    st.integers(0, 30),
+    st.lists(st.integers(0, 6), max_size=12),
+    st.lists(st.integers(0, 40), max_size=6),
+).map(lambda t: list(itertools.accumulate([t[0], *t[1]])) + t[2])
+
+
+class TestPresenceChain:
+    @given(
+        p=st.floats(0.0, 1.0),
+        q=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**63 - 1),
+        rounds=round_queries,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_carried_chain_matches_replay(self, p, q, seed, rounds):
+        rule = DropoutRule(mode="stochastic", p=p, q=q)
+        rules = {"C1": rule, "C2": DropoutRule()}
+        presence = orchestrator._Presence(rules, seed)
+        for r in rounds:
+            expect = replay(rule, "C1", r, seed)
+            assert presence.is_present("C1", r) == expect
+            assert (apply_dropout(rules, r, seed) == ["C1", "C2"]) == expect
+
+    @pytest.mark.parametrize("rounds", [3, 12])
+    def test_coin_draws_linear_in_attempts(self, monkeypatch, rounds):
+        draws = 0
+        seed = orchestrator._seed
+
+        def counting_seed(master, stream, *parts):
+            nonlocal draws
+            draws += stream == orchestrator._DROPOUT
+            return seed(master, stream, *parts)
+
+        monkeypatch.setattr(orchestrator, "_seed", counting_seed)
+        doc = small_doc(strategy="fedasync", rounds=rounds, eval={"per_class": 10})
+        doc["clients"] = [
+            {"client_id": cid, "dropout": {"mode": "stochastic", "p": 0.3, "q": 0.4}}
+            for cid in ("C1", "C2", "C3", "C4")
+        ]
+        sink = MetricsWriter(None)
+        run_async(config_from_dict(doc), sink)
+        attempts = sum(r.event in ("train_window", "dropout") for r in sink.records)
+        assert sum(r.event == "dropout" for r in sink.records) > 0
+        assert draws <= attempts
+
+
+class TestAsyncTermination:
+    def test_all_clients_absorbed_raises_in_bounded_time(self):
+        # Every client trains once, then is absent for good: the budget can
+        # never be met, so the run must fail with a typed error, not spin.
+        script = (
+            "from fedsim.config import config_from_dict\n"
+            "from fedsim.errors import SimulationError\n"
+            "from fedsim.orchestrator import run_async\n"
+            "from fedsim.scenarios import bdd_async_hetero\n"
+            "doc = bdd_async_hetero()\n"
+            "for c in doc['clients']:\n"
+            "    c['dropout'] = {'mode': 'stochastic', 'p': 1.0, 'q': 0.0}\n"
+            "try:\n"
+            "    run_async(config_from_dict(doc))\n"
+            "except SimulationError as exc:\n"
+            "    print('SimulationError:', exc)\n"
+        )
+        src = str(Path(fedsim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("SimulationError: every client is permanently absent")
+
+    def test_one_absorbed_client_does_not_stop_the_run(self):
+        doc = bdd_async_hetero()
+        doc["rounds"] = 2
+        doc["train"]["local_epochs"] = 1
+        gone = doc["clients"][-1]  # a fast client: it comes back often
+        gone["dropout"] = {"mode": "stochastic", "p": 1.0, "q": 0.0}
+        cfg = config_from_dict(doc)
+        sink = MetricsWriter(None)
+        run_async(cfg, sink)
+        trained = [r.client_id for r in sink.records if r.event == "train_window"]
+        dropped = [r.client_id for r in sink.records if r.event == "dropout"]
+        assert len(trained) == cfg.applications_budget()
+        assert trained.count(gone["client_id"]) == 1
+        assert dropped and set(dropped) == {gone["client_id"]}
+
+
+class TestCheckpointWrite:
+    @pytest.mark.parametrize("failure", ["serialise", "write"])
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch, failure):
+        cfg = config_from_dict(small_doc())
+        path = tmp_path / "cp.json"
+        write_checkpoint(checkpoint_save(run_sync(cfg, stop_after_round=1), cfg), path)
+        before = path.read_bytes()
+        newer = checkpoint_save(run_sync(cfg, stop_after_round=2), cfg)
+        if failure == "serialise":
+            newer = dataclasses.replace(newer, params=np.array([0.5, object()], dtype=object))
+            error = TypeError
+        else:
+            def disk_full(fd):
+                raise OSError("disk full")
+
+            monkeypatch.setattr(orchestrator.os, "fsync", disk_full)
+            error = OSError
+        with pytest.raises(error):
+            write_checkpoint(newer, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["cp.json"]
