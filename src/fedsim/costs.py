@@ -249,19 +249,27 @@ def sample_power_and_util(
     """Seeded draw of (watts, utilization %) for a simulation window.
 
     Training draws uniformly within the entry's measured ranges; the idle
-    aggregation phase uses the fixed idle power floor and the observed
-    0-10% utilization band.
+    aggregation phase ignores the entry (see `sample_idle_power_and_util`).
     """
-    cal = calibration or load_calibration()
-    rng = np.random.default_rng(seed)
     if phase == TRAINING_PHASE:
+        rng = np.random.default_rng(seed)
         power = float(rng.uniform(*entry.power_w_range))
         util = float(rng.uniform(*entry.util_pct_range))
         return power, util
     if phase == IDLE_PHASE:
-        util = float(rng.uniform(*cal.idle_util_pct_range))
-        return cal.idle_power_w, util
+        return sample_idle_power_and_util(seed, calibration)
     raise ConfigError(f"unknown phase {phase!r}")
+
+
+def sample_idle_power_and_util(
+    seed, calibration: Calibration | None = None
+) -> tuple[float, float]:
+    """Seeded (watts, utilization %) for the idle aggregation phase: the
+    fixed idle power floor and a uniform draw from the observed 0-10%
+    utilization band."""
+    cal = calibration or load_calibration()
+    util = float(np.random.default_rng(seed).uniform(*cal.idle_util_pct_range))
+    return cal.idle_power_w, util
 
 
 def validate_calibration(cal: Calibration) -> list[str]:

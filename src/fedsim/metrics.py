@@ -68,7 +68,13 @@ class MetricsRecord:
 
 
 class MetricsWriter:
-    """Single-writer JSONL sink; lines are flushed as they are emitted.
+    """Single-writer JSONL sink.
+
+    The stream is flushed after every ``eval`` record, which closes each
+    sync round and each async evaluation window: at those points the file
+    on disk ends at a record boundary, so a checkpoint written after
+    `run_sync` returns is never ahead of the log.  Lines in between reach
+    the disk when the stream's buffer fills or it is closed.
 
     A writer over a stream keeps nothing in memory, so a long run's log
     costs no heap; read the stream back with `MetricsRecord.from_line`.
@@ -85,7 +91,8 @@ class MetricsWriter:
             self.records.append(record)
         else:
             self._stream.write(record.to_line() + "\n")
-            self._stream.flush()
+            if record.event == "eval":
+                self._stream.flush()
 
 
 def open_log_writer(path) -> tuple[MetricsWriter, io.TextIOBase]:

@@ -27,6 +27,7 @@ from .task import (
     evaluate,
     generate_dataset,
     local_train,
+    train_cohort,
     zero_params,
 )
 
@@ -202,19 +203,14 @@ def _check_not_all_absent(cfg: ExperimentConfig) -> None:
         )
 
 
-def _train_one(
-    cfg: ExperimentConfig,
-    client: ClientSpec,
-    data: LocalDataset,
-    w0: np.ndarray,
-    round_key: int,
-):
-    tc = replace(
-        cfg.train,
-        seed=_seed_int(cfg.master_seed, _TRAIN, round_key, _cid_key(client.client_id)),
-        prox_mu=cfg.train.prox_mu if cfg.strategy == "fedprox" else 0.0,
-    )
-    return local_train(w0, data, tc)
+def _train_config(cfg: ExperimentConfig):
+    """Local training settings: FedProx keeps its proximal term, the other
+    strategies train without one.  Each client adds its own seed."""
+    return replace(cfg.train, prox_mu=cfg.train.prox_mu if cfg.strategy == "fedprox" else 0.0)
+
+
+def _train_seed(cfg: ExperimentConfig, cid: str, round_key: int) -> int:
+    return _seed_int(cfg.master_seed, _TRAIN, round_key, _cid_key(cid))
 
 
 def run_sync(
@@ -225,10 +221,11 @@ def run_sync(
 ) -> RunResult:
     """Synchronous round loop (FedAvg / FedProx).
 
-    Per round: dropout rules pick participants, each trains from the
-    current global model, infeasible configurations fail with an OOM
-    event, survivors are averaged, and the held-out accuracy is logged.
-    Zero-participant rounds carry the model forward as a stalled round.
+    Per round: dropout rules pick participants, infeasible configurations
+    fail with an OOM event, the rest train from the current global model
+    (as one `train_cohort` call), survivors are averaged, and the held-out
+    accuracy is logged.  Records follow participant order.  Zero-participant
+    rounds carry the model forward as a stalled round.
     """
     if cfg.strategy not in ("fedavg", "fedprox"):
         raise ConfigError(f"run_sync cannot execute strategy {cfg.strategy!r}")
@@ -254,6 +251,7 @@ def run_sync(
     presence = _Presence(rules, cfg.master_seed)
     clients = {c.client_id: c for c in cfg.clients}
     pool = _pool_total(cfg)
+    train_cfg = _train_config(cfg)
     any_participation = start_round > 1
     last_round = cfg.rounds if stop_after_round is None else min(stop_after_round, cfg.rounds)
 
@@ -263,10 +261,15 @@ def run_sync(
             sink.emit(MetricsRecord(run_id=run_id, round=rnd, event="dropout", client_id=cid))
         updates = []
         max_duration = 0.0
+        entries = {cid: _client_entry(cfg, clients[cid], cal) for cid in participants}
+        fits = [c for c in participants if costs.check_memory(entries[c], clients[c].device)]
+        seeds = [_train_seed(cfg, c, rnd) for c in fits]
+        # Popped as records are emitted, so no round's results outlive it.
+        trained = dict(zip(fits, train_cohort(w, [datasets[c] for c in fits], seeds, train_cfg)))
         for cid in participants:
             client = clients[cid]
-            entry = _client_entry(cfg, client, cal)
-            if not costs.check_memory(entry, client.device):
+            entry = entries[cid]
+            if cid not in trained:
                 sink.emit(
                     MetricsRecord(
                         run_id=run_id, round=rnd, event="oom", client_id=cid,
@@ -274,8 +277,7 @@ def run_sync(
                     )
                 )
                 continue
-            data = datasets[cid]
-            w_new, n, loss = _train_one(cfg, client, data, w, rnd)
+            w_new, n, loss = trained.pop(cid)
             duration = _client_duration(cfg, client, entry, n / pool, cal)
             power, util = costs.sample_power_and_util(
                 entry,
@@ -298,11 +300,8 @@ def run_sync(
         if updates:
             any_participation = True
             w = fedavg_aggregate(updates)
-            idle_power, idle_util = costs.sample_power_and_util(
-                cal.profile(cfg.clients[0].architecture).entries[(640, 32)],
-                costs.IDLE_PHASE,
-                _seed(cfg.master_seed, _POWER, rnd, 0),
-                cal,
+            idle_power, idle_util = costs.sample_idle_power_and_util(
+                _seed(cfg.master_seed, _POWER, rnd, 0), cal
             )
             sink.emit(
                 MetricsRecord(
@@ -361,6 +360,7 @@ def run_async(cfg: ExperimentConfig, sink: MetricsWriter | None = None) -> RunRe
     clients = {c.client_id: c for c in cfg.clients}
     presence = _Presence({c.client_id: c.dropout for c in cfg.clients}, cfg.master_seed)
     pool = _pool_total(cfg)
+    train_cfg = _train_config(cfg)
 
     w = zero_params(cfg.task.n_features, cfg.task.n_classes)
     version = 0
@@ -416,7 +416,11 @@ def run_async(cfg: ExperimentConfig, sink: MetricsWriter | None = None) -> RunRe
             heapq.heappush(heap, (t + durations[cid], cid))
             continue
         entry = _client_entry(cfg, client, cal)
-        w_new, n, loss = _train_one(cfg, client, datasets[cid], fetched[cid], attempts[cid])
+        w_new, n, loss = local_train(
+            fetched[cid],
+            datasets[cid],
+            replace(train_cfg, seed=_train_seed(cfg, cid, attempts[cid])),
+        )
         power, util = costs.sample_power_and_util(
             entry,
             costs.TRAINING_PHASE,

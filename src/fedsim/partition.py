@@ -101,10 +101,14 @@ class PartitionPlan:
     counts: tuple[tuple[int, ...], ...]  # row per client, column per class
     scenario_mix: dict[str, dict[str, float]] | None = None
     test_client: str | None = None
+    # client id -> row index; derived, so out of equality, repr and JSON.
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.client_ids)) != len(self.client_ids):
+        index = {cid: i for i, cid in enumerate(self.client_ids)}
+        if len(index) != len(self.client_ids):
             raise ConfigError("client_ids must be unique")
+        object.__setattr__(self, "_index", index)
         for cid, row in zip(self.client_ids, self.counts):
             if len(row) != len(self.class_names):
                 raise ConfigError(f"row for {cid} has wrong length")
@@ -123,10 +127,9 @@ class PartitionPlan:
 
     def row(self, client_id: str) -> tuple[int, ...]:
         try:
-            i = self.client_ids.index(client_id)
-        except ValueError:
+            return self.counts[self._index[client_id]]
+        except KeyError:
             raise ConfigError(f"unknown client {client_id!r}") from None
-        return self.counts[i]
 
     def client_total(self, client_id: str) -> int:
         return sum(self.row(client_id))
@@ -263,12 +266,11 @@ def _check_fractions(fractions) -> list[float]:
     return fractions
 
 
-def fraction_split(total_per_class: dict[str, int], fractions, seed: int = 0) -> PartitionPlan:
+def fraction_split(total_per_class: dict[str, int], fractions) -> PartitionPlan:
     """Split per-class totals across clients by fixed fractions.
 
     Counts come from largest-remainder rounding, so each class column sums
-    to its declared total exactly.  Deterministic; `seed` is accepted for
-    interface symmetry but the rounding itself involves no randomness.
+    to its declared total exactly; no randomness is involved.
     """
     fractions = _check_fractions(fractions)
     classes = tuple(total_per_class)

@@ -6,6 +6,11 @@ effects stay observable and cheaply verifiable.
 
 Parameter vectors are flat float64 arrays laid out as the row-major C x d
 weight matrix followed by the C biases.
+
+Local SGD has one kernel, `train_cohort`, which trains many clients from
+the same starting point with a leading client axis on every array;
+`local_train` is a cohort of one.  `loss_and_gradient` is the one-batch
+reference the kernel reproduces bit for bit; `dataset_loss` uses it.
 """
 
 from __future__ import annotations
@@ -273,34 +278,123 @@ def dataset_loss(w: np.ndarray, data: LocalDataset, w_anchor=None, mu: float = 0
     return loss
 
 
+# Samples trained together in one stacked chunk of `train_cohort`: bounds
+# the per-epoch feature and label copies to a few hundred KiB.
+COHORT_SAMPLES = 1024
+
+
 def local_train(
     w0: np.ndarray,
     data: LocalDataset,
     cfg: TrainConfig,
 ) -> tuple[np.ndarray, int, float]:
-    """Minibatch SGD (optionally proximal) from w0.
+    """Minibatch SGD (optionally proximal) from w0 for one client.
 
-    One shuffle permutation per epoch, drawn from a generator keyed
-    (seed, epoch); batches are consecutive slices of the permutation.
-    Returns (updated params, sample count, final full-dataset loss).
+    A cohort of one: see `train_cohort` for the procedure.  Returns
+    (updated params, sample count, final full-dataset loss).
     """
-    if len(data) == 0:
-        raise ValueError("cannot train on an empty dataset")
-    w = np.asarray(w0, dtype=np.float64).copy()
-    anchor = np.asarray(w0, dtype=np.float64).copy()
-    n = len(data)
+    return train_cohort(w0, [data], [cfg.seed], cfg)[0]
+
+
+def train_cohort(
+    w0: np.ndarray,
+    datasets: list[LocalDataset],
+    seeds: list[int],
+    cfg: TrainConfig,
+) -> list[tuple[np.ndarray, int, float]]:
+    """Minibatch SGD (optionally proximal) from w0 for several clients.
+
+    Each client runs the plain procedure on its own: one shuffle
+    permutation per epoch, drawn from a generator keyed (seed, epoch);
+    batches are consecutive slices of the permutation; every batch steps
+    w -= learning_rate * gradient, with the gradient `loss_and_gradient`
+    gives for the batch, anchored at w0.  ``cfg.seed`` is not read.
+
+    Clients with equal sample counts share batch boundaries, so they are
+    trained together in chunks of at most `COHORT_SAMPLES` samples, every
+    operation carrying a leading client axis.  Each element goes through
+    the same floating-point operations as the one-client loop, so the
+    results are bit-identical to it.  Returns (updated params, sample
+    count, final full-dataset loss) per client, in input order.
+    """
+    if len(datasets) != len(seeds):
+        raise ValueError("need one seed per dataset")
+    anchor = np.asarray(w0, dtype=np.float64)
+    groups: dict[int, list[int]] = {}
+    for i, data in enumerate(datasets):
+        if len(data) == 0:
+            raise ValueError("cannot train on an empty dataset")
+        groups.setdefault(len(data), []).append(i)
+    results: list = [None] * len(datasets)
+    for n, members in groups.items():
+        per_chunk = max(1, COHORT_SAMPLES // n)
+        for lo in range(0, len(members), per_chunk):
+            chunk = members[lo : lo + per_chunk]
+            params = _sgd_chunk(
+                anchor, [datasets[i] for i in chunk], [seeds[i] for i in chunk], cfg
+            )
+            if not np.all(np.isfinite(params)):
+                raise FloatingPointError("non-finite parameters after local training")
+            for i, w in zip(chunk, params):
+                results[i] = (w, n, dataset_loss(w, datasets[i], anchor, cfg.prox_mu))
+    return results
+
+
+def _sgd_chunk(
+    anchor: np.ndarray,
+    datasets: list[LocalDataset],
+    seeds: list[int],
+    cfg: TrainConfig,
+) -> np.ndarray:
+    """SGD for K clients of n samples each; returns their params, (K, P).
+
+    Each batch step is the elementwise arithmetic of `loss_and_gradient`
+    followed by w -= lr * grad, over a client axis and partly in place,
+    which rounds the same.  The label term is subtracted as a one-hot
+    block: p - 1.0 and p - 0.0 round exactly like the in-place p -= 1.0
+    on the label entry, and a sum divided by m is what a mean computes.
+    """
+    n_clients, n = len(datasets), len(datasets[0])
+    n_features = datasets[0].features.shape[1]
+    n_classes = anchor.size // (n_features + 1)
+    split = n_features * n_classes
+    W0, b0 = unpack_params(anchor, n_features, n_classes)
+    params = np.tile(anchor, (n_clients, 1))
+    W = params[:, :split].reshape(n_clients, n_classes, n_features)
+    b = params[:, split:]
+    W_t, b_row = W.transpose(0, 2, 1), b[:, None, :]
+    mu, lr = cfg.prox_mu, cfg.learning_rate
+    x_all = np.empty((n_clients, n, n_features))
+    onehot = np.empty((n_clients, n, n_classes))
+    rows = np.arange(n)
     for epoch in range(cfg.local_epochs):
-        perm = np.random.default_rng(
-            np.random.SeedSequence([int(cfg.seed) & 0x7FFFFFFFFFFFFFFF, epoch])
-        ).permutation(n)
+        onehot.fill(0.0)
+        for k, (data, seed) in enumerate(zip(datasets, seeds)):
+            perm = np.random.default_rng(
+                np.random.SeedSequence([int(seed) & 0x7FFFFFFFFFFFFFFF, epoch])
+            ).permutation(n)
+            np.take(data.features, perm, axis=0, out=x_all[k])
+            onehot[k, rows, data.labels[perm]] = 1.0
         for start in range(0, n, cfg.batch_size):
-            batch = perm[start : start + cfg.batch_size]
-            _, grad = loss_and_gradient(w, data, batch, anchor, cfg.prox_mu)
-            w -= cfg.learning_rate * grad
-    final_loss = dataset_loss(w, data, anchor, cfg.prox_mu)
-    if not np.all(np.isfinite(w)):
-        raise FloatingPointError("non-finite parameters after local training")
-    return w, n, final_loss
+            x = x_all[:, start : start + cfg.batch_size]
+            m = x.shape[1]
+            delta = x @ W_t
+            delta += b_row
+            delta -= delta.max(axis=2, keepdims=True)
+            np.exp(delta, out=delta)
+            delta /= delta.sum(axis=2, keepdims=True)
+            delta -= onehot[:, start : start + m]
+            grad_W = delta.transpose(0, 2, 1) @ x
+            grad_W /= m
+            grad_W += mu * (W - W0)
+            grad_b = delta.sum(axis=1)
+            grad_b /= m
+            grad_b += mu * (b - b0)
+            grad_W *= lr
+            W -= grad_W
+            grad_b *= lr
+            b -= grad_b
+    return params
 
 
 def predict(w: np.ndarray, features: np.ndarray, n_classes: int) -> np.ndarray:

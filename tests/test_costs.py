@@ -15,6 +15,7 @@ from fedsim.costs import (
     client_round_time,
     load_calibration,
     lookup,
+    sample_idle_power_and_util,
     sample_power_and_util,
     validate_calibration,
 )
@@ -219,6 +220,12 @@ class TestPowerSampling:
         power, util = sample_power_and_util(entry, IDLE_PHASE, 3, cal)
         assert power == 60.0
         assert 0.0 <= util <= 10.0
+
+    def test_idle_draw_needs_no_entry(self, cal):
+        entry = cal.profile("v11").entries[(960, 8)]
+        for seed in range(10):
+            idle = sample_idle_power_and_util(seed, cal)
+            assert idle == sample_power_and_util(entry, IDLE_PHASE, seed, cal)
 
     def test_unknown_phase(self, cal):
         entry = cal.profile("v8").entries[(640, 32)]

@@ -10,6 +10,7 @@ from fedsim.metrics import (
     MetricsRecord,
     MetricsWriter,
     build_report,
+    open_log_writer,
     read_log,
     render_comparison,
     render_report,
@@ -77,6 +78,34 @@ class TestWriterReader:
         lines = buf.getvalue().splitlines()
         assert [MetricsRecord.from_line(line) for line in lines] == emitted
         assert w.records is None  # a streaming writer keeps nothing in memory
+
+    def test_round_on_disk_once_eval_emitted(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        sink, fh = open_log_writer(path)
+        try:
+            for rnd in (1, 2):
+                emitted = [train_rec(rnd, "C1", 0.0, 2.0), train_rec(rnd, "C2", 0.0, 3.0)]
+                for r in emitted:
+                    sink.emit(r)
+                sink.emit(rec(round=rnd, accuracy=0.5))
+                # read through a separate handle: what the file holds now
+                lines = path.read_text().splitlines()
+                assert len(lines) == 3 * rnd
+                assert [MetricsRecord.from_line(x) for x in lines[-3:]] == emitted + [
+                    rec(round=rnd, accuracy=0.5)
+                ]
+        finally:
+            fh.close()
+
+    def test_lines_between_evals_are_buffered(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        sink, fh = open_log_writer(path)
+        try:
+            sink.emit(train_rec(1, "C1", 0.0, 2.0))
+            assert path.read_text() == ""  # no flush per line
+        finally:
+            fh.close()
+        assert len(path.read_text().splitlines()) == 1  # close flushes the rest
 
     def test_read_log_round_trip(self, tmp_path):
         path = tmp_path / "m.jsonl"

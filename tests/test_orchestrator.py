@@ -17,7 +17,7 @@ import fedsim
 from fedsim import orchestrator
 from fedsim.config import DropoutRule, config_from_dict
 from fedsim.errors import ConfigError, SimulationError
-from fedsim.metrics import MetricsRecord, MetricsWriter, build_report
+from fedsim.metrics import MetricsRecord, MetricsWriter, build_report, open_log_writer
 from fedsim.orchestrator import (
     Checkpoint,
     apply_dropout,
@@ -316,6 +316,22 @@ class TestCheckpoint:
         assert again.clock == cp.clock  # hex float round-trip is exact
         assert np.array_equal(again.params, cp.params)
         assert again.history == cp.history
+
+    def test_log_on_disk_not_behind_stopped_run(self, tmp_path):
+        # a checkpoint written as soon as run_sync returns, before the log
+        # is closed, must not be ahead of what the log file holds
+        cfg = config_from_dict(small_doc(rounds=6))
+        path = tmp_path / "m.jsonl"
+        sink, fh = open_log_writer(path)
+        try:
+            result = run_sync(cfg, sink, stop_after_round=3)
+            on_disk = path.read_text()
+        finally:
+            fh.close()
+        _, expected = capture(cfg, stop_after_round=3)
+        assert on_disk == expected
+        last = MetricsRecord.from_line(on_disk.splitlines()[-1])
+        assert (last.event, last.round) == ("eval", result.rounds_completed)
 
     def test_digest_mismatch_refused(self):
         cfg = config_from_dict(small_doc())

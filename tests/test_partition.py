@@ -158,6 +158,20 @@ class TestPlanOperations:
         with pytest.raises(ConfigError):
             builtin_plan("kitti-4").row("C9")
 
+    def test_row_matches_position(self):
+        plan = builtin_plan("bdd-8")
+        for i, cid in enumerate(plan.client_ids):
+            assert plan.row(cid) == plan.counts[i]
+
+    def test_row_index_is_not_part_of_the_plan(self):
+        # the id -> row map is derived: equality, repr and JSON ignore it
+        plan = builtin_plan("kitti-4")
+        again = PartitionPlan(plan.client_ids, plan.class_names, plan.counts)
+        assert again == plan
+        assert "_index" not in repr(plan)
+        assert "_index" not in plan.to_json_dict()
+        assert PartitionPlan.loads(plan.dumps()).row("C3") == plan.row("C3")
+
     def test_json_round_trip(self):
         plan = builtin_plan("weather-5")
         again = PartitionPlan.loads(plan.dumps())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsim import task as task_module
 from fedsim.errors import ConfigError
 from fedsim.task import (
     LocalDataset,
@@ -18,6 +19,7 @@ from fedsim.task import (
     loss_and_gradient,
     param_length,
     predict,
+    train_cohort,
     unpack_params,
     zero_params,
 )
@@ -216,7 +218,7 @@ class TestLocalTrain:
                 _, grad = loss_and_gradient(w, data, batch, anchor, 0.0)
                 w = w - 0.1 * grad
         assert n == len(data)
-        assert np.allclose(got, w, rtol=0, atol=1e-12)
+        assert np.array_equal(got, w)
 
     def test_proximal_pull_shrinks_step(self):
         task = default_task(n_classes=4, n_features=6)
@@ -246,6 +248,94 @@ class TestLocalTrain:
         a, _, _ = local_train(zero_params(16, 8), data, TrainConfig(seed=5))
         b, _, _ = local_train(zero_params(16, 8), data, TrainConfig(seed=5))
         assert np.array_equal(a, b)
+
+
+def reference_sgd(w0, data, seed, cfg):
+    """The documented one-client procedure, one `loss_and_gradient` per batch."""
+    w = np.asarray(w0, dtype=np.float64).copy()
+    anchor = w.copy()
+    for epoch in range(cfg.local_epochs):
+        perm = np.random.default_rng(
+            np.random.SeedSequence([seed & 0x7FFFFFFFFFFFFFFF, epoch])
+        ).permutation(len(data))
+        for start in range(0, len(data), cfg.batch_size):
+            batch = perm[start : start + cfg.batch_size]
+            _, grad = loss_and_gradient(w, data, batch, anchor, cfg.prox_mu)
+            w -= cfg.learning_rate * grad
+    return w, len(data), dataset_loss(w, data, anchor, cfg.prox_mu)
+
+
+class TestTrainCohort:
+    @given(
+        shape=st.sampled_from([(1, 2), (3, 2), (16, 8), (5, 11)]),
+        sizes=st.lists(st.sampled_from([1, 2, 7, 33]), min_size=1, max_size=9),
+        batch=st.sampled_from([1, 2, 5, 32]),
+        mu=st.sampled_from([0.0, 0.3]),
+        epochs=st.integers(min_value=1, max_value=2),
+        budget=st.sampled_from([1, 16, 1024]),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_independent_reference_runs(
+        self, shape, sizes, batch, mu, epochs, budget, seed
+    ):
+        # mixed sizes give several groups; small budgets cut a group into
+        # several chunks; n = 1, batch 1 and partial last batches all occur
+        d, c = shape
+        task = default_task(n_classes=c, n_features=d)
+        rng = np.random.default_rng(seed)
+        datasets = [
+            generate_dataset(
+                task, np.bincount(rng.integers(0, c, n), minlength=c), None,
+                int(rng.integers(2**32)), f"C{i}",
+            )
+            for i, n in enumerate(sizes)
+        ]
+        seeds = [int(x) for x in rng.integers(0, 2**63, len(sizes))]
+        w0 = 0.3 * rng.standard_normal(param_length(d, c))
+        cfg = TrainConfig(
+            local_epochs=epochs, batch_size=batch, learning_rate=0.1, prox_mu=mu
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(task_module, "COHORT_SAMPLES", budget)
+            got = train_cohort(w0, datasets, seeds, cfg)
+        assert len(got) == len(datasets)
+        for data, s, (w, n, loss) in zip(datasets, seeds, got):
+            ref_w, ref_n, ref_loss = reference_sgd(w0, data, s, cfg)
+            assert np.array_equal(w, ref_w)
+            assert n == ref_n
+            assert loss == ref_loss
+
+    def test_chunks_larger_than_one_client(self):
+        # 60 equal clients of 240 samples at the default budget: several
+        # multi-client chunks, as in a 60-client overlapping-window round
+        task = default_task()
+        datasets = [generate_dataset(task, [30] * 8, None, i, f"C{i}") for i in range(60)]
+        cfg = TrainConfig(local_epochs=1, prox_mu=0.01)
+        got = train_cohort(zero_params(16, 8), datasets, list(range(60)), cfg)
+        for i in (0, 3, 4, 59):
+            ref_w, _, ref_loss = reference_sgd(zero_params(16, 8), datasets[i], i, cfg)
+            assert np.array_equal(got[i][0], ref_w)
+            assert got[i][2] == ref_loss
+
+    def test_empty_cohort(self):
+        assert train_cohort(zero_params(16, 8), [], [], TrainConfig()) == []
+
+    def test_rejects_empty_dataset_and_seed_mismatch(self):
+        task = default_task()
+        data = generate_dataset(task, [2] * 8, None, 0, "C1")
+        empty = LocalDataset("C2", np.zeros((0, 16)), np.zeros(0, dtype=np.int64), ())
+        with pytest.raises(ValueError):
+            train_cohort(zero_params(16, 8), [data, empty], [0, 1], TrainConfig())
+        with pytest.raises(ValueError):
+            train_cohort(zero_params(16, 8), [data], [0, 1], TrainConfig())
+
+    def test_non_finite_parameters_rejected(self):
+        task = default_task()
+        data = generate_dataset(task, [4] * 8, None, 0, "C1")
+        w0 = np.full(param_length(16, 8), np.inf)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            train_cohort(w0, [data], [0], TrainConfig())
 
 
 class TestEvaluate:
