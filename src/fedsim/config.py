@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import ARCHITECTURES, DeviceSpec
+from .costs import ARCHITECTURES, DEFAULT_MEM_CAPACITY_MIB, DeviceSpec
 from .aggregate import AsyncConfig
 from .errors import ConfigError
 from .partition import (
@@ -120,7 +120,7 @@ class ClientSpec:
             device_doc, {"mem_capacity_mib", "speed_factor"}, f"client {cid} device"
         )
         device = DeviceSpec(
-            mem_capacity_mib=float(device_doc.get("mem_capacity_mib", 49140.0)),
+            mem_capacity_mib=float(device_doc.get("mem_capacity_mib", DEFAULT_MEM_CAPACITY_MIB)),
             speed_factor=float(device_doc.get("speed_factor", 1.0)),
         )
         return ClientSpec(

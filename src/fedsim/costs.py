@@ -21,6 +21,10 @@ ARCHITECTURES = ("v5", "v8", "v11")
 RESOLUTIONS = (320, 640, 960)
 BATCHES = (4, 8, 16, 32)
 
+# Memory of the default client device, MiB; the calibration file states
+# the same figure as default_device_mem_capacity_mib.
+DEFAULT_MEM_CAPACITY_MIB = 49140.0
+
 TRAINING_PHASE = "training"
 IDLE_PHASE = "aggregation_idle"
 
@@ -54,7 +58,7 @@ class CostProfile:
 
 @dataclass(frozen=True)
 class DeviceSpec:
-    mem_capacity_mib: float = 49140.0
+    mem_capacity_mib: float = DEFAULT_MEM_CAPACITY_MIB
     speed_factor: float = 1.0
 
     def __post_init__(self):

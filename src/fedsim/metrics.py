@@ -140,7 +140,11 @@ class RunReport:
 
 
 def build_report(records: list[MetricsRecord], problems=()) -> RunReport:
-    """Aggregate a metrics log into per-round and per-client summaries."""
+    """Aggregate a metrics log into per-round and per-client summaries.
+
+    The report is for one run: a log holding records of several run ids
+    (two runs appended to one file) is reported as incomplete.
+    """
     if not records:
         raise IncompleteLogError("empty metrics log")
     report = RunReport(run_id=records[0].run_id, problems=list(problems))
@@ -180,6 +184,9 @@ def build_report(records: list[MetricsRecord], problems=()) -> RunReport:
         report.problems.append(f"rounds without exactly one eval: {sorted(over_eval)}")
     if not eval_counts:
         report.problems.append("no eval events")
+    run_ids = list(dict.fromkeys(rec.run_id for rec in records))
+    if len(run_ids) > 1:
+        report.problems.append(f"log mixes {len(run_ids)} runs: {run_ids}")
     report.complete = not report.problems
     return report
 

@@ -126,11 +126,13 @@ def _build_datasets(cfg: ExperimentConfig) -> dict[str, LocalDataset]:
     """
     datasets: dict[str, LocalDataset] = {}
     if cfg.plan is not None:
+        tasks = {}
         for client in cfg.clients:
             factor = cfg.resolution_noise.get(client.resolution, 1.0)
-            task = cfg.task.with_noise_scale(factor)
+            if factor not in tasks:
+                tasks[factor] = cfg.task.with_noise_scale(factor)
             datasets[client.client_id] = generate_dataset(
-                task,
+                tasks[factor],
                 cfg.plan.row(client.client_id),
                 client.scenario_mix,
                 _seed(cfg.master_seed, _DATA, _cid_key(client.client_id)),

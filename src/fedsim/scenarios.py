@@ -10,6 +10,7 @@ lighting cross-domain shifts.
 from __future__ import annotations
 
 from .config import config_from_dict
+from .costs import DEFAULT_MEM_CAPACITY_MIB
 from .errors import ConfigError
 from .partition import builtin_plan, client_name, fraction_split
 
@@ -141,7 +142,7 @@ def bdd_async_hetero(seed: int = 0, strategy: str = "fedasync") -> dict:
         speed = 4.0 if i >= 5 else 1.0
         overrides[cid] = {
             "scenario_mix": mixes[cid],
-            "device": {"mem_capacity_mib": 49140.0, "speed_factor": speed},
+            "device": {"mem_capacity_mib": DEFAULT_MEM_CAPACITY_MIB, "speed_factor": speed},
         }
     task = _task(9)
     task["n_features"] = 32

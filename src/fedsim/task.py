@@ -8,9 +8,11 @@ Parameter vectors are flat float64 arrays laid out as the row-major C x d
 weight matrix followed by the C biases.
 
 Local SGD has one kernel, `train_cohort`, which trains many clients from
-the same starting point with a leading client axis on every array;
-`local_train` is a cohort of one.  `loss_and_gradient` is the one-batch
-reference the kernel reproduces bit for bit; `dataset_loss` uses it.
+the same starting point with a leading client axis on every array and then
+computes each client's final full-dataset loss in one more stacked pass;
+`local_train` is a cohort of one.  `loss_and_gradient` (one batch) and
+`dataset_loss` (a whole dataset) are the references the kernel reproduces
+bit for bit.
 """
 
 from __future__ import annotations
@@ -186,6 +188,13 @@ def generate_dataset(
     Features are class_mean + scenario shift + sigma * N(0, I).  The draw is
     a pure function of (task, plan_row, scenario_mix, seed); samples are laid
     out class-major, scenario tags in sorted order within each class.
+
+    The noise is one (n, d) standard-normal draw, scaled in place by sigma,
+    and each (class, tag) segment's centre is then added in place to its
+    rows.  That equals one draw and one centre per segment bit for bit:
+    the generator fills values in sequence, so one draw is the segments'
+    draws laid end to end, and centre + s*z == s*z + centre in IEEE
+    arithmetic.
     """
     counts = [int(c) for c in plan_row]
     if len(counts) != task.n_classes:
@@ -205,26 +214,22 @@ def generate_dataset(
 
     tags = sorted(scenario_mix)
     fracs = [scenario_mix[t] for t in tags]
-    rng = np.random.default_rng(seed)
-
-    feats, labels, scen = [], [], []
-    for cls, count in enumerate(counts):
-        per_tag = largest_remainder(count, fracs)
-        for tag, n_tag in zip(tags, per_tag):
-            if n_tag == 0:
-                continue
-            center = task.class_means[cls] + task.scenario_shifts[tag]
-            x = center + task.noise_sigma * rng.standard_normal((n_tag, task.n_features))
-            feats.append(x)
-            labels.append(np.full(n_tag, cls, dtype=np.int64))
-            scen.extend([tag] * n_tag)
-    if feats:
-        features = np.concatenate(feats, axis=0)
-        label_arr = np.concatenate(labels, axis=0)
-    else:
-        features = np.zeros((0, task.n_features))
-        label_arr = np.zeros(0, dtype=np.int64)
-    return LocalDataset(client_id, features, label_arr, tuple(scen))
+    segments = [
+        (cls, tag, n_tag)
+        for cls, count in enumerate(counts)
+        for tag, n_tag in zip(tags, largest_remainder(count, fracs))
+        if n_tag
+    ]
+    sizes = [n_tag for _, _, n_tag in segments]
+    features = np.random.default_rng(seed).standard_normal((sum(sizes), task.n_features))
+    features *= task.noise_sigma
+    start = 0
+    for cls, tag, n_tag in segments:
+        features[start : start + n_tag] += task.class_means[cls] + task.scenario_shifts[tag]
+        start += n_tag
+    labels = np.repeat(np.array([cls for cls, _, _ in segments], dtype=np.int64), sizes)
+    scen = tuple(tag for _, tag, n_tag in segments for _ in range(n_tag))
+    return LocalDataset(client_id, features, labels, scen)
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -315,7 +320,9 @@ def train_cohort(
     operation carrying a leading client axis.  Each element goes through
     the same floating-point operations as the one-client loop, so the
     results are bit-identical to it.  Returns (updated params, sample
-    count, final full-dataset loss) per client, in input order.
+    count, final full-dataset loss) per client, in input order.  The loss
+    is computed by the kernel too, in one stacked pass per chunk, and
+    equals `dataset_loss(w, data, w0, cfg.prox_mu)` bit for bit.
     """
     if len(datasets) != len(seeds):
         raise ValueError("need one seed per dataset")
@@ -330,13 +337,11 @@ def train_cohort(
         per_chunk = max(1, COHORT_SAMPLES // n)
         for lo in range(0, len(members), per_chunk):
             chunk = members[lo : lo + per_chunk]
-            params = _sgd_chunk(
+            params, losses = _sgd_chunk(
                 anchor, [datasets[i] for i in chunk], [seeds[i] for i in chunk], cfg
             )
-            if not np.all(np.isfinite(params)):
-                raise FloatingPointError("non-finite parameters after local training")
-            for i, w in zip(chunk, params):
-                results[i] = (w, n, dataset_loss(w, datasets[i], anchor, cfg.prox_mu))
+            for i, w, loss in zip(chunk, params, losses):
+                results[i] = (w, n, loss)
     return results
 
 
@@ -345,8 +350,9 @@ def _sgd_chunk(
     datasets: list[LocalDataset],
     seeds: list[int],
     cfg: TrainConfig,
-) -> np.ndarray:
-    """SGD for K clients of n samples each; returns their params, (K, P).
+) -> tuple[np.ndarray, list[float]]:
+    """SGD for K clients of n samples each; returns their params, (K, P),
+    and their final full-dataset losses.
 
     Each batch step is the elementwise arithmetic of `loss_and_gradient`
     followed by w -= lr * grad, over a client axis and partly in place,
@@ -365,16 +371,18 @@ def _sgd_chunk(
     W_t, b_row = W.transpose(0, 2, 1), b[:, None, :]
     mu, lr = cfg.prox_mu, cfg.learning_rate
     x_all = np.empty((n_clients, n, n_features))
+    y_all = np.empty((n_clients, n), dtype=np.int64)
     onehot = np.empty((n_clients, n, n_classes))
-    rows = np.arange(n)
+    clients, rows = np.arange(n_clients)[:, None], np.arange(n)
     for epoch in range(cfg.local_epochs):
-        onehot.fill(0.0)
         for k, (data, seed) in enumerate(zip(datasets, seeds)):
             perm = np.random.default_rng(
                 np.random.SeedSequence([int(seed) & 0x7FFFFFFFFFFFFFFF, epoch])
             ).permutation(n)
             np.take(data.features, perm, axis=0, out=x_all[k])
-            onehot[k, rows, data.labels[perm]] = 1.0
+            np.take(data.labels, perm, out=y_all[k])
+        onehot.fill(0.0)
+        onehot[clients, rows, y_all] = 1.0
         for start in range(0, n, cfg.batch_size):
             x = x_all[:, start : start + cfg.batch_size]
             m = x.shape[1]
@@ -394,7 +402,27 @@ def _sgd_chunk(
             W -= grad_W
             grad_b *= lr
             b -= grad_b
-    return params
+    if not np.all(np.isfinite(params)):
+        raise FloatingPointError("non-finite parameters after local training")
+
+    # Final loss: the loss half of `loss_and_gradient` over each client's
+    # whole dataset in its original order, the same operations over the
+    # client axis.  The proximal term stays one dot product per client: a
+    # reduction over the stacked differences would round differently.
+    for k, data in enumerate(datasets):
+        x_all[k] = data.features
+        y_all[k] = data.labels
+    probs = np.matmul(x_all, W_t, out=onehot)
+    probs += b_row
+    probs -= probs.max(axis=2, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=2, keepdims=True)
+    ce = -np.mean(np.log(probs[clients, rows, y_all]), axis=1)
+    losses = []
+    for k in range(n_clients):
+        diff = params[k] - anchor
+        losses.append(float(ce[k] + 0.5 * mu * float(diff @ diff)))
+    return params, losses
 
 
 def predict(w: np.ndarray, features: np.ndarray, n_classes: int) -> np.ndarray:

@@ -102,6 +102,33 @@ class TestRunResumeReport:
         log.write_text("\n".join(cut) + "\n")
         assert run_cli("report", str(log)) == EXIT_INCOMPLETE
 
+    def test_report_flags_log_appended_by_two_runs(self, tmp_path, capsys):
+        log = tmp_path / "m.jsonl"
+        for seed in ("0", "1"):
+            assert run_cli("run", "--scenario", "kitti-sync", "--seed", seed,
+                           "--log", str(log)) == EXIT_OK
+        run_ids = list(dict.fromkeys(
+            MetricsRecord.from_line(ln).run_id for ln in log.read_text().splitlines()
+        ))
+        assert len(run_ids) == 2
+        capsys.readouterr()
+        assert run_cli("report", str(log)) == EXIT_INCOMPLETE
+        assert f"log mixes 2 runs: {run_ids}" in capsys.readouterr().out
+
+    def test_report_resumed_log_is_complete(self, tmp_path, capsys):
+        log = tmp_path / "m.jsonl"
+        cp = tmp_path / "cp.json"
+        assert run_cli("run", "--scenario", "kitti-sync", "--seed", "2",
+                       "--log", str(log), "--stop-after-round", "4",
+                       "--checkpoint", str(cp)) == EXIT_OK
+        cfg = tmp_path / "cfg.json"
+        assert run_cli("scenarios", "--emit", "kitti-sync", "--out", str(cfg)) == EXIT_OK
+        assert run_cli("resume", "--config", str(cfg), "--checkpoint", str(cp),
+                       "--seed", "2", "--log", str(log)) == EXIT_OK
+        capsys.readouterr()
+        assert run_cli("report", str(log)) == EXIT_OK
+        assert "INCOMPLETE" not in capsys.readouterr().out
+
     def test_report_missing_file(self, capsys):
         assert run_cli("report", "/no/such/file.jsonl") == EXIT_RUNTIME
 

@@ -7,6 +7,7 @@ import pytest
 
 from fedsim.costs import (
     BATCHES,
+    DEFAULT_MEM_CAPACITY_MIB,
     DeviceSpec,
     IDLE_PHASE,
     RESOLUTIONS,
@@ -90,6 +91,10 @@ class TestGoldenTables:
 
     def test_default_capacity(self, cal):
         assert cal.default_mem_capacity_mib == 49140.0
+
+    def test_default_device_capacity_is_the_calibrated_one(self, cal):
+        assert DEFAULT_MEM_CAPACITY_MIB == cal.default_mem_capacity_mib
+        assert DeviceSpec().mem_capacity_mib == DEFAULT_MEM_CAPACITY_MIB
 
     def test_fedprox_factor_consistent_with_measurements(self, cal):
         assert cal.fedprox_time_factor == 1.15

@@ -166,6 +166,18 @@ class TestReport:
         log = self.full_log() + [rec(round=2, event="eval", accuracy=0.6)]
         assert not build_report(log).complete
 
+    def test_incomplete_when_runs_are_mixed(self):
+        # a second run appended a round the first never logged: every round
+        # is aggregated and evaluated once, so only the run ids tell
+        log = self.full_log() + [
+            train_rec(3, "C1", 30.0, 4.0, run_id="r2"),
+            rec(run_id="r2", round=3, event="aggregate"),
+            rec(run_id="r2", round=3, event="eval", accuracy=0.7),
+        ]
+        report = build_report(log)
+        assert not report.complete
+        assert "log mixes 2 runs: ['r1', 'r2']" in report.problems
+
     def test_incomplete_without_eval(self):
         log = [train_rec(1, "C1", 0.0, 1.0),
                rec(round=1, event="aggregate", t_start_s=1.0, t_end_s=2.0)]

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsim import task as task_module
 from fedsim.errors import ConfigError
+from fedsim.partition import largest_remainder
 from fedsim.task import (
     LocalDataset,
     SyntheticTask,
@@ -149,6 +150,58 @@ class TestGenerateDataset:
         both = LocalDataset.concat("C1", [a, b])
         assert len(both) == len(a) + len(b)
         assert np.array_equal(both.features[: len(a)], a.features)
+
+
+def reference_dataset(task, plan_row, scenario_mix, seed):
+    """The per-segment draw: one normal draw and one centre per (class, tag)."""
+    tags = sorted(scenario_mix)
+    fracs = [scenario_mix[t] for t in tags]
+    rng = np.random.default_rng(seed)
+    feats, labels, scen = [], [], []
+    for cls, count in enumerate(plan_row):
+        for tag, n_tag in zip(tags, largest_remainder(count, fracs)):
+            if n_tag == 0:
+                continue
+            center = task.class_means[cls] + task.scenario_shifts[tag]
+            feats.append(center + task.noise_sigma * rng.standard_normal((n_tag, task.n_features)))
+            labels.append(np.full(n_tag, cls, dtype=np.int64))
+            scen.extend([tag] * n_tag)
+    if not feats:
+        return np.zeros((0, task.n_features)), np.zeros(0, dtype=np.int64), ()
+    return np.concatenate(feats), np.concatenate(labels), tuple(scen)
+
+
+class TestSingleDrawDataset:
+    @given(
+        shape=st.sampled_from([(1, 1), (3, 2), (8, 16), (4, 32)]),
+        row=st.lists(st.integers(min_value=0, max_value=40), min_size=8, max_size=8),
+        weights=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=3)
+        .filter(any),
+        sigma=st.sampled_from([0.0, 1.0, 0.37, 2.5]),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        seed_sequence=st.booleans(),
+    )
+    @example(shape=(8, 16), row=[0] * 8, weights=[1], sigma=1.0, seed=0, seed_sequence=False)
+    @example(shape=(3, 2), row=[5, 0, 3, 0, 0, 0, 0, 0], weights=[0, 3, 1], sigma=1.0,
+             seed=7, seed_sequence=True)
+    @settings(max_examples=80, deadline=None)
+    def test_equals_per_segment_draws(self, shape, row, weights, sigma, seed, seed_sequence):
+        # zero weights give tags with zero count; the all-zero row is an example
+        c, d = shape
+        task = default_task(
+            n_classes=c, n_features=d, scenario_tags=("night", "rain"), shift_scale=3.0
+        ).with_noise_scale(sigma)
+        tags = ("reference", "night", "rain")[: len(weights)]
+        mix = {t: w / sum(weights) for t, w in zip(tags, weights)}
+        row = row[:c]
+        rng_seed = np.random.SeedSequence([seed, 1, 2]) if seed_sequence else seed
+        data = generate_dataset(task, row, mix, rng_seed, "C1")
+        features, labels, scen = reference_dataset(task, row, mix, rng_seed)
+        assert np.array_equal(data.features, features)
+        assert data.features.shape == features.shape
+        assert np.array_equal(data.labels, labels)
+        assert data.labels.dtype == np.int64
+        assert data.scenarios == scen
 
 
 class TestGradient:
@@ -336,6 +389,57 @@ class TestTrainCohort:
         w0 = np.full(param_length(16, 8), np.inf)
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
             train_cohort(w0, [data], [0], TrainConfig())
+
+
+class TestCohortFinalLoss:
+    @given(
+        shape=st.sampled_from([(1, 2), (3, 2), (16, 8), (5, 11)]),
+        sizes=st.lists(st.sampled_from([1, 2, 7, 33, 150]), min_size=1, max_size=7),
+        batch=st.sampled_from([1, 5, 32]),
+        mu=st.sampled_from([0.0, 0.3]),
+        lr=st.sampled_from([0.1, 1.0]),
+        budget=st.sampled_from([1, 16, 1024]),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_full_dataset_loss_and_gradient(
+        self, shape, sizes, batch, mu, lr, budget, seed
+    ):
+        # n = 150 sums past numpy's 128-element pairwise block; lr = 1.0
+        # moves w far enough from w0 that the proximal term's rounding shows
+        d, c = shape
+        task = default_task(n_classes=c, n_features=d)
+        rng = np.random.default_rng(seed)
+        datasets = [
+            generate_dataset(
+                task, np.bincount(rng.integers(0, c, n), minlength=c), None,
+                int(rng.integers(2**32)), f"C{i}",
+            )
+            for i, n in enumerate(sizes)
+        ]
+        seeds = [int(x) for x in rng.integers(0, 2**63, len(sizes))]
+        w0 = 0.3 * rng.standard_normal(param_length(d, c))
+        cfg = TrainConfig(local_epochs=1, batch_size=batch, learning_rate=lr, prox_mu=mu)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(task_module, "COHORT_SAMPLES", budget)
+            got = train_cohort(w0, datasets, seeds, cfg)
+        for data, (w, n, loss) in zip(datasets, got):
+            ref, _ = loss_and_gradient(w, data, np.arange(n), w0, mu)
+            assert type(loss) is float
+            assert loss == ref
+
+    def test_does_not_call_the_reference(self):
+        task = default_task()
+        datasets = [generate_dataset(task, [2] * 8, None, i, f"C{i}") for i in range(5)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("final loss computed outside the kernel")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(task_module, "loss_and_gradient", refuse)
+            mp.setattr(task_module, "dataset_loss", refuse)
+            got = train_cohort(zero_params(16, 8), datasets, list(range(5)), TrainConfig())
+        assert len(got) == 5
 
 
 class TestEvaluate:
