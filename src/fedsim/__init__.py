@@ -4,85 +4,11 @@ Pluggable aggregation (FedAvg / FedProx / FedAsync), published non-IID
 client partitions, dropout and heterogeneity scheduling, checkpointed
 fault tolerance, and a resource cost model calibrated from measured GPU
 profiles, exercised on a desk-scale synthetic learning task.
+
+The API lives in the submodules (``fedsim.orchestrator.run``,
+``fedsim.config.load_config``, ...); importing the package loads them all.
 """
 
-from .aggregate import (
-    AsyncConfig,
-    ClientUpdate,
-    fedasync_update,
-    fedavg_aggregate,
-    staleness_weight,
-)
-from .config import (
-    ClientSpec,
-    DropoutRule,
-    EvalSpec,
-    ExperimentConfig,
-    config_from_dict,
-    load_config,
-    save_config,
-)
-from .costs import (
-    Calibration,
-    CostEntry,
-    CostProfile,
-    DeviceSpec,
-    check_memory,
-    client_round_time,
-    load_calibration,
-    lookup,
-    sample_power_and_util,
-    validate_calibration,
-)
-from .errors import (
-    ConfigError,
-    FedsimError,
-    IncompleteLogError,
-    ProtocolError,
-    SimulationError,
-)
-from .metrics import (
-    MetricsRecord,
-    MetricsWriter,
-    RunReport,
-    build_report,
-    read_log,
-    render_comparison,
-    render_report,
-    report_from_log,
-)
-from .orchestrator import (
-    Checkpoint,
-    RunResult,
-    apply_dropout,
-    checkpoint_resume,
-    checkpoint_save,
-    read_checkpoint,
-    run,
-    run_async,
-    run_sync,
-    write_checkpoint,
-)
-from .partition import (
-    OverlapPlan,
-    PartitionPlan,
-    builtin_plan,
-    fraction_split,
-    largest_remainder,
-    overlap_split,
-    scenario_split,
-)
-from .scenarios import SCENARIOS, scenario_config
-from .task import (
-    LocalDataset,
-    SyntheticTask,
-    TrainConfig,
-    default_task,
-    evaluate,
-    generate_dataset,
-    local_train,
-    loss_and_gradient,
-    zero_params,
-)
+from . import aggregate, config, costs, errors, metrics, orchestrator, partition, scenarios, task
 
 __version__ = "0.1.0"

@@ -24,8 +24,7 @@ from .orchestrator import (
     checkpoint_resume,
     checkpoint_save,
     read_checkpoint,
-    run_sync,
-    run_async,
+    run,
     write_checkpoint,
 )
 from .partition import builtin_plan, overlap_split, BUILTIN_PLAN_NAMES
@@ -65,15 +64,14 @@ def _cmd_run(args) -> int:
         raise ConfigError("run requires --config or --scenario")
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
+    if cfg.strategy == "fedasync" and (args.checkpoint or args.stop_after_round is not None):
+        raise ConfigError("--checkpoint and --stop-after-round apply to sync runs only")
     sink, fh = open_log_writer(args.log)
     try:
-        if cfg.strategy == "fedasync":
-            result = run_async(cfg, sink)
-        else:
-            result = run_sync(cfg, sink, stop_after_round=args.stop_after_round)
+        result = run(cfg, sink, args.stop_after_round)
     finally:
         fh.close()
-    if args.checkpoint and cfg.strategy != "fedasync":
+    if args.checkpoint:
         write_checkpoint(checkpoint_save(result, cfg), args.checkpoint)
     print(f"run {result.run_id}: final accuracy {result.final_accuracy:.4f}")
     return EXIT_OK
@@ -170,9 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", choices=sorted(SCENARIOS))
     p.add_argument("--seed", type=int)
     p.add_argument("--log", default="metrics.jsonl")
-    p.add_argument("--checkpoint", help="write a checkpoint at the end of the run")
+    p.add_argument("--checkpoint", help="sync runs: write a checkpoint at the end of the run")
     p.add_argument("--stop-after-round", type=int,
-                   help="stop a sync run early (pairs with --checkpoint)")
+                   help="sync runs: stop early (pairs with --checkpoint)")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("resume", help="continue a sync run from a checkpoint")

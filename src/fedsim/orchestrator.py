@@ -5,6 +5,14 @@ participant per round; asynchronous runs process client completion events
 in (time, client_id) order and apply each update on arrival.  All
 randomness is keyed from (master_seed, stream, round, client), so any
 round can be recomputed in isolation and checkpoint/resume is exact.
+
+Both engines first build one `_Run`: the run's datasets, evaluation set,
+presence chains and per-client costs (looked up once, before any record),
+and the `oom`, `train_window` and `eval` records they share.  The loops
+stay separate: a sync round is a barrier whose records follow participant
+order, while async applies each update in arrival order, so one event
+queue for both would branch on the strategy at every step.  `run` picks
+the engine from the config's strategy.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import numpy as np
 
 from . import costs
 from .aggregate import ClientUpdate, fedasync_update, fedavg_aggregate
-from .config import ClientSpec, DropoutRule, ExperimentConfig
+from .config import DropoutRule, ExperimentConfig
 from .errors import ConfigError, SimulationError
 from .metrics import MetricsRecord, MetricsWriter
 from .task import (
@@ -157,43 +165,6 @@ def _build_datasets(cfg: ExperimentConfig) -> dict[str, LocalDataset]:
     return datasets
 
 
-def _eval_dataset(cfg: ExperimentConfig) -> LocalDataset:
-    return generate_dataset(
-        cfg.task,
-        [cfg.eval.per_class] * cfg.task.n_classes,
-        cfg.eval.scenario_mix(),
-        _seed(cfg.master_seed, _EVAL, cfg.eval.seed),
-        "eval",
-    )
-
-
-def _pool_total(cfg: ExperimentConfig) -> int:
-    if cfg.plan is not None:
-        return cfg.plan.total_samples
-    return sum(cfg.overlap_partition_counts) * cfg.overlap.n_partitions
-
-
-def _client_entry(cfg: ExperimentConfig, client: ClientSpec, cal: costs.Calibration):
-    profile = cal.profile(client.architecture)
-    return costs.lookup(profile, client.resolution, client.batch, allow_extrapolation=True)
-
-
-def _client_duration(
-    cfg: ExperimentConfig,
-    client: ClientSpec,
-    entry: costs.CostEntry,
-    fraction: float,
-    cal: costs.Calibration,
-) -> float:
-    return costs.client_round_time(
-        entry, fraction, client.device, cfg.strategy, cal.fedprox_time_factor
-    )
-
-
-def _run_id(cfg: ExperimentConfig) -> str:
-    return f"{cfg.strategy}-{cfg.digest()[:10]}-s{cfg.master_seed}"
-
-
 def _check_not_all_absent(cfg: ExperimentConfig) -> None:
     all_rounds = set(range(1, cfg.rounds + 1))
     if all(
@@ -205,21 +176,101 @@ def _check_not_all_absent(cfg: ExperimentConfig) -> None:
         )
 
 
-def _train_config(cfg: ExperimentConfig):
-    """Local training settings: FedProx keeps its proximal term, the other
-    strategies train without one.  Each client adds its own seed."""
-    return replace(cfg.train, prox_mu=cfg.train.prox_mu if cfg.strategy == "fedprox" else 0.0)
+class _Run:
+    """One run's fixed inputs and the records both engines emit.
 
+    Built before anything is logged: every client's cost entry is looked
+    up once here, so an uncalibrated client fails the run with no record
+    written.  `durations` holds a client exactly when it fits its device
+    memory; its value is the client's modeled training window.
+    """
 
-def _train_seed(cfg: ExperimentConfig, cid: str, round_key: int) -> int:
-    return _seed_int(cfg.master_seed, _TRAIN, round_key, _cid_key(cid))
+    def __init__(self, cfg: ExperimentConfig, sink: MetricsWriter | None, engine: str,
+                 strategies: tuple[str, ...]):
+        if cfg.strategy not in strategies:
+            raise ConfigError(f"{engine} cannot execute strategy {cfg.strategy!r}")
+        self.cfg = cfg
+        self.sink = sink or MetricsWriter(None)
+        self.cal = costs.load_calibration()
+        self.entries = {
+            c.client_id: costs.lookup(
+                self.cal.profile(c.architecture), c.resolution, c.batch,
+                allow_extrapolation=True,
+            )
+            for c in cfg.clients
+        }
+        self.run_id = f"{cfg.strategy}-{cfg.digest()[:10]}-s{cfg.master_seed}"
+        self.datasets = _build_datasets(cfg)
+        self.eval_ds = generate_dataset(
+            cfg.task,
+            [cfg.eval.per_class] * cfg.task.n_classes,
+            cfg.eval.scenario_mix(),
+            _seed(cfg.master_seed, _EVAL, cfg.eval.seed),
+            "eval",
+        )
+        if cfg.plan is not None:
+            pool = cfg.plan.total_samples
+        else:
+            pool = sum(cfg.overlap_partition_counts) * cfg.overlap.n_partitions
+        self.durations = {
+            c.client_id: costs.client_round_time(
+                self.entries[c.client_id], len(self.datasets[c.client_id]) / pool,
+                c.device, cfg.strategy, self.cal.fedprox_time_factor,
+            )
+            for c in cfg.clients
+            if costs.check_memory(self.entries[c.client_id], c.device)
+        }
+        self.presence = _Presence({c.client_id: c.dropout for c in cfg.clients}, cfg.master_seed)
+        # FedProx keeps its proximal term; the other strategies train without one.
+        self.train_cfg = replace(
+            cfg.train, prox_mu=cfg.train.prox_mu if cfg.strategy == "fedprox" else 0.0
+        )
+        self.history: list[tuple[int, float]] = []
+
+    def train_seed(self, cid: str, round_key: int) -> int:
+        return _seed_int(self.cfg.master_seed, _TRAIN, round_key, _cid_key(cid))
+
+    def emit(self, event: str, round_idx: int, **fields) -> None:
+        self.sink.emit(MetricsRecord(run_id=self.run_id, round=round_idx, event=event, **fields))
+
+    def oom(self, round_idx: int, cid: str) -> None:
+        entry = self.entries[cid]
+        self.emit("oom", round_idx, client_id=cid, mem_mib=entry.peak_mem_mib,
+                  estimated=entry.estimated)
+
+    def train_window(self, round_idx: int, cid: str, t_start: float, t_end: float,
+                     n: int, loss: float) -> None:
+        """Both ends are given: async's (t - d) + d need not round back to t."""
+        entry = self.entries[cid]
+        power, util = costs.sample_power_and_util(
+            entry,
+            costs.TRAINING_PHASE,
+            _seed(self.cfg.master_seed, _POWER, round_idx, _cid_key(cid)),
+            self.cal,
+        )
+        self.emit(
+            "train_window", round_idx, client_id=cid, t_start_s=t_start, t_end_s=t_end,
+            mem_mib=entry.peak_mem_mib, power_w=power, util_pct=util,
+            energy_j=power * self.durations[cid], n_samples=n, loss=loss,
+            estimated=entry.estimated,
+        )
+
+    def evaluate(self, round_idx: int, w: np.ndarray, clock: float) -> None:
+        acc = evaluate(w, self.eval_ds)
+        self.emit("eval", round_idx, t_start_s=clock, t_end_s=clock, accuracy=acc,
+                  n_samples=len(self.eval_ds))
+        self.history.append((round_idx, acc))
+
+    def result(self, w: np.ndarray, clock: float, rounds: int, version: int) -> RunResult:
+        return RunResult(run_id=self.run_id, params=w, history=self.history, clock=clock,
+                         rounds_completed=rounds, version=version)
 
 
 def run_sync(
     cfg: ExperimentConfig,
     sink: MetricsWriter | None = None,
     stop_after_round: int | None = None,
-    _resume_state: dict | None = None,
+    _checkpoint: Checkpoint | None = None,
 ) -> RunResult:
     """Synchronous round loop (FedAvg / FedProx).
 
@@ -229,73 +280,40 @@ def run_sync(
     accuracy is logged.  Records follow participant order.  Zero-participant
     rounds carry the model forward as a stalled round.
     """
-    if cfg.strategy not in ("fedavg", "fedprox"):
-        raise ConfigError(f"run_sync cannot execute strategy {cfg.strategy!r}")
+    ctx = _Run(cfg, sink, "run_sync", ("fedavg", "fedprox"))
     _check_not_all_absent(cfg)
-    sink = sink or MetricsWriter(None)
-    cal = costs.load_calibration()
-    datasets = _build_datasets(cfg)
-    eval_ds = _eval_dataset(cfg)
-    run_id = _run_id(cfg)
-
-    if _resume_state is None:
+    if _checkpoint is None:
         w = zero_params(cfg.task.n_features, cfg.task.n_classes)
         clock = 0.0
         start_round = 1
-        history: list[tuple[int, float]] = []
     else:
-        w = _resume_state["params"]
-        clock = _resume_state["clock"]
-        start_round = _resume_state["round"] + 1
-        history = list(_resume_state["history"])
-
-    rules = {c.client_id: c.dropout for c in cfg.clients}
-    presence = _Presence(rules, cfg.master_seed)
-    clients = {c.client_id: c for c in cfg.clients}
-    pool = _pool_total(cfg)
-    train_cfg = _train_config(cfg)
+        w = _checkpoint.params.copy()
+        clock = _checkpoint.clock
+        start_round = _checkpoint.round + 1
+        ctx.history = list(_checkpoint.history)
     any_participation = start_round > 1
     last_round = cfg.rounds if stop_after_round is None else min(stop_after_round, cfg.rounds)
 
     for rnd in range(start_round, last_round + 1):
-        participants = presence.participants(rnd)
-        for cid in sorted(set(rules) - set(participants)):
-            sink.emit(MetricsRecord(run_id=run_id, round=rnd, event="dropout", client_id=cid))
+        participants = ctx.presence.participants(rnd)
+        for cid in sorted(ctx.entries.keys() - set(participants)):
+            ctx.emit("dropout", rnd, client_id=cid)
+        # The last round's updates go before this round trains, and results
+        # are popped as records are emitted, so no round's results outlive it.
         updates = []
         max_duration = 0.0
-        entries = {cid: _client_entry(cfg, clients[cid], cal) for cid in participants}
-        fits = [c for c in participants if costs.check_memory(entries[c], clients[c].device)]
-        seeds = [_train_seed(cfg, c, rnd) for c in fits]
-        # Popped as records are emitted, so no round's results outlive it.
-        trained = dict(zip(fits, train_cohort(w, [datasets[c] for c in fits], seeds, train_cfg)))
+        fits = [c for c in participants if c in ctx.durations]
+        seeds = [ctx.train_seed(c, rnd) for c in fits]
+        trained = dict(zip(fits, train_cohort(
+            w, [ctx.datasets[c] for c in fits], seeds, ctx.train_cfg
+        )))
         for cid in participants:
-            client = clients[cid]
-            entry = entries[cid]
             if cid not in trained:
-                sink.emit(
-                    MetricsRecord(
-                        run_id=run_id, round=rnd, event="oom", client_id=cid,
-                        mem_mib=entry.peak_mem_mib, estimated=entry.estimated,
-                    )
-                )
+                ctx.oom(rnd, cid)
                 continue
             w_new, n, loss = trained.pop(cid)
-            duration = _client_duration(cfg, client, entry, n / pool, cal)
-            power, util = costs.sample_power_and_util(
-                entry,
-                costs.TRAINING_PHASE,
-                _seed(cfg.master_seed, _POWER, rnd, _cid_key(cid)),
-                cal,
-            )
-            sink.emit(
-                MetricsRecord(
-                    run_id=run_id, round=rnd, event="train_window", client_id=cid,
-                    t_start_s=clock, t_end_s=clock + duration,
-                    mem_mib=entry.peak_mem_mib, power_w=power, util_pct=util,
-                    energy_j=power * duration, n_samples=n, loss=loss,
-                    estimated=entry.estimated,
-                )
-            )
+            duration = ctx.durations[cid]
+            ctx.train_window(rnd, cid, clock, clock + duration, n, loss)
             max_duration = max(max_duration, duration)
             updates.append(ClientUpdate(cid, w_new, n, base_version=rnd - 1))
         clock += max_duration
@@ -303,42 +321,22 @@ def run_sync(
             any_participation = True
             w = fedavg_aggregate(updates)
             idle_power, idle_util = costs.sample_idle_power_and_util(
-                _seed(cfg.master_seed, _POWER, rnd, 0), cal
+                _seed(cfg.master_seed, _POWER, rnd, 0), ctx.cal
             )
-            sink.emit(
-                MetricsRecord(
-                    run_id=run_id, round=rnd, event="aggregate",
-                    t_start_s=clock, t_end_s=clock + cfg.aggregate_time_s,
-                    power_w=idle_power, util_pct=idle_util,
-                    energy_j=idle_power * cfg.aggregate_time_s,
-                    n_samples=sum(u.n_samples for u in updates),
-                    estimated=True,
-                )
+            ctx.emit(
+                "aggregate", rnd, t_start_s=clock, t_end_s=clock + cfg.aggregate_time_s,
+                power_w=idle_power, util_pct=idle_util,
+                energy_j=idle_power * cfg.aggregate_time_s,
+                n_samples=sum(u.n_samples for u in updates), estimated=True,
             )
         else:
-            sink.emit(
-                MetricsRecord(
-                    run_id=run_id, round=rnd, event="stalled",
-                    t_start_s=clock, t_end_s=clock + cfg.aggregate_time_s,
-                )
-            )
+            ctx.emit("stalled", rnd, t_start_s=clock, t_end_s=clock + cfg.aggregate_time_s)
         clock += cfg.aggregate_time_s
-        acc = evaluate(w, eval_ds)
-        sink.emit(
-            MetricsRecord(
-                run_id=run_id, round=rnd, event="eval",
-                t_start_s=clock, t_end_s=clock, accuracy=acc,
-                n_samples=len(eval_ds),
-            )
-        )
-        history.append((rnd, acc))
+        ctx.evaluate(rnd, w, clock)
 
     if not any_participation:
         raise SimulationError("no client ever participated; check dropout rules")
-    return RunResult(
-        run_id=run_id, params=w, history=history, clock=clock,
-        rounds_completed=last_round, version=last_round,
-    )
+    return ctx.result(w, clock, last_round, last_round)
 
 
 def run_async(cfg: ExperimentConfig, sink: MetricsWriter | None = None) -> RunResult:
@@ -350,48 +348,23 @@ def run_async(cfg: ExperimentConfig, sink: MetricsWriter | None = None) -> RunRe
     ends after the configured number of server applications, evaluating
     every `eval_every` applications.
     """
-    if cfg.strategy != "fedasync":
-        raise ConfigError(f"run_async cannot execute strategy {cfg.strategy!r}")
-    sink = sink or MetricsWriter(None)
-    cal = costs.load_calibration()
-    datasets = _build_datasets(cfg)
-    eval_ds = _eval_dataset(cfg)
-    run_id = _run_id(cfg)
+    ctx = _Run(cfg, sink, "run_async", ("fedasync",))
     budget = cfg.applications_budget()
     eval_every = cfg.eval_every()
-    clients = {c.client_id: c for c in cfg.clients}
-    presence = _Presence({c.client_id: c.dropout for c in cfg.clients}, cfg.master_seed)
-    pool = _pool_total(cfg)
-    train_cfg = _train_config(cfg)
+    for cid in ctx.entries:
+        if cid not in ctx.durations:
+            ctx.oom(0, cid)
+    if not ctx.durations:
+        raise SimulationError("no client fits its device memory budget; nothing can run")
 
     w = zero_params(cfg.task.n_features, cfg.task.n_classes)
     version = 0
     clock = 0.0
-    history: list[tuple[int, float]] = []
-
-    durations: dict[str, float] = {}
-    fetched: dict[str, np.ndarray] = {}
-    base: dict[str, int] = {}
-    attempts: dict[str, int] = {}
-    heap: list[tuple[float, str]] = []
-    for client in cfg.clients:
-        cid = client.client_id
-        entry = _client_entry(cfg, client, cal)
-        if not costs.check_memory(entry, client.device):
-            sink.emit(
-                MetricsRecord(
-                    run_id=run_id, round=0, event="oom", client_id=cid,
-                    mem_mib=entry.peak_mem_mib, estimated=entry.estimated,
-                )
-            )
-            continue
-        durations[cid] = _client_duration(cfg, client, entry, len(datasets[cid]) / pool, cal)
-        fetched[cid] = w
-        base[cid] = 0
-        attempts[cid] = 0
-        heapq.heappush(heap, (durations[cid], cid))
-    if not heap:
-        raise SimulationError("no client fits its device memory budget; nothing can run")
+    fetched = dict.fromkeys(ctx.durations, w)
+    base = dict.fromkeys(ctx.durations, 0)
+    attempts = dict.fromkeys(ctx.durations, 0)
+    heap = [(d, cid) for cid, d in ctx.durations.items()]
+    heapq.heapify(heap)
 
     applications = 0
     evals = 0
@@ -399,80 +372,53 @@ def run_async(cfg: ExperimentConfig, sink: MetricsWriter | None = None) -> RunRe
     while applications < budget:
         t, cid = heapq.heappop(heap)
         clock = t
-        client = clients[cid]
+        duration = ctx.durations[cid]
         attempts[cid] += 1
-        if not presence.is_present(cid, attempts[cid]):
-            sink.emit(
-                MetricsRecord(
-                    run_id=run_id, round=attempts[cid], event="dropout", client_id=cid,
-                    t_start_s=t, t_end_s=t,
-                )
-            )
-            if presence.absorbed(cid):
+        if not ctx.presence.is_present(cid, attempts[cid]):
+            ctx.emit("dropout", attempts[cid], client_id=cid, t_start_s=t, t_end_s=t)
+            if ctx.presence.absorbed(cid):
                 absorbed.add(cid)
-                if len(absorbed) == len(durations):
+                if len(absorbed) == len(ctx.durations):
                     raise SimulationError(
                         f"every client is permanently absent after {applications} of "
                         f"{budget} applications; the run cannot finish"
                     )
-            heapq.heappush(heap, (t + durations[cid], cid))
+            heapq.heappush(heap, (t + duration, cid))
             continue
-        entry = _client_entry(cfg, client, cal)
         w_new, n, loss = local_train(
             fetched[cid],
-            datasets[cid],
-            replace(train_cfg, seed=_train_seed(cfg, cid, attempts[cid])),
+            ctx.datasets[cid],
+            replace(ctx.train_cfg, seed=ctx.train_seed(cid, attempts[cid])),
         )
-        power, util = costs.sample_power_and_util(
-            entry,
-            costs.TRAINING_PHASE,
-            _seed(cfg.master_seed, _POWER, attempts[cid], _cid_key(cid)),
-            cal,
-        )
-        duration = durations[cid]
-        sink.emit(
-            MetricsRecord(
-                run_id=run_id, round=attempts[cid], event="train_window", client_id=cid,
-                t_start_s=t - duration, t_end_s=t, mem_mib=entry.peak_mem_mib,
-                power_w=power, util_pct=util, energy_j=power * duration,
-                n_samples=n, loss=loss, estimated=entry.estimated,
-            )
-        )
+        ctx.train_window(attempts[cid], cid, t - duration, t, n, loss)
         update = ClientUpdate(cid, w_new, n, base_version=base[cid])
         staleness = version - base[cid]
         w, version, _ = fedasync_update(w, version, update, cfg.async_cfg)
         applications += 1
-        sink.emit(
-            MetricsRecord(
-                run_id=run_id, round=attempts[cid], event="aggregate", client_id=cid,
-                t_start_s=t, t_end_s=t, n_samples=n, staleness=staleness,
-            )
-        )
+        ctx.emit("aggregate", attempts[cid], client_id=cid, t_start_s=t, t_end_s=t,
+                 n_samples=n, staleness=staleness)
         if applications % eval_every == 0 or applications == budget:
             evals += 1
-            acc = evaluate(w, eval_ds)
-            sink.emit(
-                MetricsRecord(
-                    run_id=run_id, round=evals, event="eval",
-                    t_start_s=clock, t_end_s=clock, accuracy=acc,
-                    n_samples=len(eval_ds),
-                )
-            )
-            history.append((evals, acc))
+            ctx.evaluate(evals, w, clock)
         fetched[cid] = w
         base[cid] = version
         heapq.heappush(heap, (t + duration, cid))
 
-    return RunResult(
-        run_id=run_id, params=w, history=history, clock=clock,
-        rounds_completed=evals, version=version,
-    )
+    return ctx.result(w, clock, evals, version)
 
 
-def run(cfg: ExperimentConfig, sink: MetricsWriter | None = None) -> RunResult:
-    if cfg.strategy == "fedasync":
-        return run_async(cfg, sink)
-    return run_sync(cfg, sink)
+def run(
+    cfg: ExperimentConfig,
+    sink: MetricsWriter | None = None,
+    stop_after_round: int | None = None,
+) -> RunResult:
+    """Run `cfg` on the engine its strategy names.  Only a sync run can
+    stop early: an async run has no round boundary to stop at."""
+    if cfg.strategy != "fedasync":
+        return run_sync(cfg, sink, stop_after_round)
+    if stop_after_round is not None:
+        raise ConfigError("stop_after_round applies to sync strategies only, not fedasync")
+    return run_async(cfg, sink)
 
 
 # ---------------------------------------------------------------------------
@@ -550,16 +496,7 @@ def checkpoint_resume(
             "checkpoint was written under a different configuration "
             f"(digest {cp.config_digest[:12]}... != {cfg.digest()[:12]}...)"
         )
-    return run_sync(
-        cfg,
-        sink,
-        _resume_state={
-            "params": cp.params.copy(),
-            "clock": cp.clock,
-            "round": cp.round,
-            "history": list(cp.history),
-        },
-    )
+    return run_sync(cfg, sink, _checkpoint=cp)
 
 
 def write_checkpoint(cp: Checkpoint, path) -> None:

@@ -133,6 +133,27 @@ class TestRunResumeReport:
         assert run_cli("report", "/no/such/file.jsonl") == EXIT_RUNTIME
 
 
+class TestSyncOnlyFlags:
+    @pytest.mark.parametrize("flags", [
+        ["--checkpoint", "cp.json"],
+        ["--stop-after-round", "2"],
+        ["--stop-after-round", "2", "--checkpoint", "cp.json"],
+    ])
+    def test_async_run_rejects_flag(self, tmp_path, monkeypatch, capsys, flags):
+        monkeypatch.chdir(tmp_path)
+        code = run_cli("run", "--scenario", "bdd-async-hetero", "--log", "m.jsonl", *flags)
+        assert code == EXIT_CONFIG
+        assert "sync runs only" in capsys.readouterr().err
+        assert not (tmp_path / "m.jsonl").exists()
+        assert not (tmp_path / "cp.json").exists()
+
+    def test_sync_checkpoint_without_stop_covers_the_whole_run(self, tmp_path, capsys):
+        cp = tmp_path / "cp.json"
+        assert run_cli("run", "--scenario", "kitti-sync", "--log", str(tmp_path / "m.jsonl"),
+                       "--checkpoint", str(cp)) == EXIT_OK
+        assert json.loads(cp.read_text())["round"] == 10
+
+
 class TestCostsCommand:
     def test_calibrated_query(self, capsys):
         assert run_cli("costs", "--arch", "v8", "--res", "960", "--batch", "8") == EXIT_OK

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedsim
-from fedsim import orchestrator
+from fedsim import costs, orchestrator
 from fedsim.config import DropoutRule, config_from_dict
 from fedsim.errors import ConfigError, SimulationError
 from fedsim.metrics import MetricsRecord, MetricsWriter, build_report, open_log_writer
@@ -29,7 +29,7 @@ from fedsim.orchestrator import (
     run_sync,
     write_checkpoint,
 )
-from fedsim.scenarios import bdd_async_hetero
+from fedsim.scenarios import bdd_async_hetero, kitti_sync
 
 
 def small_doc(**overrides):
@@ -288,6 +288,55 @@ class TestRunAsync:
         async_result = run(config_from_dict(self.async_doc()))
         assert sync_result.rounds_completed == 4
         assert async_result.version == 16
+
+    def test_run_dispatcher_stops_sync_only(self):
+        assert run(config_from_dict(small_doc()), stop_after_round=2).rounds_completed == 2
+        sink = MetricsWriter(None)
+        with pytest.raises(ConfigError, match="sync strategies only"):
+            run(config_from_dict(self.async_doc()), sink, stop_after_round=2)
+        assert sink.records == []
+
+
+def _uncalibrated_sync():
+    """C2 at an uncalibrated resolution, absent in rounds 1-2: the run
+    could log both rounds before C2 is first looked up."""
+    doc = kitti_sync()
+    for client in doc["clients"]:
+        if client["client_id"] == "C2":
+            client["resolution"] = 480
+            client["dropout"] = {"mode": "absent_rounds", "rounds": [1, 2]}
+    return doc
+
+
+def _uncalibrated_async():
+    doc = bdd_async_hetero()
+    for client in doc["clients"]:
+        if client["client_id"] == "C2":
+            client["resolution"] = 480
+    return doc
+
+
+class TestRunSetUp:
+    @pytest.mark.parametrize("build", [_uncalibrated_sync, _uncalibrated_async])
+    def test_uncalibrated_client_fails_before_any_record(self, build):
+        buf = io.StringIO()
+        with pytest.raises(ConfigError, match="resolution 480 is not calibrated"):
+            run(config_from_dict(build()), MetricsWriter(buf))
+        assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize("strategy", ["fedavg", "fedasync"])
+    def test_cost_lookup_once_per_client(self, monkeypatch, strategy):
+        calls = []
+        lookup = costs.lookup
+
+        def counting_lookup(profile, resolution, batch, **kw):
+            calls.append((profile.architecture, resolution, batch))
+            return lookup(profile, resolution, batch, **kw)
+
+        monkeypatch.setattr(costs, "lookup", counting_lookup)
+        cfg = config_from_dict(small_doc(strategy=strategy, rounds=4))
+        run(cfg)
+        assert len(calls) == len(cfg.clients)
 
 
 class TestCheckpoint:
