@@ -66,6 +66,8 @@ def _cmd_run(args) -> int:
         cfg = cfg.with_seed(args.seed)
     if cfg.strategy == "fedasync" and (args.checkpoint or args.stop_after_round is not None):
         raise ConfigError("--checkpoint and --stop-after-round apply to sync runs only")
+    if args.stop_after_round is not None and args.stop_after_round < 1:
+        raise ConfigError(f"--stop-after-round must be at least 1, got {args.stop_after_round}")
     sink, fh = open_log_writer(args.log)
     try:
         result = run(cfg, sink, args.stop_after_round)

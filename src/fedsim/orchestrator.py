@@ -5,6 +5,8 @@ participant per round; asynchronous runs process client completion events
 in (time, client_id) order and apply each update on arrival.  All
 randomness is keyed from (master_seed, stream, round, client), so any
 round can be recomputed in isolation and checkpoint/resume is exact.
+`streams.derive` makes the keys' seed sequences, bit-identical to numpy's;
+a sync round derives each stream's keys for all its clients in one batch.
 
 Both engines first build one `_Run`: the run's datasets, evaluation set,
 presence chains and per-client costs (looked up once, before any record),
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import costs
+from . import costs, streams
 from .aggregate import ClientUpdate, fedasync_update, fedavg_aggregate
 from .config import DropoutRule, ExperimentConfig
 from .errors import ConfigError, SimulationError
@@ -45,16 +47,6 @@ _DATA, _TRAIN, _DROPOUT, _EVAL, _POWER = 1, 2, 3, 4, 5
 
 def _cid_key(client_id: str) -> int:
     return zlib.crc32(client_id.encode())
-
-
-def _seed(master: int, stream: int, *parts: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(
-        [int(master) & 0x7FFFFFFFFFFFFFFF, stream, *[int(p) & 0xFFFFFFFF for p in parts]]
-    )
-
-
-def _seed_int(master: int, stream: int, *parts: int) -> int:
-    return int(_seed(master, stream, *parts).generate_state(1)[0])
 
 
 @dataclass
@@ -99,9 +91,9 @@ class _Presence:
         at, state = self._chains[cid]
         if round_idx < at:
             at, state = 1, True
-        key = _cid_key(cid)
-        for k in range(at, round_idx):
-            u = np.random.default_rng(_seed(self._seed, _DROPOUT, key, k)).random()
+        coins = streams.derive(self._seed, _DROPOUT, _cid_key(cid), range(at, round_idx))
+        for coin in coins:
+            u = np.random.default_rng(coin).random()
             state = (u >= rule.p) if state else (u < rule.q)
         self._chains[cid] = (max(at, round_idx), state)
         return state
@@ -135,27 +127,20 @@ def _build_datasets(cfg: ExperimentConfig) -> dict[str, LocalDataset]:
     datasets: dict[str, LocalDataset] = {}
     if cfg.plan is not None:
         tasks = {}
-        for client in cfg.clients:
+        keys = streams.derive(cfg.master_seed, _DATA, [_cid_key(c.client_id) for c in cfg.clients])
+        for client, key in zip(cfg.clients, keys):
+            cid = client.client_id
             factor = cfg.resolution_noise.get(client.resolution, 1.0)
             if factor not in tasks:
                 tasks[factor] = cfg.task.with_noise_scale(factor)
-            datasets[client.client_id] = generate_dataset(
-                tasks[factor],
-                cfg.plan.row(client.client_id),
-                client.scenario_mix,
-                _seed(cfg.master_seed, _DATA, _cid_key(client.client_id)),
-                client.client_id,
+            datasets[cid] = generate_dataset(
+                tasks[factor], cfg.plan.row(cid), client.scenario_mix, key, cid
             )
         return datasets
+    ids = range(1, cfg.overlap.n_partitions + 1)
     parts = {
-        p: generate_dataset(
-            cfg.task,
-            cfg.overlap_partition_counts,
-            None,
-            _seed(cfg.master_seed, _DATA, p),
-            f"partition-{p}",
-        )
-        for p in range(1, cfg.overlap.n_partitions + 1)
+        p: generate_dataset(cfg.task, cfg.overlap_partition_counts, None, key, f"partition-{p}")
+        for p, key in zip(ids, streams.derive(cfg.master_seed, _DATA, ids))
     }
     for client in cfg.clients:
         held = cfg.overlap.assignment[client.client_id]
@@ -205,7 +190,7 @@ class _Run:
             cfg.task,
             [cfg.eval.per_class] * cfg.task.n_classes,
             cfg.eval.scenario_mix(),
-            _seed(cfg.master_seed, _EVAL, cfg.eval.seed),
+            streams.derive(cfg.master_seed, _EVAL, cfg.eval.seed)[0],
             "eval",
         )
         if cfg.plan is not None:
@@ -227,8 +212,12 @@ class _Run:
         )
         self.history: list[tuple[int, float]] = []
 
-    def train_seed(self, cid: str, round_key: int) -> int:
-        return _seed_int(self.cfg.master_seed, _TRAIN, round_key, _cid_key(cid))
+    def keys(self, stream: int, round_key: int, cids: list[str]) -> list:
+        """Seed sequences keyed (master, stream, round, client), one per client."""
+        return streams.derive(self.cfg.master_seed, stream, round_key, [_cid_key(c) for c in cids])
+
+    def train_seeds(self, round_key: int, cids: list[str]) -> list[int]:
+        return [int(key.generate_state(1)[0]) for key in self.keys(_TRAIN, round_key, cids)]
 
     def emit(self, event: str, round_idx: int, **fields) -> None:
         self.sink.emit(MetricsRecord(run_id=self.run_id, round=round_idx, event=event, **fields))
@@ -239,14 +228,11 @@ class _Run:
                   estimated=entry.estimated)
 
     def train_window(self, round_idx: int, cid: str, t_start: float, t_end: float,
-                     n: int, loss: float) -> None:
+                     n: int, loss: float, power_key) -> None:
         """Both ends are given: async's (t - d) + d need not round back to t."""
         entry = self.entries[cid]
         power, util = costs.sample_power_and_util(
-            entry,
-            costs.TRAINING_PHASE,
-            _seed(self.cfg.master_seed, _POWER, round_idx, _cid_key(cid)),
-            self.cal,
+            entry, costs.TRAINING_PHASE, power_key, self.cal
         )
         self.emit(
             "train_window", round_idx, client_id=cid, t_start_s=t_start, t_end_s=t_end,
@@ -278,8 +264,11 @@ def run_sync(
     fail with an OOM event, the rest train from the current global model
     (as one `train_cohort` call), survivors are averaged, and the held-out
     accuracy is logged.  Records follow participant order.  Zero-participant
-    rounds carry the model forward as a stalled round.
+    rounds carry the model forward as a stalled round.  A `stop_after_round`
+    below 1 is a `ConfigError`, raised before any record.
     """
+    if stop_after_round is not None and stop_after_round < 1:
+        raise ConfigError(f"stop_after_round must be at least 1, got {stop_after_round}")
     ctx = _Run(cfg, sink, "run_sync", ("fedavg", "fedprox"))
     _check_not_all_absent(cfg)
     if _checkpoint is None:
@@ -303,17 +292,17 @@ def run_sync(
         updates = []
         max_duration = 0.0
         fits = [c for c in participants if c in ctx.durations]
-        seeds = [ctx.train_seed(c, rnd) for c in fits]
         trained = dict(zip(fits, train_cohort(
-            w, [ctx.datasets[c] for c in fits], seeds, ctx.train_cfg
+            w, [ctx.datasets[c] for c in fits], ctx.train_seeds(rnd, fits), ctx.train_cfg
         )))
+        power_keys = dict(zip(fits, ctx.keys(_POWER, rnd, fits)))
         for cid in participants:
             if cid not in trained:
                 ctx.oom(rnd, cid)
                 continue
             w_new, n, loss = trained.pop(cid)
             duration = ctx.durations[cid]
-            ctx.train_window(rnd, cid, clock, clock + duration, n, loss)
+            ctx.train_window(rnd, cid, clock, clock + duration, n, loss, power_keys.pop(cid))
             max_duration = max(max_duration, duration)
             updates.append(ClientUpdate(cid, w_new, n, base_version=rnd - 1))
         clock += max_duration
@@ -321,7 +310,7 @@ def run_sync(
             any_participation = True
             w = fedavg_aggregate(updates)
             idle_power, idle_util = costs.sample_idle_power_and_util(
-                _seed(cfg.master_seed, _POWER, rnd, 0), ctx.cal
+                streams.derive(cfg.master_seed, _POWER, rnd, 0)[0], ctx.cal
             )
             ctx.emit(
                 "aggregate", rnd, t_start_s=clock, t_end_s=clock + cfg.aggregate_time_s,
@@ -385,12 +374,12 @@ def run_async(cfg: ExperimentConfig, sink: MetricsWriter | None = None) -> RunRe
                     )
             heapq.heappush(heap, (t + duration, cid))
             continue
+        (seed,) = ctx.train_seeds(attempts[cid], [cid])
         w_new, n, loss = local_train(
-            fetched[cid],
-            ctx.datasets[cid],
-            replace(ctx.train_cfg, seed=ctx.train_seed(cid, attempts[cid])),
+            fetched[cid], ctx.datasets[cid], replace(ctx.train_cfg, seed=seed)
         )
-        ctx.train_window(attempts[cid], cid, t - duration, t, n, loss)
+        (power_key,) = ctx.keys(_POWER, attempts[cid], [cid])
+        ctx.train_window(attempts[cid], cid, t - duration, t, n, loss, power_key)
         update = ClientUpdate(cid, w_new, n, base_version=base[cid])
         staleness = version - base[cid]
         w, version, _ = fedasync_update(w, version, update, cfg.async_cfg)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import streams
 from .errors import ConfigError
 from .partition import largest_remainder
 
@@ -214,10 +215,11 @@ def generate_dataset(
 
     tags = sorted(scenario_mix)
     fracs = [scenario_mix[t] for t in tags]
+    whole = fracs == [1.0]  # one tag takes each class count whole, as the split would
     segments = [
         (cls, tag, n_tag)
         for cls, count in enumerate(counts)
-        for tag, n_tag in zip(tags, largest_remainder(count, fracs))
+        for tag, n_tag in zip(tags, [count] if whole else largest_remainder(count, fracs))
         if n_tag
     ]
     sizes = [n_tag for _, _, n_tag in segments]
@@ -317,9 +319,11 @@ def train_cohort(
 
     Clients with equal sample counts share batch boundaries, so they are
     trained together in chunks of at most `COHORT_SAMPLES` samples, every
-    operation carrying a leading client axis.  Each element goes through
-    the same floating-point operations as the one-client loop, so the
-    results are bit-identical to it.  Returns (updated params, sample
+    operation carrying a leading client axis; all clients' permutation keys
+    are derived before that in one `streams.derive` batch, which a small
+    chunk could not pay for.  Each element goes through the same
+    floating-point operations as the one-client loop, so the results are
+    bit-identical to it.  Returns (updated params, sample
     count, final full-dataset loss) per client, in input order.  The loss
     is computed by the kernel too, in one stacked pass per chunk, and
     equals `dataset_loss(w, data, w0, cfg.prox_mu)` bit for bit.
@@ -327,6 +331,8 @@ def train_cohort(
     if len(datasets) != len(seeds):
         raise ValueError("need one seed per dataset")
     anchor = np.asarray(w0, dtype=np.float64)
+    e = cfg.local_epochs
+    keys = streams.derive([s for s in seeds for _ in range(e)], list(range(e)) * len(seeds))
     groups: dict[int, list[int]] = {}
     for i, data in enumerate(datasets):
         if len(data) == 0:
@@ -338,7 +344,7 @@ def train_cohort(
         for lo in range(0, len(members), per_chunk):
             chunk = members[lo : lo + per_chunk]
             params, losses = _sgd_chunk(
-                anchor, [datasets[i] for i in chunk], [seeds[i] for i in chunk], cfg
+                anchor, [datasets[i] for i in chunk], [keys[i * e : i * e + e] for i in chunk], cfg
             )
             for i, w, loss in zip(chunk, params, losses):
                 results[i] = (w, n, loss)
@@ -348,11 +354,11 @@ def train_cohort(
 def _sgd_chunk(
     anchor: np.ndarray,
     datasets: list[LocalDataset],
-    seeds: list[int],
+    keys: list[list],
     cfg: TrainConfig,
 ) -> tuple[np.ndarray, list[float]]:
-    """SGD for K clients of n samples each; returns their params, (K, P),
-    and their final full-dataset losses.
+    """SGD for K clients of n samples each, given each client's permutation
+    key per epoch; returns their params, (K, P), and final full-dataset losses.
 
     Each batch step is the elementwise arithmetic of `loss_and_gradient`
     followed by w -= lr * grad, over a client axis and partly in place,
@@ -375,10 +381,8 @@ def _sgd_chunk(
     onehot = np.empty((n_clients, n, n_classes))
     clients, rows = np.arange(n_clients)[:, None], np.arange(n)
     for epoch in range(cfg.local_epochs):
-        for k, (data, seed) in enumerate(zip(datasets, seeds)):
-            perm = np.random.default_rng(
-                np.random.SeedSequence([int(seed) & 0x7FFFFFFFFFFFFFFF, epoch])
-            ).permutation(n)
+        for k, (data, client_keys) in enumerate(zip(datasets, keys)):
+            perm = np.random.default_rng(client_keys[epoch]).permutation(n)
             np.take(data.features, perm, axis=0, out=x_all[k])
             np.take(data.labels, perm, out=y_all[k])
         onehot.fill(0.0)

@@ -154,6 +154,18 @@ class TestSyncOnlyFlags:
         assert json.loads(cp.read_text())["round"] == 10
 
 
+class TestStopRound:
+    @pytest.mark.parametrize("stop", ["0", "-3"])
+    def test_non_positive_stop_round_rejected_before_the_log(self, tmp_path, capsys, stop):
+        log, cp = tmp_path / "m.jsonl", tmp_path / "cp.json"
+        code = run_cli("run", "--scenario", "kitti-sync", "--log", str(log),
+                       "--stop-after-round", stop, "--checkpoint", str(cp))
+        assert code == EXIT_CONFIG
+        assert "--stop-after-round must be at least 1" in capsys.readouterr().err
+        assert not log.exists()
+        assert not cp.exists()
+
+
 class TestCostsCommand:
     def test_calibrated_query(self, capsys):
         assert run_cli("costs", "--arch", "v8", "--res", "960", "--batch", "8") == EXIT_OK

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedsim
-from fedsim import costs, orchestrator
+from fedsim import costs, orchestrator, streams
 from fedsim.config import DropoutRule, config_from_dict
 from fedsim.errors import ConfigError, SimulationError
 from fedsim.metrics import MetricsRecord, MetricsWriter, build_report, open_log_writer
@@ -101,6 +101,14 @@ class TestRunSync:
         _, log_a = capture(cfg)
         _, log_b = capture(cfg)
         assert log_a == log_b
+
+    @pytest.mark.parametrize("stop", [0, -3])
+    def test_non_positive_stop_round_rejected_before_any_record(self, stop):
+        cfg = config_from_dict(small_doc())
+        buf = io.StringIO()
+        with pytest.raises(ConfigError, match="stop_after_round must be at least 1"):
+            run_sync(cfg, MetricsWriter(buf), stop_after_round=stop)
+        assert buf.getvalue() == ""
 
     def test_seed_changes_outcome(self):
         a = run_sync(config_from_dict(small_doc(master_seed=1)))
@@ -401,9 +409,8 @@ def replay(rule, cid, round_idx, seed):
     """Reference presence: the chain run from round 1 on every query."""
     state = True
     for k in range(1, round_idx):
-        u = np.random.default_rng(
-            orchestrator._seed(seed, orchestrator._DROPOUT, orchestrator._cid_key(cid), k)
-        ).random()
+        key = [seed & 0x7FFFFFFFFFFFFFFF, orchestrator._DROPOUT, orchestrator._cid_key(cid), k]
+        u = np.random.default_rng(np.random.SeedSequence(key)).random()
         state = (u >= rule.p) if state else (u < rule.q)
     return state
 
@@ -437,14 +444,15 @@ class TestPresenceChain:
     @pytest.mark.parametrize("rounds", [3, 12])
     def test_coin_draws_linear_in_attempts(self, monkeypatch, rounds):
         draws = 0
-        seed = orchestrator._seed
+        derive = streams.derive
 
-        def counting_seed(master, stream, *parts):
+        def counting_derive(head, stream, *parts):
             nonlocal draws
-            draws += stream == orchestrator._DROPOUT
-            return seed(master, stream, *parts)
+            keys = derive(head, stream, *parts)
+            draws += len(keys) if stream == orchestrator._DROPOUT else 0
+            return keys
 
-        monkeypatch.setattr(orchestrator, "_seed", counting_seed)
+        monkeypatch.setattr(streams, "derive", counting_derive)
         doc = small_doc(strategy="fedasync", rounds=rounds, eval={"per_class": 10})
         doc["clients"] = [
             {"client_id": cid, "dropout": {"mode": "stochastic", "p": 0.3, "q": 0.4}}

@@ -8,7 +8,7 @@ from pathlib import Path
 import fedsim
 
 MODULES = ("aggregate", "config", "costs", "errors", "metrics", "orchestrator",
-           "partition", "scenarios", "task")
+           "partition", "scenarios", "streams", "task")
 
 
 def test_import_exposes_submodules():

@@ -1,5 +1,7 @@
 """Synthetic task: data generation, gradients, training, evaluation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -203,6 +205,27 @@ class TestSingleDrawDataset:
         assert data.labels.dtype == np.int64
         assert data.scenarios == scen
 
+
+    @given(count=st.integers(min_value=0, max_value=2**53))
+    def test_whole_mix_split_is_the_count(self, count):
+        assert largest_remainder(count, [1.0]) == [count]
+
+    @given(
+        row=st.lists(st.integers(min_value=0, max_value=60), min_size=3, max_size=3),
+        tag=st.sampled_from(["reference", "night"]),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_single_tag_mix_takes_counts_whole(self, row, tag, seed):
+        """A one-tag mix at 1.0 skips `largest_remainder` and still equals
+        the per-segment draws that use it."""
+        task = default_task(n_classes=3, n_features=4, scenario_tags=("night",))
+        features, labels, scen = reference_dataset(task, row, {tag: 1.0}, seed)
+        with mock.patch.object(task_module, "largest_remainder", side_effect=AssertionError):
+            data = generate_dataset(task, row, {tag: 1.0}, seed, "C1")
+        assert np.array_equal(data.features, features)
+        assert np.array_equal(data.labels, labels)
+        assert data.scenarios == scen
 
 class TestGradient:
     def test_against_central_finite_differences(self):
