@@ -63,8 +63,10 @@ class MetricsRecord:
     @staticmethod
     def from_line(line: str) -> "MetricsRecord":
         doc = json.loads(line)
-        names = {f.name for f in fields(MetricsRecord)}
-        return MetricsRecord(**{k: v for k, v in doc.items() if k in names})
+        return MetricsRecord(**{k: v for k, v in doc.items() if k in _FIELD_NAMES})
+
+
+_FIELD_NAMES = frozenset(f.name for f in fields(MetricsRecord))
 
 
 class MetricsWriter:

@@ -8,9 +8,10 @@ round can be recomputed in isolation and checkpoint/resume is exact.
 `streams.derive` makes the keys' seed sequences, bit-identical to numpy's;
 a sync round derives each stream's keys for all its clients in one batch.
 
-Both engines first build one `_Run`: the run's datasets, evaluation set,
-presence chains and per-client costs (looked up once, before any record),
-and the `oom`, `train_window` and `eval` records they share.  The loops
+Both engines first build one `_Run`: the run's datasets (one draw per
+group of same-shaped client datasets), evaluation set, presence chains and
+per-client costs (looked up once, before any record), and the `oom`,
+`train_window` and `eval` records they share.  The loops
 stay separate: a sync round is a barrier whose records follow participant
 order, while async applies each update in arrival order, so one event
 queue for both would branch on the strategy at every step.  `run` picks
@@ -36,6 +37,7 @@ from .task import (
     LocalDataset,
     evaluate,
     generate_dataset,
+    generate_datasets,
     local_train,
     train_cohort,
     zero_params,
@@ -118,36 +120,42 @@ def apply_dropout(rules: dict[str, DropoutRule], round_idx: int, seed: int) -> l
 
 
 def _build_datasets(cfg: ExperimentConfig) -> dict[str, LocalDataset]:
-    """Per-client datasets, pure in (master_seed, client, plan).
+    """Per-client datasets in config order, pure in (master_seed, client, plan).
 
     Matrix plans scale each client's noise by its resolution quality
-    factor.  Overlap plans share partition-level datasets verbatim between
-    clients, so overlapping clients hold identical samples.
+    factor.  Clients with the same noise factor, plan row and scenario mix
+    have same-shaped datasets, so each such group is drawn in one
+    `generate_datasets` call.  Overlap plans share partition-level datasets
+    verbatim between clients, so overlapping clients hold identical samples.
     """
-    datasets: dict[str, LocalDataset] = {}
     if cfg.plan is not None:
-        tasks = {}
         keys = streams.derive(cfg.master_seed, _DATA, [_cid_key(c.client_id) for c in cfg.clients])
+        groups: dict[tuple, tuple[dict | None, list, list]] = {}
         for client, key in zip(cfg.clients, keys):
-            cid = client.client_id
             factor = cfg.resolution_noise.get(client.resolution, 1.0)
+            mix = client.scenario_mix
+            shape = (factor, cfg.plan.row(client.client_id),
+                     None if mix is None else tuple(sorted(mix.items())))
+            _, cids, group_keys = groups.setdefault(shape, (mix, [], []))
+            cids.append(client.client_id)
+            group_keys.append(key)
+        tasks, drawn = {}, {}
+        for (factor, row, _), (mix, cids, group_keys) in groups.items():
             if factor not in tasks:
                 tasks[factor] = cfg.task.with_noise_scale(factor)
-            datasets[cid] = generate_dataset(
-                tasks[factor], cfg.plan.row(cid), client.scenario_mix, key, cid
-            )
-        return datasets
+            for data in generate_datasets(tasks[factor], row, mix, group_keys, cids):
+                drawn[data.client_id] = data
+        return {c.client_id: drawn[c.client_id] for c in cfg.clients}
     ids = range(1, cfg.overlap.n_partitions + 1)
-    parts = {
-        p: generate_dataset(cfg.task, cfg.overlap_partition_counts, None, key, f"partition-{p}")
-        for p, key in zip(ids, streams.derive(cfg.master_seed, _DATA, ids))
+    parts = dict(zip(ids, generate_datasets(
+        cfg.task, cfg.overlap_partition_counts, None,
+        streams.derive(cfg.master_seed, _DATA, ids), [f"partition-{p}" for p in ids],
+    )))
+    held = cfg.overlap.assignment
+    return {
+        c.client_id: LocalDataset.concat(c.client_id, [parts[p] for p in held[c.client_id]])
+        for c in cfg.clients
     }
-    for client in cfg.clients:
-        held = cfg.overlap.assignment[client.client_id]
-        datasets[client.client_id] = LocalDataset.concat(
-            client.client_id, [parts[p] for p in held]
-        )
-    return datasets
 
 
 def _check_not_all_absent(cfg: ExperimentConfig) -> None:

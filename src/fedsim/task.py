@@ -7,6 +7,10 @@ effects stay observable and cheaply verifiable.
 Parameter vectors are flat float64 arrays laid out as the row-major C x d
 weight matrix followed by the C biases.
 
+Client datasets have one generator, `generate_datasets`, which draws a
+group of same-shaped datasets into one block with each client's noise from
+its own key; `generate_dataset` is a group of one.
+
 Local SGD has one kernel, `train_cohort`, which trains many clients from
 the same starting point with a leading client axis on every array and then
 computes each client's final full-dataset loss in one more stacked pass;
@@ -184,18 +188,32 @@ def generate_dataset(
     seed,
     client_id: str = "",
 ) -> LocalDataset:
-    """Draw a client dataset with exact per-class counts.
+    """Draw one client dataset: a group of one, see `generate_datasets`."""
+    return generate_datasets(task, plan_row, scenario_mix, [seed], [client_id])[0]
 
-    Features are class_mean + scenario shift + sigma * N(0, I).  The draw is
-    a pure function of (task, plan_row, scenario_mix, seed); samples are laid
-    out class-major, scenario tags in sorted order within each class.
 
-    The noise is one (n, d) standard-normal draw, scaled in place by sigma,
-    and each (class, tag) segment's centre is then added in place to its
-    rows.  That equals one draw and one centre per segment bit for bit:
-    the generator fills values in sequence, so one draw is the segments'
-    draws laid end to end, and centre + s*z == s*z + centre in IEEE
-    arithmetic.
+def generate_datasets(
+    task: SyntheticTask,
+    plan_row,
+    scenario_mix: dict[str, float] | None,
+    seeds,
+    client_ids,
+) -> list[LocalDataset]:
+    """Draw one dataset per seed, all with the same exact per-class counts.
+
+    Features are class_mean + scenario shift + sigma * N(0, I).  Each draw
+    is a pure function of (task, plan_row, scenario_mix, seed); samples are
+    laid out class-major, scenario tags in sorted order within each class.
+
+    Client k's noise is one (n, d) standard-normal draw from
+    ``default_rng(seeds[k])`` into row k of a (G, n, d) block; the block is
+    then scaled in place by sigma, and each (class, tag) segment's centre is
+    added in place to its rows of every client at once.  That equals one
+    draw and one centre per segment and client bit for bit: the generator
+    fills values in sequence, so one draw is the segments' draws laid end
+    to end, and centre + s*z == s*z + centre in IEEE arithmetic.  The
+    clients share one labels array and one scenario tuple; features and
+    labels are read-only views.
     """
     counts = [int(c) for c in plan_row]
     if len(counts) != task.n_classes:
@@ -204,6 +222,8 @@ def generate_dataset(
         )
     if any(c < 0 for c in counts):
         raise ConfigError("per-class counts must be nonnegative")
+    if len(seeds) != len(client_ids):
+        raise ValueError("need one seed per client")
     if scenario_mix is None:
         scenario_mix = {REFERENCE_SCENARIO: 1.0}
     for tag in scenario_mix:
@@ -223,15 +243,20 @@ def generate_dataset(
         if n_tag
     ]
     sizes = [n_tag for _, _, n_tag in segments]
-    features = np.random.default_rng(seed).standard_normal((sum(sizes), task.n_features))
-    features *= task.noise_sigma
+    block = np.empty((len(seeds), sum(sizes), task.n_features))
+    for k, seed in enumerate(seeds):
+        np.random.default_rng(seed).standard_normal(out=block[k])
+    block *= task.noise_sigma
     start = 0
     for cls, tag, n_tag in segments:
-        features[start : start + n_tag] += task.class_means[cls] + task.scenario_shifts[tag]
+        block[:, start : start + n_tag] += task.class_means[cls] + task.scenario_shifts[tag]
         start += n_tag
     labels = np.repeat(np.array([cls for cls, _, _ in segments], dtype=np.int64), sizes)
+    block.flags.writeable = labels.flags.writeable = False
     scen = tuple(tag for _, tag, n_tag in segments for _ in range(n_tag))
-    return LocalDataset(client_id, features, labels, scen)
+    return [
+        LocalDataset(cid, features, labels, scen) for cid, features in zip(client_ids, block)
+    ]
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -286,8 +311,9 @@ def dataset_loss(w: np.ndarray, data: LocalDataset, w_anchor=None, mu: float = 0
 
 
 # Samples trained together in one stacked chunk of `train_cohort`: bounds
-# the per-epoch feature and label copies to a few hundred KiB.
-COHORT_SAMPLES = 1024
+# the per-epoch feature, label and one-hot copies to about 0.8 MiB at 16
+# features and 8 classes.
+COHORT_SAMPLES = 4096
 
 
 def local_train(

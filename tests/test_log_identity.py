@@ -15,7 +15,13 @@ import pytest
 from fedsim.config import config_from_dict
 from fedsim.metrics import MetricsWriter
 from fedsim.orchestrator import run
-from fedsim.scenarios import SCENARIOS, bdd_async_hetero, hetero_resolution, kitti_sync
+from fedsim.scenarios import (
+    SCENARIOS,
+    bdd_async_hetero,
+    hetero_resolution,
+    kitti_sync,
+    lighting_crossdomain,
+)
 
 
 def _stochastic(doc, rounds, p, q):
@@ -48,12 +54,34 @@ def _async_oom(seed):
     return doc
 
 
+def _mixed_shape_groups(seed):
+    """lighting-crossdomain widened to 24 clients in 12 dataset shape groups
+    of (plan row, resolution noise factor, scenario mix); the two members
+    of each group sit 12 places apart in client order."""
+    doc = lighting_crossdomain(seed=seed)
+    rows = ([3, 2, 0, 1, 4, 2, 2, 1], [2] * 8, [0, 5, 1, 0, 0, 3, 2, 6])
+    mixes = ({"night": 1.0}, {"day": 0.4, "night": 0.6})
+    ids = [f"C{i}" for i in range(1, 25)]
+    inline = {"client_ids": ids, "class_names": [f"class{j}" for j in range(8)],
+              "counts": [list(rows[i % 3]) for i in range(24)]}
+    doc["plan"] = {"inline": inline}
+    doc["clients"] = [
+        {"client_id": cid, "resolution": (640, 960)[i % 2], "batch": (32, 16)[i % 2],
+         "architecture": "v8", "scenario_mix": mixes[(i // 2) % 2]}
+        for i, cid in enumerate(ids)
+    ]
+    doc["rounds"] = 3
+    doc["train"]["local_epochs"] = 1
+    return doc
+
+
 CONFIGS = {name: builder for name, (builder, _) in SCENARIOS.items()}
 CONFIGS["kitti-sync-stochastic"] = lambda seed: _stochastic(kitti_sync(seed), 30, 0.3, 0.4)
 CONFIGS["bdd-async-stochastic"] = lambda seed: _stochastic(bdd_async_hetero(seed), 6, 0.2, 0.5)
 CONFIGS["hetero-resolution-oom"] = _oom_midround
 CONFIGS["bdd-async-oom"] = _async_oom
 CONFIGS["kitti-sync-fedprox"] = lambda seed: kitti_sync(seed, strategy="fedprox")
+CONFIGS["mixed-shape-groups"] = _mixed_shape_groups
 
 DIGESTS = {
     "bdd-async-hetero": "1164e65bc19955c7d5db042790c916609066d25a0e41a056c62b793e778131d4",
@@ -66,6 +94,7 @@ DIGESTS = {
     "kitti-sync-fedprox": "d5e6de17998e344208dcc566d21d1dcd078e35520ed19b23bc76b954509f8430",
     "kitti-sync-stochastic": "b0caf9f018bb604d3d1bbecd384e227898b03a705f1525c346d134c2e932f752",
     "lighting-crossdomain": "dee42e5b8a886bd2af3f41b85a3b31d62f5fc1b147360556199b70eef1320521",
+    "mixed-shape-groups": "55689e997df981521ee4c65c658f90303af49a3fb1bc552997302ccca261d4da",
     "overlap-60": "fe6857da1b4ef91b94c00eb1d9b74dbd618d3a2429758e49274fad402af463ca",
     "scale-800": "8e2414867efd665f987e0a78266ffb5875137e37b072460e70851a663fc9c0cb",
 }

@@ -347,6 +347,72 @@ class TestRunSetUp:
         assert len(calls) == len(cfg.clients)
 
 
+def _interleaved_groups_doc():
+    """Eight clients, listed out of name order, in four dataset shape groups
+    whose members alternate; each of plan row, resolution and scenario mix
+    alone tells group 0 from one other group."""
+    ids = ["C8", "C3", "C5", "C1", "C7", "C2", "C6", "C4"]
+    row_a, row_b = [2, 0, 3, 1, 1, 0, 2, 4], [1] * 8
+    shapes = [(row_a, 640, 32, {"day": 1.0}), (row_a, 640, 32, None),
+              (row_a, 960, 16, {"day": 1.0}), (row_b, 640, 32, {"day": 1.0})]
+    doc = small_doc(rounds=1)
+    doc["task"]["scenario_tags"] = ["day"]
+    doc["plan"] = {"inline": {"client_ids": ids, "class_names": [f"k{j}" for j in range(8)],
+                              "counts": [shapes[i % 4][0] for i in range(8)]}}
+    doc["clients"] = [
+        {"client_id": cid, "resolution": resolution, "batch": batch, "architecture": "v8",
+         "scenario_mix": mix}
+        for i, cid in enumerate(ids)
+        for _, resolution, batch, mix in [shapes[i % 4]]
+    ]
+    return doc
+
+
+class TestBuildDatasets:
+    def test_groups_drawn_once_each_in_config_order(self, monkeypatch):
+        cfg = config_from_dict(_interleaved_groups_doc())
+        calls = []
+        draw = orchestrator.generate_datasets
+
+        def counting_draw(task, row, mix, seeds, client_ids):
+            calls.append(list(client_ids))
+            return draw(task, row, mix, seeds, client_ids)
+
+        monkeypatch.setattr(orchestrator, "generate_datasets", counting_draw)
+        datasets = orchestrator._build_datasets(cfg)
+        ids = [c.client_id for c in cfg.clients]
+        assert list(datasets) == ids
+        assert calls == [ids[g::4] for g in range(4)]
+        keys = streams.derive(0, orchestrator._DATA, [orchestrator._cid_key(cid) for cid in ids])
+        for client, key in zip(cfg.clients, keys):
+            factor = cfg.resolution_noise[client.resolution]
+            one = orchestrator.generate_dataset(
+                cfg.task.with_noise_scale(factor), cfg.plan.row(client.client_id),
+                client.scenario_mix, key, client.client_id,
+            )
+            data = datasets[client.client_id]
+            assert data.client_id == client.client_id
+            assert np.array_equal(data.features, one.features)
+            assert np.array_equal(data.labels, one.labels)
+            assert data.scenarios == one.scenarios
+
+    def test_overlap_partitions_drawn_in_one_call(self, monkeypatch):
+        doc = small_doc(plan={"overlap": {"n_clients": 4, "window": 2,
+                                          "per_partition_counts": [4] * 8}})
+        calls = []
+        draw = orchestrator.generate_datasets
+
+        def counting_draw(*args):
+            calls.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(orchestrator, "generate_datasets", counting_draw)
+        cfg = config_from_dict(doc)
+        datasets = orchestrator._build_datasets(cfg)
+        assert list(datasets) == [c.client_id for c in cfg.clients]
+        assert len(calls) == 1
+
+
 class TestCheckpoint:
     def test_resume_is_bit_identical(self):
         cfg = config_from_dict(small_doc(rounds=6))

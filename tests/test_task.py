@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fedsim import streams
 from fedsim import task as task_module
 from fedsim.errors import ConfigError
 from fedsim.partition import largest_remainder
@@ -18,6 +19,7 @@ from fedsim.task import (
     dataset_loss,
     evaluate,
     generate_dataset,
+    generate_datasets,
     local_train,
     loss_and_gradient,
     param_length,
@@ -226,6 +228,87 @@ class TestSingleDrawDataset:
         assert np.array_equal(data.features, features)
         assert np.array_equal(data.labels, labels)
         assert data.scenarios == scen
+
+def reference_generate_dataset(task, plan_row, scenario_mix, seed):
+    """The one-client draw `generate_datasets` replaced: one (n, d) normal
+    draw scaled in place, then each segment's centre added to its rows."""
+    tags = sorted(scenario_mix)
+    fracs = [scenario_mix[t] for t in tags]
+    segments = [
+        (cls, tag, n_tag)
+        for cls, count in enumerate(plan_row)
+        for tag, n_tag in zip(tags, largest_remainder(count, fracs))
+        if n_tag
+    ]
+    sizes = [n_tag for _, _, n_tag in segments]
+    features = np.random.default_rng(seed).standard_normal((sum(sizes), task.n_features))
+    features *= task.noise_sigma
+    start = 0
+    for cls, tag, n_tag in segments:
+        features[start : start + n_tag] += task.class_means[cls] + task.scenario_shifts[tag]
+        start += n_tag
+    labels = np.repeat(np.array([cls for cls, _, _ in segments], dtype=np.int64), sizes)
+    scen = tuple(tag for _, tag, n_tag in segments for _ in range(n_tag))
+    return features, labels, scen
+
+
+class TestGenerateDatasets:
+    @given(
+        n_clients=st.integers(min_value=1, max_value=40),
+        shape=st.sampled_from([(1, 1), (3, 2), (8, 16), (4, 32)]),
+        row=st.lists(st.integers(min_value=0, max_value=12), min_size=8, max_size=8),
+        weights=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=3)
+        .filter(any),
+        sigma=st.sampled_from([0.0, 0.37, 2.5]),
+        master=st.integers(min_value=0, max_value=2**64 - 1),
+        derived=st.booleans(),
+    )
+    @example(n_clients=3, shape=(8, 16), row=[0] * 8, weights=[1], sigma=0.37, master=0,
+             derived=False)
+    @example(n_clients=17, shape=(3, 2), row=[5, 0, 3, 0, 0, 0, 0, 0], weights=[0, 3, 1],
+             sigma=2.5, master=7, derived=True)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_client_draws(self, n_clients, shape, row, weights, sigma, master,
+                                     derived):
+        # zero weights give tags with zero count; the all-zero row is an
+        # example; 16 or more derived keys take the batched key path
+        c, d = shape
+        task = default_task(
+            n_classes=c, n_features=d, scenario_tags=("night", "rain"), shift_scale=3.0
+        ).with_noise_scale(sigma)
+        tags = ("reference", "night", "rain")[: len(weights)]
+        mix = {t: w / sum(weights) for t, w in zip(tags, weights)}
+        row = row[:c]
+        if derived:
+            seeds = streams.derive(master, 1, range(n_clients))
+        else:
+            seeds = [(master + k) % 2**64 for k in range(n_clients)]
+        ids = [f"C{k}" for k in range(n_clients)]
+        got = generate_datasets(task, row, mix, seeds, ids)
+        assert [data.client_id for data in got] == ids
+        for data, seed in zip(got, seeds):
+            features, labels, scen = reference_generate_dataset(task, row, mix, seed)
+            assert data.features.shape == features.shape
+            assert np.array_equal(data.features, features)
+            assert np.array_equal(data.labels, labels)
+            assert data.labels.dtype == np.int64
+            assert data.scenarios == scen
+
+    def test_arrays_are_read_only(self):
+        task = default_task(n_classes=3, n_features=4)
+        group = generate_datasets(task, [2, 0, 3], None, [1, 2], ["C1", "C2"])
+        for data in group + [generate_dataset(task, [2, 0, 3], None, 1, "C1")]:
+            with pytest.raises(ValueError, match="read-only"):
+                data.features[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                data.features *= 2.0
+            with pytest.raises(ValueError, match="read-only"):
+                data.labels[0] = 1
+
+    def test_one_seed_per_client(self):
+        with pytest.raises(ValueError):
+            generate_datasets(default_task(), [1] * 8, None, [1, 2], ["C1"])
+
 
 class TestGradient:
     def test_against_central_finite_differences(self):
