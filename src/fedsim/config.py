@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .costs import ARCHITECTURES, DEFAULT_MEM_CAPACITY_MIB, DeviceSpec
+from .costs import ARCHITECTURES, DeviceSpec
 from .aggregate import AsyncConfig
 from .errors import ConfigError
 from .partition import (
@@ -32,13 +33,33 @@ DEFAULT_RESOLUTION_NOISE = {320: 1.5, 640: 1.0, 960: 0.67}
 DEFAULT_PROX_MU = 0.01
 
 
-def _require_keys(doc: dict, allowed: set[str], context: str) -> None:
-    unknown = set(doc) - allowed
+def _as_is(value):
+    return value
+
+
+def _section(doc, table: dict, context: str) -> dict:
+    """Convert one config section through its key table.
+
+    ``table`` maps every allowed key to a converter.  Unknown keys, and
+    values a converter rejects, raise `ConfigError` naming the section.
+    Absent keys and nulls are left out, so the dataclass defaults apply:
+    every default lives on its dataclass (or `default_task`), not here.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{context} must be a JSON object")
+    unknown = set(doc) - set(table)
     if unknown:
         raise ConfigError(
-            f"unknown field(s) {sorted(unknown)} in {context}; "
-            f"allowed: {sorted(allowed)}"
+            f"unknown field(s) {sorted(unknown)} in {context}; allowed: {sorted(table)}"
         )
+    fields = {}
+    for key, value in doc.items():
+        if value is not None:
+            try:
+                fields[key] = table[key](value)
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ConfigError(f"{context}.{key}: {exc}") from None
+    return fields
 
 
 @dataclass(frozen=True)
@@ -65,15 +86,21 @@ class DropoutRule:
 
     @staticmethod
     def from_dict(doc: dict, context: str) -> "DropoutRule":
-        mode = doc.get("mode", "always_on")
-        if mode == "absent_rounds":
-            _require_keys(doc, {"mode", "rounds"}, context)
-            return DropoutRule(mode=mode, absent_rounds=frozenset(doc.get("rounds", ())))
-        if mode == "stochastic":
-            _require_keys(doc, {"mode", "p", "q"}, context)
-            return DropoutRule(mode=mode, p=float(doc.get("p", 0.0)), q=float(doc.get("q", 0.0)))
-        _require_keys(doc, {"mode"}, context)
-        return DropoutRule(mode=mode)
+        table = _DROPOUT_KEYS.get(doc.get("mode"), _DROPOUT_KEYS["always_on"])
+        fields = _section(doc, table, context)
+        if "rounds" in fields:
+            fields["absent_rounds"] = fields.pop("rounds")
+        return DropoutRule(**fields)
+
+
+# Each dropout mode's keys; an unknown mode gets always_on's and is then
+# refused by `DropoutRule` itself.
+_DROPOUT_KEYS = {
+    "always_on": {"mode": _as_is},
+    "absent_rounds": {"mode": _as_is, "rounds": frozenset},
+    "stochastic": {"mode": _as_is, "p": float, "q": float},
+}
+_DEVICE_KEYS = {"mem_capacity_mib": float, "speed_factor": float}
 
 
 @dataclass(frozen=True)
@@ -91,6 +118,8 @@ class ClientSpec:
             raise ConfigError(f"unknown architecture {self.architecture!r}")
 
     def to_dict(self) -> dict:
+        # Spelled out rather than `asdict`, which costs about 5 µs per
+        # client for the device alone, on every digest.
         return {
             "client_id": self.client_id,
             "resolution": self.resolution,
@@ -109,29 +138,16 @@ class ClientSpec:
         cid = doc.get("client_id")
         if not cid:
             raise ConfigError("client entry missing client_id")
-        _require_keys(
-            doc,
-            {"client_id", "resolution", "batch", "architecture", "device",
-             "scenario_mix", "dropout"},
-            f"client {cid}",
-        )
-        device_doc = doc.get("device", {})
-        _require_keys(
-            device_doc, {"mem_capacity_mib", "speed_factor"}, f"client {cid} device"
-        )
-        device = DeviceSpec(
-            mem_capacity_mib=float(device_doc.get("mem_capacity_mib", DEFAULT_MEM_CAPACITY_MIB)),
-            speed_factor=float(device_doc.get("speed_factor", 1.0)),
-        )
-        return ClientSpec(
-            client_id=cid,
-            resolution=int(doc.get("resolution", 640)),
-            batch=int(doc.get("batch", 32)),
-            architecture=doc.get("architecture", "v8"),
-            device=device,
-            scenario_mix=doc.get("scenario_mix"),
-            dropout=DropoutRule.from_dict(doc.get("dropout", {}), f"client {cid} dropout"),
-        )
+        context = f"client {cid}"
+        return ClientSpec(**_section(doc, {
+            "client_id": _as_is,
+            "resolution": int,
+            "batch": int,
+            "architecture": _as_is,
+            "device": lambda d: DeviceSpec(**_section(d, _DEVICE_KEYS, f"{context} device")),
+            "scenario_mix": _as_is,
+            "dropout": lambda d: DropoutRule.from_dict(d, f"{context} dropout"),
+        }, context))
 
 
 @dataclass(frozen=True)
@@ -143,23 +159,27 @@ class EvalSpec:
     scenario: str | dict[str, float] = REFERENCE_SCENARIO
     seed: int = 990001
 
+    def __post_init__(self):
+        if self.per_class < 1:
+            raise ConfigError("eval.per_class must be >= 1")
+
     def scenario_mix(self) -> dict[str, float]:
         if isinstance(self.scenario, str):
             return {self.scenario: 1.0}
         return dict(self.scenario)
 
-    def to_dict(self) -> dict:
-        return {"per_class": self.per_class, "scenario": self.scenario, "seed": self.seed}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     strategy: str
-    rounds: int
     train: TrainConfig
     task: SyntheticTask
     clients: tuple[ClientSpec, ...]
-    master_seed: int
+    # The task and plan sections as given; `to_dict` writes them back as is.
+    raw_task: dict
+    raw_plan: dict
+    rounds: int = 10
+    master_seed: int = 0
     plan: PartitionPlan | None = None
     overlap: OverlapPlan | None = None
     overlap_partition_counts: tuple[int, ...] | None = None
@@ -171,14 +191,20 @@ class ExperimentConfig:
         default_factory=lambda: dict(DEFAULT_RESOLUTION_NOISE)
     )
     aggregate_time_s: float = 1.0
-    raw_task: dict | None = None
-    raw_plan: dict | None = None
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
-            raise ConfigError(f"strategy must be one of {STRATEGIES}")
+            raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
+        for key, value in (("applications", self.async_applications),
+                           ("eval_every", self.async_eval_every)):
+            if value is not None and (type(value) is not int or value < 1):
+                raise ConfigError(f"async.{key} must be an integer >= 1, got {value!r}")
+        if not (math.isfinite(self.aggregate_time_s) and self.aggregate_time_s >= 0):
+            raise ConfigError(
+                f"aggregate_time_s must be finite and >= 0, got {self.aggregate_time_s}"
+            )
         if (self.plan is None) == (self.overlap is None):
             raise ConfigError("config needs exactly one of a matrix plan or an overlap plan")
         ids = [c.client_id for c in self.clients]
@@ -221,51 +247,21 @@ class ExperimentConfig:
         return self.async_eval_every or self.n_clients
 
     def to_dict(self) -> dict:
-        if self.raw_task is not None:
-            task_doc = self.raw_task
-        else:
-            task_doc = {
-                "n_classes": self.task.n_classes,
-                "n_features": self.task.n_features,
-                "noise_sigma": self.task.noise_sigma,
-                "class_means": self.task.class_means.tolist(),
-                "scenario_shifts": {
-                    tag: vec.tolist() for tag, vec in self.task.scenario_shifts.items()
-                },
-            }
-        if self.raw_plan is not None:
-            plan_doc = self.raw_plan
-        elif self.plan is not None:
-            plan_doc = {"inline": self.plan.to_json_dict()}
-        else:
-            plan_doc = {
-                "overlap": {
-                    "n_clients": self.overlap.n_clients,
-                    "window": self.overlap.window,
-                    "per_partition_counts": list(self.overlap_partition_counts),
-                }
-            }
         return {
             "schema_version": SCHEMA_VERSION,
             "strategy": self.strategy,
             "rounds": self.rounds,
             "master_seed": self.master_seed,
-            "train": {
-                "local_epochs": self.train.local_epochs,
-                "batch_size": self.train.batch_size,
-                "learning_rate": self.train.learning_rate,
-                "prox_mu": self.train.prox_mu,
-            },
-            "task": task_doc,
-            "plan": plan_doc,
+            "train": asdict(self.train),
+            "task": self.raw_task,
+            "plan": self.raw_plan,
             "clients": [c.to_dict() for c in self.clients],
             "async": {
-                "alpha": self.async_cfg.alpha,
-                "staleness_exponent": self.async_cfg.staleness_exponent,
+                **asdict(self.async_cfg),
                 "applications": self.async_applications,
                 "eval_every": self.async_eval_every,
             },
-            "eval": self.eval.to_dict(),
+            "eval": asdict(self.eval),
             "resolution_noise": {str(k): v for k, v in self.resolution_noise.items()},
             "aggregate_time_s": self.aggregate_time_s,
         }
@@ -282,95 +278,103 @@ class ExperimentConfig:
         return config_from_dict(doc)
 
 
-def _parse_task(doc: dict) -> SyntheticTask:
-    allowed = {
-        "n_classes", "n_features", "noise_sigma", "means_seed", "scenario_tags",
-        "shift_scale", "class_means", "scenario_shifts",
-    }
-    _require_keys(doc, allowed, "task")
-    if "class_means" in doc:
-        shifts = {
-            tag: np.asarray(vec, dtype=np.float64)
-            for tag, vec in (doc.get("scenario_shifts") or {}).items()
-        }
-        means = np.asarray(doc["class_means"], dtype=np.float64)
-        return SyntheticTask(
-            n_classes=int(doc.get("n_classes", means.shape[0])),
-            n_features=int(doc.get("n_features", means.shape[1])),
-            class_means=means,
-            noise_sigma=float(doc.get("noise_sigma", 1.0)),
-            scenario_shifts=shifts or {REFERENCE_SCENARIO: None},
-        )
-    return default_task(
-        n_classes=int(doc.get("n_classes", 8)),
-        n_features=int(doc.get("n_features", 16)),
-        noise_sigma=float(doc.get("noise_sigma", 1.0)),
-        means_seed=int(doc.get("means_seed", 20240601)),
-        scenario_tags=tuple(doc.get("scenario_tags", ())),
-        shift_scale=float(doc.get("shift_scale", 2.0)),
-    )
+def _matrix(value) -> np.ndarray:
+    means = np.asarray(value, dtype=np.float64)
+    if means.ndim != 2:
+        raise ValueError(f"expected a (n_classes, n_features) matrix, got shape {means.shape}")
+    return means
 
 
-def _parse_plan(doc: dict):
-    _require_keys(doc, {"builtin", "scale_divisor", "inline", "overlap"}, "plan")
-    given = [k for k in ("builtin", "inline", "overlap") if k in doc]
+# The two forms of the task section.  Without class_means the means and
+# scenario shifts are drawn by `default_task`; with them, both are given.
+_GENERATED_TASK_KEYS = {
+    "n_classes": int, "n_features": int, "noise_sigma": float,
+    "means_seed": int, "scenario_tags": tuple, "shift_scale": float,
+}
+_GIVEN_TASK_KEYS = {
+    "n_classes": int, "n_features": int, "noise_sigma": float,
+    "class_means": _matrix, "scenario_shifts": dict,
+}
+
+
+def _parse_task(doc) -> SyntheticTask:
+    if not isinstance(doc, dict) or doc.get("class_means") is None:
+        return default_task(**_section(doc, _GENERATED_TASK_KEYS, "task"))
+    fields = _section(doc, _GIVEN_TASK_KEYS, "task with class_means")
+    fields.setdefault("n_classes", fields["class_means"].shape[0])
+    fields.setdefault("n_features", fields["class_means"].shape[1])
+    return SyntheticTask(**fields)
+
+
+def _parse_plan(doc):
+    """(matrix plan, overlap plan, overlap per-partition counts)."""
+    fields = _section(doc, {
+        "builtin": _as_is, "scale_divisor": int, "inline": _as_is,
+        "overlap": lambda d: _section(d, _OVERLAP_KEYS, "plan.overlap"),
+    }, "plan")
+    given = [k for k in ("builtin", "inline", "overlap") if k in fields]
     if len(given) != 1:
         raise ConfigError("plan needs exactly one of: builtin, inline, overlap")
-    if "builtin" in doc:
-        name = doc["builtin"]
+    if "builtin" in fields:
+        name = fields["builtin"]
         if name not in BUILTIN_PLAN_NAMES:
             raise ConfigError(f"plan.builtin must be one of {BUILTIN_PLAN_NAMES}")
         plan = builtin_plan(name)
-        divisor = int(doc.get("scale_divisor", 1))
+        divisor = fields.get("scale_divisor", 1)
         if divisor > 1:
             plan = plan.scaled(divisor)
         return plan, None, None
-    if "inline" in doc:
-        return PartitionPlan.from_json_dict(doc["inline"]), None, None
-    ov = doc["overlap"]
-    _require_keys(ov, {"n_clients", "window", "per_partition_counts"}, "plan.overlap")
+    if "inline" in fields:
+        return PartitionPlan.from_json_dict(fields["inline"]), None, None
+    ov = fields["overlap"]
     try:
-        overlap = overlap_split(int(ov["n_clients"]), int(ov["window"]))
-        counts = tuple(int(c) for c in ov["per_partition_counts"])
+        overlap = overlap_split(ov["n_clients"], ov["window"])
+        counts = ov["per_partition_counts"]
     except KeyError as exc:
         raise ConfigError(f"plan.overlap missing field {exc}") from None
     return None, overlap, counts
 
 
+_OVERLAP_KEYS = {
+    "n_clients": int, "window": int,
+    "per_partition_counts": lambda counts: tuple(int(c) for c in counts),
+}
+_TRAIN_KEYS = {"local_epochs": int, "batch_size": int, "learning_rate": float, "prox_mu": float}
+_ASYNC_KEYS = {
+    "alpha": float, "staleness_exponent": float, "applications": _as_is, "eval_every": _as_is,
+}
+_EVAL_KEYS = {"per_class": int, "scenario": _as_is, "seed": int}
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    allowed = {
-        "schema_version", "strategy", "rounds", "master_seed", "train", "task",
-        "plan", "clients", "async", "eval", "resolution_noise", "aggregate_time_s",
-    }
-    _require_keys(doc, allowed, "experiment config")
     version = doc.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}")
-    strategy = doc.get("strategy")
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-
-    train_doc = doc.get("train", {})
-    _require_keys(
-        train_doc,
-        {"local_epochs", "batch_size", "learning_rate", "prox_mu", "seed"},
-        "train",
-    )
-    prox_mu = train_doc.get("prox_mu")
-    if prox_mu is None:
-        prox_mu = DEFAULT_PROX_MU if strategy == "fedprox" else 0.0
-    train = TrainConfig(
-        local_epochs=int(train_doc.get("local_epochs", 3)),
-        batch_size=int(train_doc.get("batch_size", 32)),
-        learning_rate=float(train_doc.get("learning_rate", 0.05)),
-        prox_mu=float(prox_mu),
-        seed=int(train_doc.get("seed", 0)),
-    )
-
-    task = _parse_task(doc.get("task", {}))
-    if "plan" not in doc:
+    fields = _section(doc, {
+        "schema_version": _as_is,
+        "strategy": _as_is,
+        "rounds": int,
+        "master_seed": int,
+        "train": lambda d: _section(d, _TRAIN_KEYS, "train"),
+        "task": _as_is,
+        "plan": _as_is,
+        "clients": lambda docs: tuple(ClientSpec.from_dict(c) for c in docs),
+        "async": lambda d: _section(d, _ASYNC_KEYS, "async"),
+        "eval": lambda d: EvalSpec(**_section(d, _EVAL_KEYS, "eval")),
+        "resolution_noise": lambda d: {int(k): float(v) for k, v in d.items()},
+        "aggregate_time_s": float,
+    }, "experiment config")
+    fields.pop("schema_version", None)
+    if "plan" not in fields:
         raise ConfigError("experiment config requires a plan")
-    plan, overlap, overlap_counts = _parse_plan(doc["plan"])
+
+    train = fields.pop("train", {})
+    if fields.get("strategy") == "fedprox":
+        train.setdefault("prox_mu", DEFAULT_PROX_MU)
+    fields["train"] = TrainConfig(**train)
+
+    task = _parse_task(fields.setdefault("task", {}))
+    plan, overlap, overlap_counts = _parse_plan(fields["plan"])
     if plan is not None and len(plan.class_names) != task.n_classes:
         raise ConfigError(
             f"plan has {len(plan.class_names)} classes but task has {task.n_classes}"
@@ -378,59 +382,29 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if overlap_counts is not None and len(overlap_counts) != task.n_classes:
         raise ConfigError("overlap per_partition_counts length must equal n_classes")
 
-    if "clients" in doc and doc["clients"]:
-        clients = tuple(ClientSpec.from_dict(c) for c in doc["clients"])
-    else:
+    if not fields.get("clients"):
         ids = (
             plan.client_ids
             if plan is not None
             else tuple(client_name(i) for i in range(1, overlap.n_clients + 1))
         )
-        clients = tuple(ClientSpec(client_id=cid) for cid in ids)
+        fields["clients"] = tuple(ClientSpec(client_id=cid) for cid in ids)
 
-    async_doc = doc.get("async", {})
-    _require_keys(
-        async_doc, {"alpha", "staleness_exponent", "applications", "eval_every"}, "async"
-    )
-    async_cfg = AsyncConfig(
-        alpha=float(async_doc.get("alpha", 0.6)),
-        staleness_exponent=float(async_doc.get("staleness_exponent", 0.5)),
-    )
-
-    eval_doc = doc.get("eval", {})
-    _require_keys(eval_doc, {"per_class", "scenario", "seed"}, "eval")
-    eval_spec = EvalSpec(
-        per_class=int(eval_doc.get("per_class", 500)),
-        scenario=eval_doc.get("scenario", REFERENCE_SCENARIO),
-        seed=int(eval_doc.get("seed", 990001)),
-    )
-    if eval_spec.per_class < 1:
-        raise ConfigError("eval.per_class must be >= 1")
-
-    res_noise_doc = doc.get("resolution_noise")
-    if res_noise_doc is None:
-        res_noise = dict(DEFAULT_RESOLUTION_NOISE)
-    else:
-        res_noise = {int(k): float(v) for k, v in res_noise_doc.items()}
+    async_fields = fields.pop("async", {})
+    for key in ("applications", "eval_every"):
+        if key in async_fields:
+            fields[f"async_{key}"] = async_fields.pop(key)
 
     return ExperimentConfig(
-        strategy=strategy,
-        rounds=int(doc.get("rounds", 10)),
-        train=train,
+        strategy=fields.pop("strategy", None),
         task=task,
-        clients=clients,
-        master_seed=int(doc.get("master_seed", 0)),
         plan=plan,
         overlap=overlap,
         overlap_partition_counts=overlap_counts,
-        async_cfg=async_cfg,
-        async_applications=async_doc.get("applications"),
-        async_eval_every=async_doc.get("eval_every"),
-        eval=eval_spec,
-        resolution_noise=res_noise,
-        aggregate_time_s=float(doc.get("aggregate_time_s", 1.0)),
-        raw_task=doc.get("task", {}),
-        raw_plan=doc["plan"],
+        async_cfg=AsyncConfig(**async_fields),
+        raw_task=fields.pop("task"),
+        raw_plan=fields.pop("plan"),
+        **fields,
     )
 
 

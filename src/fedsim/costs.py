@@ -25,9 +25,6 @@ BATCHES = (4, 8, 16, 32)
 # the same figure as default_device_mem_capacity_mib.
 DEFAULT_MEM_CAPACITY_MIB = 49140.0
 
-TRAINING_PHASE = "training"
-IDLE_PHASE = "aggregation_idle"
-
 
 @dataclass(frozen=True)
 class CostEntry:
@@ -37,7 +34,6 @@ class CostEntry:
     peak_mem_mib: float
     power_w_range: tuple[float, float]
     util_pct_range: tuple[float, float]
-    infer_ms: float | None = None
     estimated: bool = False  # True when any field is derived, not measured
 
     def __post_init__(self):
@@ -74,9 +70,6 @@ class Calibration:
     fedprox_time_factor: float
     idle_power_w: float
     idle_util_pct_range: tuple[float, float]
-    inference_ms: dict[str, dict[int, dict[str, float]]]
-    default_mem_capacity_mib: float
-    raw: dict
 
     def profile(self, architecture: str) -> CostProfile:
         try:
@@ -144,18 +137,11 @@ def _build_calibration(doc: dict) -> Calibration:
                 estimated=estimated,
             )
         profiles[arch] = CostProfile(arch, entries, power, util)
-    inference = {
-        dataset: {int(res): dict(by_arch) for res, by_arch in table.items()}
-        for dataset, table in doc["inference_ms"].items()
-    }
     return Calibration(
         profiles=profiles,
         fedprox_time_factor=float(doc["fedprox_time_factor"]),
         idle_power_w=float(doc["idle_power_w"]),
         idle_util_pct_range=tuple(doc["idle_util_pct_range"]),
-        inference_ms=inference,
-        default_mem_capacity_mib=float(doc["default_device_mem_capacity_mib"]),
-        raw=doc,
     )
 
 
@@ -244,25 +230,13 @@ def check_memory(entry: CostEntry, device: DeviceSpec) -> bool:
     return entry.peak_mem_mib <= device.mem_capacity_mib
 
 
-def sample_power_and_util(
-    entry: CostEntry,
-    phase: str,
-    seed,
-    calibration: Calibration | None = None,
-) -> tuple[float, float]:
-    """Seeded draw of (watts, utilization %) for a simulation window.
-
-    Training draws uniformly within the entry's measured ranges; the idle
-    aggregation phase ignores the entry (see `sample_idle_power_and_util`).
-    """
-    if phase == TRAINING_PHASE:
-        rng = np.random.default_rng(seed)
-        power = float(rng.uniform(*entry.power_w_range))
-        util = float(rng.uniform(*entry.util_pct_range))
-        return power, util
-    if phase == IDLE_PHASE:
-        return sample_idle_power_and_util(seed, calibration)
-    raise ConfigError(f"unknown phase {phase!r}")
+def sample_power_and_util(entry: CostEntry, seed) -> tuple[float, float]:
+    """Seeded draw of (watts, utilization %) for a training window, uniform
+    within the entry's measured ranges."""
+    rng = np.random.default_rng(seed)
+    power = float(rng.uniform(*entry.power_w_range))
+    util = float(rng.uniform(*entry.util_pct_range))
+    return power, util
 
 
 def sample_idle_power_and_util(

@@ -239,9 +239,7 @@ class _Run:
                      n: int, loss: float, power_key) -> None:
         """Both ends are given: async's (t - d) + d need not round back to t."""
         entry = self.entries[cid]
-        power, util = costs.sample_power_and_util(
-            entry, costs.TRAINING_PHASE, power_key, self.cal
-        )
+        power, util = costs.sample_power_and_util(entry, power_key)
         self.emit(
             "train_window", round_idx, client_id=cid, t_start_s=t_start, t_end_s=t_end,
             mem_mib=entry.peak_mem_mib, power_w=power, util_pct=util,
@@ -383,9 +381,7 @@ def run_async(cfg: ExperimentConfig, sink: MetricsWriter | None = None) -> RunRe
             heapq.heappush(heap, (t + duration, cid))
             continue
         (seed,) = ctx.train_seeds(attempts[cid], [cid])
-        w_new, n, loss = local_train(
-            fetched[cid], ctx.datasets[cid], replace(ctx.train_cfg, seed=seed)
-        )
+        w_new, n, loss = local_train(fetched[cid], ctx.datasets[cid], seed, ctx.train_cfg)
         (power_key,) = ctx.keys(_POWER, attempts[cid], [cid])
         ctx.train_window(attempts[cid], cid, t - duration, t, n, loss, power_key)
         update = ClientUpdate(cid, w_new, n, base_version=base[cid])

@@ -64,7 +64,7 @@ class SyntheticTask:
     n_classes: int
     n_features: int
     class_means: np.ndarray  # (n_classes, n_features)
-    noise_sigma: float
+    noise_sigma: float = 1.0
     scenario_shifts: dict[str, np.ndarray] = field(
         default_factory=lambda: {REFERENCE_SCENARIO: None}
     )
@@ -110,7 +110,7 @@ class SyntheticTask:
 def default_task(
     n_classes: int = 8,
     n_features: int = 16,
-    noise_sigma: float = 1.0,
+    noise_sigma: float = SyntheticTask.noise_sigma,
     means_seed: int = 20240601,
     scenario_tags: tuple[str, ...] = (),
     shift_scale: float = 2.0,
@@ -168,7 +168,6 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 0.05
     prox_mu: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.local_epochs < 1:
@@ -319,6 +318,7 @@ COHORT_SAMPLES = 4096
 def local_train(
     w0: np.ndarray,
     data: LocalDataset,
+    seed,
     cfg: TrainConfig,
 ) -> tuple[np.ndarray, int, float]:
     """Minibatch SGD (optionally proximal) from w0 for one client.
@@ -326,7 +326,7 @@ def local_train(
     A cohort of one: see `train_cohort` for the procedure.  Returns
     (updated params, sample count, final full-dataset loss).
     """
-    return train_cohort(w0, [data], [cfg.seed], cfg)[0]
+    return train_cohort(w0, [data], [seed], cfg)[0]
 
 
 def train_cohort(
@@ -341,7 +341,7 @@ def train_cohort(
     permutation per epoch, drawn from a generator keyed (seed, epoch);
     batches are consecutive slices of the permutation; every batch steps
     w -= learning_rate * gradient, with the gradient `loss_and_gradient`
-    gives for the batch, anchored at w0.  ``cfg.seed`` is not read.
+    gives for the batch, anchored at w0.
 
     Clients with equal sample counts share batch boundaries, so they are
     trained together in chunks of at most `COHORT_SAMPLES` samples, every

@@ -6,8 +6,10 @@ observed values in the assertion message).
 """
 
 import io
+import json
 import time
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -142,12 +144,15 @@ def test_04_cost_model_golden_data():
     assert cal.profile("v11").power_w_range == (325.0, 350.0)
     for arch in ("v5", "v8", "v11"):
         assert cal.profile(arch).util_pct_range == (85.0, 95.0)
-    assert cal.inference_ms["kitti"][320] == {"v5": 0.4, "v8": 0.5, "v11": 0.6}
-    assert cal.inference_ms["kitti"][640] == {"v5": 0.9, "v8": 1.1, "v11": 1.2}
-    assert cal.inference_ms["kitti"][960] == {"v5": 1.7, "v8": 1.9, "v11": 2.1}
-    assert cal.inference_ms["bdd"][320] == {"v5": 0.7, "v8": 0.8, "v11": 1.0}
-    assert cal.inference_ms["bdd"][640] == {"v5": 1.3, "v8": 1.6, "v11": 1.7}
-    assert cal.inference_ms["bdd"][960] == {"v5": 2.4, "v8": 2.6, "v11": 3.1}
+    inference = json.loads(
+        resources.files("fedsim.data").joinpath("cost_calibration.json").read_text()
+    )["inference_ms"]
+    assert inference["kitti"]["320"] == {"v5": 0.4, "v8": 0.5, "v11": 0.6}
+    assert inference["kitti"]["640"] == {"v5": 0.9, "v8": 1.1, "v11": 1.2}
+    assert inference["kitti"]["960"] == {"v5": 1.7, "v8": 1.9, "v11": 2.1}
+    assert inference["bdd"]["320"] == {"v5": 0.7, "v8": 0.8, "v11": 1.0}
+    assert inference["bdd"]["640"] == {"v5": 1.3, "v8": 1.6, "v11": 1.7}
+    assert inference["bdd"]["960"] == {"v5": 2.4, "v8": 2.6, "v11": 3.1}
     prox_time = v8[(640, 32)].train_time_s * cal.fedprox_time_factor
     assert prox_time == pytest.approx(1076.40, rel=5e-3)
     report("04 cost-golden-data", f"(v8 prox 640x32 {prox_time:.2f}s)")

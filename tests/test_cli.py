@@ -1,9 +1,11 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
 import json
+import math
 
 import pytest
 
+from fedsim import scenarios
 from fedsim.cli import EXIT_CONFIG, EXIT_INCOMPLETE, EXIT_OK, EXIT_RUNTIME, main
 from fedsim.metrics import MetricsRecord
 
@@ -164,6 +166,27 @@ class TestStopRound:
         assert "--stop-after-round must be at least 1" in capsys.readouterr().err
         assert not log.exists()
         assert not cp.exists()
+
+
+class TestRunBudgets:
+    @pytest.mark.parametrize("strategy, section, key, value", [
+        ("fedasync", "async", "applications", -5),
+        ("fedasync", "async", "applications", 2.5),
+        ("fedasync", "async", "applications", "10"),
+        ("fedasync", "async", "eval_every", 0),
+        ("fedasync", "async", "eval_every", -1),
+        ("fedavg", None, "aggregate_time_s", -1.0),
+        ("fedavg", None, "aggregate_time_s", math.nan),
+    ])
+    def test_bad_budget_rejected_before_the_log(self, tmp_path, capsys,
+                                                strategy, section, key, value):
+        doc = scenarios.kitti_sync(strategy=strategy)
+        (doc.setdefault(section, {}) if section else doc)[key] = value
+        config, log = tmp_path / "cfg.json", tmp_path / "m.jsonl"
+        config.write_text(json.dumps(doc))
+        assert run_cli("run", "--config", str(config), "--log", str(log)) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not log.exists()
 
 
 class TestCostsCommand:

@@ -1,9 +1,11 @@
 """Experiment configuration: parsing, validation, canonical digests."""
 
 import json
+import math
 
 import pytest
 
+from fedsim import scenarios
 from fedsim.config import (
     DEFAULT_PROX_MU,
     DEFAULT_RESOLUTION_NOISE,
@@ -14,6 +16,30 @@ from fedsim.config import (
     save_config,
 )
 from fedsim.errors import ConfigError
+
+# Every built-in scenario, plus the strategy variants its builder offers.
+VARIANTS = {name: builder for name, (builder, _) in scenarios.SCENARIOS.items()}
+VARIANTS["kitti-sync-fedprox"] = lambda seed: scenarios.kitti_sync(seed, strategy="fedprox")
+VARIANTS["kitti-sync-fedasync"] = lambda seed: scenarios.kitti_sync(seed, strategy="fedasync")
+VARIANTS["bdd-async-hetero-fedavg"] = (
+    lambda seed: scenarios.bdd_async_hetero(seed, strategy="fedavg")
+)
+
+# Full seed-0 config digests.  Logs carry only digest[:10] in their run id,
+# but a checkpoint is refused unless the full digest matches, so a digest
+# changes only with a schema version bump.
+CONFIG_SHA256 = {
+    "kitti-sync": "8f8e55192d98f01b03bf18b5f6e4f14db42f92d33ea5757eae3d2f5aefa04076",
+    "bdd-dropout-dual": "26bd9b10631f63e08c337f42310e4ab77f51fc95f77651196151bace89766774",
+    "bdd-async-hetero": "f8377593a815727d93d864950e1dac0f21a938fcefa9352705c51f6f513e78a1",
+    "overlap-60": "e017e58468c4da8e91918e1cfbe5a85510b5f6309339728ad200092f9811c01e",
+    "hetero-resolution": "498266f866d079a1841aab7a775f580555c7add61545fc9ab097cfc7950836dc",
+    "lighting-crossdomain": "f2498c8b65cf5c14805ec1685e66c2b251e02ac5d3081a4abf8c5b35955f1c2d",
+    "scale-800": "d2144419326efd74cfcbdefa6a5a50766cb02b9fbd8c01bb7cd84a5ad60a7450",
+    "kitti-sync-fedprox": "10358862760e55a2ad2313f68ec10ec6f3997056a0e66a0d59fada25e369843f",
+    "kitti-sync-fedasync": "319a34d1a7ac8a7900878c479a5278cb2fe770b2639cb3bea58e68627da3a190",
+    "bdd-async-hetero-fedavg": "bb305e4533ecb54a389cd9ed46ebb5eff033637b60e5be96364a1c35d2592496",
+}
 
 
 def minimal_doc(**overrides):
@@ -51,6 +77,15 @@ class TestParsing:
         assert cfg.train.prox_mu == DEFAULT_PROX_MU
         cfg = config_from_dict(minimal_doc())
         assert cfg.train.prox_mu == 0.0
+
+    def test_null_takes_the_default(self):
+        doc = minimal_doc(strategy="fedprox", resolution_noise=None)
+        doc["train"]["prox_mu"] = None
+        doc["async"] = {"applications": None, "eval_every": None}
+        cfg = config_from_dict(doc)
+        assert cfg.train.prox_mu == DEFAULT_PROX_MU
+        assert cfg.async_applications is None and cfg.async_eval_every is None
+        assert cfg.resolution_noise == DEFAULT_RESOLUTION_NOISE
 
     def test_explicit_mu_kept(self):
         doc = minimal_doc(strategy="fedprox")
@@ -102,6 +137,47 @@ class TestValidation:
         doc = minimal_doc()
         doc["train"]["momentum"] = 0.9
         with pytest.raises(ConfigError, match="momentum"):
+            config_from_dict(doc)
+
+    def test_train_seed_rejected(self):
+        doc = minimal_doc()
+        doc["train"]["seed"] = 123
+        with pytest.raises(ConfigError, match="'seed'"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "batch_size", "eight"),
+        ("train", "learning_rate", [0.1]),
+        ("eval", "per_class", "many"),
+        ("task", "noise_sigma", "loud"),
+        ("async", "alpha", "half"),
+    ])
+    def test_bad_value_names_its_section(self, section, key, value):
+        doc = minimal_doc()
+        doc.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            config_from_dict(doc)
+
+    def test_bad_client_value_names_the_client(self):
+        doc = minimal_doc(clients=[
+            {"client_id": "C1", "device": {"speed_factor": "fast"}},
+            {"client_id": "C2"}, {"client_id": "C3"}, {"client_id": "C4"},
+        ])
+        with pytest.raises(ConfigError, match="client C1 device.speed_factor"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("task", [
+        {"scenario_shifts": {"fog": [0.0] * 16}},
+        {"class_means": [[0.0]], "means_seed": 3},
+        {"class_means": [[0.0]], "scenario_tags": ["fog"]},
+        {"class_means": [[0.0]], "shift_scale": 1.0},
+    ])
+    def test_task_keys_its_form_ignores_rejected(self, task):
+        ignored = next(k for k in task if k != "class_means")
+        doc = minimal_doc(task=task, plan={"inline": {
+            "client_ids": ["C1"], "class_names": ["a"], "counts": [[4]],
+        }})
+        with pytest.raises(ConfigError, match=ignored):
             config_from_dict(doc)
 
     def test_bad_strategy(self):
@@ -205,10 +281,17 @@ class TestDigestAndRoundTrip:
         c = config_from_dict(minimal_doc(rounds=4))
         assert a.digest() != c.digest()
 
-    def test_to_dict_round_trips(self):
-        cfg = config_from_dict(minimal_doc())
-        again = config_from_dict(cfg.to_dict())
-        assert again.digest() == cfg.digest()
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_to_dict_round_trips(self, name):
+        for seed in (0, 7):
+            cfg = config_from_dict(VARIANTS[name](seed=seed))
+            again = config_from_dict(cfg.to_dict())
+            assert again.to_dict() == cfg.to_dict()
+            assert again.digest() == cfg.digest()
+
+    @pytest.mark.parametrize("name", sorted(CONFIG_SHA256))
+    def test_config_digest_pinned(self, name):
+        assert config_from_dict(VARIANTS[name](seed=0)).digest() == CONFIG_SHA256[name]
 
     def test_with_seed(self):
         cfg = config_from_dict(minimal_doc())
@@ -255,6 +338,25 @@ class TestBudgets:
         assert cfg.applications_budget() == 100
         assert cfg.eval_every() == 10
         assert cfg.async_cfg.alpha == 0.5
+
+    @pytest.mark.parametrize("key, value", [
+        ("applications", 0), ("applications", -5), ("applications", 2.5),
+        ("applications", "10"), ("applications", True),
+        ("eval_every", 0), ("eval_every", -1), ("eval_every", 1.5),
+    ])
+    def test_bad_async_budget_rejected(self, key, value):
+        doc = minimal_doc(strategy="fedasync")
+        doc["async"] = {key: value}
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_bad_aggregate_time_rejected(self, value):
+        with pytest.raises(ConfigError, match="aggregate_time_s"):
+            config_from_dict(minimal_doc(aggregate_time_s=value))
+
+    def test_zero_aggregate_time_allowed(self):
+        assert config_from_dict(minimal_doc(aggregate_time_s=0)).aggregate_time_s == 0.0
 
     def test_eval_spec_string_mix(self):
         assert EvalSpec(scenario="reference").scenario_mix() == {"reference": 1.0}

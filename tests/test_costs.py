@@ -2,6 +2,7 @@
 
 import json
 import math
+from importlib import resources
 
 import pytest
 
@@ -9,9 +10,7 @@ from fedsim.costs import (
     BATCHES,
     DEFAULT_MEM_CAPACITY_MIB,
     DeviceSpec,
-    IDLE_PHASE,
     RESOLUTIONS,
-    TRAINING_PHASE,
     check_memory,
     client_round_time,
     load_calibration,
@@ -21,6 +20,10 @@ from fedsim.costs import (
     validate_calibration,
 )
 from fedsim.errors import ConfigError
+
+CALIBRATION_JSON = (
+    resources.files("fedsim.data").joinpath("cost_calibration.json").read_text()
+)
 
 # Measured values embedded in the shipped calibration; these are golden
 # data and must match exactly.
@@ -82,18 +85,20 @@ class TestGoldenTables:
     def test_idle_values(self, cal):
         assert cal.idle_power_w == 60.0
         assert cal.idle_util_pct_range == (0.0, 10.0)
-        assert cal.raw["idle_power_estimated"] is True
+        assert json.loads(CALIBRATION_JSON)["idle_power_estimated"] is True
 
-    def test_inference_tables(self, cal):
-        assert cal.inference_ms["kitti"][960]["v8"] == 1.9
-        assert cal.inference_ms["bdd"][640]["v11"] == 1.7
-        assert cal.inference_ms["kitti"][320]["v5"] == 0.4
+    def test_inference_tables(self):
+        inference = json.loads(CALIBRATION_JSON)["inference_ms"]
+        assert inference["kitti"]["960"]["v8"] == 1.9
+        assert inference["bdd"]["640"]["v11"] == 1.7
+        assert inference["kitti"]["320"]["v5"] == 0.4
 
-    def test_default_capacity(self, cal):
-        assert cal.default_mem_capacity_mib == 49140.0
+    def test_default_capacity(self):
+        assert json.loads(CALIBRATION_JSON)["default_device_mem_capacity_mib"] == 49140.0
 
-    def test_default_device_capacity_is_the_calibrated_one(self, cal):
-        assert DEFAULT_MEM_CAPACITY_MIB == cal.default_mem_capacity_mib
+    def test_default_device_capacity_is_the_calibrated_one(self):
+        calibrated = json.loads(CALIBRATION_JSON)["default_device_mem_capacity_mib"]
+        assert DEFAULT_MEM_CAPACITY_MIB == calibrated
         assert DeviceSpec().mem_capacity_mib == DEFAULT_MEM_CAPACITY_MIB
 
     def test_fedprox_factor_consistent_with_measurements(self, cal):
@@ -213,34 +218,24 @@ class TestPowerSampling:
     def test_training_draw_in_range_and_deterministic(self, cal):
         entry = cal.profile("v11").entries[(640, 32)]
         for seed in range(20):
-            power, util = sample_power_and_util(entry, TRAINING_PHASE, seed, cal)
+            power, util = sample_power_and_util(entry, seed)
             assert 325.0 <= power <= 350.0
             assert 85.0 <= util <= 95.0
-        a = sample_power_and_util(entry, TRAINING_PHASE, 5, cal)
-        b = sample_power_and_util(entry, TRAINING_PHASE, 5, cal)
+        a = sample_power_and_util(entry, 5)
+        b = sample_power_and_util(entry, 5)
         assert a == b
 
     def test_idle_draw(self, cal):
-        entry = cal.profile("v8").entries[(640, 32)]
-        power, util = sample_power_and_util(entry, IDLE_PHASE, 3, cal)
-        assert power == 60.0
-        assert 0.0 <= util <= 10.0
-
-    def test_idle_draw_needs_no_entry(self, cal):
-        entry = cal.profile("v11").entries[(960, 8)]
         for seed in range(10):
-            idle = sample_idle_power_and_util(seed, cal)
-            assert idle == sample_power_and_util(entry, IDLE_PHASE, seed, cal)
-
-    def test_unknown_phase(self, cal):
-        entry = cal.profile("v8").entries[(640, 32)]
-        with pytest.raises(ConfigError):
-            sample_power_and_util(entry, "cooldown", 0, cal)
+            power, util = sample_idle_power_and_util(seed, cal)
+            assert power == 60.0
+            assert 0.0 <= util <= 10.0
+            assert (power, util) == sample_idle_power_and_util(seed, cal)
 
 
 class TestOverrideFile:
-    def test_override_calibration_loads(self, tmp_path, cal):
-        doc = json.loads(json.dumps(cal.raw))
+    def test_override_calibration_loads(self, tmp_path):
+        doc = json.loads(CALIBRATION_JSON)
         doc["architectures"]["v8"]["entries"]["640x32"]["train_time_s"] = 1000.0
         path = tmp_path / "cal.json"
         path.write_text(json.dumps(doc))
@@ -249,8 +244,8 @@ class TestOverrideFile:
         # the shipped tables are untouched
         assert load_calibration().profile("v8").entries[(640, 32)].train_time_s == 936.0
 
-    def test_validation_catches_broken_monotonicity(self, tmp_path, cal):
-        doc = json.loads(json.dumps(cal.raw))
+    def test_validation_catches_broken_monotonicity(self, tmp_path):
+        doc = json.loads(CALIBRATION_JSON)
         doc["architectures"]["v8"]["entries"]["960x32"]["peak_mem_mib"] = 1.0
         path = tmp_path / "cal.json"
         path.write_text(json.dumps(doc))

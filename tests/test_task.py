@@ -362,8 +362,8 @@ class TestLocalTrain:
     def test_matches_plain_sgd_reference(self):
         task = default_task(n_classes=4, n_features=6)
         data = generate_dataset(task, (9, 4, 7, 11), None, 3, "C1")
-        cfg = TrainConfig(local_epochs=2, batch_size=8, learning_rate=0.1, seed=17)
-        got, n, _ = local_train(zero_params(6, 4), data, cfg)
+        cfg = TrainConfig(local_epochs=2, batch_size=8, learning_rate=0.1)
+        got, n, _ = local_train(zero_params(6, 4), data, 17, cfg)
 
         # straightforward re-implementation of the documented procedure
         w = zero_params(6, 4)
@@ -383,29 +383,27 @@ class TestLocalTrain:
         task = default_task(n_classes=4, n_features=6)
         data = generate_dataset(task, [20] * 4, None, 9, "C1")
         w0 = zero_params(6, 4)
-        free, _, _ = local_train(w0, data, TrainConfig(learning_rate=0.1, seed=1))
-        tied, _, _ = local_train(
-            w0, data, TrainConfig(learning_rate=0.1, prox_mu=10.0, seed=1)
-        )
+        free, _, _ = local_train(w0, data, 1, TrainConfig(learning_rate=0.1))
+        tied, _, _ = local_train(w0, data, 1, TrainConfig(learning_rate=0.1, prox_mu=10.0))
         assert np.linalg.norm(tied - w0) < np.linalg.norm(free - w0)
 
     def test_training_reduces_loss(self):
         task = default_task(n_classes=4, n_features=6)
         data = generate_dataset(task, [25] * 4, None, 2, "C1")
         w0 = zero_params(6, 4)
-        w1, _, final_loss = local_train(w0, data, TrainConfig(seed=0))
+        w1, _, final_loss = local_train(w0, data, 0, TrainConfig())
         assert final_loss < dataset_loss(w0, data)
 
     def test_empty_dataset_rejected(self):
         empty = LocalDataset("C1", np.zeros((0, 16)), np.zeros(0, dtype=np.int64), ())
         with pytest.raises(ValueError):
-            local_train(zero_params(16, 8), empty, TrainConfig())
+            local_train(zero_params(16, 8), empty, 0, TrainConfig())
 
     def test_deterministic(self):
         task = default_task()
         data = generate_dataset(task, [10] * 8, None, 0, "C1")
-        a, _, _ = local_train(zero_params(16, 8), data, TrainConfig(seed=5))
-        b, _, _ = local_train(zero_params(16, 8), data, TrainConfig(seed=5))
+        a, _, _ = local_train(zero_params(16, 8), data, 5, TrainConfig())
+        b, _, _ = local_train(zero_params(16, 8), data, 5, TrainConfig())
         assert np.array_equal(a, b)
 
 
@@ -570,7 +568,7 @@ class TestEvaluate:
         task = default_task(n_classes=2, n_features=4, noise_sigma=0.01)
         data = generate_dataset(task, (50, 50), None, 0, "eval")
         w, _, _ = local_train(
-            zero_params(4, 2), data, TrainConfig(local_epochs=20, learning_rate=0.5)
+            zero_params(4, 2), data, 0, TrainConfig(local_epochs=20, learning_rate=0.5)
         )
         assert evaluate(w, data) == 1.0
 
