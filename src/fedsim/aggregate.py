@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ProtocolError
+from .errors import ConfigError, ProtocolError
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,9 @@ class AsyncConfig:
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
-            raise ProtocolError("alpha must lie in (0, 1]")
+            raise ConfigError("async.alpha must lie in (0, 1]")
         if self.staleness_exponent < 0:
-            raise ProtocolError("staleness exponent must be nonnegative")
+            raise ConfigError("async.staleness_exponent must be nonnegative")
 
 
 def fedavg_aggregate(updates) -> np.ndarray:

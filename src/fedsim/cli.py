@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import costs as costmod
 from .config import load_config, save_config
@@ -122,17 +123,7 @@ def _cmd_costs(args) -> int:
         cal.profile(args.arch), args.res, args.batch,
         allow_extrapolation=args.allow_extrapolation,
     )
-    doc = {
-        "architecture": args.arch,
-        "resolution": entry.resolution,
-        "batch": entry.batch,
-        "train_time_s": entry.train_time_s,
-        "peak_mem_mib": entry.peak_mem_mib,
-        "power_w_range": list(entry.power_w_range),
-        "util_pct_range": list(entry.util_pct_range),
-        "estimated": entry.estimated,
-    }
-    print(json.dumps(doc, indent=2))
+    print(json.dumps({"architecture": args.arch, **asdict(entry)}, indent=2))
     return EXIT_OK
 
 

@@ -17,14 +17,7 @@ import numpy as np
 from .costs import ARCHITECTURES, DeviceSpec
 from .aggregate import AsyncConfig
 from .errors import ConfigError
-from .partition import (
-    BUILTIN_PLAN_NAMES,
-    OverlapPlan,
-    PartitionPlan,
-    builtin_plan,
-    client_name,
-    overlap_split,
-)
+from .partition import OverlapPlan, PartitionPlan, builtin_plan, overlap_split
 from .task import REFERENCE_SCENARIO, SyntheticTask, TrainConfig, default_task
 
 SCHEMA_VERSION = 1
@@ -34,6 +27,13 @@ DEFAULT_PROX_MU = 0.01
 
 
 def _as_is(value):
+    return value
+
+
+def _integer(value) -> int:
+    """A JSON integer only; `int()` would truncate 2.9, take true and parse "3"."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
     return value
 
 
@@ -97,7 +97,7 @@ class DropoutRule:
 # refused by `DropoutRule` itself.
 _DROPOUT_KEYS = {
     "always_on": {"mode": _as_is},
-    "absent_rounds": {"mode": _as_is, "rounds": frozenset},
+    "absent_rounds": {"mode": _as_is, "rounds": lambda rounds: frozenset(map(_integer, rounds))},
     "stochastic": {"mode": _as_is, "p": float, "q": float},
 }
 _DEVICE_KEYS = {"mem_capacity_mib": float, "speed_factor": float}
@@ -141,8 +141,8 @@ class ClientSpec:
         context = f"client {cid}"
         return ClientSpec(**_section(doc, {
             "client_id": _as_is,
-            "resolution": int,
-            "batch": int,
+            "resolution": _integer,
+            "batch": _integer,
             "architecture": _as_is,
             "device": lambda d: DeviceSpec(**_section(d, _DEVICE_KEYS, f"{context} device")),
             "scenario_mix": _as_is,
@@ -175,14 +175,12 @@ class ExperimentConfig:
     train: TrainConfig
     task: SyntheticTask
     clients: tuple[ClientSpec, ...]
+    plan: PartitionPlan | OverlapPlan
     # The task and plan sections as given; `to_dict` writes them back as is.
     raw_task: dict
     raw_plan: dict
     rounds: int = 10
     master_seed: int = 0
-    plan: PartitionPlan | None = None
-    overlap: OverlapPlan | None = None
-    overlap_partition_counts: tuple[int, ...] | None = None
     async_cfg: AsyncConfig = field(default_factory=AsyncConfig)
     async_applications: int | None = None  # default: rounds * n_clients
     async_eval_every: int | None = None  # default: n_clients
@@ -199,26 +197,24 @@ class ExperimentConfig:
             raise ConfigError("rounds must be >= 1")
         for key, value in (("applications", self.async_applications),
                            ("eval_every", self.async_eval_every)):
-            if value is not None and (type(value) is not int or value < 1):
-                raise ConfigError(f"async.{key} must be an integer >= 1, got {value!r}")
+            if value is not None and value < 1:
+                raise ConfigError(f"async.{key} must be >= 1, got {value!r}")
         if not (math.isfinite(self.aggregate_time_s) and self.aggregate_time_s >= 0):
             raise ConfigError(
                 f"aggregate_time_s must be finite and >= 0, got {self.aggregate_time_s}"
             )
-        if (self.plan is None) == (self.overlap is None):
-            raise ConfigError("config needs exactly one of a matrix plan or an overlap plan")
         ids = [c.client_id for c in self.clients]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate client_id")
-        if self.plan is not None and set(ids) != set(self.plan.client_ids):
+        if set(ids) != set(self.plan.client_ids):
             raise ConfigError("clients do not match the partition plan's client_ids")
-        if self.overlap is not None:
-            if self.overlap_partition_counts is None:
-                raise ConfigError("overlap plan requires per-partition class counts")
-            if len(ids) != self.overlap.n_clients:
-                raise ConfigError("clients do not match the overlap plan size")
         for c in self.clients:
             if c.scenario_mix:
+                if not self.plan.draws_per_client:
+                    raise ConfigError(
+                        f"client {c.client_id} has a scenario_mix, but an overlap plan's "
+                        "partitions are drawn once and shared"
+                    )
                 for tag in c.scenario_mix:
                     if tag not in self.task.scenario_shifts:
                         raise ConfigError(
@@ -288,11 +284,11 @@ def _matrix(value) -> np.ndarray:
 # The two forms of the task section.  Without class_means the means and
 # scenario shifts are drawn by `default_task`; with them, both are given.
 _GENERATED_TASK_KEYS = {
-    "n_classes": int, "n_features": int, "noise_sigma": float,
-    "means_seed": int, "scenario_tags": tuple, "shift_scale": float,
+    "n_classes": _integer, "n_features": _integer, "noise_sigma": float,
+    "means_seed": _integer, "scenario_tags": tuple, "shift_scale": float,
 }
 _GIVEN_TASK_KEYS = {
-    "n_classes": int, "n_features": int, "noise_sigma": float,
+    "n_classes": _integer, "n_features": _integer, "noise_sigma": float,
     "class_means": _matrix, "scenario_shifts": dict,
 }
 
@@ -306,44 +302,46 @@ def _parse_task(doc) -> SyntheticTask:
     return SyntheticTask(**fields)
 
 
-def _parse_plan(doc):
-    """(matrix plan, overlap plan, overlap per-partition counts)."""
+def _parse_plan(doc, n_classes: int) -> PartitionPlan | OverlapPlan:
     fields = _section(doc, {
-        "builtin": _as_is, "scale_divisor": int, "inline": _as_is,
-        "overlap": lambda d: _section(d, _OVERLAP_KEYS, "plan.overlap"),
+        "builtin": _as_is, "scale_divisor": _integer, "inline": _as_is,
+        "overlap": lambda d: _section(d, _OVERLAP_KEYS, "overlap plan"),
     }, "plan")
     given = [k for k in ("builtin", "inline", "overlap") if k in fields]
     if len(given) != 1:
         raise ConfigError("plan needs exactly one of: builtin, inline, overlap")
-    if "builtin" in fields:
-        name = fields["builtin"]
-        if name not in BUILTIN_PLAN_NAMES:
-            raise ConfigError(f"plan.builtin must be one of {BUILTIN_PLAN_NAMES}")
-        plan = builtin_plan(name)
+    if "overlap" in fields:
+        ov = fields["overlap"]
+        try:
+            plan = overlap_split(ov["n_clients"], ov["window"], ov["per_partition_counts"])
+        except KeyError as exc:
+            raise ConfigError(f"overlap plan missing field {exc}") from None
+        if len(plan.per_partition_counts) != n_classes:
+            raise ConfigError("overlap per_partition_counts length must equal n_classes")
+        return plan
+    if "inline" in fields:
+        plan = PartitionPlan.from_json_dict(fields["inline"])
+    else:
+        plan = builtin_plan(fields["builtin"])
         divisor = fields.get("scale_divisor", 1)
         if divisor > 1:
             plan = plan.scaled(divisor)
-        return plan, None, None
-    if "inline" in fields:
-        return PartitionPlan.from_json_dict(fields["inline"]), None, None
-    ov = fields["overlap"]
-    try:
-        overlap = overlap_split(ov["n_clients"], ov["window"])
-        counts = ov["per_partition_counts"]
-    except KeyError as exc:
-        raise ConfigError(f"plan.overlap missing field {exc}") from None
-    return None, overlap, counts
+    if len(plan.class_names) != n_classes:
+        raise ConfigError(f"plan has {len(plan.class_names)} classes but task has {n_classes}")
+    return plan
 
 
 _OVERLAP_KEYS = {
-    "n_clients": int, "window": int,
-    "per_partition_counts": lambda counts: tuple(int(c) for c in counts),
+    "n_clients": _integer, "window": _integer,
+    "per_partition_counts": lambda counts: tuple(map(_integer, counts)),
 }
-_TRAIN_KEYS = {"local_epochs": int, "batch_size": int, "learning_rate": float, "prox_mu": float}
+_TRAIN_KEYS = {
+    "local_epochs": _integer, "batch_size": _integer, "learning_rate": float, "prox_mu": float,
+}
 _ASYNC_KEYS = {
-    "alpha": float, "staleness_exponent": float, "applications": _as_is, "eval_every": _as_is,
+    "alpha": float, "staleness_exponent": float, "applications": _integer, "eval_every": _integer,
 }
-_EVAL_KEYS = {"per_class": int, "scenario": _as_is, "seed": int}
+_EVAL_KEYS = {"per_class": _integer, "scenario": _as_is, "seed": _integer}
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -353,8 +351,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     fields = _section(doc, {
         "schema_version": _as_is,
         "strategy": _as_is,
-        "rounds": int,
-        "master_seed": int,
+        "rounds": _integer,
+        "master_seed": _integer,
         "train": lambda d: _section(d, _TRAIN_KEYS, "train"),
         "task": _as_is,
         "plan": _as_is,
@@ -374,21 +372,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     fields["train"] = TrainConfig(**train)
 
     task = _parse_task(fields.setdefault("task", {}))
-    plan, overlap, overlap_counts = _parse_plan(fields["plan"])
-    if plan is not None and len(plan.class_names) != task.n_classes:
-        raise ConfigError(
-            f"plan has {len(plan.class_names)} classes but task has {task.n_classes}"
-        )
-    if overlap_counts is not None and len(overlap_counts) != task.n_classes:
-        raise ConfigError("overlap per_partition_counts length must equal n_classes")
-
+    plan = _parse_plan(fields["plan"], task.n_classes)
     if not fields.get("clients"):
-        ids = (
-            plan.client_ids
-            if plan is not None
-            else tuple(client_name(i) for i in range(1, overlap.n_clients + 1))
-        )
-        fields["clients"] = tuple(ClientSpec(client_id=cid) for cid in ids)
+        fields["clients"] = tuple(ClientSpec(client_id=cid) for cid in plan.client_ids)
 
     async_fields = fields.pop("async", {})
     for key in ("applications", "eval_every"):
@@ -399,8 +385,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         strategy=fields.pop("strategy", None),
         task=task,
         plan=plan,
-        overlap=overlap,
-        overlap_partition_counts=overlap_counts,
         async_cfg=AsyncConfig(**async_fields),
         raw_task=fields.pop("task"),
         raw_plan=fields.pop("plan"),

@@ -48,8 +48,6 @@ class CostEntry:
 class CostProfile:
     architecture: str
     entries: dict[tuple[int, int], CostEntry]
-    power_w_range: tuple[float, float]
-    util_pct_range: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -136,7 +134,7 @@ def _build_calibration(doc: dict) -> Calibration:
                 util_pct_range=util,
                 estimated=estimated,
             )
-        profiles[arch] = CostProfile(arch, entries, power, util)
+        profiles[arch] = CostProfile(arch, entries)
     return Calibration(
         profiles=profiles,
         fedprox_time_factor=float(doc["fedprox_time_factor"]),

@@ -15,16 +15,11 @@ from .errors import IncompleteLogError
 
 EVENTS = ("train_window", "aggregate", "eval", "dropout", "oom", "stalled")
 
-# Fixed serialization order for log lines.
-_KEY_ORDER = (
-    "run_id", "round", "event", "client_id", "t_start_s", "t_end_s",
-    "mem_mib", "power_w", "util_pct", "energy_j", "n_samples", "loss",
-    "accuracy", "staleness", "estimated",
-)
-
 
 @dataclass(frozen=True)
 class MetricsRecord:
+    """One log record; the field order is the key order of its log line."""
+
     run_id: str
     round: int
     event: str
@@ -66,7 +61,8 @@ class MetricsRecord:
         return MetricsRecord(**{k: v for k, v in doc.items() if k in _FIELD_NAMES})
 
 
-_FIELD_NAMES = frozenset(f.name for f in fields(MetricsRecord))
+_KEY_ORDER = tuple(f.name for f in fields(MetricsRecord))
+_FIELD_NAMES = frozenset(_KEY_ORDER)
 
 
 class MetricsWriter:

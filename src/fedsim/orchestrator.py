@@ -128,13 +128,14 @@ def _build_datasets(cfg: ExperimentConfig) -> dict[str, LocalDataset]:
     `generate_datasets` call.  Overlap plans share partition-level datasets
     verbatim between clients, so overlapping clients hold identical samples.
     """
-    if cfg.plan is not None:
+    plan = cfg.plan
+    if plan.draws_per_client:
         keys = streams.derive(cfg.master_seed, _DATA, [_cid_key(c.client_id) for c in cfg.clients])
         groups: dict[tuple, tuple[dict | None, list, list]] = {}
         for client, key in zip(cfg.clients, keys):
             factor = cfg.resolution_noise.get(client.resolution, 1.0)
             mix = client.scenario_mix
-            shape = (factor, cfg.plan.row(client.client_id),
+            shape = (factor, plan.row(client.client_id),
                      None if mix is None else tuple(sorted(mix.items())))
             _, cids, group_keys = groups.setdefault(shape, (mix, [], []))
             cids.append(client.client_id)
@@ -146,12 +147,12 @@ def _build_datasets(cfg: ExperimentConfig) -> dict[str, LocalDataset]:
             for data in generate_datasets(tasks[factor], row, mix, group_keys, cids):
                 drawn[data.client_id] = data
         return {c.client_id: drawn[c.client_id] for c in cfg.clients}
-    ids = range(1, cfg.overlap.n_partitions + 1)
+    ids = range(1, plan.n_partitions + 1)
     parts = dict(zip(ids, generate_datasets(
-        cfg.task, cfg.overlap_partition_counts, None,
+        cfg.task, plan.per_partition_counts, None,
         streams.derive(cfg.master_seed, _DATA, ids), [f"partition-{p}" for p in ids],
     )))
-    held = cfg.overlap.assignment
+    held = plan.assignment
     return {
         c.client_id: LocalDataset.concat(c.client_id, [parts[p] for p in held[c.client_id]])
         for c in cfg.clients
@@ -201,10 +202,7 @@ class _Run:
             streams.derive(cfg.master_seed, _EVAL, cfg.eval.seed)[0],
             "eval",
         )
-        if cfg.plan is not None:
-            pool = cfg.plan.total_samples
-        else:
-            pool = sum(cfg.overlap_partition_counts) * cfg.overlap.n_partitions
+        pool = cfg.plan.total_samples
         self.durations = {
             c.client_id: costs.client_round_time(
                 self.entries[c.client_id], len(self.datasets[c.client_id]) / pool,

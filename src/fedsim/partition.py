@@ -7,7 +7,6 @@ largest-remainder rounding so column sums are conserved exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -95,6 +94,10 @@ def largest_remainder(total: int, fractions) -> list[int]:
 @dataclass(frozen=True)
 class PartitionPlan:
     """Per-client, per-class sample counts with exact column totals."""
+
+    # Each client's dataset is drawn for that client alone, so its
+    # resolution noise and scenario mix apply (see `OverlapPlan`).
+    draws_per_client = True
 
     client_ids: tuple[str, ...]
     class_names: tuple[str, ...]
@@ -184,25 +187,31 @@ class PartitionPlan:
             )
         return plan
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @staticmethod
-    def loads(text: str) -> "PartitionPlan":
-        return PartitionPlan.from_json_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class OverlapPlan:
     """Sliding-window shard assignment: client i holds `window` consecutive
-    partition indices with wraparound."""
+    partition indices with wraparound.
+
+    Each partition holds `per_partition_counts` samples per class, drawn
+    once at the task's own noise and shared by its holders, so no client's
+    resolution noise or scenario mix applies.  Plan files carry no counts.
+    """
+
+    draws_per_client = False
 
     n_clients: int
     n_partitions: int
     window: int
     assignment: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    per_partition_counts: tuple[int, ...] = ()
 
     def __post_init__(self):
+        counts = self.per_partition_counts
+        if any(c < 0 for c in counts):
+            raise ConfigError("negative count in per_partition_counts")
+        if counts and sum(counts) == 0:
+            raise ConfigError("per_partition_counts hold no samples")
         holders: dict[int, int] = {}
         for cid, parts in self.assignment.items():
             if len(parts) != self.window:
@@ -221,6 +230,14 @@ class OverlapPlan:
             "window": self.window,
             "assignment": {cid: list(p) for cid, p in self.assignment.items()},
         }
+
+    @property
+    def client_ids(self) -> tuple[str, ...]:
+        return tuple(self.assignment)
+
+    @property
+    def total_samples(self) -> int:
+        return sum(self.per_partition_counts) * self.n_partitions
 
 
 def client_name(i: int) -> str:
@@ -284,7 +301,7 @@ def fraction_split(total_per_class: dict[str, int], fractions) -> PartitionPlan:
     return PartitionPlan(clients, classes, counts)
 
 
-def overlap_split(n_clients: int, window: int) -> OverlapPlan:
+def overlap_split(n_clients: int, window: int, per_partition_counts=()) -> OverlapPlan:
     """Client i (1-based) holds partitions {i, ..., i+window-1} mod n_clients."""
     if window < 1:
         raise ConfigError("window must be >= 1")
@@ -294,7 +311,7 @@ def overlap_split(n_clients: int, window: int) -> OverlapPlan:
         client_name(i): tuple((i - 1 + k) % n_clients + 1 for k in range(window))
         for i in range(1, n_clients + 1)
     }
-    return OverlapPlan(n_clients, n_clients, window, assignment)
+    return OverlapPlan(n_clients, n_clients, window, assignment, tuple(per_partition_counts))
 
 
 def scenario_split(table: dict, fractions, test_client: int) -> PartitionPlan:

@@ -70,6 +70,8 @@ class SyntheticTask:
     )
 
     def __post_init__(self):
+        if self.n_classes < 1:
+            raise ConfigError("n_classes must be >= 1")
         means = np.asarray(self.class_means, dtype=np.float64)
         if means.shape != (self.n_classes, self.n_features):
             raise ConfigError(
@@ -92,10 +94,6 @@ class SyntheticTask:
         if np.any(shifts[REFERENCE_SCENARIO] != 0.0):
             raise ConfigError("reference scenario shift must be zero")
         object.__setattr__(self, "scenario_shifts", shifts)
-
-    @property
-    def param_len(self) -> int:
-        return param_length(self.n_features, self.n_classes)
 
     def with_noise_scale(self, factor: float) -> "SyntheticTask":
         return SyntheticTask(
@@ -148,9 +146,6 @@ class LocalDataset:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def class_counts(self, n_classes: int) -> np.ndarray:
-        return np.bincount(self.labels, minlength=n_classes)
 
     @staticmethod
     def concat(client_id: str, parts: list["LocalDataset"]) -> "LocalDataset":

@@ -139,14 +139,17 @@ def test_04_cost_model_golden_data():
     for arch, by_batch in mem_batch.items():
         for batch, mib in by_batch.items():
             assert cal.profile(arch).entries[(960, batch)].peak_mem_mib == mib
-    assert cal.profile("v5").power_w_range == (335.0, 360.0)
-    assert cal.profile("v8").power_w_range == (350.0, 375.0)
-    assert cal.profile("v11").power_w_range == (325.0, 350.0)
-    for arch in ("v5", "v8", "v11"):
-        assert cal.profile(arch).util_pct_range == (85.0, 95.0)
-    inference = json.loads(
+    doc = json.loads(
         resources.files("fedsim.data").joinpath("cost_calibration.json").read_text()
-    )["inference_ms"]
+    )
+    power = {"v5": (335.0, 360.0), "v8": (350.0, 375.0), "v11": (325.0, 350.0)}
+    for arch, power_range in power.items():
+        assert tuple(doc["architectures"][arch]["power_w_range"]) == power_range
+        assert tuple(doc["architectures"][arch]["util_pct_range"]) == (85.0, 95.0)
+        for entry in cal.profile(arch).entries.values():
+            assert entry.power_w_range == power_range
+            assert entry.util_pct_range == (85.0, 95.0)
+    inference = doc["inference_ms"]
     assert inference["kitti"]["320"] == {"v5": 0.4, "v8": 0.5, "v11": 0.6}
     assert inference["kitti"]["640"] == {"v5": 0.9, "v8": 1.1, "v11": 1.2}
     assert inference["kitti"]["960"] == {"v5": 1.7, "v8": 1.9, "v11": 2.1}

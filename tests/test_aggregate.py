@@ -12,7 +12,7 @@ from fedsim.aggregate import (
     fedavg_aggregate,
     staleness_weight,
 )
-from fedsim.errors import ProtocolError
+from fedsim.errors import ConfigError, ProtocolError
 
 
 def brute_force_mean(updates):
@@ -134,11 +134,11 @@ class TestStalenessWeight:
             staleness_weight(AsyncConfig(), -1)
 
     def test_config_validation(self):
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ConfigError, match="alpha"):
             AsyncConfig(alpha=0.0)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ConfigError, match="alpha"):
             AsyncConfig(alpha=1.2)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ConfigError, match="staleness_exponent"):
             AsyncConfig(staleness_exponent=-0.1)
 
 

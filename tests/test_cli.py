@@ -7,6 +7,7 @@ import pytest
 
 from fedsim import scenarios
 from fedsim.cli import EXIT_CONFIG, EXIT_INCOMPLETE, EXIT_OK, EXIT_RUNTIME, main
+from fedsim.costs import load_calibration, lookup
 from fedsim.metrics import MetricsRecord
 
 
@@ -189,6 +190,60 @@ class TestRunBudgets:
         assert not log.exists()
 
 
+def _renamed_overlap_client(doc):
+    doc["clients"][0]["client_id"] = "X1"
+
+
+def _overlap_counts(counts):
+    def mutate(doc):
+        doc["plan"]["overlap"]["per_partition_counts"] = counts
+    return mutate
+
+
+def _overlap_client_mix(doc):
+    doc["task"]["scenario_tags"] = ["night"]
+    for client in doc["clients"]:
+        client["scenario_mix"] = {"night": 1.0}
+
+
+def _set(section, key, value):
+    def mutate(doc):
+        (doc.setdefault(section, {}) if section else doc)[key] = value
+    return mutate
+
+
+def _string_absent_rounds(doc):
+    doc["clients"][0]["dropout"] = {"mode": "absent_rounds", "rounds": ["2", "3"]}
+
+
+class TestRunRejectsBadConfig:
+    """Configs that would otherwise fail mid-run, or run with a field
+    ignored or truncated: each is a configuration error, raised before
+    the log is opened."""
+
+    @pytest.mark.parametrize("make_doc, mutate, expected", [
+        (scenarios.overlap_60, _renamed_overlap_client, "client_ids"),
+        (scenarios.overlap_60, _overlap_counts([0] * 8), "no samples"),
+        (scenarios.overlap_60, _overlap_counts([6] * 7 + [-1]), "negative"),
+        (scenarios.overlap_60, _overlap_client_mix, "scenario_mix"),
+        (lambda: scenarios.kitti_sync(strategy="fedasync"), _set("async", "alpha", 2.0),
+         "async.alpha"),
+        (scenarios.kitti_sync, _set("train", "batch_size", 2.9), "train.batch_size"),
+        (scenarios.kitti_sync, _set(None, "rounds", True), "rounds"),
+        (scenarios.kitti_sync, _string_absent_rounds, "dropout.rounds"),
+    ], ids=["renamed-overlap-client", "zero-overlap-counts", "negative-overlap-count",
+            "overlap-client-mix", "alpha", "float-batch", "bool-rounds",
+            "string-absent-rounds"])
+    def test_exit_2_and_no_log(self, tmp_path, capsys, make_doc, mutate, expected):
+        doc = make_doc()
+        mutate(doc)
+        config, log = tmp_path / "cfg.json", tmp_path / "m.jsonl"
+        config.write_text(json.dumps(doc))
+        assert run_cli("run", "--config", str(config), "--log", str(log)) == EXIT_CONFIG
+        assert expected in capsys.readouterr().err
+        assert not log.exists()
+
+
 class TestCostsCommand:
     def test_calibrated_query(self, capsys):
         assert run_cli("costs", "--arch", "v8", "--res", "960", "--batch", "8") == EXIT_OK
@@ -209,6 +264,30 @@ class TestCostsCommand:
 
     def test_query_requires_all_parts(self):
         assert run_cli("costs", "--arch", "v8", "--res", "640") == EXIT_CONFIG
+
+    def test_query_output_pinned(self, capsys):
+        # The exact bytes: key order, range lists and float formatting.
+        assert run_cli("costs", "--arch", "v8", "--res", "960", "--batch", "8") == EXIT_OK
+        assert capsys.readouterr().out == (
+            '{\n  "architecture": "v8",\n  "resolution": 960,\n  "batch": 8,\n'
+            '  "train_time_s": 2052.0,\n  "peak_mem_mib": 16290.0,\n'
+            '  "power_w_range": [\n    350.0,\n    375.0\n  ],\n'
+            '  "util_pct_range": [\n    85.0,\n    95.0\n  ],\n'
+            '  "estimated": false\n}\n'
+        )
+
+    def test_estimated_query_lists_every_entry_field(self, capsys):
+        assert run_cli("costs", "--arch", "v11", "--res", "960", "--batch", "12") == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        entry = lookup(load_calibration().profile("v11"), 960, 12)
+        assert list(doc) == ["architecture", "resolution", "batch", "train_time_s",
+                             "peak_mem_mib", "power_w_range", "util_pct_range", "estimated"]
+        assert doc == {
+            "architecture": "v11", "resolution": 960, "batch": 12,
+            "train_time_s": entry.train_time_s, "peak_mem_mib": entry.peak_mem_mib,
+            "power_w_range": list(entry.power_w_range),
+            "util_pct_range": list(entry.util_pct_range), "estimated": True,
+        }
 
 
 class TestScenariosCommand:

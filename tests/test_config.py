@@ -16,6 +16,7 @@ from fedsim.config import (
     save_config,
 )
 from fedsim.errors import ConfigError
+from fedsim.partition import OverlapPlan
 
 # Every built-in scenario, plus the strategy variants its builder offers.
 VARIANTS = {name: builder for name, (builder, _) in scenarios.SCENARIOS.items()}
@@ -98,9 +99,12 @@ class TestParsing:
                               "per_partition_counts": [3] * 8}}
         )
         cfg = config_from_dict(doc)
-        assert cfg.overlap.n_clients == 6
-        assert cfg.plan is None
+        assert isinstance(cfg.plan, OverlapPlan)
+        assert cfg.plan.n_clients == 6
+        assert cfg.plan.per_partition_counts == (3,) * 8
+        assert cfg.plan.total_samples == 24 * 6
         assert cfg.n_clients == 6
+        assert [c.client_id for c in cfg.clients] == [f"C{i}" for i in range(1, 7)]
 
     def test_inline_plan(self):
         doc = minimal_doc(
@@ -270,6 +274,87 @@ class TestValidation:
                               "per_partition_counts": [3] * 7}}
         )
         with pytest.raises(ConfigError):
+            config_from_dict(doc)
+
+
+def overlap_doc(counts=(3,) * 8, **overrides):
+    return minimal_doc(plan={"overlap": {"n_clients": 4, "window": 2,
+                                         "per_partition_counts": list(counts)}}, **overrides)
+
+
+class TestOverlapPlanChecks:
+    def test_clients_checked_against_the_plan(self):
+        clients = [{"client_id": cid} for cid in ("C1", "C2", "C3", "X4")]
+        with pytest.raises(ConfigError, match="client_ids"):
+            config_from_dict(overlap_doc(clients=clients))
+
+    def test_clients_in_any_order(self):
+        clients = [{"client_id": cid} for cid in ("C3", "C1", "C4", "C2")]
+        cfg = config_from_dict(overlap_doc(clients=clients))
+        assert [c.client_id for c in cfg.clients] == ["C3", "C1", "C4", "C2"]
+
+    @pytest.mark.parametrize("counts, match", [
+        ([0] * 8, "no samples"), ([3] * 7 + [-1], "negative"),
+    ])
+    def test_bad_counts_rejected(self, counts, match):
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict(overlap_doc(counts))
+
+    def test_no_class_no_counts_rejected(self):
+        # An empty count list has no sample either; the task refuses it.
+        doc = minimal_doc(task={"n_classes": 0, "n_features": 4},
+                          plan={"overlap": {"n_clients": 2, "window": 1,
+                                            "per_partition_counts": []}})
+        with pytest.raises(ConfigError, match="n_classes"):
+            config_from_dict(doc)
+
+    def test_client_scenario_mix_rejected(self):
+        doc = overlap_doc()
+        doc["task"]["scenario_tags"] = ["night"]
+        doc["clients"] = [{"client_id": f"C{i}", "scenario_mix": {"night": 1.0}}
+                          for i in range(1, 5)]
+        with pytest.raises(ConfigError, match="client C1 has a scenario_mix"):
+            config_from_dict(doc)
+
+
+class TestIntegerKeys:
+    """Every integer key takes a JSON integer only: `int()` would truncate
+    a float, read a bool as 0 or 1 and parse a string."""
+
+    @pytest.mark.parametrize("path", [
+        ("rounds",), ("master_seed",), ("train", "local_epochs"), ("train", "batch_size"),
+        ("task", "n_classes"), ("task", "n_features"), ("task", "means_seed"),
+        ("eval", "per_class"), ("eval", "seed"), ("plan", "scale_divisor"),
+        ("clients", 0, "resolution"), ("clients", 0, "batch"),
+    ])
+    @pytest.mark.parametrize("bad", [2.9, 8.0, True, "8"])
+    def test_non_integer_rejected(self, path, bad):
+        doc = minimal_doc(clients=[{"client_id": f"C{i}"} for i in range(1, 5)])
+        *parents, key = path
+        section = doc
+        for step in parents:
+            section = section[step]
+        section[key] = bad
+        with pytest.raises(ConfigError, match=str(key)):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("key, bad", [
+        ("n_clients", 4.0), ("window", True), ("per_partition_counts", [3.5] + [3] * 7),
+        ("per_partition_counts", ["3"] * 8),
+    ])
+    def test_overlap_non_integer_rejected(self, key, bad):
+        doc = overlap_doc()
+        doc["plan"]["overlap"][key] = bad
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("rounds", [["2", "3"], [2.0, 3], [True]])
+    def test_absent_rounds_take_integers_only(self, rounds):
+        doc = minimal_doc(clients=[
+            {"client_id": "C1", "dropout": {"mode": "absent_rounds", "rounds": rounds}},
+            {"client_id": "C2"}, {"client_id": "C3"}, {"client_id": "C4"},
+        ])
+        with pytest.raises(ConfigError, match="client C1 dropout.rounds"):
             config_from_dict(doc)
 
 

@@ -77,10 +77,13 @@ class TestGoldenTables:
             assert entry.estimated is False
 
     def test_power_and_util_ranges(self, cal):
+        archs = json.loads(CALIBRATION_JSON)["architectures"]
         for arch, rng in POWER_RANGES.items():
-            p = cal.profile(arch)
-            assert p.power_w_range == rng
-            assert p.util_pct_range == (85.0, 95.0)
+            assert tuple(archs[arch]["power_w_range"]) == rng
+            assert tuple(archs[arch]["util_pct_range"]) == (85.0, 95.0)
+            for entry in cal.profile(arch).entries.values():
+                assert entry.power_w_range == rng
+                assert entry.util_pct_range == (85.0, 95.0)
 
     def test_idle_values(self, cal):
         assert cal.idle_power_w == 60.0

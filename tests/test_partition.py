@@ -36,6 +36,11 @@ def lr_oracle(total, fractions):
     return base
 
 
+def json_round_trip(plan):
+    """The plan as a `fedsim partition` file, read back."""
+    return PartitionPlan.from_json_dict(json.loads(json.dumps(plan.to_json_dict(), indent=2)))
+
+
 class TestLargestRemainder:
     def test_hand_worked_weather_cell(self):
         # 14218 * (.30,.25,.20,.15,.10): floors 4265/3554/2843/2132/1421
@@ -170,11 +175,11 @@ class TestPlanOperations:
         assert again == plan
         assert "_index" not in repr(plan)
         assert "_index" not in plan.to_json_dict()
-        assert PartitionPlan.loads(plan.dumps()).row("C3") == plan.row("C3")
+        assert json_round_trip(plan).row("C3") == plan.row("C3")
 
     def test_json_round_trip(self):
         plan = builtin_plan("weather-5")
-        again = PartitionPlan.loads(plan.dumps())
+        again = json_round_trip(plan)
         assert again == plan
 
     def test_declared_totals_checked(self):
@@ -244,6 +249,23 @@ class TestOverlapSplit:
     def test_multiplicity_validation(self):
         with pytest.raises(ConfigError):
             OverlapPlan(2, 2, 1, {"C1": (1,), "C2": (1,)})
+
+    def test_client_ids_and_total_samples(self):
+        plan = overlap_split(5, 2, [3, 0, 4])
+        assert plan.client_ids == ("C1", "C2", "C3", "C4", "C5")
+        assert plan.per_partition_counts == (3, 0, 4)
+        assert plan.total_samples == 7 * 5
+
+    @pytest.mark.parametrize("counts, match", [
+        ([2, -1, 3], "negative"), ([0, 0, 0], "no samples"),
+    ])
+    def test_rejects_bad_counts(self, counts, match):
+        with pytest.raises(ConfigError, match=match):
+            overlap_split(4, 2, counts)
+
+    def test_plan_file_carries_no_counts(self):
+        # `fedsim partition --plan overlap` writes the assignment alone
+        assert overlap_split(4, 2, [3] * 8).to_json_dict() == overlap_split(4, 2).to_json_dict()
 
 
 class TestScenarioSplit:

@@ -76,10 +76,10 @@ class TestShapes:
 
     def test_overlap_60(self):
         cfg = scenario_config("overlap-60", window=5)
-        assert cfg.overlap.n_clients == 60
-        assert cfg.overlap.window == 5
+        assert cfg.plan.n_clients == 60
+        assert cfg.plan.window == 5
         disjoint = scenario_config("overlap-60", window=1)
-        assert disjoint.overlap.window == 1
+        assert disjoint.plan.window == 1
 
     def test_hetero_resolution_upgrade(self):
         cfg = scenario_config("hetero-resolution", upgrade="C2")
