@@ -41,10 +41,12 @@ def _cmd_partition(args) -> int:
     if args.plan == "overlap":
         if args.clients is None or args.window is None:
             raise ConfigError("overlap plan requires --clients and --window")
+        if args.scale_divisor is not None:
+            raise ConfigError("--scale-divisor applies to a builtin plan, not to overlap")
         doc = overlap_split(args.clients, args.window).to_json_dict()
     else:
         plan = builtin_plan(args.plan)
-        if args.scale_divisor > 1:
+        if args.scale_divisor is not None:
             plan = plan.scaled(args.scale_divisor)
         doc = plan.to_json_dict()
     text = json.dumps(doc, indent=2) + "\n"
@@ -152,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=list(BUILTIN_PLAN_NAMES) + ["overlap"])
     p.add_argument("--clients", type=int, help="overlap: number of clients")
     p.add_argument("--window", type=int, help="overlap: shards per client")
-    p.add_argument("--scale-divisor", type=int, default=1)
+    p.add_argument("--scale-divisor", type=int)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_partition)
 
@@ -179,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("costs", help="query or validate the calibration tables")
-    p.add_argument("--arch", choices=("v5", "v8", "v11"))
+    p.add_argument("--arch", choices=costmod.ARCHITECTURES)
     p.add_argument("--res", type=int)
     p.add_argument("--batch", type=int)
     p.add_argument("--calibration", help="override calibration JSON file")

@@ -37,6 +37,17 @@ def _integer(value) -> int:
     return value
 
 
+def _integers(values) -> tuple[int, ...]:
+    return tuple(map(_integer, values))
+
+
+def _number(value) -> float:
+    """A JSON integer or float, as a float; `float()` would take true and "0.5"."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _section(doc, table: dict, context: str) -> dict:
     """Convert one config section through its key table.
 
@@ -97,10 +108,10 @@ class DropoutRule:
 # refused by `DropoutRule` itself.
 _DROPOUT_KEYS = {
     "always_on": {"mode": _as_is},
-    "absent_rounds": {"mode": _as_is, "rounds": lambda rounds: frozenset(map(_integer, rounds))},
-    "stochastic": {"mode": _as_is, "p": float, "q": float},
+    "absent_rounds": {"mode": _as_is, "rounds": lambda rounds: frozenset(_integers(rounds))},
+    "stochastic": {"mode": _as_is, "p": _number, "q": _number},
 }
-_DEVICE_KEYS = {"mem_capacity_mib": float, "speed_factor": float}
+_DEVICE_KEYS = {"mem_capacity_mib": _number, "speed_factor": _number}
 
 
 @dataclass(frozen=True)
@@ -284,11 +295,11 @@ def _matrix(value) -> np.ndarray:
 # The two forms of the task section.  Without class_means the means and
 # scenario shifts are drawn by `default_task`; with them, both are given.
 _GENERATED_TASK_KEYS = {
-    "n_classes": _integer, "n_features": _integer, "noise_sigma": float,
-    "means_seed": _integer, "scenario_tags": tuple, "shift_scale": float,
+    "n_classes": _integer, "n_features": _integer, "noise_sigma": _number,
+    "means_seed": _integer, "scenario_tags": tuple, "shift_scale": _number,
 }
 _GIVEN_TASK_KEYS = {
-    "n_classes": _integer, "n_features": _integer, "noise_sigma": float,
+    "n_classes": _integer, "n_features": _integer, "noise_sigma": _number,
     "class_means": _matrix, "scenario_shifts": dict,
 }
 
@@ -304,12 +315,15 @@ def _parse_task(doc) -> SyntheticTask:
 
 def _parse_plan(doc, n_classes: int) -> PartitionPlan | OverlapPlan:
     fields = _section(doc, {
-        "builtin": _as_is, "scale_divisor": _integer, "inline": _as_is,
+        "builtin": _as_is, "scale_divisor": _integer,
+        "inline": lambda d: _section(d, _INLINE_KEYS, "inline plan"),
         "overlap": lambda d: _section(d, _OVERLAP_KEYS, "overlap plan"),
     }, "plan")
     given = [k for k in ("builtin", "inline", "overlap") if k in fields]
     if len(given) != 1:
         raise ConfigError("plan needs exactly one of: builtin, inline, overlap")
+    if "scale_divisor" in fields and "builtin" not in fields:
+        raise ConfigError(f"plan.scale_divisor applies to a builtin plan, not to {given[0]}")
     if "overlap" in fields:
         ov = fields["overlap"]
         try:
@@ -323,23 +337,26 @@ def _parse_plan(doc, n_classes: int) -> PartitionPlan | OverlapPlan:
         plan = PartitionPlan.from_json_dict(fields["inline"])
     else:
         plan = builtin_plan(fields["builtin"])
-        divisor = fields.get("scale_divisor", 1)
-        if divisor > 1:
-            plan = plan.scaled(divisor)
+        if "scale_divisor" in fields:
+            plan = plan.scaled(fields["scale_divisor"])
     if len(plan.class_names) != n_classes:
         raise ConfigError(f"plan has {len(plan.class_names)} classes but task has {n_classes}")
     return plan
 
 
-_OVERLAP_KEYS = {
-    "n_clients": _integer, "window": _integer,
-    "per_partition_counts": lambda counts: tuple(map(_integer, counts)),
+# An inline plan takes a plan file's keys, as `fedsim partition` writes them.
+_INLINE_KEYS = {
+    "schema_version": _as_is, "client_ids": _as_is, "class_names": _as_is,
+    "class_totals": _integers, "counts": lambda rows: tuple(map(_integers, rows)),
+    "scenario_mix": _as_is, "test_client": _as_is,
 }
+_OVERLAP_KEYS = {"n_clients": _integer, "window": _integer, "per_partition_counts": _integers}
 _TRAIN_KEYS = {
-    "local_epochs": _integer, "batch_size": _integer, "learning_rate": float, "prox_mu": float,
+    "local_epochs": _integer, "batch_size": _integer, "learning_rate": _number, "prox_mu": _number,
 }
 _ASYNC_KEYS = {
-    "alpha": float, "staleness_exponent": float, "applications": _integer, "eval_every": _integer,
+    "alpha": _number, "staleness_exponent": _number, "applications": _integer,
+    "eval_every": _integer,
 }
 _EVAL_KEYS = {"per_class": _integer, "scenario": _as_is, "seed": _integer}
 
@@ -359,8 +376,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         "clients": lambda docs: tuple(ClientSpec.from_dict(c) for c in docs),
         "async": lambda d: _section(d, _ASYNC_KEYS, "async"),
         "eval": lambda d: EvalSpec(**_section(d, _EVAL_KEYS, "eval")),
-        "resolution_noise": lambda d: {int(k): float(v) for k, v in d.items()},
-        "aggregate_time_s": float,
+        "resolution_noise": lambda d: {int(k): _number(v) for k, v in d.items()},
+        "aggregate_time_s": _number,
     }, "experiment config")
     fields.pop("schema_version", None)
     if "plan" not in fields:

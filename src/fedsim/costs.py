@@ -210,12 +210,13 @@ def client_round_time(
     data_fraction: float,
     device: DeviceSpec,
     strategy: str,
-    fedprox_factor: float = 1.15,
+    fedprox_factor: float,
 ) -> float:
     """Modeled wall time for one client's local training window.
 
     Scales linearly with data volume, inversely with device speed, with a
-    uniform multiplicative overhead for proximal training.
+    uniform multiplicative overhead for proximal training (the calibration's
+    `fedprox_time_factor`).
     """
     if data_fraction <= 0:
         raise ConfigError("data_fraction must be positive")

@@ -159,24 +159,14 @@ def _build_datasets(cfg: ExperimentConfig) -> dict[str, LocalDataset]:
     }
 
 
-def _check_not_all_absent(cfg: ExperimentConfig) -> None:
-    all_rounds = set(range(1, cfg.rounds + 1))
-    if all(
-        c.dropout.mode == "absent_rounds" and all_rounds <= c.dropout.absent_rounds
-        for c in cfg.clients
-    ):
-        raise SimulationError(
-            "every client is configured absent for every round; nothing can run"
-        )
-
-
 class _Run:
     """One run's fixed inputs and the records both engines emit.
 
     Built before anything is logged: every client's cost entry is looked
-    up once here, so an uncalibrated client fails the run with no record
-    written.  `durations` holds a client exactly when it fits its device
-    memory; its value is the client's modeled training window.
+    up once here, so an uncalibrated client, or a run in which no client
+    fits its device memory, fails with no record written.  `durations`
+    holds a client exactly when it fits its device memory; its value is
+    the client's modeled training window.
     """
 
     def __init__(self, cfg: ExperimentConfig, sink: MetricsWriter | None, engine: str,
@@ -211,6 +201,8 @@ class _Run:
             for c in cfg.clients
             if costs.check_memory(self.entries[c.client_id], c.device)
         }
+        if not self.durations:
+            raise SimulationError("no client fits its device memory budget; nothing can run")
         self.presence = _Presence({c.client_id: c.dropout for c in cfg.clients}, cfg.master_seed)
         # FedProx keeps its proximal term; the other strategies train without one.
         self.train_cfg = replace(
@@ -269,12 +261,18 @@ def run_sync(
     (as one `train_cohort` call), survivors are averaged, and the held-out
     accuracy is logged.  Records follow participant order.  Zero-participant
     rounds carry the model forward as a stalled round.  A `stop_after_round`
-    below 1 is a `ConfigError`, raised before any record.
+    below 1 is a `ConfigError`, and a run in which no client that fits its
+    memory is present in any of the config's rounds a `SimulationError`,
+    both raised before any record.
     """
     if stop_after_round is not None and stop_after_round < 1:
         raise ConfigError(f"stop_after_round must be at least 1, got {stop_after_round}")
     ctx = _Run(cfg, sink, "run_sync", ("fedavg", "fedprox"))
-    _check_not_all_absent(cfg)
+    if not any(ctx.presence.is_present(cid, rnd)
+               for cid in ctx.durations for rnd in range(1, cfg.rounds + 1)):
+        raise SimulationError(
+            "no client that fits its device memory is present in any round; nothing can run"
+        )
     if _checkpoint is None:
         w = zero_params(cfg.task.n_features, cfg.task.n_classes)
         clock = 0.0
@@ -284,7 +282,6 @@ def run_sync(
         clock = _checkpoint.clock
         start_round = _checkpoint.round + 1
         ctx.history = list(_checkpoint.history)
-    any_participation = start_round > 1
     last_round = cfg.rounds if stop_after_round is None else min(stop_after_round, cfg.rounds)
 
     for rnd in range(start_round, last_round + 1):
@@ -311,7 +308,6 @@ def run_sync(
             updates.append(ClientUpdate(cid, w_new, n, base_version=rnd - 1))
         clock += max_duration
         if updates:
-            any_participation = True
             w = fedavg_aggregate(updates)
             idle_power, idle_util = costs.sample_idle_power_and_util(
                 streams.derive(cfg.master_seed, _POWER, rnd, 0)[0], ctx.cal
@@ -327,8 +323,6 @@ def run_sync(
         clock += cfg.aggregate_time_s
         ctx.evaluate(rnd, w, clock)
 
-    if not any_participation:
-        raise SimulationError("no client ever participated; check dropout rules")
     return ctx.result(w, clock, last_round, last_round)
 
 
@@ -347,8 +341,6 @@ def run_async(cfg: ExperimentConfig, sink: MetricsWriter | None = None) -> RunRe
     for cid in ctx.entries:
         if cid not in ctx.durations:
             ctx.oom(0, cid)
-    if not ctx.durations:
-        raise SimulationError("no client fits its device memory budget; nothing can run")
 
     w = zero_params(cfg.task.n_features, cfg.task.n_classes)
     version = 0

@@ -148,7 +148,7 @@ class PartitionPlan:
         are recomputed from the scaled rows.
         """
         if divisor < 1:
-            raise ConfigError("divisor must be >= 1")
+            raise ConfigError(f"scale divisor must be >= 1, got {divisor}")
         rows = tuple(
             tuple(max(1, round(c / divisor)) if c > 0 else 0 for c in row)
             for row in self.counts
@@ -174,7 +174,7 @@ class PartitionPlan:
             plan = PartitionPlan(
                 client_ids=tuple(doc["client_ids"]),
                 class_names=tuple(doc["class_names"]),
-                counts=tuple(tuple(int(c) for c in row) for row in doc["counts"]),
+                counts=tuple(map(tuple, doc["counts"])),
                 scenario_mix=doc.get("scenario_mix"),
                 test_client=doc.get("test_client"),
             )

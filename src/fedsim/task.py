@@ -14,8 +14,8 @@ its own key; `generate_dataset` is a group of one.
 Local SGD has one kernel, `train_cohort`, which trains many clients from
 the same starting point with a leading client axis on every array and then
 computes each client's final full-dataset loss in one more stacked pass;
-`local_train` is a cohort of one.  `loss_and_gradient` (one batch) and
-`dataset_loss` (a whole dataset) are the references the kernel reproduces
+`local_train` is a cohort of one.  `loss_and_gradient` (one batch, or a
+whole dataset for the final loss) is the reference the kernel reproduces
 bit for bit.
 """
 
@@ -297,13 +297,6 @@ def loss_and_gradient(
     return float(loss), grad
 
 
-def dataset_loss(w: np.ndarray, data: LocalDataset, w_anchor=None, mu: float = 0.0) -> float:
-    if w_anchor is None:
-        w_anchor = w
-    loss, _ = loss_and_gradient(w, data, np.arange(len(data)), w_anchor, mu)
-    return loss
-
-
 # Samples trained together in one stacked chunk of `train_cohort`: bounds
 # the per-epoch feature, label and one-hot copies to about 0.8 MiB at 16
 # features and 8 classes.
@@ -347,7 +340,8 @@ def train_cohort(
     bit-identical to it.  Returns (updated params, sample
     count, final full-dataset loss) per client, in input order.  The loss
     is computed by the kernel too, in one stacked pass per chunk, and
-    equals `dataset_loss(w, data, w0, cfg.prox_mu)` bit for bit.
+    equals `loss_and_gradient` over the whole dataset, anchored at w0, bit
+    for bit.
     """
     if len(datasets) != len(seeds):
         raise ValueError("need one seed per dataset")

@@ -27,6 +27,15 @@ class TestPartitionCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["counts"][0][0] == 719
 
+    @pytest.mark.parametrize("extra", [
+        ["--plan", "kitti-4", "--scale-divisor", "0"],
+        ["--plan", "kitti-4", "--scale-divisor", "-4"],
+        ["--plan", "overlap", "--clients", "8", "--window", "5", "--scale-divisor", "4"],
+    ], ids=["zero", "negative", "overlap"])
+    def test_bad_scale_divisor(self, capsys, extra):
+        assert run_cli("partition", *extra) == EXIT_CONFIG
+        assert "divisor" in capsys.readouterr().err
+
     def test_overlap_requires_arguments(self):
         assert run_cli("partition", "--plan", "overlap") == EXIT_CONFIG
 
@@ -216,6 +225,10 @@ def _string_absent_rounds(doc):
     doc["clients"][0]["dropout"] = {"mode": "absent_rounds", "rounds": ["2", "3"]}
 
 
+def _float_inline_count(doc):
+    doc["plan"]["inline"]["counts"][0][0] = 2.9
+
+
 class TestRunRejectsBadConfig:
     """Configs that would otherwise fail mid-run, or run with a field
     ignored or truncated: each is a configuration error, raised before
@@ -231,9 +244,15 @@ class TestRunRejectsBadConfig:
         (scenarios.kitti_sync, _set("train", "batch_size", 2.9), "train.batch_size"),
         (scenarios.kitti_sync, _set(None, "rounds", True), "rounds"),
         (scenarios.kitti_sync, _string_absent_rounds, "dropout.rounds"),
+        (scenarios.kitti_sync, _set("train", "learning_rate", "0.5"), "train.learning_rate"),
+        (scenarios.kitti_sync, _set("train", "prox_mu", True), "train.prox_mu"),
+        (scenarios.scale_800, _float_inline_count, "inline plan.counts"),
+        (scenarios.kitti_sync, _set("plan", "scale_divisor", 0), "scale divisor"),
+        (scenarios.overlap_60, _set("plan", "scale_divisor", 4), "plan.scale_divisor"),
     ], ids=["renamed-overlap-client", "zero-overlap-counts", "negative-overlap-count",
             "overlap-client-mix", "alpha", "float-batch", "bool-rounds",
-            "string-absent-rounds"])
+            "string-absent-rounds", "string-learning-rate", "bool-prox-mu",
+            "float-inline-count", "zero-divisor", "divisor-beside-overlap"])
     def test_exit_2_and_no_log(self, tmp_path, capsys, make_doc, mutate, expected):
         doc = make_doc()
         mutate(doc)

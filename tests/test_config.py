@@ -16,7 +16,7 @@ from fedsim.config import (
     save_config,
 )
 from fedsim.errors import ConfigError
-from fedsim.partition import OverlapPlan
+from fedsim.partition import OverlapPlan, builtin_plan
 
 # Every built-in scenario, plus the strategy variants its builder offers.
 VARIANTS = {name: builder for name, (builder, _) in scenarios.SCENARIOS.items()}
@@ -356,6 +356,88 @@ class TestIntegerKeys:
         ])
         with pytest.raises(ConfigError, match="client C1 dropout.rounds"):
             config_from_dict(doc)
+
+
+class TestNumberKeys:
+    """Every float key takes a JSON integer or float, stored as a float:
+    `float()` would parse a string and read a bool as 0.0 or 1.0."""
+
+    PATHS = [
+        ("train", "learning_rate"), ("train", "prox_mu"), ("task", "noise_sigma"),
+        ("task", "shift_scale"), ("async", "alpha"), ("async", "staleness_exponent"),
+        ("aggregate_time_s",), ("resolution_noise", "640"),
+        ("clients", 0, "device", "speed_factor"), ("clients", 0, "device", "mem_capacity_mib"),
+        ("clients", 0, "dropout", "p"), ("clients", 0, "dropout", "q"),
+    ]
+
+    @staticmethod
+    def doc_with(path, value):
+        doc = minimal_doc(
+            strategy="fedprox",
+            clients=[{"client_id": f"C{i}", "device": {}, "dropout": {"mode": "stochastic"}}
+                     for i in range(1, 5)],
+            resolution_noise={"640": 1.0},
+        )
+        *parents, key = path
+        section = doc
+        for step in parents:
+            section = section.setdefault(step, {}) if isinstance(section, dict) else section[step]
+        section[key] = value
+        return doc
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("bad", ["0.5", True, [0.5]])
+    def test_non_number_rejected(self, path, bad):
+        key = "resolution_noise" if path[0] == "resolution_noise" else path[-1]
+        with pytest.raises(ConfigError, match=rf"\.{key}: expected a number"):
+            config_from_dict(self.doc_with(path, bad))
+
+    # The task section is hashed as written, so it is left out here.
+    @pytest.mark.parametrize("path", [p for p in PATHS if p[0] != "task"])
+    def test_integer_stored_as_float(self, path):
+        whole, point = (config_from_dict(self.doc_with(path, v)) for v in (1, 1.0))
+        assert whole.canonical_json() == point.canonical_json()
+
+
+class TestPlanKeys:
+    @pytest.mark.parametrize("divisor", [0, -4])
+    def test_divisor_below_one_rejected(self, divisor):
+        doc = minimal_doc(plan={"builtin": "kitti-4", "scale_divisor": divisor})
+        with pytest.raises(ConfigError, match="scale divisor must be >= 1"):
+            config_from_dict(doc)
+
+    def test_divisor_one_is_the_unscaled_plan(self):
+        doc = minimal_doc(plan={"builtin": "kitti-4", "scale_divisor": 1})
+        assert config_from_dict(doc).plan == builtin_plan("kitti-4")
+
+    @pytest.mark.parametrize("plan", [
+        {"inline": {"client_ids": ["C1"], "class_names": ["a"], "counts": [[4]]}},
+        {"overlap": {"n_clients": 4, "window": 2, "per_partition_counts": [3] * 8}},
+    ])
+    def test_divisor_beside_another_kind_rejected(self, plan):
+        with pytest.raises(ConfigError, match="scale_divisor applies to a builtin plan"):
+            config_from_dict(minimal_doc(plan={**plan, "scale_divisor": 2}))
+
+    @pytest.mark.parametrize("count", [2.9, 3.0, "3", True])
+    def test_inline_counts_take_integers_only(self, count):
+        inline = {"client_ids": ["C1"], "class_names": ["a"], "counts": [[count]]}
+        doc = minimal_doc(task={"n_classes": 1}, plan={"inline": inline})
+        with pytest.raises(ConfigError, match="inline plan.counts"):
+            config_from_dict(doc)
+
+    def test_inline_unknown_key_rejected(self):
+        inline = {"client_ids": ["C1"], "class_names": ["a"], "counts": [[4]], "weights": [1]}
+        doc = minimal_doc(task={"n_classes": 1}, plan={"inline": inline})
+        with pytest.raises(ConfigError, match="weights"):
+            config_from_dict(doc)
+
+    def test_partition_plan_file_pastes_in_as_inline(self, capsys):
+        from fedsim.cli import main
+
+        assert main(["partition", "--plan", "kitti-4", "--scale-divisor", "64"]) == 0
+        inline = json.loads(capsys.readouterr().out)
+        cfg = config_from_dict(minimal_doc(plan={"inline": inline}))
+        assert cfg.plan == config_from_dict(minimal_doc()).plan
 
 
 class TestDigestAndRoundTrip:

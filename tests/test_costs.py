@@ -181,14 +181,16 @@ class TestLookup:
 class TestClientRoundTime:
     def test_linear_in_data_and_speed(self, cal):
         entry = cal.profile("v8").entries[(640, 32)]
-        base = client_round_time(entry, 0.5, DeviceSpec(), "fedavg")
+        base = client_round_time(entry, 0.5, DeviceSpec(), "fedavg", cal.fedprox_time_factor)
         assert base == pytest.approx(936.0 * 0.5)
-        fast = client_round_time(entry, 0.5, DeviceSpec(speed_factor=4.0), "fedavg")
+        fast = client_round_time(
+            entry, 0.5, DeviceSpec(speed_factor=4.0), "fedavg", cal.fedprox_time_factor
+        )
         assert fast == pytest.approx(base / 4.0)
 
     def test_fedprox_overhead(self, cal):
         entry = cal.profile("v8").entries[(640, 32)]
-        avg = client_round_time(entry, 1.0, DeviceSpec(), "fedavg")
+        avg = client_round_time(entry, 1.0, DeviceSpec(), "fedavg", cal.fedprox_time_factor)
         prox = client_round_time(
             entry, 1.0, DeviceSpec(), "fedprox", cal.fedprox_time_factor
         )
@@ -198,7 +200,7 @@ class TestClientRoundTime:
     def test_rejects_nonpositive_fraction(self, cal):
         entry = cal.profile("v8").entries[(640, 32)]
         with pytest.raises(ConfigError):
-            client_round_time(entry, 0.0, DeviceSpec(), "fedavg")
+            client_round_time(entry, 0.0, DeviceSpec(), "fedavg", cal.fedprox_time_factor)
 
 
 class TestFeasibility:

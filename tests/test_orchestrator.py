@@ -333,6 +333,28 @@ class TestRunSetUp:
         assert buf.getvalue() == ""
 
     @pytest.mark.parametrize("strategy", ["fedavg", "fedasync"])
+    def test_no_client_fits_memory_fails_before_any_record(self, strategy):
+        doc = kitti_sync(strategy=strategy)
+        for client in doc["clients"]:
+            client["resolution"] = 960  # batch 32 at 960 px exceeds the default device
+        buf = io.StringIO()
+        with pytest.raises(SimulationError, match="no client fits"):
+            run(config_from_dict(doc), MetricsWriter(buf))
+        assert buf.getvalue() == ""
+
+    def test_fitting_clients_never_present_fails_before_any_record(self):
+        doc = kitti_sync()
+        for client in doc["clients"]:
+            if client["client_id"] == "C2":
+                client["dropout"] = {"mode": "absent_rounds", "rounds": list(range(1, 11))}
+            else:
+                client["resolution"] = 960
+        buf = io.StringIO()
+        with pytest.raises(SimulationError, match="present in any round"):
+            run(config_from_dict(doc), MetricsWriter(buf))
+        assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize("strategy", ["fedavg", "fedasync"])
     def test_cost_lookup_once_per_client(self, monkeypatch, strategy):
         calls = []
         lookup = costs.lookup
@@ -426,6 +448,20 @@ class TestCheckpoint:
         assert np.array_equal(resumed.params, full.params)
         assert resumed.history == full.history
         assert resumed.clock == full.clock
+
+    def test_stop_before_any_participation_resumes_exactly(self):
+        # Every client is absent in rounds 1-2: the stopped run holds two
+        # stalled rounds, and the full run is still valid.
+        doc = kitti_sync()
+        for client in doc["clients"]:
+            client["dropout"] = {"mode": "absent_rounds", "rounds": [1, 2]}
+        cfg = config_from_dict(doc)
+        _, full_log = capture(cfg)
+        part, log_a = capture(cfg, stop_after_round=2)
+        assert len(log_a.splitlines()) == 12
+        cp = checkpoint_save(part, cfg)
+        _, log_b = capture(cfg, runner=lambda c, s: checkpoint_resume(cp, c, s))
+        assert log_a + log_b == full_log
 
     def test_file_round_trip_exact(self, tmp_path):
         cfg = config_from_dict(small_doc())

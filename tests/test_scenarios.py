@@ -103,3 +103,29 @@ class TestShapes:
         cfg = scenario_config("scale-800")
         assert cfg.n_clients == 800
         assert cfg.plan.total_samples == 800 * 16
+
+
+def _containers(doc):
+    yield doc
+    for value in doc.values() if isinstance(doc, dict) else doc:
+        if isinstance(value, (dict, list)):
+            yield from _containers(value)
+
+
+class TestBuilderOutput:
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_every_call_returns_fresh_dicts(self, name):
+        # Callers edit builder output in place, so no dict or list may be
+        # shared between two calls or between two places in one document.
+        builder, _ = SCENARIOS[name]
+        first, second = builder(seed=0), builder(seed=0)
+        assert first == second
+        ids = [id(c) for doc in (first, second) for c in _containers(doc)]
+        assert len(ids) == len(set(ids))
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_one_dict_per_client(self, name):
+        builder, _ = SCENARIOS[name]
+        doc = builder(seed=0)
+        cfg = scenario_config(name)
+        assert [c["client_id"] for c in doc["clients"]] == [c.client_id for c in cfg.clients]

@@ -16,7 +16,6 @@ from fedsim.task import (
     SyntheticTask,
     TrainConfig,
     default_task,
-    dataset_loss,
     evaluate,
     generate_dataset,
     generate_datasets,
@@ -28,6 +27,8 @@ from fedsim.task import (
     unpack_params,
     zero_params,
 )
+
+from reference import dataset_loss
 
 
 def reference_loss(w, x, y, w_anchor, mu):
@@ -541,7 +542,6 @@ class TestCohortFinalLoss:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(task_module, "loss_and_gradient", refuse)
-            mp.setattr(task_module, "dataset_loss", refuse)
             got = train_cohort(zero_params(16, 8), datasets, list(range(5)), TrainConfig())
         assert len(got) == 5
 
