@@ -48,6 +48,9 @@ class AsyncConfig:
 def fedavg_aggregate(updates) -> np.ndarray:
     """Sample-weighted mean of client parameters.
 
+    `updates` holds `ClientUpdate`s, or any records with the same
+    `client_id`, float64 `params` and `n_samples` whose parameters are
+    already known finite (the sync engine's trained output).
     Accumulation runs in ascending client_id order with weights n_k / N
     (N in exact integer arithmetic), so the result is independent of input
     order and of any common scaling of the sample counts.

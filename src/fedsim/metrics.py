@@ -2,18 +2,66 @@
 
 Runs emit one JSONL record per simulation event; reports are pure
 functions of the log and can always be regenerated byte-identically.
+
+`SCHEMA` is the log format: each event's fields with their types.  Every
+line holds all of `MetricsRecord`'s keys in its field order, null (false
+for ``estimated``) where the event has no such field.  The writer renders
+each line from its event's template, built from the table; `read_log`
+reports and leaves out a record that lacks a field its event requires, so
+`build_report` reads those fields unguarded.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 from .errors import IncompleteLogError
 
-EVENTS = ("train_window", "aggregate", "eval", "dropout", "oom", "stalled")
+# Each event's fields in key order, with their types (a float field takes
+# an int too).  The fields the report reads are required, and so is
+# `estimated`, which is never null; every other type admits None, so a
+# record may leave that field null.  The engines write every field of
+# `train_window`, `eval` and `oom`; a sync aggregate carries no client or
+# staleness and an async one no power, and only async dropouts are timed.
+SCHEMA: dict[str, dict[str, type]] = {
+    "train_window": {
+        "client_id": str, "t_start_s": float, "t_end_s": float, "mem_mib": float | None,
+        "power_w": float | None, "util_pct": float | None, "energy_j": float,
+        "n_samples": int | None, "loss": float | None, "estimated": bool,
+    },
+    "aggregate": {
+        "client_id": str | None, "t_start_s": float | None, "t_end_s": float | None,
+        "power_w": float | None, "util_pct": float | None, "energy_j": float | None,
+        "n_samples": int | None, "staleness": int | None, "estimated": bool,
+    },
+    "eval": {
+        "t_start_s": float | None, "t_end_s": float | None, "n_samples": int | None,
+        "accuracy": float,
+    },
+    "dropout": {"client_id": str | None, "t_start_s": float | None, "t_end_s": float | None},
+    "oom": {"client_id": str, "mem_mib": float | None, "estimated": bool},
+    "stalled": {"t_start_s": float | None, "t_end_s": float | None},
+}
+
+
+def _check(event: str, t_start_s, t_end_s, power_w, energy_j) -> None:
+    """The checks every record passes, on whichever path it is written."""
+    if event not in SCHEMA:
+        raise ValueError(f"unknown event {event!r}")
+    if t_start_s is not None and t_end_s is not None:
+        if t_end_s < t_start_s:
+            raise ValueError("t_end_s must be >= t_start_s")
+        if power_w is not None and energy_j is not None:
+            expect = power_w * (t_end_s - t_start_s)
+            tol = 1e-6 * max(abs(expect), 1e-12)
+            if abs(energy_j - expect) > tol:
+                raise ValueError(
+                    f"energy_j {energy_j} inconsistent with power x duration {expect}"
+                )
 
 
 @dataclass(frozen=True)
@@ -37,19 +85,7 @@ class MetricsRecord:
     estimated: bool = False
 
     def __post_init__(self):
-        if self.event not in EVENTS:
-            raise ValueError(f"unknown event {self.event!r}")
-        if self.t_start_s is not None and self.t_end_s is not None:
-            if self.t_end_s < self.t_start_s:
-                raise ValueError("t_end_s must be >= t_start_s")
-            if self.power_w is not None and self.energy_j is not None:
-                expect = self.power_w * (self.t_end_s - self.t_start_s)
-                tol = 1e-6 * max(abs(expect), 1e-12)
-                if abs(self.energy_j - expect) > tol:
-                    raise ValueError(
-                        f"energy_j {self.energy_j} inconsistent with "
-                        f"power x duration {expect}"
-                    )
+        _check(self.event, self.t_start_s, self.t_end_s, self.power_w, self.energy_j)
 
     def to_line(self) -> str:
         doc = {k: getattr(self, k) for k in _KEY_ORDER}
@@ -58,15 +94,70 @@ class MetricsRecord:
     @staticmethod
     def from_line(line: str) -> "MetricsRecord":
         doc = json.loads(line)
-        return MetricsRecord(**{k: v for k, v in doc.items() if k in _FIELD_NAMES})
+        if not _FIELD_NAMES.issuperset(doc):
+            doc = {k: v for k, v in doc.items() if k in _FIELD_NAMES}
+        return MetricsRecord(**doc)
 
 
 _KEY_ORDER = tuple(f.name for f in fields(MetricsRecord))
 _FIELD_NAMES = frozenset(_KEY_ORDER)
+_WINDOW = ("t_start_s", "t_end_s", "power_w", "energy_j")
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _number(x) -> str:
+    """A float's or an int's JSON text, as `json.dumps` writes it; None is null."""
+    if isinstance(x, float):  # np.float64 too, whose own repr names its type
+        text = float.__repr__(x)
+        return _NON_FINITE.get(text, text)
+    if x is None:
+        return "null"
+    return int.__repr__(x)
+
+
+def _string(x) -> str:
+    """A string's JSON text, as `json.dumps` writes it; None is null."""
+    return "null" if x is None else encode_basestring_ascii(x)
+
+
+def _flag(x) -> str:
+    return "true" if x else "false"
+
+
+def _renderer(typ):
+    kinds = set(getattr(typ, "__args__", (typ,)))
+    return _string if str in kinds else _flag if bool in kinds else _number
+
+
+def _form(event: str, types: dict[str, type]) -> tuple[str, tuple, tuple]:
+    """One event's line template, the renderer of each of its fields, and
+    the fields' positions of `_WINDOW` (None where the event has none).
+
+    The template's slots are the run id, the round and the event's fields
+    in key order; every other key holds its record default.
+    """
+    names = [k for k in _KEY_ORDER if k in types]
+    slots = {"run_id": "%s", "round": "%d", "event": json.dumps(event)}
+    slots.update(dict.fromkeys(names, "%s"))
+    defaults = {f.name: f.default for f in fields(MetricsRecord)}
+    pieces = [f'"{k}": {slots.get(k) or json.dumps(defaults[k])}' for k in _KEY_ORDER]
+    return (
+        "{" + ", ".join(pieces) + "}\n",
+        tuple(_renderer(types[k]) for k in names),
+        tuple(names.index(k) if k in names else None for k in _WINDOW),
+    )
+
+
+_FORMS = {event: _form(event, types) for event, types in SCHEMA.items()}
 
 
 class MetricsWriter:
     """Single-writer JSONL sink.
+
+    A record object goes through `emit`; the engines hand every other
+    record's values straight to `write`, which renders its line from the
+    event's template without building a `MetricsRecord`.  Both run the
+    record checks.
 
     The stream is flushed after every ``eval`` record, which closes each
     sync round and each async evaluation window: at those points the file
@@ -92,17 +183,66 @@ class MetricsWriter:
             if record.event == "eval":
                 self._stream.flush()
 
+    def write(self, event: str, run_id: str, round_idx: int, *values) -> None:
+        """Write one `event` record from the values of its `SCHEMA` fields,
+        in key order: the record's `to_line` and a newline."""
+        if event not in _FORMS:
+            raise ValueError(f"unknown event {event!r}")
+        template, renderers, window = _FORMS[event]
+        _check(event, *[None if i is None else values[i] for i in window])
+        texts = [render(v) for render, v in zip(renderers, values)]
+        line = template % (encode_basestring_ascii(run_id), round_idx, *texts)
+        if self._stream is None:
+            self.records.append(MetricsRecord.from_line(line))
+        else:
+            self._stream.write(line)
+            if event == "eval":
+                self._stream.flush()
 
-def open_log_writer(path) -> tuple[MetricsWriter, io.TextIOBase]:
-    fh = open(path, "a")
+
+class _LogFile:
+    """An append-mode text file opened at its first write, so a run that
+    fails before its first record leaves no file behind."""
+
+    def __init__(self, path):
+        self._path = path
+        self._fh = None
+
+    def write(self, text: str) -> None:
+        if self._fh is None:
+            self._fh = open(self._path, "a")
+        self._fh.write(text)
+
+    def flush(self) -> None:
+        if self._fh is not None:
+            self._fh.flush()
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+
+
+def open_log_writer(path) -> tuple[MetricsWriter, _LogFile]:
+    """A writer appending to the log at `path` and the file to close after
+    the run; the file is created at the first record."""
+    fh = _LogFile(path)
     return MetricsWriter(fh), fh
+
+
+# Per event: the run id, the round and the event's required fields.
+_REQUIRED = {
+    event: ("run_id", "round", *(k for k, typ in types.items() if not isinstance(None, typ)))
+    for event, types in SCHEMA.items()
+}
+_REQUIRED_VALUES = {event: attrgetter(*names) for event, names in _REQUIRED.items()}
 
 
 def read_log(path) -> tuple[list[MetricsRecord], list[str]]:
     """Parse a JSONL log; returns (records, problems).
 
     An unparseable tail marks the log truncated rather than failing the
-    whole read.
+    whole read, and a record that lacks a field its event requires
+    (`SCHEMA`) is reported and left out.
     """
     records, problems = [], []
     with open(path) as fh:
@@ -111,9 +251,15 @@ def read_log(path) -> tuple[list[MetricsRecord], list[str]]:
             if not line:
                 continue
             try:
-                records.append(MetricsRecord.from_line(line))
+                rec = MetricsRecord.from_line(line)
             except (json.JSONDecodeError, TypeError, ValueError):
                 problems.append(f"line {lineno}: unparseable record (truncated log?)")
+                continue
+            if None in _REQUIRED_VALUES[rec.event](rec):
+                missing = [k for k in _REQUIRED[rec.event] if getattr(rec, k) is None]
+                problems.append(f"line {lineno}: {rec.event} record lacks {', '.join(missing)}")
+                continue
+            records.append(rec)
     return records, problems
 
 
@@ -154,9 +300,9 @@ def build_report(records: list[MetricsRecord], problems=()) -> RunReport:
             ct = report.clients.setdefault(rec.client_id, ClientTotals())
             duration = rec.t_end_s - rec.t_start_s
             ct.time_s += duration
-            ct.energy_j += rec.energy_j or 0.0
+            ct.energy_j += rec.energy_j
             ct.rounds_participated += 1
-            report.total_energy_j += rec.energy_j or 0.0
+            report.total_energy_j += rec.energy_j
             report.total_time_s += duration
             train_rounds.add(rec.round)
         elif rec.event == "oom":

@@ -11,7 +11,9 @@ a sync round derives each stream's keys for all its clients in one batch.
 Both engines first build one `_Run`: the run's datasets (one draw per
 group of same-shaped client datasets), evaluation set, presence chains and
 per-client costs (looked up once, before any record), and the `oom`,
-`train_window` and `eval` records they share.  The loops
+`train_window` and `eval` records they share.  Every record but `eval`
+goes to the writer as values (`MetricsWriter.write`); `eval` records stay
+`MetricsRecord`s, which a caller's sink may observe.  The loops
 stay separate: a sync round is a barrier whose records follow participant
 order, while async applies each update in arrival order, so one event
 queue for both would branch on the strategy at every step.  `run` picks
@@ -49,6 +51,17 @@ _DATA, _TRAIN, _DROPOUT, _EVAL, _POWER = 1, 2, 3, 4, 5
 
 def _cid_key(client_id: str) -> int:
     return zlib.crc32(client_id.encode())
+
+
+class _Trained:
+    """One client's `train_cohort` output in the form `fedavg_aggregate`
+    reads.  The kernel has checked its parameters finite, so unlike a
+    `ClientUpdate` it is not checked again."""
+
+    __slots__ = ("client_id", "params", "n_samples")
+
+    def __init__(self, client_id: str, params: np.ndarray, n_samples: int):
+        self.client_id, self.params, self.n_samples = client_id, params, n_samples
 
 
 @dataclass
@@ -217,30 +230,31 @@ class _Run:
     def train_seeds(self, round_key: int, cids: list[str]) -> list[int]:
         return [int(key.generate_state(1)[0]) for key in self.keys(_TRAIN, round_key, cids)]
 
-    def emit(self, event: str, round_idx: int, **fields) -> None:
-        self.sink.emit(MetricsRecord(run_id=self.run_id, round=round_idx, event=event, **fields))
+    def write(self, event: str, round_idx: int, *values) -> None:
+        """One record of `event`, its `SCHEMA` fields given in key order."""
+        self.sink.write(event, self.run_id, round_idx, *values)
+
+    def dropout(self, round_idx: int, cid: str, t: float | None = None) -> None:
+        self.write("dropout", round_idx, cid, t, t)
 
     def oom(self, round_idx: int, cid: str) -> None:
         entry = self.entries[cid]
-        self.emit("oom", round_idx, client_id=cid, mem_mib=entry.peak_mem_mib,
-                  estimated=entry.estimated)
+        self.write("oom", round_idx, cid, entry.peak_mem_mib, entry.estimated)
 
     def train_window(self, round_idx: int, cid: str, t_start: float, t_end: float,
                      n: int, loss: float, power_key) -> None:
         """Both ends are given: async's (t - d) + d need not round back to t."""
         entry = self.entries[cid]
         power, util = costs.sample_power_and_util(entry, power_key)
-        self.emit(
-            "train_window", round_idx, client_id=cid, t_start_s=t_start, t_end_s=t_end,
-            mem_mib=entry.peak_mem_mib, power_w=power, util_pct=util,
-            energy_j=power * self.durations[cid], n_samples=n, loss=loss,
-            estimated=entry.estimated,
-        )
+        self.write("train_window", round_idx, cid, t_start, t_end, entry.peak_mem_mib,
+                   power, util, power * self.durations[cid], n, loss, entry.estimated)
 
     def evaluate(self, round_idx: int, w: np.ndarray, clock: float) -> None:
         acc = evaluate(w, self.eval_ds)
-        self.emit("eval", round_idx, t_start_s=clock, t_end_s=clock, accuracy=acc,
-                  n_samples=len(self.eval_ds))
+        self.sink.emit(MetricsRecord(
+            run_id=self.run_id, round=round_idx, event="eval", t_start_s=clock,
+            t_end_s=clock, n_samples=len(self.eval_ds), accuracy=acc,
+        ))
         self.history.append((round_idx, acc))
 
     def result(self, w: np.ndarray, clock: float, rounds: int, version: int) -> RunResult:
@@ -287,7 +301,7 @@ def run_sync(
     for rnd in range(start_round, last_round + 1):
         participants = ctx.presence.participants(rnd)
         for cid in sorted(ctx.entries.keys() - set(participants)):
-            ctx.emit("dropout", rnd, client_id=cid)
+            ctx.dropout(rnd, cid)
         # The last round's updates go before this round trains, and results
         # are popped as records are emitted, so no round's results outlive it.
         updates = []
@@ -305,21 +319,19 @@ def run_sync(
             duration = ctx.durations[cid]
             ctx.train_window(rnd, cid, clock, clock + duration, n, loss, power_keys.pop(cid))
             max_duration = max(max_duration, duration)
-            updates.append(ClientUpdate(cid, w_new, n, base_version=rnd - 1))
+            updates.append(_Trained(cid, w_new, n))
         clock += max_duration
         if updates:
             w = fedavg_aggregate(updates)
             idle_power, idle_util = costs.sample_idle_power_and_util(
                 streams.derive(cfg.master_seed, _POWER, rnd, 0)[0], ctx.cal
             )
-            ctx.emit(
-                "aggregate", rnd, t_start_s=clock, t_end_s=clock + cfg.aggregate_time_s,
-                power_w=idle_power, util_pct=idle_util,
-                energy_j=idle_power * cfg.aggregate_time_s,
-                n_samples=sum(u.n_samples for u in updates), estimated=True,
-            )
+            # No client or staleness: the idle server's power, and estimated.
+            ctx.write("aggregate", rnd, None, clock, clock + cfg.aggregate_time_s,
+                      idle_power, idle_util, idle_power * cfg.aggregate_time_s,
+                      sum(u.n_samples for u in updates), None, True)
         else:
-            ctx.emit("stalled", rnd, t_start_s=clock, t_end_s=clock + cfg.aggregate_time_s)
+            ctx.write("stalled", rnd, clock, clock + cfg.aggregate_time_s)
         clock += cfg.aggregate_time_s
         ctx.evaluate(rnd, w, clock)
 
@@ -360,7 +372,7 @@ def run_async(cfg: ExperimentConfig, sink: MetricsWriter | None = None) -> RunRe
         duration = ctx.durations[cid]
         attempts[cid] += 1
         if not ctx.presence.is_present(cid, attempts[cid]):
-            ctx.emit("dropout", attempts[cid], client_id=cid, t_start_s=t, t_end_s=t)
+            ctx.dropout(attempts[cid], cid, t)
             if ctx.presence.absorbed(cid):
                 absorbed.add(cid)
                 if len(absorbed) == len(ctx.durations):
@@ -378,8 +390,9 @@ def run_async(cfg: ExperimentConfig, sink: MetricsWriter | None = None) -> RunRe
         staleness = version - base[cid]
         w, version, _ = fedasync_update(w, version, update, cfg.async_cfg)
         applications += 1
-        ctx.emit("aggregate", attempts[cid], client_id=cid, t_start_s=t, t_end_s=t,
-                 n_samples=n, staleness=staleness)
+        # No power, util or energy: the client and its update's staleness.
+        ctx.write("aggregate", attempts[cid], cid, t, t, None, None, None, n, staleness,
+                  False)
         if applications % eval_every == 0 or applications == budget:
             evals += 1
             ctx.evaluate(evals, w, clock)

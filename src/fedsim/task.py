@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import streams
-from .errors import ConfigError
+from .errors import ConfigError, SimulationError
 from .partition import largest_remainder
 
 REFERENCE_SCENARIO = "reference"
@@ -341,7 +341,8 @@ def train_cohort(
     count, final full-dataset loss) per client, in input order.  The loss
     is computed by the kernel too, in one stacked pass per chunk, and
     equals `loss_and_gradient` over the whole dataset, anchored at w0, bit
-    for bit.
+    for bit.  Training that leaves any parameter non-finite raises
+    `SimulationError`, so every returned parameter vector is finite.
     """
     if len(datasets) != len(seeds):
         raise ValueError("need one seed per dataset")
@@ -422,7 +423,7 @@ def _sgd_chunk(
             grad_b *= lr
             b -= grad_b
     if not np.all(np.isfinite(params)):
-        raise FloatingPointError("non-finite parameters after local training")
+        raise SimulationError("non-finite parameters after local training")
 
     # Final loss: the loss half of `loss_and_gradient` over each client's
     # whole dataset in its original order, the same operations over the

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fedsim import scenarios
@@ -144,6 +145,15 @@ class TestRunResumeReport:
     def test_report_missing_file(self, capsys):
         assert run_cli("report", "/no/such/file.jsonl") == EXIT_RUNTIME
 
+    def test_report_record_lacking_its_fields_exit_code(self, tmp_path, capsys):
+        log = tmp_path / "m.jsonl"
+        log.write_text(
+            '{"run_id": "x", "round": 1, "event": "train_window", "client_id": "C1"}\n'
+            '{"run_id": "x", "round": 1, "event": "eval", "accuracy": 0.5}\n'
+        )
+        assert run_cli("report", str(log)) == EXIT_INCOMPLETE
+        assert "line 1: train_window record lacks t_start_s" in capsys.readouterr().out
+
 
 class TestSyncOnlyFlags:
     @pytest.mark.parametrize("flags", [
@@ -261,6 +271,33 @@ class TestRunRejectsBadConfig:
         assert run_cli("run", "--config", str(config), "--log", str(log)) == EXIT_CONFIG
         assert expected in capsys.readouterr().err
         assert not log.exists()
+
+
+def _every_client_at_960(doc):
+    for client in doc["clients"]:
+        client["resolution"] = 960
+
+
+class TestRunFailsAtSetUp:
+    """Runs that fail before their first record exit 3 and leave no log at a
+    new path and an existing log as it was."""
+
+    @pytest.mark.parametrize("mutate, expected", [
+        (_every_client_at_960, "no client fits its device memory"),
+        (_set("train", "learning_rate", 1e308), "non-finite parameters"),
+    ], ids=["no-client-fits", "diverged-training"])
+    def test_exit_3_and_no_log(self, tmp_path, capsys, mutate, expected):
+        doc = scenarios.kitti_sync()
+        mutate(doc)
+        config, log = tmp_path / "cfg.json", tmp_path / "m.jsonl"
+        config.write_text(json.dumps(doc))
+        with np.errstate(all="ignore"):
+            assert run_cli("run", "--config", str(config), "--log", str(log)) == EXIT_RUNTIME
+            assert expected in capsys.readouterr().err
+            assert not log.exists()
+            log.write_text("kept\n")
+            assert run_cli("run", "--config", str(config), "--log", str(log)) == EXIT_RUNTIME
+        assert log.read_text() == "kept\n"
 
 
 class TestCostsCommand:

@@ -4,12 +4,21 @@ A run is a pure function of its config and seed, so a change that keeps
 every log below identical cannot have changed behaviour.  A digest here
 changes only with a deliberate, documented change to what a run does.
 Two more pins run at master seeds of 2**32 and above, which enter every
-random key as two 32-bit entropy words instead of one.
+random key as two 32-bit entropy words instead of one, and one pins a run
+whose training diverges.
+
+The digests were taken under the SkylakeX core of numpy's bundled
+OpenBLAS, which picks its kernels per CPU: under another core the matrix
+products round differently, so a failing pin names the active core.
 """
 
+import ctypes
+import glob
 import hashlib
 import io
+import os
 
+import numpy as np
 import pytest
 
 from fedsim.config import config_from_dict
@@ -108,17 +117,48 @@ WIDE_MASTER_DIGESTS = {
 }
 
 
+# kitti-sync at learning rate 1e300: the weights grow huge but stay finite,
+# so the run finishes, and every train_window record from round 1 on logs
+# "loss": NaN.
+DIVERGED_DIGEST = "a169314b79fdb98a66dd81098d6cb874bfe2277aae470d3c2529a36f2592f589"
+
+
 def _log_digest(doc) -> str:
     buf = io.StringIO()
     run(config_from_dict(doc), MetricsWriter(buf))
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
+def _openblas_core() -> str:
+    """The core numpy's bundled OpenBLAS runs on this host."""
+    numpy_libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        (path,) = glob.glob(os.path.join(numpy_libs, "libscipy_openblas64_*.so"))
+        corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+    except (ValueError, OSError, AttributeError) as exc:
+        return f"unknown ({exc})"
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def _mismatch() -> str:
+    core = _openblas_core()
+    return f"log digest differs under OpenBLAS core {core}; the pins hold under SkylakeX"
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_seed0_log_digest(name):
-    assert _log_digest(CONFIGS[name](seed=0)) == DIGESTS[name]
+    assert _log_digest(CONFIGS[name](seed=0)) == DIGESTS[name], _mismatch()
 
 
 @pytest.mark.parametrize("name, seed", sorted(WIDE_MASTER_DIGESTS))
 def test_two_word_master_log_digest(name, seed):
-    assert _log_digest(CONFIGS[name](seed=seed)) == WIDE_MASTER_DIGESTS[name, seed]
+    assert _log_digest(CONFIGS[name](seed=seed)) == WIDE_MASTER_DIGESTS[name, seed], _mismatch()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_run_log_digest():
+    doc = kitti_sync(seed=0)
+    doc["train"]["learning_rate"] = 1e300
+    assert _log_digest(doc) == DIVERGED_DIGEST, _mismatch()

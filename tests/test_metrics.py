@@ -3,10 +3,15 @@
 import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import reference_line
 
 from fedsim.errors import IncompleteLogError
 from fedsim.metrics import (
+    SCHEMA,
     MetricsRecord,
     MetricsWriter,
     build_report,
@@ -115,6 +120,21 @@ class TestWriterReader:
         assert got == records
         assert problems == []
 
+    def test_read_log_reports_record_lacking_its_fields(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text(
+            '{"run_id": "x", "round": 1, "event": "train_window", "client_id": "C1"}\n'
+            + rec(run_id="x", accuracy=0.4).to_line() + "\n"
+            + '{"run_id": "x", "round": null, "event": "eval", "accuracy": 0.5}\n'
+        )
+        got, problems = read_log(path)
+        assert got == [rec(run_id="x", accuracy=0.4)]
+        assert problems == [
+            "line 1: train_window record lacks t_start_s, t_end_s, energy_j",
+            "line 3: eval record lacks round",
+        ]
+        assert not build_report(got, problems).complete
+
     def test_read_log_tolerates_truncated_tail(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text(rec(accuracy=0.4).to_line() + "\n" + '{"run_id": "r1", "rou')
@@ -122,6 +142,98 @@ class TestWriterReader:
         assert len(got) == 1
         assert len(problems) == 1
         assert "line 2" in problems[0]
+
+
+_TEXT = st.text(st.sampled_from(["C", "7", '"', "\\", "%", "s", "\u00e9", "\u4e2d",
+                                  "\U0001f697", "\n", "\x00", "\x7f"])) | st.text(max_size=6)
+_INT = st.integers(min_value=-(2**70), max_value=2**70)
+_FLOAT = st.floats() | st.sampled_from([-0.0, 2.0**53 + 1, 1e300]) | st.floats().map(np.float64)
+_BY_TYPE = {str: _TEXT, bool: st.booleans(), int: _INT, float: _FLOAT | _INT}
+
+
+def _field_values(types):
+    """One value per field; a field whose type admits None may be None."""
+    values = {}
+    for key, typ in types.items():
+        kinds = getattr(typ, "__args__", (typ,))
+        base = next(k for k in kinds if k is not type(None))
+        values[key] = (st.none() | _BY_TYPE[base]) if type(None) in kinds else _BY_TYPE[base]
+    return st.fixed_dictionaries(values).map(lambda d: {k: d[k] for k in types})
+
+
+@st.composite
+def _records(draw):
+    """(run id, round, event, fields) of any event; most timed records are
+    made consistent, so that the line and not a check is compared."""
+    event = draw(st.sampled_from(sorted(SCHEMA)))
+    values = draw(_field_values(SCHEMA[event]))
+    t0, t1 = values.get("t_start_s"), values.get("t_end_s")
+    if t0 is not None and t1 is not None and draw(st.integers(0, 3)):
+        t0, t1 = sorted((t0, t1))
+        values.update(t_start_s=t0, t_end_s=t1)
+        if values.get("power_w") is not None and "energy_j" in values:
+            values["energy_j"] = values["power_w"] * (t1 - t0)
+    return draw(_TEXT), draw(_INT), event, values
+
+
+class TestDirectWrite:
+    @given(_records())
+    @settings(max_examples=400, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_line_equals_json_dumps(self, record):
+        run_id, rnd, event, values = record
+        buf = io.StringIO()
+        try:
+            MetricsRecord(run_id=run_id, round=rnd, event=event, **values)
+        except ValueError:
+            with pytest.raises(ValueError):
+                MetricsWriter(buf).write(event, run_id, rnd, *values.values())
+            assert buf.getvalue() == ""
+            return
+        MetricsWriter(buf).write(event, run_id, rnd, *values.values())
+        assert buf.getvalue() == reference_line(run_id, rnd, event, **values)
+
+    @pytest.mark.parametrize("event, values, message", [
+        ("reboot", (), "unknown event"),
+        ("stalled", (5.0, 4.0), "t_end_s must be >= t_start_s"),
+        ("train_window", ("C1", 0.0, 2.0, 1.0, 100.0, 90.0, 150.0, 10, 1.0, False),
+         "inconsistent with power x duration"),
+        ("aggregate", (None, 1.0, 0.5, None, None, None, 3, None, False),
+         "t_end_s must be >= t_start_s"),
+    ])
+    def test_each_record_check_raises(self, event, values, message):
+        fields = dict(zip(SCHEMA.get(event, {}), values))
+        with pytest.raises(ValueError, match=message):
+            MetricsRecord(run_id="r1", round=1, event=event, **fields)
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=message):
+            MetricsWriter(buf).write(event, "r1", 1, *values)
+        assert buf.getvalue() == ""
+
+    def test_writer_without_stream_keeps_records(self):
+        sink = MetricsWriter(None)
+        sink.write("oom", "r1", 2, "C1", 9113, True)
+        assert sink.records == [
+            MetricsRecord(run_id="r1", round=2, event="oom", client_id="C1", mem_mib=9113,
+                          estimated=True)
+        ]
+
+    def test_eval_write_is_flushed(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        sink, fh = open_log_writer(path)
+        try:
+            sink.write("eval", "r1", 1, 2.0, 2.0, 40, 0.5)
+            assert path.read_text() == reference_line(
+                "r1", 1, "eval", t_start_s=2.0, t_end_s=2.0, n_samples=40, accuracy=0.5)
+        finally:
+            fh.close()
+
+    def test_log_file_created_at_first_record(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        _, fh = open_log_writer(path)
+        fh.close()
+        assert not path.exists()
 
 
 class TestReport:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fedsim import streams
 from fedsim import task as task_module
-from fedsim.errors import ConfigError
+from fedsim.errors import ConfigError, SimulationError
 from fedsim.partition import largest_remainder
 from fedsim.task import (
     LocalDataset,
@@ -492,7 +492,7 @@ class TestTrainCohort:
         task = default_task()
         data = generate_dataset(task, [4] * 8, None, 0, "C1")
         w0 = np.full(param_length(16, 8), np.inf)
-        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+        with np.errstate(all="ignore"), pytest.raises(SimulationError):
             train_cohort(w0, [data], [0], TrainConfig())
 
 
