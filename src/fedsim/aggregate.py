@@ -4,31 +4,29 @@ Synchronous rounds use the sample-count-weighted mean (FedAvg; FedProx
 shares it, the proximal term being purely client-side).  Asynchronous
 updates are applied on arrival by convex mixing with a polynomial
 staleness weight.
+
+Both engines pass plain, unchecked `ClientUpdate`s.  Finiteness is
+guaranteed by the training kernel and by one check of each result here,
+which names the offending clients: every weight is positive, so a
+non-finite entry in any update leaves the result non-finite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
 
 
-@dataclass(frozen=True)
-class ClientUpdate:
+class ClientUpdate(NamedTuple):
+    """One client's trained float64 parameters and its sample count."""
+
     client_id: str
     params: np.ndarray
     n_samples: int
-    base_version: int = 0
-
-    def __post_init__(self):
-        if self.n_samples < 1:
-            raise ProtocolError("update must carry at least one sample")
-        params = np.asarray(self.params, dtype=np.float64)
-        if not np.all(np.isfinite(params)):
-            raise ProtocolError(f"non-finite parameters from {self.client_id}")
-        object.__setattr__(self, "params", params)
 
 
 @dataclass(frozen=True)
@@ -45,17 +43,23 @@ class AsyncConfig:
             raise ConfigError("async.staleness_exponent must be nonnegative")
 
 
+def _finite(result: np.ndarray, updates: list[ClientUpdate]) -> np.ndarray:
+    """`result`, or a `ProtocolError` naming the updates with a non-finite entry."""
+    if not np.isfinite(result).all():
+        bad = [u.client_id for u in updates if not np.isfinite(u.params).all()]
+        raise ProtocolError(f"non-finite parameters from {', '.join(bad)}" if bad
+                            else "combining finite updates gave a non-finite result")
+    return result
+
+
 def fedavg_aggregate(updates) -> np.ndarray:
     """Sample-weighted mean of client parameters.
 
-    `updates` holds `ClientUpdate`s, or any records with the same
-    `client_id`, float64 `params` and `n_samples` whose parameters are
-    already known finite (the sync engine's trained output).
     Accumulation runs in ascending client_id order with weights n_k / N
     (N in exact integer arithmetic), so the result is independent of input
     order and of any common scaling of the sample counts.
     """
-    updates = list(updates)
+    updates = sorted(updates, key=lambda u: u.client_id)
     if not updates:
         raise ProtocolError("cannot aggregate an empty update set")
     length = updates[0].params.size
@@ -65,12 +69,13 @@ def fedavg_aggregate(updates) -> np.ndarray:
                 f"parameter length mismatch: {u.client_id} has {u.params.size}, "
                 f"expected {length}"
             )
-    updates.sort(key=lambda u: u.client_id)
+        if u.n_samples < 1:
+            raise ProtocolError(f"update from {u.client_id} carries no samples")
     total = sum(int(u.n_samples) for u in updates)
     out = np.zeros(length, dtype=np.float64)
     for u in updates:
         out += (u.n_samples / total) * u.params
-    return out
+    return _finite(out, updates)
 
 
 def staleness_weight(cfg: AsyncConfig, staleness: int) -> float:
@@ -80,24 +85,11 @@ def staleness_weight(cfg: AsyncConfig, staleness: int) -> float:
     return cfg.alpha * (staleness + 1) ** (-cfg.staleness_exponent)
 
 
-def fedasync_update(
-    global_params: np.ndarray,
-    version: int,
-    update: ClientUpdate,
-    cfg: AsyncConfig,
-) -> tuple[np.ndarray, int, float]:
-    """Apply one asynchronous update by convex mixing.
-
-    Returns (new params, version + 1, staleness weight used).
-    """
-    if update.base_version > version:
-        raise ProtocolError(
-            f"update from {update.client_id} trained on version "
-            f"{update.base_version} > current {version}"
-        )
-    tau = version - update.base_version
-    alpha_t = staleness_weight(cfg, tau)
-    mixed = (1.0 - alpha_t) * np.asarray(global_params, dtype=np.float64) + (
-        alpha_t * update.params
-    )
-    return mixed, version + 1, alpha_t
+def fedasync_update(global_params: np.ndarray, update: ClientUpdate, staleness: int,
+                    cfg: AsyncConfig) -> np.ndarray:
+    """Mix one update, trained `staleness` versions ago, into the global
+    parameters: (1 - s) * global + s * update, s the staleness weight."""
+    if update.n_samples < 1:
+        raise ProtocolError(f"update from {update.client_id} carries no samples")
+    alpha_t = staleness_weight(cfg, staleness)
+    return _finite((1.0 - alpha_t) * global_params + alpha_t * update.params, [update])

@@ -7,7 +7,8 @@ functions of the log and can always be regenerated byte-identically.
 line holds all of `MetricsRecord`'s keys in its field order, null (false
 for ``estimated``) where the event has no such field.  The writer renders
 each line from its event's template, built from the table; `read_log`
-reports and leaves out a record that lacks a field its event requires, so
+reports and leaves out a line that is not a JSON object and a record whose
+required field is missing or of a type the table does not admit, so
 `build_report` reads those fields unguarded.
 """
 
@@ -17,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
+from itertools import product
 from operator import attrgetter
 
 from .errors import IncompleteLogError
@@ -94,6 +96,8 @@ class MetricsRecord:
     @staticmethod
     def from_line(line: str) -> "MetricsRecord":
         doc = json.loads(line)
+        if not isinstance(doc, dict):
+            raise ValueError("a log line must be a JSON object")
         if not _FIELD_NAMES.issuperset(doc):
             doc = {k: v for k, v in doc.items() if k in _FIELD_NAMES}
         return MetricsRecord(**doc)
@@ -229,20 +233,36 @@ def open_log_writer(path) -> tuple[MetricsWriter, _LogFile]:
     return MetricsWriter(fh), fh
 
 
-# Per event: the run id, the round and the event's required fields.
+# Per event: the run id, the round and the event's required fields, each
+# with the JSON value types it admits (a float field takes an int too, and
+# a bool is no number), and every admitted sequence of those types.
 _REQUIRED = {
-    event: ("run_id", "round", *(k for k, typ in types.items() if not isinstance(None, typ)))
+    event: {
+        "run_id": (str,), "round": (int,),
+        **{k: (float, int) if typ is float else (typ,)
+           for k, typ in types.items() if not isinstance(None, typ)},
+    }
     for event, types in SCHEMA.items()
 }
 _REQUIRED_VALUES = {event: attrgetter(*names) for event, names in _REQUIRED.items()}
+_SIGNATURES = {event: frozenset(product(*fields.values())) for event, fields in _REQUIRED.items()}
+
+
+def _misfit(event: str, values: tuple) -> str:
+    """Why a record's required `values` do not fit its event."""
+    bad = [(k, v) for (k, admits), v in zip(_REQUIRED[event].items(), values)
+           if type(v) not in admits]
+    lacks = [k for k, v in bad if v is None]
+    return f"lacks {', '.join(lacks)}" if lacks else f"has mistyped {', '.join(k for k, _ in bad)}"
 
 
 def read_log(path) -> tuple[list[MetricsRecord], list[str]]:
     """Parse a JSONL log; returns (records, problems).
 
     An unparseable tail marks the log truncated rather than failing the
-    whole read, and a record that lacks a field its event requires
-    (`SCHEMA`) is reported and left out.
+    whole read.  A line that is not a JSON object, and a record whose
+    required field (`SCHEMA`) is missing or of another JSON type, are
+    reported and left out.
     """
     records, problems = [], []
     with open(path) as fh:
@@ -255,9 +275,9 @@ def read_log(path) -> tuple[list[MetricsRecord], list[str]]:
             except (json.JSONDecodeError, TypeError, ValueError):
                 problems.append(f"line {lineno}: unparseable record (truncated log?)")
                 continue
-            if None in _REQUIRED_VALUES[rec.event](rec):
-                missing = [k for k in _REQUIRED[rec.event] if getattr(rec, k) is None]
-                problems.append(f"line {lineno}: {rec.event} record lacks {', '.join(missing)}")
+            values = _REQUIRED_VALUES[rec.event](rec)
+            if tuple(map(type, values)) not in _SIGNATURES[rec.event]:
+                problems.append(f"line {lineno}: {rec.event} record {_misfit(rec.event, values)}")
                 continue
             records.append(rec)
     return records, problems

@@ -13,11 +13,13 @@ group of same-shaped client datasets), evaluation set, presence chains and
 per-client costs (looked up once, before any record), and the `oom`,
 `train_window` and `eval` records they share.  Every record but `eval`
 goes to the writer as values (`MetricsWriter.write`); `eval` records stay
-`MetricsRecord`s, which a caller's sink may observe.  The loops
-stay separate: a sync round is a barrier whose records follow participant
-order, while async applies each update in arrival order, so one event
-queue for both would branch on the strategy at every step.  `run` picks
-the engine from the config's strategy.
+`MetricsRecord`s, which a caller's sink may observe.  Both engines hand
+`aggregate` plain `ClientUpdate`s; finiteness is guaranteed by the kernel
+and by one check of each aggregate's result.  The loops stay separate: a
+sync round is a barrier whose records follow participant order, while
+async applies each update in arrival order, so one event queue for both
+would branch on the strategy at every step.  `run` picks the engine from
+the config's strategy.
 """
 
 from __future__ import annotations
@@ -51,17 +53,6 @@ _DATA, _TRAIN, _DROPOUT, _EVAL, _POWER = 1, 2, 3, 4, 5
 
 def _cid_key(client_id: str) -> int:
     return zlib.crc32(client_id.encode())
-
-
-class _Trained:
-    """One client's `train_cohort` output in the form `fedavg_aggregate`
-    reads.  The kernel has checked its parameters finite, so unlike a
-    `ClientUpdate` it is not checked again."""
-
-    __slots__ = ("client_id", "params", "n_samples")
-
-    def __init__(self, client_id: str, params: np.ndarray, n_samples: int):
-        self.client_id, self.params, self.n_samples = client_id, params, n_samples
 
 
 @dataclass
@@ -319,7 +310,7 @@ def run_sync(
             duration = ctx.durations[cid]
             ctx.train_window(rnd, cid, clock, clock + duration, n, loss, power_keys.pop(cid))
             max_duration = max(max_duration, duration)
-            updates.append(_Trained(cid, w_new, n))
+            updates.append(ClientUpdate(cid, w_new, n))
         clock += max_duration
         if updates:
             w = fedavg_aggregate(updates)
@@ -355,50 +346,40 @@ def run_async(cfg: ExperimentConfig, sink: MetricsWriter | None = None) -> RunRe
             ctx.oom(0, cid)
 
     w = zero_params(cfg.task.n_features, cfg.task.n_classes)
-    version = 0
+    version = 0  # the number of updates applied
     clock = 0.0
-    fetched = dict.fromkeys(ctx.durations, w)
-    base = dict.fromkeys(ctx.durations, 0)
+    fetched = dict.fromkeys(ctx.durations, (0, w))  # client -> (version, model) it trains on
     attempts = dict.fromkeys(ctx.durations, 0)
     heap = [(d, cid) for cid, d in ctx.durations.items()]
     heapq.heapify(heap)
-
-    applications = 0
     evals = 0
-    absorbed: set[str] = set()
-    while applications < budget:
-        t, cid = heapq.heappop(heap)
-        clock = t
+    while version < budget:
+        clock, cid = heapq.heappop(heap)
         duration = ctx.durations[cid]
-        attempts[cid] += 1
-        if not ctx.presence.is_present(cid, attempts[cid]):
-            ctx.dropout(attempts[cid], cid, t)
-            if ctx.presence.absorbed(cid):
-                absorbed.add(cid)
-                if len(absorbed) == len(ctx.durations):
-                    raise SimulationError(
-                        f"every client is permanently absent after {applications} of "
-                        f"{budget} applications; the run cannot finish"
-                    )
-            heapq.heappush(heap, (t + duration, cid))
+        heapq.heappush(heap, (clock + duration, cid))
+        attempt = attempts[cid] = attempts[cid] + 1
+        if not ctx.presence.is_present(cid, attempt):
+            ctx.dropout(attempt, cid, clock)
+            if all(map(ctx.presence.absorbed, ctx.durations)):
+                raise SimulationError(
+                    f"every client is permanently absent after {version} of "
+                    f"{budget} applications; the run cannot finish"
+                )
             continue
-        (seed,) = ctx.train_seeds(attempts[cid], [cid])
-        w_new, n, loss = local_train(fetched[cid], ctx.datasets[cid], seed, ctx.train_cfg)
-        (power_key,) = ctx.keys(_POWER, attempts[cid], [cid])
-        ctx.train_window(attempts[cid], cid, t - duration, t, n, loss, power_key)
-        update = ClientUpdate(cid, w_new, n, base_version=base[cid])
-        staleness = version - base[cid]
-        w, version, _ = fedasync_update(w, version, update, cfg.async_cfg)
-        applications += 1
+        base, model = fetched[cid]
+        (seed,) = ctx.train_seeds(attempt, [cid])
+        w_new, n, loss = local_train(model, ctx.datasets[cid], seed, ctx.train_cfg)
+        (power_key,) = ctx.keys(_POWER, attempt, [cid])
+        ctx.train_window(attempt, cid, clock - duration, clock, n, loss, power_key)
+        staleness = version - base
+        w = fedasync_update(w, ClientUpdate(cid, w_new, n), staleness, cfg.async_cfg)
+        version += 1
         # No power, util or energy: the client and its update's staleness.
-        ctx.write("aggregate", attempts[cid], cid, t, t, None, None, None, n, staleness,
-                  False)
-        if applications % eval_every == 0 or applications == budget:
+        ctx.write("aggregate", attempt, cid, clock, clock, None, None, None, n, staleness, False)
+        if version % eval_every == 0 or version == budget:
             evals += 1
             ctx.evaluate(evals, w, clock)
-        fetched[cid] = w
-        base[cid] = version
-        heapq.heappush(heap, (t + duration, cid))
+        fetched[cid] = (version, w)
 
     return ctx.result(w, clock, evals, version)
 
@@ -423,6 +404,18 @@ def run(
 
 CHECKPOINT_VERSION = 1
 
+# Each checkpoint field, in file order, with its JSON encoder and decoder.
+_CHECKPOINT_FIELDS = {
+    "config_digest": (str, str),
+    "round": (int, int),
+    "version": (int, int),
+    "clock": (lambda c: float(c).hex(), float.fromhex),
+    "params": (lambda p: [float(x).hex() for x in p],
+               lambda xs: np.array([float.fromhex(x) for x in xs])),
+    "history": (lambda h: [[r, float(a).hex()] for r, a in h],
+                lambda rows: tuple((int(r), float.fromhex(a)) for r, a in rows)),
+}
+
 
 @dataclass(frozen=True)
 class Checkpoint:
@@ -440,32 +433,21 @@ class Checkpoint:
     history: tuple[tuple[int, float], ...]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "checkpoint_version": CHECKPOINT_VERSION,
-                "config_digest": self.config_digest,
-                "round": self.round,
-                "version": self.version,
-                "clock": float(self.clock).hex(),
-                "params": [float(x).hex() for x in self.params],
-                "history": [[r, float(a).hex()] for r, a in self.history],
-            },
-            indent=2,
-        )
+        doc = {k: encode(getattr(self, k)) for k, (encode, _) in _CHECKPOINT_FIELDS.items()}
+        return json.dumps({"checkpoint_version": CHECKPOINT_VERSION, **doc}, indent=2)
 
     @staticmethod
     def from_json(text: str) -> "Checkpoint":
         doc = json.loads(text)
-        if doc.get("checkpoint_version") != CHECKPOINT_VERSION:
-            raise ConfigError("unsupported checkpoint version")
-        return Checkpoint(
-            config_digest=doc["config_digest"],
-            round=int(doc["round"]),
-            version=int(doc["version"]),
-            clock=float.fromhex(doc["clock"]),
-            params=np.array([float.fromhex(x) for x in doc["params"]]),
-            history=tuple((int(r), float.fromhex(a)) for r, a in doc["history"]),
-        )
+        if not isinstance(doc, dict) or doc.get("checkpoint_version") != CHECKPOINT_VERSION:
+            raise ConfigError(f"not a checkpoint_version {CHECKPOINT_VERSION} object")
+        values = {}
+        for name, (_, decode) in _CHECKPOINT_FIELDS.items():
+            try:
+                values[name] = decode(doc[name])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"checkpoint field {name!r} is missing or malformed") from exc
+        return Checkpoint(**values)
 
 
 def checkpoint_save(result: RunResult, cfg: ExperimentConfig) -> Checkpoint:

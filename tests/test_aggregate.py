@@ -99,15 +99,102 @@ class TestFedAvg:
 
 
 class TestClientUpdate:
+    """An update is a plain record; both functions refuse a bad one."""
+
     def test_rejects_zero_samples(self):
-        with pytest.raises(ProtocolError):
-            ClientUpdate("C1", np.zeros(2), 0)
+        u = ClientUpdate("C1", np.zeros(2), 0)
+        with pytest.raises(ProtocolError, match="C1 carries no samples"):
+            fedavg_aggregate([ClientUpdate("C2", np.zeros(2), 3), u])
+        with pytest.raises(ProtocolError, match="C1 carries no samples"):
+            fedasync_update(np.zeros(2), u, 0, AsyncConfig())
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ProtocolError):
-            ClientUpdate("C1", np.array([1.0, np.nan]), 1)
-        with pytest.raises(ProtocolError):
-            ClientUpdate("C1", np.array([np.inf, 0.0]), 1)
+        nan = ClientUpdate("C1", np.array([1.0, np.nan]), 1)
+        inf = ClientUpdate("C3", np.array([np.inf, 0.0]), 1)
+        ok = ClientUpdate("C2", np.array([1.0, 1.0]), 1)
+        with pytest.raises(ProtocolError, match=r"non-finite parameters from C1, C3$"):
+            fedavg_aggregate([inf, ok, nan])
+        for u in (nan, inf):
+            with pytest.raises(ProtocolError, match=f"non-finite parameters from {u.client_id}$"):
+                fedasync_update(np.zeros(2), u, 0, AsyncConfig())
+
+
+def reference_fedavg(updates):
+    """`fedavg_aggregate`'s loop as it was with checked constructors."""
+    updates = sorted(updates, key=lambda u: u.client_id)
+    total = sum(int(u.n_samples) for u in updates)
+    out = np.zeros(updates[0].params.size, dtype=np.float64)
+    for u in updates:
+        out += (u.n_samples / total) * u.params
+    return out
+
+
+def reference_fedasync(global_params, params, staleness, cfg):
+    alpha_t = staleness_weight(cfg, staleness)
+    return (1.0 - alpha_t) * np.asarray(global_params, dtype=np.float64) + (alpha_t * params)
+
+
+def named(exc_info):
+    """The client ids a non-finite `ProtocolError` names, in order."""
+    return str(exc_info.value).removeprefix("non-finite parameters from ").split(", ")
+
+
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+poison = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def update_sets(draw):
+    """Finite updates, and the sorted ids of those given one non-finite entry."""
+    dim = draw(st.integers(1, 6))
+    n_clients = draw(st.integers(1, 6))
+    updates, bad = [], []
+    for i in draw(st.permutations(range(n_clients))):
+        params = np.array(draw(st.lists(finite, min_size=dim, max_size=dim)))
+        cid = f"C{i}"
+        if draw(st.integers(0, 3)) == 0:  # one update in four is poisoned
+            params[draw(st.integers(0, dim - 1))] = draw(poison)
+            bad.append(cid)
+        updates.append(ClientUpdate(cid, params, draw(st.integers(1, 10**6))))
+    return updates, sorted(bad)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf + -inf
+class TestResultCheck:
+    """Finiteness is checked once, on the result: finite inputs give the
+    bits of the per-update-checked functions, and a non-finite entry is
+    refused with exactly the clients that hold one."""
+
+    @given(update_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_fedavg(self, drawn):
+        updates, bad = drawn
+        if not bad:
+            assert np.array_equal(fedavg_aggregate(updates), reference_fedavg(updates))
+            return
+        with pytest.raises(ProtocolError) as exc_info:
+            fedavg_aggregate(updates)
+        assert named(exc_info) == bad
+
+    @given(
+        drawn=update_sets(),
+        staleness=st.integers(0, 50),
+        alpha=st.floats(min_value=0.01, max_value=1.0),
+        exponent=st.floats(min_value=0.0, max_value=3.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fedasync(self, drawn, staleness, alpha, exponent):
+        updates, bad = drawn
+        u = updates[0]
+        cfg = AsyncConfig(alpha=alpha, staleness_exponent=exponent)
+        w = np.linspace(-1.0, 1.0, u.params.size)
+        if u.client_id not in bad:
+            got = fedasync_update(w, u, staleness, cfg)
+            assert np.array_equal(got, reference_fedasync(w, u.params, staleness, cfg))
+            return
+        with pytest.raises(ProtocolError) as exc_info:
+            fedasync_update(w, u, staleness, cfg)
+        assert named(exc_info) == [u.client_id]
 
 
 class TestStalenessWeight:
@@ -146,31 +233,22 @@ class TestFedAsyncUpdate:
     def test_convex_mix_oracle(self):
         cfg = AsyncConfig(alpha=0.5, staleness_exponent=1.0)
         w = np.array([1.0, 1.0])
-        update = ClientUpdate("C1", np.array([3.0, -1.0]), 10, base_version=2)
-        mixed, version, alpha_t = fedasync_update(w, 5, update, cfg)
+        update = ClientUpdate("C1", np.array([3.0, -1.0]), 10)
+        mixed = fedasync_update(w, update, 3, cfg)
         # staleness 3 -> weight 0.5 / 4
-        assert alpha_t == pytest.approx(0.125)
         assert np.allclose(mixed, 0.875 * w + 0.125 * update.params)
-        assert version == 6
-
-    def test_version_always_increments(self):
-        cfg = AsyncConfig()
-        w = np.zeros(2)
-        v = 0
-        for k in range(5):
-            u = ClientUpdate("C1", np.ones(2), 1, base_version=v)
-            w, v, _ = fedasync_update(w, v, u, cfg)
-        assert v == 5
 
     def test_future_version_rejected(self):
-        u = ClientUpdate("C1", np.zeros(2), 1, base_version=3)
-        with pytest.raises(ProtocolError):
-            fedasync_update(np.zeros(2), 2, u, AsyncConfig())
+        """An update trained on a later version than the current one has
+        negative staleness."""
+        u = ClientUpdate("C1", np.zeros(2), 1)
+        with pytest.raises(ProtocolError, match="negative"):
+            fedasync_update(np.zeros(2), u, 2 - 3, AsyncConfig())
 
     def test_stale_updates_move_less(self):
         cfg = AsyncConfig(alpha=0.6, staleness_exponent=0.5)
         w = np.zeros(3)
-        target = np.ones(3)
-        fresh, _, _ = fedasync_update(w, 0, ClientUpdate("C1", target, 1, 0), cfg)
-        stale, _, _ = fedasync_update(w, 9, ClientUpdate("C1", target, 1, 0), cfg)
+        update = ClientUpdate("C1", np.ones(3), 1)
+        fresh = fedasync_update(w, update, 0, cfg)
+        stale = fedasync_update(w, update, 9, cfg)
         assert np.linalg.norm(stale - w) < np.linalg.norm(fresh - w)

@@ -154,6 +154,44 @@ class TestRunResumeReport:
         assert run_cli("report", str(log)) == EXIT_INCOMPLETE
         assert "line 1: train_window record lacks t_start_s" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("bad_line, problem", [
+        ('"abc"', "line 1: unparseable record"),
+        ('{"run_id": "x", "round": 1, "event": "train_window", "client_id": "C1", '
+         '"t_start_s": "0", "t_end_s": "5", "energy_j": 1.0, "estimated": false}',
+         "line 1: train_window record has mistyped t_start_s, t_end_s"),
+    ], ids=["string-line", "string-times"])
+    def test_report_malformed_line_exit_code(self, tmp_path, capsys, bad_line, problem):
+        log = tmp_path / "m.jsonl"
+        log.write_text(bad_line + '\n{"run_id": "x", "round": 1, "event": "eval", '
+                       '"accuracy": 0.5}\n')
+        assert run_cli("report", str(log)) == EXIT_INCOMPLETE
+        assert problem in capsys.readouterr().out
+
+
+class TestResumeRejectsMalformedCheckpoint:
+    @pytest.mark.parametrize("mangle, field", [
+        (lambda doc: {"checkpoint_version": 1}, "'config_digest'"),
+        (lambda doc: [1, 2], "checkpoint_version"),
+        (lambda doc: dict(doc, clock="0x1.zzp+3"), "'clock'"),
+    ], ids=["only-version", "list", "bad-hex-clock"])
+    @pytest.mark.parametrize("log_exists", [False, True], ids=["new-log", "existing-log"])
+    def test_exit_2_and_log_untouched(self, tmp_path, capsys, mangle, field, log_exists):
+        cfg, cp, log = tmp_path / "cfg.json", tmp_path / "cp.json", tmp_path / "m.jsonl"
+        assert run_cli("scenarios", "--emit", "kitti-sync", "--out", str(cfg)) == EXIT_OK
+        assert run_cli("run", "--config", str(cfg), "--log", str(tmp_path / "first.jsonl"),
+                       "--stop-after-round", "1", "--checkpoint", str(cp)) == EXIT_OK
+        cp.write_text(json.dumps(mangle(json.loads(cp.read_text()))))
+        if log_exists:
+            log.write_text("earlier run\n")
+        capsys.readouterr()
+        code = run_cli("resume", "--config", str(cfg), "--checkpoint", str(cp), "--log", str(log))
+        assert code == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        if log_exists:
+            assert log.read_text() == "earlier run\n"
+        else:
+            assert not log.exists()
+
 
 class TestSyncOnlyFlags:
     @pytest.mark.parametrize("flags", [

@@ -143,6 +143,47 @@ class TestWriterReader:
         assert len(problems) == 1
         assert "line 2" in problems[0]
 
+    @pytest.mark.parametrize("line", ['"abc"', "[1, 2]", "7", "null"])
+    def test_read_log_reports_line_that_is_not_an_object(self, tmp_path, line):
+        path = tmp_path / "m.jsonl"
+        path.write_text(line + "\n" + rec(accuracy=0.4).to_line() + "\n")
+        got, problems = read_log(path)
+        assert got == [rec(accuracy=0.4)]
+        assert problems == ["line 1: unparseable record (truncated log?)"]
+
+    @pytest.mark.parametrize("fields, problem", [
+        ({"t_start_s": "0", "t_end_s": "5"}, "has mistyped t_start_s, t_end_s"),
+        ({"energy_j": True}, "has mistyped energy_j"),
+        ({"client_id": 7}, "has mistyped client_id"),
+        ({"estimated": 0}, "has mistyped estimated"),
+        ({"round": True}, "has mistyped round"),
+        ({"round": 1.0}, "has mistyped round"),
+        ({"run_id": None}, "lacks run_id"),
+        ({"energy_j": None, "client_id": 7}, "lacks energy_j"),
+    ])
+    def test_read_log_reports_mistyped_field(self, tmp_path, fields, problem):
+        # No power, so that no record check reads the times or the energy.
+        doc = json.loads(rec(event="train_window", client_id="C1", t_start_s=0.0, t_end_s=2.0,
+                             energy_j=5.0, n_samples=10, loss=1.0).to_line())
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps({**doc, **fields}) + "\n" + rec(accuracy=0.4).to_line() + "\n")
+        got, problems = read_log(path)
+        assert got == [rec(accuracy=0.4)]
+        assert problems == [f"line 1: train_window record {problem}"]
+
+    def test_read_log_reports_mistyped_value_a_record_check_trips_on(self, tmp_path):
+        doc = json.loads(train_rec(1, "C1", 0.0, 2.0).to_line())
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps({**doc, "t_start_s": "0", "t_end_s": "5"}) + "\n")
+        assert read_log(path) == ([], ["line 1: unparseable record (truncated log?)"])
+
+    def test_read_log_admits_int_in_float_field_and_null_in_nullable_one(self, tmp_path):
+        records = [train_rec(1, "C1", 0, 2, power=300, mem_mib=9113),
+                   rec(event="aggregate", energy_j=None), rec(accuracy=1)]
+        path = tmp_path / "m.jsonl"
+        path.write_text("".join(r.to_line() + "\n" for r in records))
+        assert read_log(path) == (records, [])
+
 
 _TEXT = st.text(st.sampled_from(["C", "7", '"', "\\", "%", "s", "\u00e9", "\u4e2d",
                                   "\U0001f697", "\n", "\x00", "\x7f"])) | st.text(max_size=6)
