@@ -233,9 +233,9 @@ def open_log_writer(path) -> tuple[MetricsWriter, _LogFile]:
     return MetricsWriter(fh), fh
 
 
-# Per event: the run id, the round and the event's required fields, each
-# with the JSON value types it admits (a float field takes an int too, and
-# a bool is no number), and every admitted sequence of those types.
+# Per event: the run id, the round, the required fields and, for aggregates,
+# the nullable energy the report sums, each with the JSON types it admits (a
+# float field takes an int, a bool is no number), and every admitted sequence.
 _REQUIRED = {
     event: {
         "run_id": (str,), "round": (int,),
@@ -244,6 +244,7 @@ _REQUIRED = {
     }
     for event, types in SCHEMA.items()
 }
+_REQUIRED["aggregate"]["energy_j"] = (float, int, type(None))
 _REQUIRED_VALUES = {event: attrgetter(*names) for event, names in _REQUIRED.items()}
 _SIGNATURES = {event: frozenset(product(*fields.values())) for event, fields in _REQUIRED.items()}
 
@@ -260,9 +261,9 @@ def read_log(path) -> tuple[list[MetricsRecord], list[str]]:
     """Parse a JSONL log; returns (records, problems).
 
     An unparseable tail marks the log truncated rather than failing the
-    whole read.  A line that is not a JSON object, and a record whose
-    required field (`SCHEMA`) is missing or of another JSON type, are
-    reported and left out.
+    whole read.  A line that is not a JSON object, a record whose required
+    field (`SCHEMA`) is missing or of another JSON type, and an aggregate
+    whose energy is neither a number nor null are reported and left out.
     """
     records, problems = [], []
     with open(path) as fh:

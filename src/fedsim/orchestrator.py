@@ -404,16 +404,24 @@ def run(
 
 CHECKPOINT_VERSION = 1
 
-# Each checkpoint field, in file order, with its JSON encoder and decoder.
+
+def _only(kind: type, value):
+    """`value` if its JSON type is `kind`: no float or bool passes as an int."""
+    if type(value) is not kind:
+        raise TypeError(f"expected a JSON {kind.__name__}")
+    return value
+
+
+# Each checkpoint field, in file order, with its JSON encoder and strict decoder.
 _CHECKPOINT_FIELDS = {
-    "config_digest": (str, str),
-    "round": (int, int),
-    "version": (int, int),
+    "config_digest": (str, lambda d: _only(str, d)),
+    "round": (int, lambda r: _only(int, r)),
+    "version": (int, lambda v: _only(int, v)),
     "clock": (lambda c: float(c).hex(), float.fromhex),
     "params": (lambda p: [float(x).hex() for x in p],
-               lambda xs: np.array([float.fromhex(x) for x in xs])),
+               lambda xs: np.array([float.fromhex(x) for x in _only(list, xs)])),
     "history": (lambda h: [[r, float(a).hex()] for r, a in h],
-                lambda rows: tuple((int(r), float.fromhex(a)) for r, a in rows)),
+                lambda h: tuple((_only(int, r), float.fromhex(a)) for r, a in _only(list, h))),
 }
 
 

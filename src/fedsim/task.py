@@ -22,6 +22,7 @@ bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -301,6 +302,9 @@ def loss_and_gradient(
 # the per-epoch feature, label and one-hot copies to about 0.8 MiB at 16
 # features and 8 classes.
 COHORT_SAMPLES = 4096
+# From this many rows per class on, a class-axis max runs as one `np.maximum`
+# per class slice; `.max(axis=2)`, whose cost grows with the rows, is faster below.
+SLICED_MAX_ROWS_PER_CLASS = 16
 
 
 def local_train(
@@ -367,6 +371,13 @@ def train_cohort(
     return results
 
 
+def _class_max(scores: np.ndarray) -> np.ndarray:
+    """Max over the class axis of a (K, m, C) block, as a (K, m, 1) block."""
+    if scores.shape[0] * scores.shape[1] < SLICED_MAX_ROWS_PER_CLASS * scores.shape[2]:
+        return scores.max(axis=2, keepdims=True)
+    return reduce(np.maximum, scores.transpose(2, 0, 1))[..., None]
+
+
 def _sgd_chunk(
     anchor: np.ndarray,
     datasets: list[LocalDataset],
@@ -381,16 +392,19 @@ def _sgd_chunk(
     which rounds the same.  The label term is subtracted as a one-hot
     block: p - 1.0 and p - 0.0 round exactly like the in-place p -= 1.0
     on the label entry, and a sum divided by m is what a mean computes.
+    The gradient fills one (K, P) buffer laid out like the parameters, so
+    dividing by m, adding the proximal term, scaling by lr and stepping run
+    once each over weights and biases alike.  The class max (`_class_max`)
+    may visit the classes in any order: a max rounds nothing, and a tie of
+    -0.0 and +0.0 changes only the sign of a zero that `exp` maps to 1.0.
     """
     n_clients, n = len(datasets), len(datasets[0])
     n_features = datasets[0].features.shape[1]
     n_classes = anchor.size // (n_features + 1)
-    split = n_features * n_classes
-    W0, b0 = unpack_params(anchor, n_features, n_classes)
-    params = np.tile(anchor, (n_clients, 1))
-    W = params[:, :split].reshape(n_clients, n_classes, n_features)
-    b = params[:, split:]
-    W_t, b_row = W.transpose(0, 2, 1), b[:, None, :]
+    split, stacked = n_features * n_classes, (n_clients, n_classes, n_features)
+    params, grad = np.tile(anchor, (n_clients, 1)), np.empty((n_clients, anchor.size))
+    W_t, b_row = params[:, :split].reshape(stacked).transpose(0, 2, 1), params[:, None, split:]
+    grad_W, grad_b = grad[:, :split].reshape(stacked), grad[:, split:]
     mu, lr = cfg.prox_mu, cfg.learning_rate
     x_all = np.empty((n_clients, n, n_features))
     y_all = np.empty((n_clients, n), dtype=np.int64)
@@ -408,20 +422,16 @@ def _sgd_chunk(
             m = x.shape[1]
             delta = x @ W_t
             delta += b_row
-            delta -= delta.max(axis=2, keepdims=True)
+            delta -= _class_max(delta)
             np.exp(delta, out=delta)
             delta /= delta.sum(axis=2, keepdims=True)
             delta -= onehot[:, start : start + m]
-            grad_W = delta.transpose(0, 2, 1) @ x
-            grad_W /= m
-            grad_W += mu * (W - W0)
-            grad_b = delta.sum(axis=1)
-            grad_b /= m
-            grad_b += mu * (b - b0)
-            grad_W *= lr
-            W -= grad_W
-            grad_b *= lr
-            b -= grad_b
+            np.matmul(delta.transpose(0, 2, 1), x, out=grad_W)
+            np.sum(delta, axis=1, out=grad_b)
+            grad /= m
+            grad += mu * (params - anchor)
+            grad *= lr
+            params -= grad
     if not np.all(np.isfinite(params)):
         raise SimulationError("non-finite parameters after local training")
 
@@ -434,20 +444,17 @@ def _sgd_chunk(
         y_all[k] = data.labels
     probs = np.matmul(x_all, W_t, out=onehot)
     probs += b_row
-    probs -= probs.max(axis=2, keepdims=True)
+    probs -= _class_max(probs)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=2, keepdims=True)
     ce = -np.mean(np.log(probs[clients, rows, y_all]), axis=1)
-    losses = []
-    for k in range(n_clients):
-        diff = params[k] - anchor
-        losses.append(float(ce[k] + 0.5 * mu * float(diff @ diff)))
-    return params, losses
+    return params, [float(c + 0.5 * mu * float(d @ d)) for c, d in zip(ce, params - anchor)]
 
 
 def predict(w: np.ndarray, features: np.ndarray, n_classes: int) -> np.ndarray:
     W, b = unpack_params(w, features.shape[1], n_classes)
-    scores = features @ W.T + b
+    scores = features @ W.T
+    scores += b
     # np.argmax breaks ties toward the lowest class index.
     return np.argmax(scores, axis=1)
 
@@ -456,7 +463,6 @@ def evaluate(w: np.ndarray, data: LocalDataset) -> float:
     """Fraction of samples whose argmax class score matches the label."""
     if len(data) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    n_features = data.features.shape[1]
-    n_classes = np.asarray(w).size // (n_features + 1)
+    n_classes = np.asarray(w).size // (data.features.shape[1] + 1)
     pred = predict(np.asarray(w, dtype=np.float64), data.features, n_classes)
-    return float(np.mean(pred == data.labels))
+    return np.count_nonzero(pred == data.labels) / len(data)

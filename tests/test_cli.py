@@ -159,7 +159,10 @@ class TestRunResumeReport:
         ('{"run_id": "x", "round": 1, "event": "train_window", "client_id": "C1", '
          '"t_start_s": "0", "t_end_s": "5", "energy_j": 1.0, "estimated": false}',
          "line 1: train_window record has mistyped t_start_s, t_end_s"),
-    ], ids=["string-line", "string-times"])
+        ('{"run_id": "x", "round": 1, "event": "aggregate", "energy_j": "5", '
+         '"estimated": false}',
+         "line 1: aggregate record has mistyped energy_j"),
+    ], ids=["string-line", "string-times", "string-aggregate-energy"])
     def test_report_malformed_line_exit_code(self, tmp_path, capsys, bad_line, problem):
         log = tmp_path / "m.jsonl"
         log.write_text(bad_line + '\n{"run_id": "x", "round": 1, "event": "eval", '
@@ -173,7 +176,9 @@ class TestResumeRejectsMalformedCheckpoint:
         (lambda doc: {"checkpoint_version": 1}, "'config_digest'"),
         (lambda doc: [1, 2], "checkpoint_version"),
         (lambda doc: dict(doc, clock="0x1.zzp+3"), "'clock'"),
-    ], ids=["only-version", "list", "bad-hex-clock"])
+        (lambda doc: dict(doc, round=doc["round"] + 0.7), "'round'"),
+        (lambda doc: dict(doc, params="abc"), "'params'"),
+    ], ids=["only-version", "list", "bad-hex-clock", "float-round", "string-params"])
     @pytest.mark.parametrize("log_exists", [False, True], ids=["new-log", "existing-log"])
     def test_exit_2_and_log_untouched(self, tmp_path, capsys, mangle, field, log_exists):
         cfg, cp, log = tmp_path / "cfg.json", tmp_path / "cp.json", tmp_path / "m.jsonl"

@@ -30,6 +30,7 @@ from fedsim.scenarios import (
     hetero_resolution,
     kitti_sync,
     lighting_crossdomain,
+    overlap_60,
 )
 
 
@@ -63,6 +64,16 @@ def _async_oom(seed):
     return doc
 
 
+def _overlap_fedprox(seed):
+    """overlap-60 under FedProx for 3 rounds: 60 equal clients of 240
+    samples train in chunks of 17, 17, 17 and 9, so the proximal step runs
+    on stacked clients."""
+    doc = overlap_60(window=5, seed=seed)
+    doc["strategy"] = "fedprox"
+    doc["rounds"] = 3
+    return doc
+
+
 def _mixed_shape_groups(seed):
     """lighting-crossdomain widened to 24 clients in 12 dataset shape groups
     of (plan row, resolution noise factor, scenario mix); the two members
@@ -91,6 +102,7 @@ CONFIGS["hetero-resolution-oom"] = _oom_midround
 CONFIGS["bdd-async-oom"] = _async_oom
 CONFIGS["kitti-sync-fedprox"] = lambda seed: kitti_sync(seed, strategy="fedprox")
 CONFIGS["mixed-shape-groups"] = _mixed_shape_groups
+CONFIGS["overlap-60-fedprox"] = _overlap_fedprox
 
 DIGESTS = {
     "bdd-async-hetero": "1164e65bc19955c7d5db042790c916609066d25a0e41a056c62b793e778131d4",
@@ -105,6 +117,7 @@ DIGESTS = {
     "lighting-crossdomain": "dee42e5b8a886bd2af3f41b85a3b31d62f5fc1b147360556199b70eef1320521",
     "mixed-shape-groups": "55689e997df981521ee4c65c658f90303af49a3fb1bc552997302ccca261d4da",
     "overlap-60": "fe6857da1b4ef91b94c00eb1d9b74dbd618d3a2429758e49274fad402af463ca",
+    "overlap-60-fedprox": "a86ddd82112b700a3ab4c83e223d158666b578e17502c9235ea1f8d75d12a11a",
     "scale-800": "8e2414867efd665f987e0a78266ffb5875137e37b072460e70851a663fc9c0cb",
 }
 

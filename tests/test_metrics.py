@@ -177,9 +177,21 @@ class TestWriterReader:
         path.write_text(json.dumps({**doc, "t_start_s": "0", "t_end_s": "5"}) + "\n")
         assert read_log(path) == ([], ["line 1: unparseable record (truncated log?)"])
 
+    @pytest.mark.parametrize("energy", ["5", True, [5.0]])
+    def test_read_log_reports_aggregate_energy_that_is_no_number(self, tmp_path, energy):
+        # the report adds aggregate energies up, so this one nullable field
+        # is type-checked too
+        doc = json.loads(rec(event="aggregate", energy_j=5.0).to_line())
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps({**doc, "energy_j": energy}) + "\n"
+                        + rec(accuracy=0.4).to_line() + "\n")
+        assert read_log(path) == ([rec(accuracy=0.4)],
+                                  ["line 1: aggregate record has mistyped energy_j"])
+
     def test_read_log_admits_int_in_float_field_and_null_in_nullable_one(self, tmp_path):
         records = [train_rec(1, "C1", 0, 2, power=300, mem_mib=9113),
-                   rec(event="aggregate", energy_j=None), rec(accuracy=1)]
+                   rec(event="aggregate", energy_j=None), rec(event="aggregate", energy_j=3),
+                   rec(accuracy=1)]
         path = tmp_path / "m.jsonl"
         path.write_text("".join(r.to_line() + "\n" for r in records))
         assert read_log(path) == (records, [])

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -505,6 +506,25 @@ class TestCheckpoint:
         doc = cp.to_json().replace('"checkpoint_version": 1', '"checkpoint_version": 2')
         with pytest.raises(ConfigError):
             Checkpoint.from_json(doc)
+
+    @pytest.mark.parametrize("field, value", [
+        ("round", 2.7), ("round", 2.0), ("round", True), ("round", "2"),
+        ("version", 1.0), ("version", False), ("config_digest", 5),
+        ("params", "abc"), ("params", {}), ("params", [0.5, 1.0]),
+        ("history", {}), ("history", "ab"), ("history", [[1.0, "0x1.0p-1"]]),
+        ("history", [[True, "0x1.0p-1"]]), ("history", [[1, 0.5]]),
+        ("history", [[1, "0x1.0p-1", 3]]), ("history", [1]),
+    ])
+    def test_decodes_only_the_json_types_it_writes(self, field, value):
+        # a float or bool round, or params given as a string, would decode
+        # into a run that resumes from the wrong place or fails later
+        cfg = config_from_dict(small_doc())
+        cp = checkpoint_save(run_sync(cfg, stop_after_round=2), cfg)
+        doc = json.loads(cp.to_json())
+        assert doc["history"]
+        Checkpoint.from_json(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"field '{field}'"):
+            Checkpoint.from_json(json.dumps({**doc, field: value}))
 
 
 def replay(rule, cid, round_idx, seed):

@@ -433,6 +433,13 @@ class TestTrainCohort:
         budget=st.sampled_from([1, 16, 1024]),
         seed=st.integers(min_value=0, max_value=2**64 - 1),
     )
+    # eight equal clients take the sliced class max in full batches and the
+    # final loss, `.max` in the short last batch; the two-sample client
+    # takes `.max` throughout (see TestClassMax)
+    @example(shape=(3, 2), sizes=[33] * 8 + [2], batch=5, mu=0.3, epochs=2, budget=1024,
+             seed=1)
+    @example(shape=(5, 11), sizes=[33] * 8 + [2], batch=32, mu=0.3, epochs=1, budget=1024,
+             seed=2)
     @settings(max_examples=60, deadline=None)
     def test_equals_independent_reference_runs(
         self, shape, sizes, batch, mu, epochs, budget, seed
@@ -506,6 +513,10 @@ class TestCohortFinalLoss:
         budget=st.sampled_from([1, 16, 1024]),
         seed=st.integers(min_value=0, max_value=2**64 - 1),
     )
+    @example(shape=(3, 2), sizes=[150] * 6 + [2], batch=32, mu=0.3, lr=1.0, budget=1024,
+             seed=3)
+    @example(shape=(5, 11), sizes=[150] * 6 + [2], batch=32, mu=0.3, lr=1.0, budget=1024,
+             seed=4)
     @settings(max_examples=60, deadline=None)
     def test_equals_full_dataset_loss_and_gradient(
         self, shape, sizes, batch, mu, lr, budget, seed
@@ -546,6 +557,82 @@ class TestCohortFinalLoss:
         assert len(got) == 5
 
 
+def _spy_max_branches(mp):
+    """Record, per `_class_max` call, whether it took the sliced branch."""
+    taken = []
+    real_max, real_reduce = task_module._class_max, task_module.reduce
+
+    def class_max(scores):
+        taken.append(False)
+        return real_max(scores)
+
+    def sliced(*args):
+        taken[-1] = True
+        return real_reduce(*args)
+
+    mp.setattr(task_module, "_class_max", class_max)
+    mp.setattr(task_module, "reduce", sliced)
+    return taken
+
+
+def _assert_feeds_exp_alike(scores):
+    got = task_module._class_max(scores)
+    ref = scores.max(axis=2, keepdims=True)
+    assert np.array_equal(got, ref)
+    bits = [np.exp(scores - top).view(np.uint64) for top in (got, ref)]
+    assert np.array_equal(*bits)
+
+
+class TestClassMax:
+    """`_class_max` runs as one `np.maximum` per class slice over many rows
+    and as `.max(axis=2)` over few; either must feed `exp` the same bits."""
+
+    @given(
+        dims=st.tuples(
+            st.integers(min_value=1, max_value=6),
+            st.integers(min_value=1, max_value=40),
+            st.integers(min_value=1, max_value=11),
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_reduction(self, dims, seed):
+        # few distinct values make ties, signed zeros among them, common
+        values = np.array([-0.0, 0.0, -1.5, 0.25, 3.0])
+        _assert_feeds_exp_alike(np.random.default_rng(seed).choice(values, size=dims))
+
+    def test_signed_zero_tie(self):
+        # every row's maximum ties -0.0 against +0.0, in both orders, over
+        # enough rows (4 x 16 at 3 classes) for the sliced branch
+        rows = [[-0.0, 0.0, -1.0], [0.0, -0.0, -2.0], [-1.0, -0.0, 0.0], [0.0, -3.0, -0.0]]
+        scores = np.array(rows * 16).reshape(4, 16, 3)
+        with pytest.MonkeyPatch.context() as mp:
+            taken = _spy_max_branches(mp)
+            _assert_feeds_exp_alike(scores)
+        assert taken == [True]
+
+    @pytest.mark.parametrize(
+        "shape, sizes, batch",
+        [((3, 2), [33] * 8 + [2], 5), ((5, 11), [33] * 8 + [2], 32),
+         ((3, 2), [150] * 6 + [2], 32), ((5, 11), [150] * 6 + [2], 32)],
+    )
+    def test_cohort_examples_take_both_branches(self, shape, sizes, batch):
+        # the shapes of the explicit examples of TestTrainCohort and
+        # TestCohortFinalLoss
+        d, c = shape
+        task = default_task(n_classes=c, n_features=d)
+        datasets = [
+            generate_dataset(task, np.bincount(np.arange(n) % c, minlength=c), None, i, f"C{i}")
+            for i, n in enumerate(sizes)
+        ]
+        cfg = TrainConfig(local_epochs=1, batch_size=batch, prox_mu=0.3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(task_module, "COHORT_SAMPLES", 1024)
+            taken = _spy_max_branches(mp)
+            train_cohort(zero_params(d, c), datasets, list(range(len(sizes))), cfg)
+        assert set(taken) == {True, False}
+
+
 class TestEvaluate:
     def test_recount_oracle(self):
         task = default_task(n_classes=3, n_features=5)
@@ -557,7 +644,7 @@ class TestEvaluate:
         for xi, yi in zip(data.features, data.labels):
             if int(np.argmax(W @ xi + b)) == yi:
                 hits += 1
-        assert acc == pytest.approx(hits / len(data))
+        assert acc == hits / len(data)
 
     def test_argmax_tie_breaks_low(self):
         # all-zero weights score every class identically -> class 0 predicted
