@@ -31,16 +31,23 @@ class ClientUpdate(NamedTuple):
 
 @dataclass(frozen=True)
 class AsyncConfig:
-    """Mixing rate alpha in (0, 1] and staleness exponent a >= 0."""
+    """Mixing rate alpha in (0, 1], staleness exponent a >= 0, and the
+    budgets `run_async` reads (None: rounds x clients and the client count)."""
 
     alpha: float = 0.6
     staleness_exponent: float = 0.5
+    applications: int | None = None
+    eval_every: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError("async.alpha must lie in (0, 1]")
         if self.staleness_exponent < 0:
             raise ConfigError("async.staleness_exponent must be nonnegative")
+        for key in ("applications", "eval_every"):
+            value = getattr(self, key)
+            if value is not None and value < 1:
+                raise ConfigError(f"async.{key} must be >= 1, got {value!r}")
 
 
 def _finite(result: np.ndarray, updates: list[ClientUpdate]) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import closing
 from dataclasses import asdict
 
 from . import costs as costmod
@@ -67,15 +68,11 @@ def _cmd_run(args) -> int:
         raise ConfigError("run requires --config or --scenario")
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
-    if cfg.strategy == "fedasync" and (args.checkpoint or args.stop_after_round is not None):
-        raise ConfigError("--checkpoint and --stop-after-round apply to sync runs only")
-    if args.stop_after_round is not None and args.stop_after_round < 1:
-        raise ConfigError(f"--stop-after-round must be at least 1, got {args.stop_after_round}")
+    if cfg.strategy == "fedasync" and args.checkpoint:
+        raise ConfigError("--checkpoint applies to sync runs only")
     sink, fh = open_log_writer(args.log)
-    try:
+    with closing(fh):
         result = run(cfg, sink, args.stop_after_round)
-    finally:
-        fh.close()
     if args.checkpoint:
         write_checkpoint(checkpoint_save(result, cfg), args.checkpoint)
     print(f"run {result.run_id}: final accuracy {result.final_accuracy:.4f}")
@@ -88,10 +85,8 @@ def _cmd_resume(args) -> int:
         cfg = cfg.with_seed(args.seed)
     cp = read_checkpoint(args.checkpoint)
     sink, fh = open_log_writer(args.log)
-    try:
+    with closing(fh):
         result = checkpoint_resume(cp, cfg, sink)
-    finally:
-        fh.close()
     print(f"run {result.run_id}: final accuracy {result.final_accuracy:.4f}")
     return EXIT_OK
 
@@ -100,13 +95,9 @@ def _cmd_report(args) -> int:
     reports = [report_from_log(path) for path in args.logs]
     if len(reports) == 1:
         sys.stdout.write(render_report(reports[0], args.format))
-        if not reports[0].complete:
-            return EXIT_INCOMPLETE
     else:
         sys.stdout.write(render_comparison(reports, args.format))
-        if any(not r.complete for r in reports):
-            return EXIT_INCOMPLETE
-    return EXIT_OK
+    return EXIT_OK if all(r.complete for r in reports) else EXIT_INCOMPLETE
 
 
 def _cmd_costs(args) -> int:

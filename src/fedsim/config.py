@@ -150,15 +150,20 @@ class ClientSpec:
         if not cid:
             raise ConfigError("client entry missing client_id")
         context = f"client {cid}"
-        return ClientSpec(**_section(doc, {
-            "client_id": _as_is,
-            "resolution": _integer,
-            "batch": _integer,
-            "architecture": _as_is,
-            "device": lambda d: DeviceSpec(**_section(d, _DEVICE_KEYS, f"{context} device")),
-            "scenario_mix": _as_is,
-            "dropout": lambda d: DropoutRule.from_dict(d, f"{context} dropout"),
-        }, context))
+        return ClientSpec(**_section(doc, _client_keys(context), context))
+
+
+def _client_keys(context: str) -> dict:
+    """A client entry's key table; `context` names the client in errors."""
+    return {
+        "client_id": _as_is,
+        "resolution": _integer,
+        "batch": _integer,
+        "architecture": _as_is,
+        "device": lambda d: DeviceSpec(**_section(d, _DEVICE_KEYS, f"{context} device")),
+        "scenario_mix": _as_is,
+        "dropout": lambda d: DropoutRule.from_dict(d, f"{context} dropout"),
+    }
 
 
 @dataclass(frozen=True)
@@ -193,8 +198,6 @@ class ExperimentConfig:
     rounds: int = 10
     master_seed: int = 0
     async_cfg: AsyncConfig = field(default_factory=AsyncConfig)
-    async_applications: int | None = None  # default: rounds * n_clients
-    async_eval_every: int | None = None  # default: n_clients
     eval: EvalSpec = field(default_factory=EvalSpec)
     resolution_noise: dict[int, float] = field(
         default_factory=lambda: dict(DEFAULT_RESOLUTION_NOISE)
@@ -206,10 +209,8 @@ class ExperimentConfig:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
-        for key, value in (("applications", self.async_applications),
-                           ("eval_every", self.async_eval_every)):
-            if value is not None and value < 1:
-                raise ConfigError(f"async.{key} must be >= 1, got {value!r}")
+        if self.train.prox_mu and self.strategy != "fedprox":
+            raise ConfigError(f"train.prox_mu applies to fedprox only, not {self.strategy}")
         if not (math.isfinite(self.aggregate_time_s) and self.aggregate_time_s >= 0):
             raise ConfigError(
                 f"aggregate_time_s must be finite and >= 0, got {self.aggregate_time_s}"
@@ -226,32 +227,12 @@ class ExperimentConfig:
                         f"client {c.client_id} has a scenario_mix, but an overlap plan's "
                         "partitions are drawn once and shared"
                     )
-                for tag in c.scenario_mix:
-                    if tag not in self.task.scenario_shifts:
-                        raise ConfigError(
-                            f"client {c.client_id} references unknown scenario {tag!r}"
-                        )
-                total = sum(c.scenario_mix.values())
-                if abs(total - 1.0) > 1e-9:
-                    raise ConfigError(
-                        f"client {c.client_id} scenario_mix sums to {total}, expected 1"
-                    )
-        eval_mix = self.eval.scenario_mix()
-        for tag in eval_mix:
-            if tag not in self.task.scenario_shifts:
-                raise ConfigError(f"eval scenario {tag!r} is not defined")
-        if abs(sum(eval_mix.values()) - 1.0) > 1e-9:
-            raise ConfigError("eval scenario mixture must sum to 1")
+                self.task.check_mix(c.scenario_mix, f"client {c.client_id} scenario_mix")
+        self.task.check_mix(self.eval.scenario_mix(), "eval scenario")
 
     @property
     def n_clients(self) -> int:
         return len(self.clients)
-
-    def applications_budget(self) -> int:
-        return self.async_applications or self.rounds * self.n_clients
-
-    def eval_every(self) -> int:
-        return self.async_eval_every or self.n_clients
 
     def to_dict(self) -> dict:
         return {
@@ -263,11 +244,7 @@ class ExperimentConfig:
             "task": self.raw_task,
             "plan": self.raw_plan,
             "clients": [c.to_dict() for c in self.clients],
-            "async": {
-                **asdict(self.async_cfg),
-                "applications": self.async_applications,
-                "eval_every": self.async_eval_every,
-            },
+            "async": asdict(self.async_cfg),
             "eval": asdict(self.eval),
             "resolution_noise": {str(k): v for k, v in self.resolution_noise.items()},
             "aggregate_time_s": self.aggregate_time_s,
@@ -334,6 +311,8 @@ def _parse_plan(doc, n_classes: int) -> PartitionPlan | OverlapPlan:
             raise ConfigError("overlap per_partition_counts length must equal n_classes")
         return plan
     if "inline" in fields:
+        if "scenario_mix" in fields["inline"]:  # null (as `fedsim partition` writes) is left out
+            raise ConfigError("no run reads inline plan.scenario_mix; set a client's scenario_mix")
         plan = PartitionPlan.from_json_dict(fields["inline"])
     else:
         plan = builtin_plan(fields["builtin"])
@@ -374,7 +353,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         "task": _as_is,
         "plan": _as_is,
         "clients": lambda docs: tuple(ClientSpec.from_dict(c) for c in docs),
-        "async": lambda d: _section(d, _ASYNC_KEYS, "async"),
+        "async": lambda d: AsyncConfig(**_section(d, _ASYNC_KEYS, "async")),
         "eval": lambda d: EvalSpec(**_section(d, _EVAL_KEYS, "eval")),
         "resolution_noise": lambda d: {int(k): _number(v) for k, v in d.items()},
         "aggregate_time_s": _number,
@@ -393,16 +372,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if not fields.get("clients"):
         fields["clients"] = tuple(ClientSpec(client_id=cid) for cid in plan.client_ids)
 
-    async_fields = fields.pop("async", {})
-    for key in ("applications", "eval_every"):
-        if key in async_fields:
-            fields[f"async_{key}"] = async_fields.pop(key)
-
     return ExperimentConfig(
         strategy=fields.pop("strategy", None),
         task=task,
         plan=plan,
-        async_cfg=AsyncConfig(**async_fields),
+        async_cfg=fields.pop("async", AsyncConfig()),
         raw_task=fields.pop("task"),
         raw_plan=fields.pop("plan"),
         **fields,

@@ -257,6 +257,19 @@ def _misfit(event: str, values: tuple) -> str:
     return f"lacks {', '.join(lacks)}" if lacks else f"has mistyped {', '.join(k for k, _ in bad)}"
 
 
+def _unparseable(line: str) -> str:
+    """Why `from_line` refused `line`: a known event's misfit values, or no record."""
+    try:
+        doc = json.loads(line)
+        event = doc["event"]
+        values = tuple(map(doc.get, _REQUIRED[event]))
+        if tuple(map(type, values)) not in _SIGNATURES[event]:
+            return f"{event} record {_misfit(event, values)}"
+    except (AttributeError, KeyError, TypeError, ValueError):
+        pass
+    return "unparseable record (truncated log?)"
+
+
 def read_log(path) -> tuple[list[MetricsRecord], list[str]]:
     """Parse a JSONL log; returns (records, problems).
 
@@ -274,7 +287,7 @@ def read_log(path) -> tuple[list[MetricsRecord], list[str]]:
             try:
                 rec = MetricsRecord.from_line(line)
             except (json.JSONDecodeError, TypeError, ValueError):
-                problems.append(f"line {lineno}: unparseable record (truncated log?)")
+                problems.append(f"line {lineno}: {_unparseable(line)}")
                 continue
             values = _REQUIRED_VALUES[rec.event](rec)
             if tuple(map(type, values)) not in _SIGNATURES[rec.event]:

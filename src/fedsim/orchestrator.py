@@ -28,7 +28,7 @@ import heapq
 import json
 import os
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -208,10 +208,6 @@ class _Run:
         if not self.durations:
             raise SimulationError("no client fits its device memory budget; nothing can run")
         self.presence = _Presence({c.client_id: c.dropout for c in cfg.clients}, cfg.master_seed)
-        # FedProx keeps its proximal term; the other strategies train without one.
-        self.train_cfg = replace(
-            cfg.train, prox_mu=cfg.train.prox_mu if cfg.strategy == "fedprox" else 0.0
-        )
         self.history: list[tuple[int, float]] = []
 
     def keys(self, stream: int, round_key: int, cids: list[str]) -> list:
@@ -299,7 +295,7 @@ def run_sync(
         max_duration = 0.0
         fits = [c for c in participants if c in ctx.durations]
         trained = dict(zip(fits, train_cohort(
-            w, [ctx.datasets[c] for c in fits], ctx.train_seeds(rnd, fits), ctx.train_cfg
+            w, [ctx.datasets[c] for c in fits], ctx.train_seeds(rnd, fits), cfg.train
         )))
         power_keys = dict(zip(fits, ctx.keys(_POWER, rnd, fits)))
         for cid in participants:
@@ -335,12 +331,12 @@ def run_async(cfg: ExperimentConfig, sink: MetricsWriter | None = None) -> RunRe
     Each client repeatedly fetches the global model, trains for its modeled
     duration, and its completion is applied via staleness-weighted convex
     mixing.  Completions are processed in (time, client_id) order; the run
-    ends after the configured number of server applications, evaluating
-    every `eval_every` applications.
+    ends after `async.applications` server applications (default rounds x
+    clients), evaluating every `async.eval_every` (default the client count).
     """
     ctx = _Run(cfg, sink, "run_async", ("fedasync",))
-    budget = cfg.applications_budget()
-    eval_every = cfg.eval_every()
+    budget = cfg.async_cfg.applications or cfg.rounds * cfg.n_clients
+    eval_every = cfg.async_cfg.eval_every or cfg.n_clients
     for cid in ctx.entries:
         if cid not in ctx.durations:
             ctx.oom(0, cid)
@@ -368,7 +364,7 @@ def run_async(cfg: ExperimentConfig, sink: MetricsWriter | None = None) -> RunRe
             continue
         base, model = fetched[cid]
         (seed,) = ctx.train_seeds(attempt, [cid])
-        w_new, n, loss = local_train(model, ctx.datasets[cid], seed, ctx.train_cfg)
+        w_new, n, loss = local_train(model, ctx.datasets[cid], seed, cfg.train)
         (power_key,) = ctx.keys(_POWER, attempt, [cid])
         ctx.train_window(attempt, cid, clock - duration, clock, n, loss, power_key)
         staleness = version - base
@@ -394,7 +390,7 @@ def run(
     if cfg.strategy != "fedasync":
         return run_sync(cfg, sink, stop_after_round)
     if stop_after_round is not None:
-        raise ConfigError("stop_after_round applies to sync strategies only, not fedasync")
+        raise ConfigError("stop_after_round applies to sync runs only, not fedasync")
     return run_async(cfg, sink)
 
 
@@ -412,14 +408,21 @@ def _only(kind: type, value):
     return value
 
 
+def _at_least(low: float, values):
+    """`values` if each is finite and at least `low`."""
+    if not (np.isfinite(values).all() and np.all(values >= low)):
+        raise ValueError(f"expected finite values of at least {low}")
+    return values
+
+
 # Each checkpoint field, in file order, with its JSON encoder and strict decoder.
 _CHECKPOINT_FIELDS = {
     "config_digest": (str, lambda d: _only(str, d)),
-    "round": (int, lambda r: _only(int, r)),
-    "version": (int, lambda v: _only(int, v)),
-    "clock": (lambda c: float(c).hex(), float.fromhex),
+    "round": (int, lambda r: _at_least(0, _only(int, r))),
+    "version": (int, lambda v: _at_least(0, _only(int, v))),
+    "clock": (lambda c: float(c).hex(), lambda c: _at_least(0.0, float.fromhex(c))),
     "params": (lambda p: [float(x).hex() for x in p],
-               lambda xs: np.array([float.fromhex(x) for x in _only(list, xs)])),
+               lambda xs: _at_least(-np.inf, np.array(list(map(float.fromhex, _only(list, xs)))))),
     "history": (lambda h: [[r, float(a).hex()] for r, a in h],
                 lambda h: tuple((_only(int, r), float.fromhex(a)) for r, a in _only(list, h))),
 }

@@ -102,7 +102,6 @@ class PartitionPlan:
     client_ids: tuple[str, ...]
     class_names: tuple[str, ...]
     counts: tuple[tuple[int, ...], ...]  # row per client, column per class
-    scenario_mix: dict[str, dict[str, float]] | None = None
     test_client: str | None = None
     # client id -> row index; derived, so out of equality, repr and JSON.
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
@@ -153,9 +152,7 @@ class PartitionPlan:
             tuple(max(1, round(c / divisor)) if c > 0 else 0 for c in row)
             for row in self.counts
         )
-        return PartitionPlan(
-            self.client_ids, self.class_names, rows, self.scenario_mix, self.test_client
-        )
+        return PartitionPlan(self.client_ids, self.class_names, rows, test_client=self.test_client)
 
     def to_json_dict(self) -> dict:
         return {
@@ -164,7 +161,7 @@ class PartitionPlan:
             "class_names": list(self.class_names),
             "class_totals": list(self.class_totals),
             "counts": [list(r) for r in self.counts],
-            "scenario_mix": self.scenario_mix,
+            "scenario_mix": None,  # a client's mix is set in its config entry
             "test_client": self.test_client,
         }
 
@@ -175,7 +172,6 @@ class PartitionPlan:
                 client_ids=tuple(doc["client_ids"]),
                 class_names=tuple(doc["class_names"]),
                 counts=tuple(map(tuple, doc["counts"])),
-                scenario_mix=doc.get("scenario_mix"),
                 test_client=doc.get("test_client"),
             )
         except KeyError as exc:

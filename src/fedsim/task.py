@@ -96,6 +96,16 @@ class SyntheticTask:
             raise ConfigError("reference scenario shift must be zero")
         object.__setattr__(self, "scenario_shifts", shifts)
 
+    def check_mix(self, mix: dict[str, float], owner: str) -> None:
+        """Refuse a scenario mix with a tag this task lacks, or whose
+        fractions do not sum to 1; `owner` names the mix in the error."""
+        for tag in mix:
+            if tag not in self.scenario_shifts:
+                raise ConfigError(f"{owner} names unknown scenario tag {tag!r}")
+        total = sum(mix.values())
+        if abs(total - 1.0) > 1e-9:
+            raise ConfigError(f"{owner} sums to {total}, expected 1")
+
     def with_noise_scale(self, factor: float) -> "SyntheticTask":
         return SyntheticTask(
             n_classes=self.n_classes,
@@ -221,12 +231,7 @@ def generate_datasets(
         raise ValueError("need one seed per client")
     if scenario_mix is None:
         scenario_mix = {REFERENCE_SCENARIO: 1.0}
-    for tag in scenario_mix:
-        if tag not in task.scenario_shifts:
-            raise ConfigError(f"unknown scenario tag {tag!r}")
-    mix_total = sum(scenario_mix.values())
-    if abs(mix_total - 1.0) > 1e-9:
-        raise ConfigError(f"scenario_mix fractions sum to {mix_total}, expected 1")
+    task.check_mix(scenario_mix, "dataset scenario_mix")
 
     tags = sorted(scenario_mix)
     fracs = [scenario_mix[t] for t in tags]

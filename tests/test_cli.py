@@ -178,7 +178,15 @@ class TestResumeRejectsMalformedCheckpoint:
         (lambda doc: dict(doc, clock="0x1.zzp+3"), "'clock'"),
         (lambda doc: dict(doc, round=doc["round"] + 0.7), "'round'"),
         (lambda doc: dict(doc, params="abc"), "'params'"),
-    ], ids=["only-version", "list", "bad-hex-clock", "float-round", "string-params"])
+        (lambda doc: dict(doc, clock="inf"), "'clock'"),
+        (lambda doc: dict(doc, clock="nan"), "'clock'"),
+        (lambda doc: dict(doc, clock=(-1.0).hex()), "'clock'"),
+        (lambda doc: dict(doc, round=-3), "'round'"),
+        (lambda doc: dict(doc, version=-1), "'version'"),
+        (lambda doc: dict(doc, params=["nan"] + doc["params"][1:]), "'params'"),
+    ], ids=["only-version", "list", "bad-hex-clock", "float-round", "string-params",
+            "inf-clock", "nan-clock", "negative-clock", "negative-round",
+            "negative-version", "nan-param"])
     @pytest.mark.parametrize("log_exists", [False, True], ids=["new-log", "existing-log"])
     def test_exit_2_and_log_untouched(self, tmp_path, capsys, mangle, field, log_exists):
         cfg, cp, log = tmp_path / "cfg.json", tmp_path / "cp.json", tmp_path / "m.jsonl"
@@ -226,7 +234,8 @@ class TestStopRound:
         code = run_cli("run", "--scenario", "kitti-sync", "--log", str(log),
                        "--stop-after-round", stop, "--checkpoint", str(cp))
         assert code == EXIT_CONFIG
-        assert "--stop-after-round must be at least 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"stop_after_round must be at least 1, got {stop}" in err
         assert not log.exists()
         assert not cp.exists()
 
@@ -282,6 +291,10 @@ def _float_inline_count(doc):
     doc["plan"]["inline"]["counts"][0][0] = 2.9
 
 
+def _inline_plan_mix(doc):
+    doc["plan"]["inline"]["scenario_mix"] = {"C1": {"nosuch": 1.0}}
+
+
 class TestRunRejectsBadConfig:
     """Configs that would otherwise fail mid-run, or run with a field
     ignored or truncated: each is a configuration error, raised before
@@ -302,10 +315,15 @@ class TestRunRejectsBadConfig:
         (scenarios.scale_800, _float_inline_count, "inline plan.counts"),
         (scenarios.kitti_sync, _set("plan", "scale_divisor", 0), "scale divisor"),
         (scenarios.overlap_60, _set("plan", "scale_divisor", 4), "plan.scale_divisor"),
+        (scenarios.scale_800, _inline_plan_mix, "inline plan.scenario_mix"),
+        (scenarios.kitti_sync, _set("train", "prox_mu", 5.0), "train.prox_mu"),
+        (lambda: scenarios.kitti_sync(strategy="fedasync"), _set("train", "prox_mu", 0.5),
+         "train.prox_mu"),
     ], ids=["renamed-overlap-client", "zero-overlap-counts", "negative-overlap-count",
             "overlap-client-mix", "alpha", "float-batch", "bool-rounds",
             "string-absent-rounds", "string-learning-rate", "bool-prox-mu",
-            "float-inline-count", "zero-divisor", "divisor-beside-overlap"])
+            "float-inline-count", "zero-divisor", "divisor-beside-overlap",
+            "inline-plan-mix", "fedavg-prox-mu", "fedasync-prox-mu"])
     def test_exit_2_and_no_log(self, tmp_path, capsys, make_doc, mutate, expected):
         doc = make_doc()
         mutate(doc)

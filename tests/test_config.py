@@ -1,22 +1,34 @@
 """Experiment configuration: parsing, validation, canonical digests."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
 from fedsim import scenarios
+from fedsim.aggregate import AsyncConfig
 from fedsim.config import (
+    _ASYNC_KEYS,
+    _DEVICE_KEYS,
+    _EVAL_KEYS,
+    _TRAIN_KEYS,
     DEFAULT_PROX_MU,
     DEFAULT_RESOLUTION_NOISE,
+    ClientSpec,
     DropoutRule,
     EvalSpec,
+    _client_keys,
     config_from_dict,
     load_config,
     save_config,
 )
+from fedsim.costs import DeviceSpec
 from fedsim.errors import ConfigError
+from fedsim.metrics import MetricsWriter
+from fedsim.orchestrator import run_async
 from fedsim.partition import OverlapPlan, builtin_plan
+from fedsim.task import TrainConfig
 
 # Every built-in scenario, plus the strategy variants its builder offers.
 VARIANTS = {name: builder for name, (builder, _) in scenarios.SCENARIOS.items()}
@@ -41,6 +53,14 @@ CONFIG_SHA256 = {
     "kitti-sync-fedasync": "319a34d1a7ac8a7900878c479a5278cb2fe770b2639cb3bea58e68627da3a190",
     "bdd-async-hetero-fedavg": "bb305e4533ecb54a389cd9ed46ebb5eff033637b60e5be96364a1c35d2592496",
 }
+
+
+def async_counts(doc) -> dict[str, int]:
+    """The aggregate and eval records of a fedasync run of `doc`."""
+    sink = MetricsWriter(None)
+    run_async(config_from_dict(doc), sink)
+    events = [r.event for r in sink.records]
+    return {event: events.count(event) for event in ("aggregate", "eval")}
 
 
 def minimal_doc(**overrides):
@@ -82,16 +102,29 @@ class TestParsing:
     def test_null_takes_the_default(self):
         doc = minimal_doc(strategy="fedprox", resolution_noise=None)
         doc["train"]["prox_mu"] = None
-        doc["async"] = {"applications": None, "eval_every": None}
         cfg = config_from_dict(doc)
         assert cfg.train.prox_mu == DEFAULT_PROX_MU
-        assert cfg.async_applications is None and cfg.async_eval_every is None
         assert cfg.resolution_noise == DEFAULT_RESOLUTION_NOISE
+        doc = minimal_doc(strategy="fedasync")
+        doc["async"] = {"applications": None, "eval_every": None}
+        assert async_counts(doc) == {"aggregate": 3 * 4, "eval": 3}
 
     def test_explicit_mu_kept(self):
         doc = minimal_doc(strategy="fedprox")
-        doc["train"]["prox_mu"] = 1.5
-        assert config_from_dict(doc).train.prox_mu == 1.5
+        for mu in (1.5, 0.0):
+            doc["train"]["prox_mu"] = mu
+            assert config_from_dict(doc).train.prox_mu == mu
+
+    @pytest.mark.parametrize("strategy", ["fedavg", "fedasync"])
+    def test_mu_refused_unless_fedprox(self, strategy):
+        # only FedProx trains with a proximal term, so a nonzero mu would be ignored
+        doc = minimal_doc(strategy=strategy)
+        doc["train"]["prox_mu"] = 5.0
+        with pytest.raises(ConfigError,
+                           match=f"train.prox_mu applies to fedprox only, not {strategy}"):
+            config_from_dict(doc)
+        doc["train"]["prox_mu"] = 0.0
+        assert config_from_dict(doc).train.prox_mu == 0.0
 
     def test_overlap_plan(self):
         doc = minimal_doc(
@@ -116,6 +149,16 @@ class TestParsing:
         )
         cfg = config_from_dict(doc)
         assert cfg.plan.client_total("C2") == 24
+
+    def test_inline_plan_mix_only_null(self):
+        # a pasted `fedsim partition` file carries "scenario_mix": null
+        plan = builtin_plan("kitti-4").scaled(64).to_json_dict()
+        assert plan["scenario_mix"] is None
+        assert config_from_dict(minimal_doc(plan={"inline": plan})).plan.client_ids == (
+            "C1", "C2", "C3", "C4")
+        plan["scenario_mix"] = {"C1": {"reference": 1.0}}
+        with pytest.raises(ConfigError, match="set a client's scenario_mix"):
+            config_from_dict(minimal_doc(plan={"inline": plan}))
 
     def test_explicit_task_means(self):
         doc = minimal_doc(
@@ -250,6 +293,27 @@ class TestValidation:
             config_from_dict(doc)
         doc["eval"]["scenario"]["night"] = 0.5
         assert config_from_dict(doc).eval.scenario_mix() == {"day": 0.5, "night": 0.5}
+
+    def test_each_mix_check_names_its_owner(self):
+        doc = minimal_doc()
+        doc["task"]["scenario_tags"] = ["day"]
+        doc["clients"] = [
+            {"client_id": "C2", "scenario_mix": {"fog": 1.0}},
+            {"client_id": "C1"}, {"client_id": "C3"}, {"client_id": "C4"},
+        ]
+        with pytest.raises(ConfigError, match="client C2 scenario_mix names unknown "
+                                              "scenario tag 'fog'"):
+            config_from_dict(doc)
+        doc["clients"][0]["scenario_mix"] = {"day": 0.25}
+        with pytest.raises(ConfigError, match="client C2 scenario_mix sums to 0.25"):
+            config_from_dict(doc)
+        doc["clients"][0]["scenario_mix"] = None
+        doc["eval"]["scenario"] = "fog"
+        with pytest.raises(ConfigError, match="eval scenario names unknown scenario tag"):
+            config_from_dict(doc)
+        doc["eval"]["scenario"] = {"day": 0.5}
+        with pytest.raises(ConfigError, match="eval scenario sums to 0.5"):
+            config_from_dict(doc)
 
     def test_eval_per_class_positive(self):
         with pytest.raises(ConfigError):
@@ -493,18 +557,23 @@ class TestDigestAndRoundTrip:
 
 class TestBudgets:
     def test_async_defaults(self):
-        cfg = config_from_dict(minimal_doc(strategy="fedasync"))
-        assert cfg.applications_budget() == 3 * 4
-        assert cfg.eval_every() == 4
+        # rounds x clients applications, one evaluation per client count
+        assert async_counts(minimal_doc(strategy="fedasync")) == {"aggregate": 3 * 4, "eval": 3}
 
     def test_async_overrides(self):
         doc = minimal_doc(strategy="fedasync")
         doc["async"] = {"alpha": 0.5, "staleness_exponent": 1.0,
-                        "applications": 100, "eval_every": 10}
-        cfg = config_from_dict(doc)
-        assert cfg.applications_budget() == 100
-        assert cfg.eval_every() == 10
-        assert cfg.async_cfg.alpha == 0.5
+                        "applications": 10, "eval_every": 3}
+        assert config_from_dict(doc).async_cfg.alpha == 0.5
+        # evaluations after 3, 6 and 9 applications, and at the last one
+        assert async_counts(doc) == {"aggregate": 10, "eval": 4}
+
+    @pytest.mark.parametrize("key, value", [
+        ("applications", 0), ("applications", -5), ("eval_every", 0), ("eval_every", -1),
+    ])
+    def test_async_config_names_the_budget_it_refuses(self, key, value):
+        with pytest.raises(ConfigError, match=f"async.{key} must be >= 1, got {value}"):
+            AsyncConfig(**{key: value})
 
     @pytest.mark.parametrize("key, value", [
         ("applications", 0), ("applications", -5), ("applications", 2.5),
@@ -527,3 +596,18 @@ class TestBudgets:
 
     def test_eval_spec_string_mix(self):
         assert EvalSpec(scenario="reference").scenario_mix() == {"reference": 1.0}
+
+
+class TestKeyTables:
+    """Each section's key table is its dataclass's fields, so every parsed
+    key lands on the object that section builds."""
+
+    @pytest.mark.parametrize("table, cls", [
+        (_TRAIN_KEYS, TrainConfig),
+        (_ASYNC_KEYS, AsyncConfig),
+        (_EVAL_KEYS, EvalSpec),
+        (_DEVICE_KEYS, DeviceSpec),
+        (_client_keys("client C1"), ClientSpec),
+    ], ids=["train", "async", "eval", "device", "client"])
+    def test_table_is_the_dataclass(self, table, cls):
+        assert set(table) == {f.name for f in dataclasses.fields(cls)}

@@ -175,7 +175,9 @@ class TestWriterReader:
         doc = json.loads(train_rec(1, "C1", 0.0, 2.0).to_line())
         path = tmp_path / "m.jsonl"
         path.write_text(json.dumps({**doc, "t_start_s": "0", "t_end_s": "5"}) + "\n")
-        assert read_log(path) == ([], ["line 1: unparseable record (truncated log?)"])
+        assert read_log(path) == (
+            [], ["line 1: train_window record has mistyped t_start_s, t_end_s"]
+        )
 
     @pytest.mark.parametrize("energy", ["5", True, [5.0]])
     def test_read_log_reports_aggregate_energy_that_is_no_number(self, tmp_path, energy):

@@ -235,7 +235,11 @@ class TestRunAsync:
         sink = MetricsWriter(None)
         run_async(cfg, sink)
         applications = [r for r in sink.records if r.event == "aggregate"]
-        assert len(applications) == cfg.applications_budget()
+        assert len(applications) == 4 * 4  # the default: rounds x clients
+        cfg = config_from_dict(self.async_doc(**{"async": {"applications": 7}}))
+        sink = MetricsWriter(None)
+        run_async(cfg, sink)
+        assert [r.event for r in sink.records].count("aggregate") == 7
 
     def test_eval_cadence(self):
         cfg = config_from_dict(self.async_doc())
@@ -301,7 +305,7 @@ class TestRunAsync:
     def test_run_dispatcher_stops_sync_only(self):
         assert run(config_from_dict(small_doc()), stop_after_round=2).rounds_completed == 2
         sink = MetricsWriter(None)
-        with pytest.raises(ConfigError, match="sync strategies only"):
+        with pytest.raises(ConfigError, match="sync runs only"):
             run(config_from_dict(self.async_doc()), sink, stop_after_round=2)
         assert sink.records == []
 
@@ -626,7 +630,8 @@ class TestAsyncTermination:
         run_async(cfg, sink)
         trained = [r.client_id for r in sink.records if r.event == "train_window"]
         dropped = [r.client_id for r in sink.records if r.event == "dropout"]
-        assert len(trained) == cfg.applications_budget()
+        assert len(trained) == 2 * 8  # the default budget: rounds x clients
+        assert [r.event for r in sink.records].count("aggregate") == 2 * 8
         assert trained.count(gone["client_id"]) == 1
         assert dropped and set(dropped) == {gone["client_id"]}
 

@@ -144,6 +144,15 @@ class TestGenerateDataset:
         with pytest.raises(ConfigError):
             generate_dataset(task, [1] * 8, {"day": 0.6}, 0, "C1")
 
+    @pytest.mark.parametrize("mix, problem", [
+        ({"fog": 1.0}, "names unknown scenario tag 'fog'"),
+        ({"day": 0.6}, "sums to 0.6, expected 1"),
+    ])
+    def test_mix_check_names_the_dataset_mix(self, mix, problem):
+        task = default_task(scenario_tags=("day",))
+        with pytest.raises(ConfigError, match=f"dataset scenario_mix {problem}"):
+            generate_datasets(task, [1] * 8, mix, [0, 1], ["C1", "C2"])
+
     def test_row_length_checked(self):
         with pytest.raises(ConfigError):
             generate_dataset(default_task(), [1] * 7, None, 0, "C1")
