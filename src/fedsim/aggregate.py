@@ -42,7 +42,7 @@ class AsyncConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError("async.alpha must lie in (0, 1]")
-        if self.staleness_exponent < 0:
+        if not self.staleness_exponent >= 0:  # NaN fails it too
             raise ConfigError("async.staleness_exponent must be nonnegative")
         for key in ("applications", "eval_every"):
             value = getattr(self, key)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -42,9 +43,12 @@ def _integers(values) -> tuple[int, ...]:
 
 
 def _number(value) -> float:
-    """A JSON integer or float, as a float; `float()` would take true and "0.5"."""
+    """A JSON integer or float, as a finite float; `float()` would take
+    true and "0.5", and Python's JSON reader takes NaN and Infinity."""
     if type(value) not in (int, float):
         raise TypeError(f"expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN fails it, as does an int past float range
+        raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
 
 

@@ -56,9 +56,10 @@ class DeviceSpec:
     speed_factor: float = 1.0
 
     def __post_init__(self):
-        if self.mem_capacity_mib <= 0:
+        # Written so that NaN fails them too.
+        if not self.mem_capacity_mib > 0:
             raise ConfigError("memory capacity must be positive")
-        if self.speed_factor <= 0:
+        if not self.speed_factor > 0:
             raise ConfigError("speed factor must be positive")
 
 

@@ -15,11 +15,18 @@ per-client costs (looked up once, before any record), and the `oom`,
 goes to the writer as values (`MetricsWriter.write`); `eval` records stay
 `MetricsRecord`s, which a caller's sink may observe.  Both engines hand
 `aggregate` plain `ClientUpdate`s; finiteness is guaranteed by the kernel
-and by one check of each aggregate's result.  The loops stay separate: a
-sync round is a barrier whose records follow participant order, while
-async applies each update in arrival order, so one event queue for both
-would branch on the strategy at every step.  `run` picks the engine from
-the config's strategy.
+and by one check of each aggregate's result.
+
+Both engines train through `train_cohort`, whose ragged stacks take
+clients of any sizes, each from its own starting model.  A sync round is
+one cohort from the global model, a barrier whose records follow
+participant order.  An async run is two passes: `_async_schedule` yields
+its events (who completes when, on which version, or drops out) one
+evaluation window at a time without reading any model, and `run_async`
+executes each window, training every application whose base version
+exists in one cohort and applying the updates in arrival order.  `run` picks the engine
+from the config's strategy.  `local_train` and `apply_dropout` are kept
+for callers and perfbench's tracer; the engines call neither.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import json
 import os
 import zlib
 from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -210,11 +218,12 @@ class _Run:
         self.presence = _Presence({c.client_id: c.dropout for c in cfg.clients}, cfg.master_seed)
         self.history: list[tuple[int, float]] = []
 
-    def keys(self, stream: int, round_key: int, cids: list[str]) -> list:
-        """Seed sequences keyed (master, stream, round, client), one per client."""
+    def keys(self, stream: int, round_key, cids: list[str]) -> list:
+        """Seed sequences keyed (master, stream, round, client), one per
+        client; `round_key` is one round for all or a list, one per client."""
         return streams.derive(self.cfg.master_seed, stream, round_key, [_cid_key(c) for c in cids])
 
-    def train_seeds(self, round_key: int, cids: list[str]) -> list[int]:
+    def train_seeds(self, round_key, cids: list[str]) -> list[int]:
         return [int(key.generate_state(1)[0]) for key in self.keys(_TRAIN, round_key, cids)]
 
     def write(self, event: str, round_idx: int, *values) -> None:
@@ -325,14 +334,84 @@ def run_sync(
     return ctx.result(w, clock, last_round, last_round)
 
 
+class _Event(NamedTuple):
+    """One completion of the async schedule: the client's attempt, its
+    completion time, and the version it trained on, None if it dropped."""
+
+    attempt: int
+    client_id: str
+    clock: float
+    base: int | None
+
+
+def _async_schedule(
+    ctx: _Run, budget: int, eval_every: int
+) -> Iterator[tuple[list[_Event], SimulationError | None]]:
+    """The async run's events in order, computed without any model, one
+    evaluation window at a time.
+
+    Completions pop from a heap in (time, client_id) order.  A present
+    client's event is an application on the version it fetched when its
+    last application was applied; an absent one's is a dropout.  Who
+    completes when, on which version and whether present depend only on
+    the durations, the keyed presence coins and the budget.  Each window
+    ends at an application an evaluation follows, and comes with None; if
+    every client is absorbed, the last window comes with the
+    `SimulationError` to raise once its records are written.
+    """
+    fetched = dict.fromkeys(ctx.durations, 0)
+    attempts = dict.fromkeys(ctx.durations, 0)
+    heap = [(d, cid) for cid, d in ctx.durations.items()]
+    heapq.heapify(heap)
+    version, window = 0, []  # version: the number of applications scheduled
+    while version < budget:
+        clock, cid = heapq.heappop(heap)
+        heapq.heappush(heap, (clock + ctx.durations[cid], cid))
+        attempt = attempts[cid] = attempts[cid] + 1
+        if not ctx.presence.is_present(cid, attempt):
+            window.append(_Event(attempt, cid, clock, None))
+            if all(map(ctx.presence.absorbed, ctx.durations)):
+                yield window, SimulationError(
+                    f"every client is permanently absent after {version} of "
+                    f"{budget} applications; the run cannot finish"
+                )
+                return
+            continue
+        window.append(_Event(attempt, cid, clock, fetched[cid]))
+        version += 1
+        fetched[cid] = version
+        if version % eval_every == 0 or version == budget:
+            yield window, None
+            window = []
+
+
+def _train(ctx: _Run, apps: list[_Event], models: dict[int, np.ndarray]) -> list[tuple]:
+    """Train `apps` in one cohort, each from its base version's model:
+    (params, sample count, loss, power key) per application."""
+    attempts, cids = [a.attempt for a in apps], [a.client_id for a in apps]
+    trained = train_cohort(
+        np.stack([models[a.base] for a in apps]), [ctx.datasets[c] for c in cids],
+        ctx.train_seeds(attempts, cids), ctx.cfg.train,
+    )
+    return [t + (key,) for t, key in zip(trained, ctx.keys(_POWER, attempts, cids))]
+
+
 def run_async(cfg: ExperimentConfig, sink: MetricsWriter | None = None) -> RunResult:
-    """Asynchronous event loop: updates applied on arrival.
+    """Asynchronous run: updates applied on arrival.
 
     Each client repeatedly fetches the global model, trains for its modeled
     duration, and its completion is applied via staleness-weighted convex
     mixing.  Completions are processed in (time, client_id) order; the run
     ends after `async.applications` server applications (default rounds x
     clients), evaluating every `async.eval_every` (default the client count).
+
+    `_async_schedule` gives the events one evaluation window at a time.
+    At the window's first untrained application, every untrained
+    application of the window whose base version exists trains in one
+    `train_cohort` call, each from its own base model; records are then
+    written in schedule order.  A batch that fails is retrained one
+    application at a time, so a failure surfaces at the same application,
+    after the same records, as in a loop that trains each on arrival.
     """
     ctx = _Run(cfg, sink, "run_async", ("fedasync",))
     budget = cfg.async_cfg.applications or cfg.rounds * cfg.n_clients
@@ -342,40 +421,45 @@ def run_async(cfg: ExperimentConfig, sink: MetricsWriter | None = None) -> RunRe
             ctx.oom(0, cid)
 
     w = zero_params(cfg.task.n_features, cfg.task.n_classes)
-    version = 0  # the number of updates applied
+    version = evals = 0  # version: the number of updates applied
     clock = 0.0
-    fetched = dict.fromkeys(ctx.durations, (0, w))  # client -> (version, model) it trains on
-    attempts = dict.fromkeys(ctx.durations, 0)
-    heap = [(d, cid) for cid, d in ctx.durations.items()]
-    heapq.heapify(heap)
-    evals = 0
-    while version < budget:
-        clock, cid = heapq.heappop(heap)
-        duration = ctx.durations[cid]
-        heapq.heappush(heap, (clock + duration, cid))
-        attempt = attempts[cid] = attempts[cid] + 1
-        if not ctx.presence.is_present(cid, attempt):
-            ctx.dropout(attempt, cid, clock)
-            if all(map(ctx.presence.absorbed, ctx.durations)):
-                raise SimulationError(
-                    f"every client is permanently absent after {version} of "
-                    f"{budget} applications; the run cannot finish"
-                )
-            continue
-        base, model = fetched[cid]
-        (seed,) = ctx.train_seeds(attempt, [cid])
-        w_new, n, loss = local_train(model, ctx.datasets[cid], seed, cfg.train)
-        (power_key,) = ctx.keys(_POWER, attempt, [cid])
-        ctx.train_window(attempt, cid, clock - duration, clock, n, loss, power_key)
-        staleness = version - base
-        w = fedasync_update(w, ClientUpdate(cid, w_new, n), staleness, cfg.async_cfg)
-        version += 1
-        # No power, util or energy: the client and its update's staleness.
-        ctx.write("aggregate", attempt, cid, clock, clock, None, None, None, n, staleness, False)
-        if version % eval_every == 0 or version == budget:
-            evals += 1
-            ctx.evaluate(evals, w, clock)
-        fetched[cid] = (version, w)
+    models = {0: w}  # version -> global model, while some client holds it
+    held = dict.fromkeys(ctx.durations, 0)  # client -> the version it trains on
+    one_at_a_time = False
+    for window, failure in _async_schedule(ctx, budget, eval_every):
+        trained: dict[int, tuple] = {}  # window index -> what `_train` gives
+        for i, (attempt, cid, clock, base) in enumerate(window):
+            if base is None:
+                ctx.dropout(attempt, cid, clock)
+                continue
+            while i not in trained:
+                batch = [i] if one_at_a_time else [
+                    j for j in range(i, len(window))
+                    if j not in trained and window[j].base is not None
+                    and window[j].base <= version
+                ]
+                try:
+                    trained.update(zip(batch, _train(ctx, [window[j] for j in batch], models)))
+                except SimulationError:
+                    if len(batch) == 1:
+                        raise
+                    one_at_a_time = True
+            w_new, n, loss, power_key = trained.pop(i)
+            ctx.train_window(attempt, cid, clock - ctx.durations[cid], clock, n, loss, power_key)
+            staleness = version - base
+            w = fedasync_update(w, ClientUpdate(cid, w_new, n), staleness, cfg.async_cfg)
+            version += 1
+            # No power, util or energy: the client and its update's staleness.
+            ctx.write("aggregate", attempt, cid, clock, clock, None, None, None, n, staleness,
+                      False)
+            held[cid] = version
+            models[version] = w
+            if base not in held.values():
+                del models[base]
+        if failure is not None:
+            raise failure
+        evals += 1
+        ctx.evaluate(evals, w, clock)
 
     return ctx.result(w, clock, evals, version)
 
@@ -477,14 +561,21 @@ def checkpoint_resume(
 ) -> RunResult:
     """Continue a checkpointed sync run to completion.
 
-    Refuses to resume under a different configuration; the continuation is
-    bit-identical to the uninterrupted run.
+    Refuses to resume under a different configuration, past the config's
+    last round, or at a version other than the round (a sync run's version
+    counts its rounds); the continuation is bit-identical to the
+    uninterrupted run.
     """
     if cp.config_digest != cfg.digest():
         raise ConfigError(
             "checkpoint was written under a different configuration "
             f"(digest {cp.config_digest[:12]}... != {cfg.digest()[:12]}...)"
         )
+    if cp.round > cfg.rounds:
+        raise ConfigError(f"checkpoint field 'round' is {cp.round}, past the config's "
+                          f"{cfg.rounds} rounds")
+    if cp.version != cp.round:
+        raise ConfigError(f"checkpoint field 'version' is {cp.version}, not its round {cp.round}")
     return run_sync(cfg, sink, _checkpoint=cp)
 
 

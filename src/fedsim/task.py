@@ -11,9 +11,12 @@ Client datasets have one generator, `generate_datasets`, which draws a
 group of same-shaped datasets into one block with each client's noise from
 its own key; `generate_dataset` is a group of one.
 
-Local SGD has one kernel, `train_cohort`, which trains many clients from
-the same starting point with a leading client axis on every array and then
-computes each client's final full-dataset loss in one more stacked pass;
+Local SGD has one kernel, `train_cohort`, which trains many clients with a
+leading client axis on every array, from one shared starting point or one
+per client.  Clients of different sizes share a ragged stack, largest
+first and padded to the largest: each batch step runs over the clients
+that still hold a batch of its length.  The kernel then computes each
+client's final full-dataset loss, one stacked pass per distinct size;
 `local_train` is a cohort of one.  `loss_and_gradient` (one batch, or a
 whole dataset for the final loss) is the reference the kernel reproduces
 bit for bit.
@@ -22,7 +25,8 @@ bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
+from itertools import groupby
 
 import numpy as np
 
@@ -80,7 +84,7 @@ class SyntheticTask:
                 f"({self.n_classes}, {self.n_features})"
             )
         object.__setattr__(self, "class_means", means)
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:  # NaN fails it too
             raise ConfigError("noise_sigma must be nonnegative")
         shifts = {}
         for tag, vec in self.scenario_shifts.items():
@@ -180,9 +184,10 @@ class TrainConfig:
             raise ConfigError("local_epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.learning_rate < 0:
+        # Written so that NaN fails them too.
+        if not self.learning_rate >= 0:
             raise ConfigError("learning_rate must be nonnegative")
-        if self.prox_mu < 0:
+        if not self.prox_mu >= 0:
             raise ConfigError("prox_mu must be nonnegative")
 
 
@@ -332,47 +337,52 @@ def train_cohort(
     seeds: list[int],
     cfg: TrainConfig,
 ) -> list[tuple[np.ndarray, int, float]]:
-    """Minibatch SGD (optionally proximal) from w0 for several clients.
+    """Minibatch SGD (optionally proximal) for several clients at once.
 
-    Each client runs the plain procedure on its own: one shuffle
+    `w0` is one (P,) starting point that every client shares, or a (K, P)
+    array with one per client; each client starts from and is anchored at
+    its own.  Each client runs the plain procedure on its own: one shuffle
     permutation per epoch, drawn from a generator keyed (seed, epoch);
     batches are consecutive slices of the permutation; every batch steps
     w -= learning_rate * gradient, with the gradient `loss_and_gradient`
-    gives for the batch, anchored at w0.
+    gives for the batch, anchored at the client's starting point.
 
-    Clients with equal sample counts share batch boundaries, so they are
-    trained together in chunks of at most `COHORT_SAMPLES` samples, every
-    operation carrying a leading client axis; all clients' permutation keys
-    are derived before that in one `streams.derive` batch, which a small
-    chunk could not pay for.  Each element goes through the same
+    Clients of any sizes are trained together in ragged stacks
+    (`_sgd_chunk`): largest first, each chunk bounded by its padded size,
+    clients times its largest sample count, at `COHORT_SAMPLES`; every
+    operation carries a leading client axis.  All clients' permutation
+    keys are derived before that in one `streams.derive` batch, which a
+    small chunk could not pay for.  Each element goes through the same
     floating-point operations as the one-client loop, so the results are
-    bit-identical to it.  Returns (updated params, sample
-    count, final full-dataset loss) per client, in input order.  The loss
-    is computed by the kernel too, in one stacked pass per chunk, and
-    equals `loss_and_gradient` over the whole dataset, anchored at w0, bit
-    for bit.  Training that leaves any parameter non-finite raises
-    `SimulationError`, so every returned parameter vector is finite.
+    bit-identical to it.  Returns (updated params, sample count, final
+    full-dataset loss) per client, in input order.  The loss is computed
+    by the kernel too, and equals `loss_and_gradient` over the whole
+    dataset, anchored at the client's starting point, bit for bit.
+    Training that leaves any parameter non-finite raises `SimulationError`,
+    so every returned parameter vector is finite.
     """
     if len(datasets) != len(seeds):
         raise ValueError("need one seed per dataset")
-    anchor = np.asarray(w0, dtype=np.float64)
+    anchors = np.asarray(w0, dtype=np.float64)
+    if anchors.ndim == 2 and len(anchors) != len(datasets):
+        raise ValueError("need one starting point per dataset, or one for all")
+    sizes = [len(data) for data in datasets]
+    if 0 in sizes:
+        raise ValueError("cannot train on an empty dataset")
     e = cfg.local_epochs
     keys = streams.derive([s for s in seeds for _ in range(e)], list(range(e)) * len(seeds))
-    groups: dict[int, list[int]] = {}
-    for i, data in enumerate(datasets):
-        if len(data) == 0:
-            raise ValueError("cannot train on an empty dataset")
-        groups.setdefault(len(data), []).append(i)
+    order = sorted(range(len(datasets)), key=sizes.__getitem__, reverse=True)
     results: list = [None] * len(datasets)
-    for n, members in groups.items():
-        per_chunk = max(1, COHORT_SAMPLES // n)
-        for lo in range(0, len(members), per_chunk):
-            chunk = members[lo : lo + per_chunk]
-            params, losses = _sgd_chunk(
-                anchor, [datasets[i] for i in chunk], [keys[i * e : i * e + e] for i in chunk], cfg
-            )
-            for i, w, loss in zip(chunk, params, losses):
-                results[i] = (w, n, loss)
+    lo = 0
+    while lo < len(order):
+        chunk = order[lo : lo + max(1, COHORT_SAMPLES // sizes[order[lo]])]
+        lo += len(chunk)
+        params, losses = _sgd_chunk(
+            anchors if anchors.ndim == 1 else anchors[chunk],
+            [datasets[i] for i in chunk], [keys[i * e : i * e + e] for i in chunk], cfg,
+        )
+        for i, w, loss in zip(chunk, params, losses):
+            results[i] = (w, sizes[i], loss)
     return results
 
 
@@ -389,8 +399,17 @@ def _sgd_chunk(
     keys: list[list],
     cfg: TrainConfig,
 ) -> tuple[np.ndarray, list[float]]:
-    """SGD for K clients of n samples each, given each client's permutation
-    key per epoch; returns their params, (K, P), and final full-dataset losses.
+    """SGD for K clients ordered largest first, given each client's
+    permutation key per epoch and the anchor, one (P,) row shared by all or
+    a (K, P) block; returns their params, (K, P), and final full-dataset
+    losses.
+
+    The feature, label and one-hot buffers are padded to the largest n.
+    Batch step s runs over the prefix of clients that still hold a full
+    batch at s; a client's last, shorter batch runs with the clients of
+    its own size, the only ones whose tail has its length at that step.
+    So every step runs over one contiguous range of clients, and each
+    range's views are built once per chunk; a padded row is never read.
 
     Each batch step is the elementwise arithmetic of `loss_and_gradient`
     followed by w -= lr * grad, over a client axis and partly in place,
@@ -403,57 +422,86 @@ def _sgd_chunk(
     may visit the classes in any order: a max rounds nothing, and a tie of
     -0.0 and +0.0 changes only the sign of a zero that `exp` maps to 1.0.
     """
-    n_clients, n = len(datasets), len(datasets[0])
+    sizes = [len(data) for data in datasets]
+    n_clients, n_max = len(datasets), sizes[0]
     n_features = datasets[0].features.shape[1]
-    n_classes = anchor.size // (n_features + 1)
-    split, stacked = n_features * n_classes, (n_clients, n_classes, n_features)
-    params, grad = np.tile(anchor, (n_clients, 1)), np.empty((n_clients, anchor.size))
-    W_t, b_row = params[:, :split].reshape(stacked).transpose(0, 2, 1), params[:, None, split:]
-    grad_W, grad_b = grad[:, :split].reshape(stacked), grad[:, split:]
+    n_classes = anchor.shape[-1] // (n_features + 1)
+    split = n_features * n_classes
+    params = np.tile(anchor, (n_clients, 1)) if anchor.ndim == 1 else anchor.copy()
+    grad = np.empty_like(params)
+    x_all = np.empty((n_clients, n_max, n_features))
+    # Padded labels stay class 0, so the one-hot scatter stays in bounds.
+    y_all = np.zeros((n_clients, n_max), dtype=np.int64)
+    onehot = np.empty((n_clients, n_max, n_classes))
+
+    @cache
+    def views(lo: int, hi: int) -> tuple:
+        """Clients lo..hi-1's features, one-hot labels, params, weights as
+        (d, C) blocks, bias rows, gradient, its two parts, and anchor."""
+        p, g, stacked = params[lo:hi], grad[lo:hi], (hi - lo, n_classes, n_features)
+        return (
+            x_all[lo:hi], onehot[lo:hi], p, p[:, :split].reshape(stacked).transpose(0, 2, 1),
+            p[:, None, split:], g, g[:, :split].reshape(stacked), g[:, split:],
+            anchor if anchor.ndim == 1 else anchor[lo:hi],
+        )
+
+    groups, lo = [], 0  # (n, lo, hi) per distinct size, largest first
+    for n, members in groupby(sizes):
+        hi = lo + len(list(members))
+        groups.append((n, lo, hi))
+        lo = hi
+    b, steps = cfg.batch_size, []
+    for start in range(0, n_max, b):
+        full = max((hi for n, _, hi in groups if n >= start + b), default=0)
+        spans = [(start + b, 0, full)] if full else []
+        spans += [(n, lo, hi) for n, lo, hi in groups if start < n < start + b]
+        steps += [(start, stop, views(lo, hi)) for stop, lo, hi in spans]
+
     mu, lr = cfg.prox_mu, cfg.learning_rate
-    x_all = np.empty((n_clients, n, n_features))
-    y_all = np.empty((n_clients, n), dtype=np.int64)
-    onehot = np.empty((n_clients, n, n_classes))
-    clients, rows = np.arange(n_clients)[:, None], np.arange(n)
+    clients, rows = np.arange(n_clients)[:, None], np.arange(n_max)
     for epoch in range(cfg.local_epochs):
-        for k, (data, client_keys) in enumerate(zip(datasets, keys)):
+        for k, (data, n, client_keys) in enumerate(zip(datasets, sizes, keys)):
             perm = np.random.default_rng(client_keys[epoch]).permutation(n)
-            np.take(data.features, perm, axis=0, out=x_all[k])
-            np.take(data.labels, perm, out=y_all[k])
+            np.take(data.features, perm, axis=0, out=x_all[k, :n])
+            np.take(data.labels, perm, out=y_all[k, :n])
         onehot.fill(0.0)
         onehot[clients, rows, y_all] = 1.0
-        for start in range(0, n, cfg.batch_size):
-            x = x_all[:, start : start + cfg.batch_size]
-            m = x.shape[1]
+        for start, stop, (xs, hots, p, W_t, b_row, g, g_W, g_b, a) in steps:
+            x = xs[:, start:stop]
             delta = x @ W_t
             delta += b_row
             delta -= _class_max(delta)
             np.exp(delta, out=delta)
             delta /= delta.sum(axis=2, keepdims=True)
-            delta -= onehot[:, start : start + m]
-            np.matmul(delta.transpose(0, 2, 1), x, out=grad_W)
-            np.sum(delta, axis=1, out=grad_b)
-            grad /= m
-            grad += mu * (params - anchor)
-            grad *= lr
-            params -= grad
+            delta -= hots[:, start:stop]
+            np.matmul(delta.transpose(0, 2, 1), x, out=g_W)
+            delta.sum(axis=1, out=g_b)
+            g /= stop - start
+            g += mu * (p - a)
+            g *= lr
+            p -= g
     if not np.all(np.isfinite(params)):
         raise SimulationError("non-finite parameters after local training")
 
-    # Final loss: the loss half of `loss_and_gradient` over each client's
-    # whole dataset in its original order, the same operations over the
-    # client axis.  The proximal term stays one dot product per client: a
-    # reduction over the stacked differences would round differently.
-    for k, data in enumerate(datasets):
-        x_all[k] = data.features
-        y_all[k] = data.labels
-    probs = np.matmul(x_all, W_t, out=onehot)
-    probs += b_row
-    probs -= _class_max(probs)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=2, keepdims=True)
-    ce = -np.mean(np.log(probs[clients, rows, y_all]), axis=1)
-    return params, [float(c + 0.5 * mu * float(d @ d)) for c, d in zip(ce, params - anchor)]
+    # Final loss, once per distinct size: the loss half of
+    # `loss_and_gradient` over each client's whole dataset in its original
+    # order, the same operations over the client axis.  The proximal term
+    # stays one dot product per client: a reduction over the stacked
+    # differences would round differently.
+    losses: list[float] = []
+    for n, lo, hi in groups:
+        xs, hots, p, W_t, b_row, *_, a = views(lo, hi)
+        for k in range(lo, hi):
+            x_all[k, :n] = datasets[k].features
+            y_all[k, :n] = datasets[k].labels
+        probs = np.matmul(xs[:, :n], W_t, out=hots[:, :n])
+        probs += b_row
+        probs -= _class_max(probs)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=2, keepdims=True)
+        ce = -np.mean(np.log(probs[clients[: hi - lo], rows[:n], y_all[lo:hi, :n]]), axis=1)
+        losses += [float(c + 0.5 * mu * float(d @ d)) for c, d in zip(ce, p - a)]
+    return params, losses
 
 
 def predict(w: np.ndarray, features: np.ndarray, n_classes: int) -> np.ndarray:

@@ -184,9 +184,11 @@ class TestResumeRejectsMalformedCheckpoint:
         (lambda doc: dict(doc, round=-3), "'round'"),
         (lambda doc: dict(doc, version=-1), "'version'"),
         (lambda doc: dict(doc, params=["nan"] + doc["params"][1:]), "'params'"),
+        (lambda doc: dict(doc, round=99, version=99), "'round'"),
+        (lambda doc: dict(doc, version=doc["round"] + 1), "'version'"),
     ], ids=["only-version", "list", "bad-hex-clock", "float-round", "string-params",
             "inf-clock", "nan-clock", "negative-clock", "negative-round",
-            "negative-version", "nan-param"])
+            "negative-version", "nan-param", "round-past-config", "version-not-round"])
     @pytest.mark.parametrize("log_exists", [False, True], ids=["new-log", "existing-log"])
     def test_exit_2_and_log_untouched(self, tmp_path, capsys, mangle, field, log_exists):
         cfg, cp, log = tmp_path / "cfg.json", tmp_path / "cp.json", tmp_path / "m.jsonl"
@@ -331,6 +333,37 @@ class TestRunRejectsBadConfig:
         config.write_text(json.dumps(doc))
         assert run_cli("run", "--config", str(config), "--log", str(log)) == EXIT_CONFIG
         assert expected in capsys.readouterr().err
+        assert not log.exists()
+
+
+def _set_device(key, value):
+    def mutate(doc):
+        doc["clients"][0].setdefault("device", {})[key] = value
+    return mutate
+
+
+class TestRunRejectsNonFiniteNumbers:
+    """A NaN or infinite number in the config, which Python's JSON reader
+    accepts, is a configuration error, raised before the log is opened."""
+
+    @pytest.mark.parametrize("make_doc, mutate, key", [
+        (scenarios.kitti_sync, lambda x: _set_device("speed_factor", x), "speed_factor"),
+        (scenarios.kitti_sync, lambda x: _set_device("mem_capacity_mib", x), "mem_capacity_mib"),
+        (scenarios.kitti_sync, lambda x: _set("train", "learning_rate", x), "learning_rate"),
+        (lambda: scenarios.kitti_sync(strategy="fedprox"), lambda x: _set("train", "prox_mu", x),
+         "prox_mu"),
+        (scenarios.kitti_sync, lambda x: _set("task", "noise_sigma", x), "noise_sigma"),
+        (scenarios.kitti_sync, lambda x: _set("resolution_noise", "640", x), "resolution_noise"),
+    ], ids=["speed-factor", "mem-capacity", "learning-rate", "prox-mu", "noise-sigma",
+            "resolution-noise"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_exit_2_and_no_log(self, tmp_path, capsys, make_doc, mutate, key, bad):
+        doc = make_doc()
+        mutate(bad)(doc)
+        config, log = tmp_path / "cfg.json", tmp_path / "m.jsonl"
+        config.write_text(json.dumps(doc))
+        assert run_cli("run", "--config", str(config), "--log", str(log)) == EXIT_CONFIG
+        assert f"{key}: expected a finite number" in capsys.readouterr().err
         assert not log.exists()
 
 

@@ -28,7 +28,7 @@ from fedsim.errors import ConfigError
 from fedsim.metrics import MetricsWriter
 from fedsim.orchestrator import run_async
 from fedsim.partition import OverlapPlan, builtin_plan
-from fedsim.task import TrainConfig
+from fedsim.task import TrainConfig, default_task
 
 # Every built-in scenario, plus the strategy variants its builder offers.
 VARIANTS = {name: builder for name, (builder, _) in scenarios.SCENARIOS.items()}
@@ -455,6 +455,29 @@ class TestNumberKeys:
         key = "resolution_noise" if path[0] == "resolution_noise" else path[-1]
         with pytest.raises(ConfigError, match=rf"\.{key}: expected a number"):
             config_from_dict(self.doc_with(path, bad))
+
+    # Python's JSON reader takes NaN, Infinity and -Infinity.
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400],
+                             ids=["nan", "inf", "-inf", "int-past-float"])
+    def test_non_finite_rejected(self, path, bad):
+        key = "resolution_noise" if path[0] == "resolution_noise" else path[-1]
+        doc = json.loads(json.dumps(self.doc_with(path, bad)))
+        with pytest.raises(ConfigError, match=rf"\.{key}: expected a finite number"):
+            config_from_dict(doc)
+
+    # Each is checked so that NaN fails it, for a caller that builds the
+    # dataclasses without `config_from_dict`.
+    @pytest.mark.parametrize("build", [
+        lambda x: TrainConfig(learning_rate=x), lambda x: TrainConfig(prox_mu=x),
+        lambda x: AsyncConfig(staleness_exponent=x), lambda x: DeviceSpec(speed_factor=x),
+        lambda x: DeviceSpec(mem_capacity_mib=x), lambda x: default_task(noise_sigma=x),
+    ], ids=["learning_rate", "prox_mu", "staleness_exponent", "speed_factor",
+            "mem_capacity_mib", "noise_sigma"])
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf], ids=["nan", "-inf"])
+    def test_dataclass_refuses_nan(self, build, bad):
+        with pytest.raises(ConfigError):
+            build(bad)
 
     # The task section is hashed as written, so it is left out here.
     @pytest.mark.parametrize("path", [p for p in PATHS if p[0] != "task"])

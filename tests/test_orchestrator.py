@@ -30,7 +30,10 @@ from fedsim.orchestrator import (
     run_sync,
     write_checkpoint,
 )
-from fedsim.scenarios import bdd_async_hetero, kitti_sync
+from fedsim.scenarios import SCENARIOS, bdd_async_hetero, kitti_sync
+from fedsim.task import LocalDataset
+
+from reference import async_one_at_a_time
 
 
 def small_doc(**overrides):
@@ -634,6 +637,131 @@ class TestAsyncTermination:
         assert [r.event for r in sink.records].count("aggregate") == 2 * 8
         assert trained.count(gone["client_id"]) == 1
         assert dropped and set(dropped) == {gone["client_id"]}
+
+
+def _diverging(cid):
+    """Scale `cid`'s features so far that its training overflows."""
+    def mutate(doc, monkeypatch):
+        build = orchestrator._build_datasets
+
+        def scaled(cfg):
+            datasets = build(cfg)
+            data = datasets[cid]
+            datasets[cid] = LocalDataset(cid, data.features * 1e200, data.labels, data.scenarios)
+            return datasets
+
+        monkeypatch.setattr(orchestrator, "_build_datasets", scaled)
+    return mutate
+
+
+def _all_absorbed(doc, monkeypatch):
+    for client in doc["clients"]:
+        client["dropout"] = {"mode": "stochastic", "p": 0.5, "q": 0.0}
+
+
+def _stochastic_dropout(doc, monkeypatch):
+    for client in doc["clients"]:
+        client["dropout"] = {"mode": "stochastic", "p": 0.3, "q": 0.4}
+
+
+class TestBatchedExecutor:
+    """`run_async` trains applications in batches ahead of their records;
+    its records and its error equal those of a loop that trains each
+    application as it pops (`reference.async_one_at_a_time`)."""
+
+    @pytest.mark.parametrize("mutate, error", [
+        # C6's first application is the third of the first batch of four
+        (_diverging("C6"), "non-finite parameters"),
+        # C1, the slowest client, first completes in a later window
+        (_diverging("C1"), "non-finite parameters"),
+        (_all_absorbed, "every client is permanently absent"),
+        (_stochastic_dropout, None),
+    ], ids=["diverges-mid-batch", "diverges-late", "all-absorbed", "stochastic"])
+    def test_equals_one_at_a_time(self, monkeypatch, mutate, error):
+        doc = bdd_async_hetero()
+        mutate(doc, monkeypatch)
+        cfg = config_from_dict(doc)
+        outcomes = []
+        for runner in (async_one_at_a_time, run_async):
+            buf = io.StringIO()
+            with np.errstate(all="ignore"):
+                try:
+                    runner(cfg, MetricsWriter(buf))
+                    raised = None
+                except SimulationError as exc:
+                    raised = str(exc)
+            outcomes.append((buf.getvalue(), raised))
+        assert outcomes[0] == outcomes[1]
+        log, raised = outcomes[1]
+        assert log.count("\n") >= 4  # C8's and C7's records at least
+        assert (raised is None) if error is None else raised.startswith(error)
+
+    def test_failed_batch_retrained_one_at_a_time(self, monkeypatch):
+        sizes = []
+        train_cohort = orchestrator.train_cohort
+
+        def spy(w0, datasets, seeds, cfg):
+            sizes.append(len(datasets))
+            return train_cohort(w0, datasets, seeds, cfg)
+
+        monkeypatch.setattr(orchestrator, "train_cohort", spy)
+        doc = bdd_async_hetero()
+        _diverging("C6")(doc, monkeypatch)
+        with np.errstate(all="ignore"), pytest.raises(SimulationError):
+            run_async(config_from_dict(doc), MetricsWriter(None))
+        # C8, C7, C6 and C5 fetch version 0 and fail together; then C8 and
+        # C7 train alone and C6 fails alone
+        assert sizes == [4, 1, 1, 1]
+
+
+def _async_dropout_long():
+    """FedAsync over bdd-async-hetero's 8 clients for 800 applications,
+    every client under stochastic dropout (perfbench's async-dropout-long)."""
+    doc = bdd_async_hetero()
+    doc["rounds"] = 100
+    doc["train"]["local_epochs"] = 1
+    for client in doc["clients"]:
+        client["dropout"] = {"mode": "stochastic", "p": 0.1, "q": 0.5}
+    return doc
+
+
+class TestKernelCalls:
+    """`train_cohort` and `_sgd_chunk` calls per run at seed 0.  A sync
+    round is one cohort; an async run one cohort per dependency batch.  A
+    fall back to one client per call would raise these counts."""
+
+    @pytest.mark.parametrize("name, cohorts, chunks", [
+        ("kitti-sync", 10, 10),
+        ("bdd-dropout-dual", 10, 10),
+        ("bdd-async-hetero", 29, 29),
+        ("overlap-60", 10, 40),
+        ("hetero-resolution", 10, 10),
+        ("lighting-crossdomain", 10, 10),
+        ("scale-800", 3, 12),
+        # two six-client batches hold a 729-sample client, so their padded
+        # size passes COHORT_SAMPLES and each takes two chunks
+        ("async-dropout-long", 306, 308),
+    ])
+    def test_calls_at_seed_0(self, monkeypatch, name, cohorts, chunks):
+        counts = {"cohorts": 0, "chunks": 0}
+        train_cohort, sgd_chunk = orchestrator.train_cohort, fedsim.task._sgd_chunk
+
+        def count(key, fn):
+            def counted(*args):
+                counts[key] += 1
+                return fn(*args)
+            return counted
+
+        def refuse(*args):
+            raise AssertionError("local_train called")
+
+        monkeypatch.setattr(orchestrator, "train_cohort", count("cohorts", train_cohort))
+        monkeypatch.setattr(fedsim.task, "_sgd_chunk", count("chunks", sgd_chunk))
+        monkeypatch.setattr(orchestrator, "local_train", refuse)
+        monkeypatch.setattr(fedsim.task, "local_train", refuse)
+        doc = _async_dropout_long() if name == "async-dropout-long" else SCENARIOS[name][0](seed=0)
+        run(config_from_dict(doc), MetricsWriter(None))
+        assert counts == {"cohorts": cohorts, "chunks": chunks}
 
 
 class TestCheckpointWrite:

@@ -417,6 +417,25 @@ class TestLocalTrain:
         assert np.array_equal(a, b)
 
 
+def _cohort(shape, sizes, per_client, seed):
+    """Datasets of the given sizes, a seed each, and a starting point: one
+    shared (P,) vector, or a (K, P) block of distinct ones."""
+    d, c = shape
+    task = default_task(n_classes=c, n_features=d)
+    rng = np.random.default_rng(seed)
+    datasets = [
+        generate_dataset(
+            task, np.bincount(rng.integers(0, c, n), minlength=c), None,
+            int(rng.integers(2**32)), f"C{i}",
+        )
+        for i, n in enumerate(sizes)
+    ]
+    seeds = [int(x) for x in rng.integers(0, 2**63, len(sizes))]
+    w0 = 0.3 * rng.standard_normal((len(sizes), param_length(d, c)) if per_client
+                                   else param_length(d, c))
+    return datasets, seeds, w0
+
+
 def reference_sgd(w0, data, seed, cfg):
     """The documented one-client procedure, one `loss_and_gradient` per batch."""
     w = np.asarray(w0, dtype=np.float64).copy()
@@ -440,33 +459,32 @@ class TestTrainCohort:
         mu=st.sampled_from([0.0, 0.3]),
         epochs=st.integers(min_value=1, max_value=2),
         budget=st.sampled_from([1, 16, 1024]),
+        per_client=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**64 - 1),
     )
     # eight equal clients take the sliced class max in full batches and the
     # final loss, `.max` in the short last batch; the two-sample client
     # takes `.max` throughout (see TestClassMax)
     @example(shape=(3, 2), sizes=[33] * 8 + [2], batch=5, mu=0.3, epochs=2, budget=1024,
-             seed=1)
+             per_client=False, seed=1)
     @example(shape=(5, 11), sizes=[33] * 8 + [2], batch=32, mu=0.3, epochs=1, budget=1024,
-             seed=2)
+             per_client=False, seed=2)
+    # one ragged chunk: sizes that are multiples of the batch (64, 32, 10,
+    # 5), one short of one (31, 9), below it (7, 3) and of one sample, in
+    # an order the kernel sorts, several to a size, each client from its
+    # own starting point
+    @example(shape=(3, 2), sizes=[7, 64, 1, 33, 31, 32, 7, 64, 1], batch=32, mu=0.3, epochs=2,
+             budget=1024, per_client=True, seed=5)
+    @example(shape=(5, 11), sizes=[3, 10, 1, 7, 9, 5, 12, 10, 3], batch=5, mu=0.3, epochs=2,
+             budget=1024, per_client=True, seed=6)
     @settings(max_examples=60, deadline=None)
     def test_equals_independent_reference_runs(
-        self, shape, sizes, batch, mu, epochs, budget, seed
+        self, shape, sizes, batch, mu, epochs, budget, per_client, seed
     ):
-        # mixed sizes give several groups; small budgets cut a group into
+        # mixed sizes stack raggedly; small budgets cut a cohort into
         # several chunks; n = 1, batch 1 and partial last batches all occur
         d, c = shape
-        task = default_task(n_classes=c, n_features=d)
-        rng = np.random.default_rng(seed)
-        datasets = [
-            generate_dataset(
-                task, np.bincount(rng.integers(0, c, n), minlength=c), None,
-                int(rng.integers(2**32)), f"C{i}",
-            )
-            for i, n in enumerate(sizes)
-        ]
-        seeds = [int(x) for x in rng.integers(0, 2**63, len(sizes))]
-        w0 = 0.3 * rng.standard_normal(param_length(d, c))
+        datasets, seeds, w0 = _cohort(shape, sizes, per_client, seed)
         cfg = TrainConfig(
             local_epochs=epochs, batch_size=batch, learning_rate=0.1, prox_mu=mu
         )
@@ -474,11 +492,27 @@ class TestTrainCohort:
             mp.setattr(task_module, "COHORT_SAMPLES", budget)
             got = train_cohort(w0, datasets, seeds, cfg)
         assert len(got) == len(datasets)
-        for data, s, (w, n, loss) in zip(datasets, seeds, got):
-            ref_w, ref_n, ref_loss = reference_sgd(w0, data, s, cfg)
+        for i, (data, s, (w, n, loss)) in enumerate(zip(datasets, seeds, got)):
+            ref_w, ref_n, ref_loss = reference_sgd(w0[i] if per_client else w0, data, s, cfg)
             assert np.array_equal(w, ref_w)
             assert n == ref_n
             assert loss == ref_loss
+
+    def test_one_anchor_per_client_required(self):
+        task = default_task()
+        datasets = [generate_dataset(task, [2] * 8, None, i, f"C{i}") for i in range(3)]
+        with pytest.raises(ValueError):
+            train_cohort(np.zeros((2, param_length(16, 8))), datasets, [0, 1, 2], TrainConfig())
+
+    def test_shared_anchor_equals_per_client_copies(self):
+        task = default_task()
+        datasets = [generate_dataset(task, [n] * 8, None, n, f"C{n}") for n in (1, 9, 4, 9)]
+        w0 = np.linspace(-1.0, 1.0, param_length(16, 8))
+        cfg = TrainConfig(local_epochs=2, prox_mu=0.5)
+        shared = train_cohort(w0, datasets, [0, 1, 2, 3], cfg)
+        copies = train_cohort(np.tile(w0, (4, 1)), datasets, [0, 1, 2, 3], cfg)
+        for (a, n, loss), (b, m, ref_loss) in zip(shared, copies):
+            assert np.array_equal(a, b) and n == m and loss == ref_loss
 
     def test_chunks_larger_than_one_client(self):
         # 60 equal clients of 240 samples at the default budget: several
@@ -520,36 +554,31 @@ class TestCohortFinalLoss:
         mu=st.sampled_from([0.0, 0.3]),
         lr=st.sampled_from([0.1, 1.0]),
         budget=st.sampled_from([1, 16, 1024]),
+        per_client=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**64 - 1),
     )
     @example(shape=(3, 2), sizes=[150] * 6 + [2], batch=32, mu=0.3, lr=1.0, budget=1024,
-             seed=3)
+             per_client=False, seed=3)
     @example(shape=(5, 11), sizes=[150] * 6 + [2], batch=32, mu=0.3, lr=1.0, budget=1024,
-             seed=4)
+             per_client=False, seed=4)
+    # one ragged chunk, as in TestTrainCohort's examples
+    @example(shape=(3, 2), sizes=[7, 64, 1, 150, 31, 32, 7, 64, 1], batch=32, mu=0.3, lr=1.0,
+             budget=1024, per_client=True, seed=7)
+    @example(shape=(5, 11), sizes=[3, 10, 1, 7, 9, 5, 12, 10, 3], batch=5, mu=0.3, lr=1.0,
+             budget=1024, per_client=True, seed=8)
     @settings(max_examples=60, deadline=None)
     def test_equals_full_dataset_loss_and_gradient(
-        self, shape, sizes, batch, mu, lr, budget, seed
+        self, shape, sizes, batch, mu, lr, budget, per_client, seed
     ):
         # n = 150 sums past numpy's 128-element pairwise block; lr = 1.0
         # moves w far enough from w0 that the proximal term's rounding shows
-        d, c = shape
-        task = default_task(n_classes=c, n_features=d)
-        rng = np.random.default_rng(seed)
-        datasets = [
-            generate_dataset(
-                task, np.bincount(rng.integers(0, c, n), minlength=c), None,
-                int(rng.integers(2**32)), f"C{i}",
-            )
-            for i, n in enumerate(sizes)
-        ]
-        seeds = [int(x) for x in rng.integers(0, 2**63, len(sizes))]
-        w0 = 0.3 * rng.standard_normal(param_length(d, c))
+        datasets, seeds, w0 = _cohort(shape, sizes, per_client, seed)
         cfg = TrainConfig(local_epochs=1, batch_size=batch, learning_rate=lr, prox_mu=mu)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(task_module, "COHORT_SAMPLES", budget)
             got = train_cohort(w0, datasets, seeds, cfg)
-        for data, (w, n, loss) in zip(datasets, got):
-            ref, _ = loss_and_gradient(w, data, np.arange(n), w0, mu)
+        for i, (data, (w, n, loss)) in enumerate(zip(datasets, got)):
+            ref, _ = loss_and_gradient(w, data, np.arange(n), w0[i] if per_client else w0, mu)
             assert type(loss) is float
             assert loss == ref
 
