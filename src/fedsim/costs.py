@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from importlib import resources
+from itertools import chain
 
 import numpy as np
 
+from . import streams
 from .errors import ConfigError
 
 ARCHITECTURES = ("v5", "v8", "v11")
@@ -84,7 +87,8 @@ _CACHED: Calibration | None = None
 
 
 def load_calibration(path: str | None = None) -> Calibration:
-    """Load the shipped calibration tables, or an override file."""
+    """Load the shipped calibration tables, or an override file; a file
+    that is not JSON or lacks or mistypes a field is a `ConfigError`."""
     global _CACHED
     if path is None and _CACHED is not None:
         return _CACHED
@@ -95,11 +99,23 @@ def load_calibration(path: str | None = None) -> Calibration:
     else:
         with open(path) as fh:
             text = fh.read()
-    doc = json.loads(text)
-    cal = _build_calibration(doc)
+    try:
+        cal = _build_calibration(json.loads(text))
+    except (ConfigError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        problem = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ConfigError(f"calibration file {path or 'cost_calibration.json'} is malformed: "
+                          f"{problem}") from None
     if path is None:
         _CACHED = cal
     return cal
+
+
+def _range(value) -> tuple:
+    """A JSON [low, high] pair of finite numbers, as read."""
+    if not (type(value) is list and len(value) == 2
+            and all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in value)):
+        raise TypeError(f"expected a [low, high] pair of finite numbers, got {value!r}")
+    return tuple(value)
 
 
 def _build_calibration(doc: dict) -> Calibration:
@@ -111,8 +127,8 @@ def _build_calibration(doc: dict) -> Calibration:
         if "train_time_s" in spec
     }
     for arch, arch_doc in archs.items():
-        power = tuple(arch_doc["power_w_range"])
-        util = tuple(arch_doc["util_pct_range"])
+        power = _range(arch_doc["power_w_range"])
+        util = _range(arch_doc["util_pct_range"])
         entries = {}
         # Architectures without a full time series get v8's shape scaled by
         # the measured 640x32 ratio; those times are flagged estimated.
@@ -140,7 +156,7 @@ def _build_calibration(doc: dict) -> Calibration:
         profiles=profiles,
         fedprox_time_factor=float(doc["fedprox_time_factor"]),
         idle_power_w=float(doc["idle_power_w"]),
-        idle_util_pct_range=tuple(doc["idle_util_pct_range"]),
+        idle_util_pct_range=_range(doc["idle_util_pct_range"]),
     )
 
 
@@ -230,13 +246,17 @@ def check_memory(entry: CostEntry, device: DeviceSpec) -> bool:
     return entry.peak_mem_mib <= device.mem_capacity_mib
 
 
-def sample_power_and_util(entry: CostEntry, seed) -> tuple[float, float]:
-    """Seeded draw of (watts, utilization %) for a training window, uniform
-    within the entry's measured ranges."""
-    rng = np.random.default_rng(seed)
-    power = float(rng.uniform(*entry.power_w_range))
-    util = float(rng.uniform(*entry.util_pct_range))
-    return power, util
+def sample_power_and_util(entries: list[CostEntry], head, *parts) -> list[tuple[float, float]]:
+    """Seeded draws of (watts, utilization %) for training windows, one per
+    entry, uniform within its measured ranges.  Window i draws from key i of
+    `streams.derive(head, *parts)`, as `rng.uniform` twice on
+    `default_rng(key)` would: power from the first double, utilization from
+    the second."""
+    u = streams.uniforms(2, head, *parts)
+    ranges = np.fromiter(chain.from_iterable(e.power_w_range + e.util_pct_range for e in entries),
+                         float, 4 * len(entries)).reshape(-1, 4)
+    low = ranges[:, ::2]
+    return list(zip(*(low + (ranges[:, 1::2] - low) * u).T.tolist()))
 
 
 def sample_idle_power_and_util(
@@ -253,7 +273,12 @@ def sample_idle_power_and_util(
 def validate_calibration(cal: Calibration) -> list[str]:
     """Check the measured monotonicity properties; return violations."""
     problems = []
+    needed = {(r, 32) for r in RESOLUTIONS} | {(960, b) for b in BATCHES}
     for arch, profile in cal.profiles.items():
+        missing = sorted(needed - profile.entries.keys())
+        if missing:
+            problems.append(f"{arch}: no entry for {', '.join(f'{r}x{b}' for r, b in missing)}")
+            continue
         mem32 = [profile.entries[(r, 32)].peak_mem_mib for r in RESOLUTIONS]
         if not (mem32[0] < mem32[1] < mem32[2]):
             problems.append(f"{arch}: memory not increasing with resolution at batch 32")

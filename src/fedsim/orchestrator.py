@@ -5,8 +5,12 @@ participant per round; asynchronous runs process client completion events
 in (time, client_id) order and apply each update on arrival.  All
 randomness is keyed from (master_seed, stream, round, client), so any
 round can be recomputed in isolation and checkpoint/resume is exact.
-`streams.derive` makes the keys' seed sequences, bit-identical to numpy's;
-a sync round derives each stream's keys for all its clients in one batch.
+`streams` makes the keys, bit-identical to numpy's SeedSequence: a sync
+round derives each stream's keys for all its clients in one batch, takes
+the training seeds as the batch's first state word column and draws every
+training window's power and utilization in one `costs.sample_power_and_util`
+call, which runs PCG64 over the power batch; an async run does the same
+once per trained batch.
 
 Both engines first build one `_Run`: the run's datasets (one draw per
 group of same-shaped client datasets), evaluation set, presence chains and
@@ -218,13 +222,17 @@ class _Run:
         self.presence = _Presence({c.client_id: c.dropout for c in cfg.clients}, cfg.master_seed)
         self.history: list[tuple[int, float]] = []
 
-    def keys(self, stream: int, round_key, cids: list[str]) -> list:
-        """Seed sequences keyed (master, stream, round, client), one per
-        client; `round_key` is one round for all or a list, one per client."""
-        return streams.derive(self.cfg.master_seed, stream, round_key, [_cid_key(c) for c in cids])
-
     def train_seeds(self, round_key, cids: list[str]) -> list[int]:
-        return [int(key.generate_state(1)[0]) for key in self.keys(_TRAIN, round_key, cids)]
+        """Training seeds keyed (master, stream, round, client), one per
+        client; `round_key` is one round for all or a list, one per client."""
+        return streams.first_words(self.cfg.master_seed, _TRAIN, round_key,
+                                   [_cid_key(c) for c in cids])
+
+    def power_draws(self, round_key, cids: list[str]) -> list[tuple[float, float]]:
+        """(watts, utilization %) of each client's training window, keyed as
+        `train_seeds` and drawn in one call."""
+        return costs.sample_power_and_util([self.entries[c] for c in cids], self.cfg.master_seed,
+                                           _POWER, round_key, [_cid_key(c) for c in cids])
 
     def write(self, event: str, round_idx: int, *values) -> None:
         """One record of `event`, its `SCHEMA` fields given in key order."""
@@ -238,10 +246,9 @@ class _Run:
         self.write("oom", round_idx, cid, entry.peak_mem_mib, entry.estimated)
 
     def train_window(self, round_idx: int, cid: str, t_start: float, t_end: float,
-                     n: int, loss: float, power_key) -> None:
+                     n: int, loss: float, power: float, util: float) -> None:
         """Both ends are given: async's (t - d) + d need not round back to t."""
         entry = self.entries[cid]
-        power, util = costs.sample_power_and_util(entry, power_key)
         self.write("train_window", round_idx, cid, t_start, t_end, entry.peak_mem_mib,
                    power, util, power * self.durations[cid], n, loss, entry.estimated)
 
@@ -306,14 +313,14 @@ def run_sync(
         trained = dict(zip(fits, train_cohort(
             w, [ctx.datasets[c] for c in fits], ctx.train_seeds(rnd, fits), cfg.train
         )))
-        power_keys = dict(zip(fits, ctx.keys(_POWER, rnd, fits)))
+        drawn = dict(zip(fits, ctx.power_draws(rnd, fits)))
         for cid in participants:
             if cid not in trained:
                 ctx.oom(rnd, cid)
                 continue
             w_new, n, loss = trained.pop(cid)
             duration = ctx.durations[cid]
-            ctx.train_window(rnd, cid, clock, clock + duration, n, loss, power_keys.pop(cid))
+            ctx.train_window(rnd, cid, clock, clock + duration, n, loss, *drawn[cid])
             max_duration = max(max_duration, duration)
             updates.append(ClientUpdate(cid, w_new, n))
         clock += max_duration
@@ -387,13 +394,13 @@ def _async_schedule(
 
 def _train(ctx: _Run, apps: list[_Event], models: dict[int, np.ndarray]) -> list[tuple]:
     """Train `apps` in one cohort, each from its base version's model:
-    (params, sample count, loss, power key) per application."""
+    (params, sample count, loss, power, utilization) per application."""
     attempts, cids = [a.attempt for a in apps], [a.client_id for a in apps]
     trained = train_cohort(
         np.stack([models[a.base] for a in apps]), [ctx.datasets[c] for c in cids],
         ctx.train_seeds(attempts, cids), ctx.cfg.train,
     )
-    return [t + (key,) for t, key in zip(trained, ctx.keys(_POWER, attempts, cids))]
+    return [t + drawn for t, drawn in zip(trained, ctx.power_draws(attempts, cids))]
 
 
 def run_async(cfg: ExperimentConfig, sink: MetricsWriter | None = None) -> RunResult:
@@ -444,8 +451,8 @@ def run_async(cfg: ExperimentConfig, sink: MetricsWriter | None = None) -> RunRe
                     if len(batch) == 1:
                         raise
                     one_at_a_time = True
-            w_new, n, loss, power_key = trained.pop(i)
-            ctx.train_window(attempt, cid, clock - ctx.durations[cid], clock, n, loss, power_key)
+            w_new, n, loss, power, util = trained.pop(i)
+            ctx.train_window(attempt, cid, clock - ctx.durations[cid], clock, n, loss, power, util)
             staleness = version - base
             w = fedasync_update(w, ClientUpdate(cid, w_new, n), staleness, cfg.async_cfg)
             version += 1
@@ -533,7 +540,10 @@ class Checkpoint:
 
     @staticmethod
     def from_json(text: str) -> "Checkpoint":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"checkpoint is not valid JSON: {exc}") from None
         if not isinstance(doc, dict) or doc.get("checkpoint_version") != CHECKPOINT_VERSION:
             raise ConfigError(f"not a checkpoint_version {CHECKPOINT_VERSION} object")
         values = {}

@@ -1,10 +1,15 @@
-"""Seed sequences for many random keys at once, bit-identical to numpy's.
+"""Seed sequences and uniform draws for many random keys at once,
+bit-identical to numpy's.
 
-Every draw of a run comes from numpy's `default_rng(SeedSequence(key))`.
-`derive` mixes K keys' entropy and generates their state in one pass over a
-(K, L) uint32 matrix, each key wrapped in an `ISeedSequence` that
-`default_rng` and `PCG64` take as they take numpy's.  The pass costs about
-0.2 ms and numpy about 12 µs a key, so below `BATCH_MIN` keys it is numpy's.
+Every draw of a run is numpy's `default_rng(SeedSequence(key))`, or equal
+to it bit for bit.  `derive` mixes K keys' entropy and generates their state
+in one pass over a (K, L) uint32 matrix, each key wrapped in an
+`ISeedSequence` that `default_rng` and `PCG64` take as they take numpy's.
+`first_words` reads each key's first state word from the same pass, and
+`uniforms` runs PCG64 itself over the pass's uint64 state words, so a batch
+of K keys draws its doubles with no Generator at all.  A pass costs about
+0.2 ms and numpy about 12 µs a key, so below `BATCH_MIN` keys all three are
+numpy's own.
 """
 
 from itertools import repeat
@@ -70,12 +75,10 @@ def _entropy(head, parts) -> np.ndarray:
     return np.array(words + [int(p) & _PART_MASK for p in parts], dtype=np.uint32)
 
 
-def derive(head, *parts) -> list:
-    """Seed sequences for K keys (head, *parts).  Each argument is an int
-    shared by every key or a length-K sequence (K is 1 with none).  Key k is
-    `SeedSequence([h, *p])`, h the head masked to 63 bits (two entropy words
-    from 2**32 on), each part masked to 32 bits; numpy's own objects below
-    `BATCH_MIN` keys or when the heads differ in word count."""
+def _keys(head, parts) -> tuple | list:
+    """The K keys (head, *parts) as one state block (entropy, uint32 state
+    words, the uint64 words PCG64 reads), or as numpy's own SeedSequences
+    below `BATCH_MIN` keys or when the heads differ in word count."""
     columns = (head, *parts)
     scalar = [isinstance(c, (int, np.integer)) for c in columns]
     k = max((len(c) for c, s in zip(columns, scalar) if not s), default=1)
@@ -91,7 +94,71 @@ def derive(head, *parts) -> list:
             entropy = np.stack(head_words + cols[1:], axis=1).astype(np.uint32)
             words = state_words(entropy)
             # numpy's uint64 layout: little-endian word pairs, native values.
-            batch = (entropy, words, words.astype("<u4", order="C").view("<u8").astype(np.uint64))
-            return [_Derived(batch, i) for i in range(k)]
+            return entropy, words, words.astype("<u4", order="C").view("<u8").astype(np.uint64)
     rows = zip(*(repeat(c, k) if s else c for c, s in zip(columns, scalar)))
     return [np.random.SeedSequence(_entropy(h, ps)) for h, *ps in rows]
+
+
+def derive(head, *parts) -> list:
+    """Seed sequences for K keys (head, *parts).  Each argument is an int
+    shared by every key or a length-K sequence (K is 1 with none).  Key k is
+    `SeedSequence([h, *p])`, h the head masked to 63 bits (two entropy words
+    from 2**32 on), each part masked to 32 bits; numpy's own objects below
+    `BATCH_MIN` keys or when the heads differ in word count."""
+    keys = _keys(head, parts)
+    if isinstance(keys, list):
+        return keys
+    return [_Derived(keys, i) for i in range(len(keys[0]))]
+
+
+def first_words(head, *parts) -> list[int]:
+    """`int(key.generate_state(1)[0])` for each key `derive(head, *parts)`
+    makes: a batch's first state word column."""
+    keys = _keys(head, parts)
+    if isinstance(keys, list):
+        return [int(key.generate_state(1)[0]) for key in keys]
+    return keys[1][:, 0].tolist()
+
+
+# PCG64's 128-bit multiplier (numpy/random/src/pcg64/pcg64.h), its low word
+# also as 32-bit limbs for the high half of a 64 x 64-bit product.
+_MULT_HI, _MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_LIMB, _32 = np.uint64(_PART_MASK), np.uint64(32)
+_MULT_LO_0, _MULT_LO_1 = _MULT_LO & _LIMB, _MULT_LO >> _32
+
+
+def _add128(hi, lo, add_hi, add_lo) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) + (add_hi, add_lo) mod 2**128, word arrays."""
+    low = lo + add_lo
+    return hi + add_hi + (low < lo), low
+
+
+def _step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
+    """One PCG64 step: state * multiplier + inc mod 2**128."""
+    a0, a1 = lo & _LIMB, lo >> _32
+    p00, p01, p10 = a0 * _MULT_LO_0, a0 * _MULT_LO_1, a1 * _MULT_LO_0
+    carry = ((p00 >> _32) + (p01 & _LIMB) + (p10 & _LIMB)) >> _32
+    lo_hi = a1 * _MULT_LO_1 + (p01 >> _32) + (p10 >> _32) + carry  # high word of lo * MULT_LO
+    return _add128(lo_hi + hi * _MULT_LO + lo * _MULT_HI, lo * _MULT_LO, inc_hi, inc_lo)
+
+
+def uniforms(n: int, head, *parts) -> np.ndarray:
+    """`default_rng(key).random(n)` for each key `derive(head, *parts)`
+    makes, as a (K, n) array.  A batch runs PCG64 over all its keys at once:
+    seeded as `pcg64_set_seed` does from the uint64 words (state = (w0, w1),
+    inc = (w2, w3), then `srandom`), each output a step and then XSL-RR, each
+    double the output's top 53 bits; numpy's own draws below `BATCH_MIN`."""
+    keys = _keys(head, parts)
+    if isinstance(keys, list):
+        return np.array([np.random.default_rng(key).random(n) for key in keys]).reshape(-1, n)
+    w, one = keys[2], np.uint64(1)
+    inc_hi, inc_lo = (w[:, 2] << one) | (w[:, 3] >> np.uint64(63)), (w[:, 3] << one) | one
+    # srandom: a step from state 0 leaves inc; add the seed's state; step.
+    hi, lo = _step(*_add128(inc_hi, inc_lo, w[:, 0], w[:, 1]), inc_hi, inc_lo)
+    out = np.empty((len(w), n))
+    for j in range(n):
+        hi, lo = _step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> np.uint64(58)  # XSL-RR: xor the words, rotate by the top 6 bits
+        x = (x >> rot) | (x << (-rot & np.uint64(63)))
+        out[:, j] = (x >> np.uint64(11)) * 2.0**-53
+    return out

@@ -62,8 +62,12 @@ def async_one_at_a_time(cfg, sink) -> None:
         base, model = fetched[cid]
         (seed,) = ctx.train_seeds(attempt, [cid])
         w_new, n, loss = local_train(model, ctx.datasets[cid], seed, cfg.train)
-        (power_key,) = ctx.keys(orchestrator._POWER, attempt, [cid])
-        ctx.train_window(attempt, cid, clock - duration, clock, n, loss, power_key)
+        rng = np.random.default_rng(np.random.SeedSequence(
+            [cfg.master_seed, orchestrator._POWER, attempt, orchestrator._cid_key(cid)]))
+        entry = ctx.entries[cid]
+        power = float(rng.uniform(*entry.power_w_range))
+        util = float(rng.uniform(*entry.util_pct_range))
+        ctx.train_window(attempt, cid, clock - duration, clock, n, loss, power, util)
         staleness = version - base
         w = fedasync_update(w, ClientUpdate(cid, w_new, n), staleness, cfg.async_cfg)
         version += 1

@@ -2,6 +2,7 @@
 
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from fedsim import scenarios
 from fedsim.cli import EXIT_CONFIG, EXIT_INCOMPLETE, EXIT_OK, EXIT_RUNTIME, main
 from fedsim.costs import load_calibration, lookup
 from fedsim.metrics import MetricsRecord
+
+
+CALIBRATION_JSON = resources.files("fedsim.data").joinpath("cost_calibration.json").read_text()
 
 
 def run_cli(*argv):
@@ -191,17 +195,32 @@ class TestResumeRejectsMalformedCheckpoint:
             "negative-version", "nan-param", "round-past-config", "version-not-round"])
     @pytest.mark.parametrize("log_exists", [False, True], ids=["new-log", "existing-log"])
     def test_exit_2_and_log_untouched(self, tmp_path, capsys, mangle, field, log_exists):
+        self.check(tmp_path, capsys, lambda text: json.dumps(mangle(json.loads(text))), field,
+                   log_exists)
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda text: "not json",
+        lambda text: text[:len(text) // 2],
+    ], ids=["not-json", "cut-in-half"])
+    @pytest.mark.parametrize("log_exists", [False, True], ids=["new-log", "existing-log"])
+    def test_raw_text_exit_2_and_log_untouched(self, tmp_path, capsys, rewrite, log_exists):
+        self.check(tmp_path, capsys, rewrite, "checkpoint is not valid JSON", log_exists)
+
+    @staticmethod
+    def check(tmp_path, capsys, rewrite, message, log_exists):
+        """Resume from a sync checkpoint whose text `rewrite` changed: exit 2
+        with `message` on stderr, and no byte of the log written."""
         cfg, cp, log = tmp_path / "cfg.json", tmp_path / "cp.json", tmp_path / "m.jsonl"
         assert run_cli("scenarios", "--emit", "kitti-sync", "--out", str(cfg)) == EXIT_OK
         assert run_cli("run", "--config", str(cfg), "--log", str(tmp_path / "first.jsonl"),
                        "--stop-after-round", "1", "--checkpoint", str(cp)) == EXIT_OK
-        cp.write_text(json.dumps(mangle(json.loads(cp.read_text()))))
+        cp.write_text(rewrite(cp.read_text()))
         if log_exists:
             log.write_text("earlier run\n")
         capsys.readouterr()
         code = run_cli("resume", "--config", str(cfg), "--checkpoint", str(cp), "--log", str(log))
         assert code == EXIT_CONFIG
-        assert field in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         if log_exists:
             assert log.read_text() == "earlier run\n"
         else:
@@ -438,6 +457,24 @@ class TestCostsCommand:
             "power_w_range": list(entry.power_w_range),
             "util_pct_range": list(entry.util_pct_range), "estimated": True,
         }
+
+
+    @pytest.mark.parametrize("text, problem", [
+        ("not json", "Expecting value"),
+        ('{"profiles": {}}', "missing key 'architectures'"),
+        (CALIBRATION_JSON.replace('"power_w_range": [335.0, 360.0]', '"power_w_range": "abc"'),
+         "expected a [low, high] pair of finite numbers, got 'abc'"),
+    ], ids=["not-json", "missing-section", "mistyped-range"])
+    @pytest.mark.parametrize("validate", [[], ["--validate"]], ids=["query", "validate"])
+    def test_malformed_calibration_exits_2(self, tmp_path, capsys, text, problem, validate):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = run_cli("costs", "--calibration", str(path), *validate,
+                       "--arch", "v8", "--res", "960", "--batch", "8")
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"calibration file {path} is malformed: {problem}" in captured.err
 
 
 class TestScenariosCommand:

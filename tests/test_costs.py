@@ -223,11 +223,11 @@ class TestPowerSampling:
     def test_training_draw_in_range_and_deterministic(self, cal):
         entry = cal.profile("v11").entries[(640, 32)]
         for seed in range(20):
-            power, util = sample_power_and_util(entry, seed)
+            [(power, util)] = sample_power_and_util([entry], [seed])
             assert 325.0 <= power <= 350.0
             assert 85.0 <= util <= 95.0
-        a = sample_power_and_util(entry, 5)
-        b = sample_power_and_util(entry, 5)
+        a = sample_power_and_util([entry], [5])
+        b = sample_power_and_util([entry], [5])
         assert a == b
 
     def test_idle_draw(self, cal):
@@ -256,3 +256,13 @@ class TestOverrideFile:
         path.write_text(json.dumps(doc))
         problems = validate_calibration(load_calibration(str(path)))
         assert problems and any("memory" in p for p in problems)
+
+    def test_validation_reports_missing_entries(self, tmp_path):
+        doc = json.loads(CALIBRATION_JSON)
+        for arch_doc in doc["architectures"].values():
+            del arch_doc["entries"]["320x32"]
+        path = tmp_path / "cal.json"
+        path.write_text(json.dumps(doc))
+        assert validate_calibration(load_calibration(str(path))) == [
+            f"{arch}: no entry for 320x32" for arch in doc["architectures"]
+        ]

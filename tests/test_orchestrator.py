@@ -764,6 +764,83 @@ class TestKernelCalls:
         assert counts == {"cohorts": cohorts, "chunks": chunks}
 
 
+def _fleet_1600():
+    """scale-800 widened to 1600 clients of one minibatch each."""
+    doc = SCENARIOS["scale-800"][0](seed=0)
+    ids = [fedsim.partition.client_name(i) for i in range(1, 1601)]
+    inline = doc["plan"]["inline"]
+    inline["client_ids"] = ids
+    inline["counts"] = [[2] * len(inline["class_names"]) for _ in ids]
+    doc["clients"] = [dict(doc["clients"][0], client_id=cid) for cid in ids]
+    return doc
+
+
+def _sgd_cohort():
+    """overlap-60 under FedProx for 20 rounds."""
+    doc = SCENARIOS["overlap-60"][0](window=5, seed=0)
+    doc["strategy"] = "fedprox"
+    doc["rounds"] = 20
+    return doc
+
+
+class TestPowerCalls:
+    """`costs.sample_power_and_util` calls per run at seed 0: one per sync
+    round, one per trained batch of an async run.  A fall back to one draw
+    per training window would raise these counts."""
+
+    @pytest.mark.parametrize("name, calls", [
+        ("kitti-sync", 10),
+        ("bdd-dropout-dual", 10),
+        ("bdd-async-hetero", 29),
+        ("overlap-60", 10),
+        ("hetero-resolution", 10),
+        ("lighting-crossdomain", 10),
+        ("scale-800", 3),
+        ("fleet-1600", 3),
+        ("async-dropout-long", 306),
+        ("sgd-cohort", 20),
+    ])
+    def test_calls_at_seed_0(self, monkeypatch, name, calls):
+        made = []
+        sample = costs.sample_power_and_util
+        def counted(entries, *key):
+            made.append(len(entries))
+            return sample(entries, *key)
+
+        monkeypatch.setattr(costs, "sample_power_and_util", counted)
+        builders = {"fleet-1600": _fleet_1600, "async-dropout-long": _async_dropout_long,
+                    "sgd-cohort": _sgd_cohort}
+        doc = builders[name]() if name in builders else SCENARIOS[name][0](seed=0)
+        sink = MetricsWriter(None)
+        run(config_from_dict(doc), sink)
+        assert len(made) == calls
+        assert sum(made) == sum(r.event == "train_window" for r in sink.records)
+
+
+class TestPowerDraws:
+    @pytest.mark.parametrize("seed", [0, 2**40 + 3])
+    def test_batched_round_equals_numpy_generator(self, seed):
+        """Each training window of a 60-client round, drawn in one batch,
+        logs what numpy's own Generator draws from that window's key.  No
+        BLAS call touches these fields, so this holds on any x86 host."""
+        cfg = config_from_dict(SCENARIOS["overlap-60"][0](seed=seed))
+        sink = MetricsWriter(None)
+        run_sync(cfg, sink, stop_after_round=1)
+        windows = [r for r in sink.records if r.event == "train_window"]
+        assert len(windows) == 60 >= streams.BATCH_MIN
+        cal = costs.load_calibration()
+        clients = {c.client_id: c for c in cfg.clients}
+        assert sorted(r.client_id for r in windows) == sorted(clients)
+        for record in windows:
+            client = clients[record.client_id]
+            entry = costs.lookup(cal.profile(client.architecture), client.resolution,
+                                 client.batch, allow_extrapolation=True)
+            rng = np.random.default_rng(np.random.SeedSequence(
+                [seed, orchestrator._POWER, 1, orchestrator._cid_key(client.client_id)]))
+            assert record.power_w == rng.uniform(*entry.power_w_range)
+            assert record.util_pct == rng.uniform(*entry.util_pct_range)
+
+
 class TestCheckpointWrite:
     @pytest.mark.parametrize("failure", ["serialise", "write"])
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch, failure):

@@ -1,4 +1,5 @@
-"""Batched key derivation against numpy's own SeedSequence and Generator.
+"""Batched key derivation and PCG64 draws against numpy's own SeedSequence
+and Generator.
 
 Warnings are errors here: numpy warns on scalar uint32 overflow, and such
 a warning would mean a hash constant is computed as a scalar, not as an
@@ -130,3 +131,72 @@ def test_generators_match_numpy(master):
         assert np.array_equal(got.standard_normal((3, 4)), want.standard_normal((3, 4)))
         pcg = np.random.PCG64(key).state
         assert pcg == np.random.PCG64(ref).state
+
+
+def numpy_doubles(n, keys):
+    return np.array([np.random.default_rng(key).random(n) for key in keys]).reshape(-1, n)
+
+
+@given(
+    master=st.sampled_from(EDGE_MASTERS),
+    n=st.sampled_from([1, 2, 3]),
+    k=st.sampled_from([0, *EDGE_KS]),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_uniforms_match_generator(master, n, k, data):
+    """The PCG64 kernel draws what numpy's Generator draws from each key:
+    one- and two-word heads, a round shared or one per key, and no keys."""
+    rnd = data.draw(st.one_of(words, st.lists(words, min_size=k, max_size=k)))
+    clients = data.draw(st.lists(words, min_size=k, max_size=k))
+    got = streams.uniforms(n, master, 5, rnd, clients)
+    rounds = rnd if isinstance(rnd, list) else [rnd] * k
+    assert got.shape == (k, n)
+    assert np.array_equal(got, numpy_doubles(n, map(reference, [master] * k, [5] * k,
+                                                     rounds, clients)))
+
+
+@given(
+    seeds=st.lists(st.one_of(words, st.integers(0, 2**64)), min_size=1, max_size=3),
+    n=st.sampled_from([1, 2, 3]),
+)
+@settings(max_examples=40, deadline=None)
+def test_uniforms_over_head_column(seeds, n):
+    """A column of heads, of one width (a batch) or of both (numpy's draws)."""
+    heads = [s for s in seeds for _ in range(streams.BATCH_MIN)]
+    epochs = list(range(streams.BATCH_MIN)) * len(seeds)
+    got = streams.uniforms(n, heads, epochs)
+    assert np.array_equal(got, numpy_doubles(n, map(reference, heads, epochs)))
+
+
+@pytest.mark.parametrize("master", EDGE_MASTERS)
+def test_uniforms_of_scalar_key_and_fleet(master):
+    want = numpy_doubles(2, [reference(master, 4, 0)])
+    assert np.array_equal(streams.uniforms(2, master, 4, 0), want)
+    clients = [0, PART_MASK, *range(1, 1599)]
+    want = numpy_doubles(2, (reference(master, 5, 3, c) for c in clients))
+    assert np.array_equal(streams.uniforms(2, master, 5, 3, clients), want)
+
+
+@pytest.mark.parametrize("k", EDGE_KS)
+def test_uniforms_cut_over(monkeypatch, k):
+    """A batch makes no Generator; below `BATCH_MIN` keys each key makes one."""
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda key: made.append(key) or default_rng(key))
+    streams.uniforms(2, 2**40 + 3, 5, 1, list(range(k)))
+    assert len(made) == (k if k < streams.BATCH_MIN else 0)
+
+
+@given(
+    master=masters,
+    k=st.sampled_from([0, *EDGE_KS]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_first_words_are_each_keys_first_state_word(master, k, data):
+    clients = data.draw(st.lists(words, min_size=k, max_size=k))
+    got = streams.first_words(master, 2, 9, clients)
+    want = [int(key.generate_state(1)[0]) for key in streams.derive(master, 2, 9, clients)]
+    assert got == want == [int(reference(master, 2, 9, c).generate_state(1)[0]) for c in clients]
+    assert all(type(word) is int for word in got)
