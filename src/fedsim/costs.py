@@ -88,7 +88,8 @@ _CACHED: Calibration | None = None
 
 def load_calibration(path: str | None = None) -> Calibration:
     """Load the shipped calibration tables, or an override file; a file
-    that is not JSON or lacks or mistypes a field is a `ConfigError`."""
+    that is missing, is not JSON, or lacks or mistypes a field is a
+    `ConfigError`."""
     global _CACHED
     if path is None and _CACHED is not None:
         return _CACHED
@@ -97,8 +98,11 @@ def load_calibration(path: str | None = None) -> Calibration:
             resources.files("fedsim.data").joinpath("cost_calibration.json").read_text()
         )
     else:
-        with open(path) as fh:
-            text = fh.read()
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except FileNotFoundError:
+            raise ConfigError(f"calibration file not found: {path}") from None
     try:
         cal = _build_calibration(json.loads(text))
     except (ConfigError, AttributeError, KeyError, TypeError, ValueError) as exc:

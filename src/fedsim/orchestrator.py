@@ -1,36 +1,27 @@
 """Federated state machine over a virtual clock.
 
 Synchronous rounds (FedAvg / FedProx) advance the clock by the slowest
-participant per round; asynchronous runs process client completion events
-in (time, client_id) order and apply each update on arrival.  All
-randomness is keyed from (master_seed, stream, round, client), so any
-round can be recomputed in isolation and checkpoint/resume is exact.
-`streams` makes the keys, bit-identical to numpy's SeedSequence: a sync
-round derives each stream's keys for all its clients in one batch, takes
-the training seeds as the batch's first state word column and draws every
-training window's power and utilization in one `costs.sample_power_and_util`
-call, which runs PCG64 over the power batch; an async run does the same
-once per trained batch.
+participant per round; asynchronous runs (FedAsync) process client
+completions in (time, client_id) order and apply each update on arrival.
+All randomness is keyed from (master_seed, stream, round, client) by
+`streams`, bit-identical to numpy's SeedSequence, so any round can be
+recomputed in isolation and checkpoint/resume is exact.
 
-Both engines first build one `_Run`: the run's datasets (one draw per
-group of same-shaped client datasets), evaluation set, presence chains and
-per-client costs (looked up once, before any record), and the `oom`,
-`train_window` and `eval` records they share.  Every record but `eval`
-goes to the writer as values (`MetricsWriter.write`); `eval` records stay
-`MetricsRecord`s, which a caller's sink may observe.  Both engines hand
-`aggregate` plain `ClientUpdate`s; finiteness is guaranteed by the kernel
-and by one check of each aggregate's result.
-
-Both engines train through `train_cohort`, whose ragged stacks take
-clients of any sizes, each from its own starting model.  A sync round is
-one cohort from the global model, a barrier whose records follow
-participant order.  An async run is two passes: `_async_schedule` yields
-its events (who completes when, on which version, or drops out) one
-evaluation window at a time without reading any model, and `run_async`
-executes each window, training every application whose base version
-exists in one cohort and applying the updates in arrival order.  `run` picks the engine
-from the config's strategy.  `local_train` and `apply_dropout` are kept
-for callers and perfbench's tracer; the engines call neither.
+A run is one `_Run` (its datasets, evaluation set, presence chains and
+per-client costs, all built before any record) and two passes.  Its
+schedule, `_sync_schedule` or `_async_schedule`, says who trains when on
+which model version and builds every record that reads no model, one
+evaluation window at a time; a sync round is one window whose clients all
+train on the previous round's model.  One executor, `_execute`, runs
+either schedule: each batch of applications whose base models exist
+trains in one `train_cohort` call, with its training seeds and power
+draws keyed in one batch, and records are written in schedule order.
+Every record but `eval` goes to the writer as values (`MetricsWriter.write`);
+`eval` records stay `MetricsRecord`s, which a caller's sink may observe.
+Only aggregation depends on the strategy; it takes plain `ClientUpdate`s,
+whose finiteness the kernel guarantees, and checks each result once.
+`run` picks the schedule from the config's strategy.  `local_train` and `apply_dropout` are kept for
+callers and perfbench's tracer; the engines call neither.
 """
 
 from __future__ import annotations
@@ -222,28 +213,14 @@ class _Run:
         self.presence = _Presence({c.client_id: c.dropout for c in cfg.clients}, cfg.master_seed)
         self.history: list[tuple[int, float]] = []
 
-    def train_seeds(self, round_key, cids: list[str]) -> list[int]:
-        """Training seeds keyed (master, stream, round, client), one per
-        client; `round_key` is one round for all or a list, one per client."""
-        return streams.first_words(self.cfg.master_seed, _TRAIN, round_key,
-                                   [_cid_key(c) for c in cids])
-
-    def power_draws(self, round_key, cids: list[str]) -> list[tuple[float, float]]:
-        """(watts, utilization %) of each client's training window, keyed as
-        `train_seeds` and drawn in one call."""
-        return costs.sample_power_and_util([self.entries[c] for c in cids], self.cfg.master_seed,
-                                           _POWER, round_key, [_cid_key(c) for c in cids])
-
     def write(self, event: str, round_idx: int, *values) -> None:
         """One record of `event`, its `SCHEMA` fields given in key order."""
         self.sink.write(event, self.run_id, round_idx, *values)
 
-    def dropout(self, round_idx: int, cid: str, t: float | None = None) -> None:
-        self.write("dropout", round_idx, cid, t, t)
-
-    def oom(self, round_idx: int, cid: str) -> None:
+    def oom(self, cid: str) -> tuple:
+        """The fields of `cid`'s `oom` record that follow its round."""
         entry = self.entries[cid]
-        self.write("oom", round_idx, cid, entry.peak_mem_mib, entry.estimated)
+        return cid, entry.peak_mem_mib, entry.estimated
 
     def train_window(self, round_idx: int, cid: str, t_start: float, t_end: float,
                      n: int, loss: float, power: float, util: float) -> None:
@@ -260,9 +237,176 @@ class _Run:
         ))
         self.history.append((round_idx, acc))
 
-    def result(self, w: np.ndarray, clock: float, rounds: int, version: int) -> RunResult:
-        return RunResult(run_id=self.run_id, params=w, history=self.history, clock=clock,
-                         rounds_completed=rounds, version=version)
+
+class _Application(NamedTuple):
+    """One training in a schedule: the client's attempt (a sync run's
+    round), its window, and the model version it trains on."""
+
+    attempt: int
+    client_id: str
+    start: float
+    end: float
+    base: int
+
+
+# A schedule window: its items in record order (an `_Application`, or a
+# model-free record as (event, round, *fields)), the clock at which it
+# ends, and the error to raise after its records, if any.
+_Window = tuple[list, float, SimulationError | None]
+
+
+def _sync_schedule(ctx: _Run, first: int, last: int, clock: float) -> Iterator[_Window]:
+    """Rounds `first` to `last` from `clock`, one window each: the absent
+    clients' dropouts in id order, then each participant's `oom` record or
+    its application on the previous round's model.  A window ends with its
+    slowest participant; the next starts after the aggregation."""
+    durations = ctx.durations
+    for rnd in range(first, last + 1):
+        participants = ctx.presence.participants(rnd)
+        window: list = [("dropout", rnd, cid, None, None)
+                        for cid in sorted(ctx.entries.keys() - set(participants))]
+        window += [_Application(rnd, cid, clock, clock + durations[cid], rnd - 1)
+                   if cid in durations else ("oom", rnd, *ctx.oom(cid)) for cid in participants]
+        clock += max([durations[c] for c in participants if c in durations], default=0.0)
+        yield window, clock, None
+        clock += ctx.cfg.aggregate_time_s
+
+
+def _async_schedule(ctx: _Run) -> Iterator[_Window]:
+    """An async run's events, one evaluation window at a time, the first
+    opening with the `oom` records.
+
+    Completions pop from a heap in (time, client_id) order.  A present
+    client's event is an application on the version it fetched when its
+    last application was applied; an absent one's is a dropout.  Each
+    window ends at an application an evaluation follows; if every client
+    is absorbed, the last window ends at its dropout and comes with the
+    `SimulationError` to raise.
+    """
+    cfg = ctx.cfg
+    budget = cfg.async_cfg.applications or cfg.rounds * cfg.n_clients
+    eval_every = cfg.async_cfg.eval_every or cfg.n_clients
+    fetched = dict.fromkeys(ctx.durations, 0)
+    attempts = dict.fromkeys(ctx.durations, 0)
+    heap = [(d, cid) for cid, d in ctx.durations.items()]
+    heapq.heapify(heap)
+    version = 0  # the number of applications scheduled
+    window: list = [("oom", 0, *ctx.oom(cid)) for cid in ctx.entries if cid not in ctx.durations]
+    while version < budget:
+        clock, cid = heapq.heappop(heap)
+        duration = ctx.durations[cid]
+        heapq.heappush(heap, (clock + duration, cid))
+        attempt = attempts[cid] = attempts[cid] + 1
+        if not ctx.presence.is_present(cid, attempt):
+            window.append(("dropout", attempt, cid, clock, clock))
+            if all(map(ctx.presence.absorbed, ctx.durations)):
+                yield window, clock, SimulationError(
+                    f"every client is permanently absent after {version} of "
+                    f"{budget} applications; the run cannot finish"
+                )
+                return
+            continue
+        window.append(_Application(attempt, cid, clock - duration, clock, fetched[cid]))
+        version += 1
+        fetched[cid] = version
+        if version % eval_every == 0 or version == budget:
+            yield window, clock, None
+            window = []
+
+
+def _train(ctx: _Run, apps: list[_Application], models: dict[int, np.ndarray]) -> list[tuple]:
+    """Train `apps` in one cohort, each from its base version's model:
+    (params, sample count, loss, power, utilization) per application.
+    Seeds and power are keyed (master, stream, attempt, client); an
+    attempt or a base model that every application shares is passed once."""
+    cids = [a.client_id for a in apps]
+    keys = [_cid_key(c) for c in cids]
+    attempts, bases = {a.attempt for a in apps}, {a.base for a in apps}
+    rounds = attempts.pop() if len(attempts) == 1 else [a.attempt for a in apps]
+    w0 = models[bases.pop()] if len(bases) == 1 else np.stack([models[a.base] for a in apps])
+    seed = ctx.cfg.master_seed
+    trained = train_cohort(w0, [ctx.datasets[c] for c in cids],
+                           streams.first_words(seed, _TRAIN, rounds, keys), ctx.cfg.train)
+    drawn = costs.sample_power_and_util([ctx.entries[c] for c in cids], seed, _POWER, rounds, keys)
+    return [t + d for t, d in zip(trained, drawn)]
+
+
+def _execute(ctx: _Run, schedule: Iterator[_Window], w: np.ndarray, version: int,
+             clock: float) -> RunResult:
+    """Run `schedule` from model `w` at `version` and `clock`.
+
+    Records are written in schedule order.  At a window's first untrained
+    application, every untrained application of the window whose base
+    version exists trains in one batch.  A batch that fails is retrained
+    one application at a time, so a failure surfaces at the same
+    application, after the same records, as in a loop that trains each in
+    turn.  FedAsync mixes each update in on arrival; FedAvg and FedProx
+    average a window's updates at its end and move the version up by one.
+    Every window ends with an evaluation, numbered on from `version`.
+    """
+    cfg = ctx.cfg
+    on_arrival = cfg.strategy == "fedasync"
+    evals = version
+    models = {version: w}  # version -> global model, while some client holds it
+    held = dict.fromkeys(ctx.durations, version)  # fedasync: client -> version it trains on
+    one_at_a_time = False
+    for window, end, failure in schedule:
+        # Both are emptied before the window trains and `trained` is popped
+        # as records are written, so no window's results outlive it.
+        trained: dict[int, tuple] = {}  # window index -> what `_train` gives
+        updates = []
+        for i, item in enumerate(window):
+            if type(item) is not _Application:
+                ctx.write(*item)
+                continue
+            while i not in trained:
+                batch = [i] if one_at_a_time else [
+                    j for j in range(i, len(window)) if j not in trained
+                    and type(window[j]) is _Application and window[j].base <= version
+                ]
+                try:
+                    trained.update(zip(batch, _train(ctx, [window[j] for j in batch], models)))
+                except SimulationError:
+                    if len(batch) == 1:
+                        raise
+                    one_at_a_time = True
+            attempt, cid, start, stop, base = item
+            w_new, n, loss, power, util = trained.pop(i)
+            ctx.train_window(attempt, cid, start, stop, n, loss, power, util)
+            if not on_arrival:
+                updates.append(ClientUpdate(cid, w_new, n))
+                continue
+            staleness = version - base
+            w = fedasync_update(w, ClientUpdate(cid, w_new, n), staleness, cfg.async_cfg)
+            version += 1
+            # No power, util or energy: the client and its update's staleness.
+            ctx.write("aggregate", attempt, cid, stop, stop, None, None, None, n, staleness,
+                      False)
+            held[cid] = version
+            models[version] = w
+            if base not in held.values():
+                del models[base]
+        if failure is not None:
+            raise failure
+        clock = end
+        if not on_arrival:
+            version += 1
+            if updates:
+                w = fedavg_aggregate(updates)
+                idle_power, idle_util = costs.sample_idle_power_and_util(
+                    streams.derive(cfg.master_seed, _POWER, version, 0)[0], ctx.cal
+                )
+                # No client or staleness: the idle server's power, and estimated.
+                ctx.write("aggregate", version, None, clock, clock + cfg.aggregate_time_s,
+                          idle_power, idle_util, idle_power * cfg.aggregate_time_s,
+                          sum(u.n_samples for u in updates), None, True)
+            else:
+                ctx.write("stalled", version, clock, clock + cfg.aggregate_time_s)
+            clock += cfg.aggregate_time_s
+            models = {version: w}  # the next round trains on it
+        evals += 1
+        ctx.evaluate(evals, w, clock)
+    return RunResult(ctx.run_id, w, ctx.history, clock, evals, version)
 
 
 def run_sync(
@@ -271,16 +415,15 @@ def run_sync(
     stop_after_round: int | None = None,
     _checkpoint: Checkpoint | None = None,
 ) -> RunResult:
-    """Synchronous round loop (FedAvg / FedProx).
+    """Synchronous rounds (FedAvg / FedProx): `_sync_schedule` run by `_execute`.
 
     Per round: dropout rules pick participants, infeasible configurations
     fail with an OOM event, the rest train from the current global model
-    (as one `train_cohort` call), survivors are averaged, and the held-out
-    accuracy is logged.  Records follow participant order.  Zero-participant
-    rounds carry the model forward as a stalled round.  A `stop_after_round`
-    below 1 is a `ConfigError`, and a run in which no client that fits its
-    memory is present in any of the config's rounds a `SimulationError`,
-    both raised before any record.
+    in one batch, their updates are averaged, and the held-out accuracy is
+    logged.  Zero-participant rounds carry the model forward as a stalled
+    round.  A `stop_after_round` below 1 is a `ConfigError`, and a run in
+    which no client that fits its memory is present in any of the config's
+    rounds a `SimulationError`, both raised before any record.
     """
     if stop_after_round is not None and stop_after_round < 1:
         raise ConfigError(f"stop_after_round must be at least 1, got {stop_after_round}")
@@ -290,185 +433,27 @@ def run_sync(
         raise SimulationError(
             "no client that fits its device memory is present in any round; nothing can run"
         )
+    last = cfg.rounds if stop_after_round is None else min(stop_after_round, cfg.rounds)
     if _checkpoint is None:
-        w = zero_params(cfg.task.n_features, cfg.task.n_classes)
-        clock = 0.0
-        start_round = 1
+        w, done, clock = zero_params(cfg.task.n_features, cfg.task.n_classes), 0, 0.0
     else:
-        w = _checkpoint.params.copy()
-        clock = _checkpoint.clock
-        start_round = _checkpoint.round + 1
+        w, done, clock = _checkpoint.params.copy(), _checkpoint.round, _checkpoint.clock
         ctx.history = list(_checkpoint.history)
-    last_round = cfg.rounds if stop_after_round is None else min(stop_after_round, cfg.rounds)
-
-    for rnd in range(start_round, last_round + 1):
-        participants = ctx.presence.participants(rnd)
-        for cid in sorted(ctx.entries.keys() - set(participants)):
-            ctx.dropout(rnd, cid)
-        # The last round's updates go before this round trains, and results
-        # are popped as records are emitted, so no round's results outlive it.
-        updates = []
-        max_duration = 0.0
-        fits = [c for c in participants if c in ctx.durations]
-        trained = dict(zip(fits, train_cohort(
-            w, [ctx.datasets[c] for c in fits], ctx.train_seeds(rnd, fits), cfg.train
-        )))
-        drawn = dict(zip(fits, ctx.power_draws(rnd, fits)))
-        for cid in participants:
-            if cid not in trained:
-                ctx.oom(rnd, cid)
-                continue
-            w_new, n, loss = trained.pop(cid)
-            duration = ctx.durations[cid]
-            ctx.train_window(rnd, cid, clock, clock + duration, n, loss, *drawn[cid])
-            max_duration = max(max_duration, duration)
-            updates.append(ClientUpdate(cid, w_new, n))
-        clock += max_duration
-        if updates:
-            w = fedavg_aggregate(updates)
-            idle_power, idle_util = costs.sample_idle_power_and_util(
-                streams.derive(cfg.master_seed, _POWER, rnd, 0)[0], ctx.cal
-            )
-            # No client or staleness: the idle server's power, and estimated.
-            ctx.write("aggregate", rnd, None, clock, clock + cfg.aggregate_time_s,
-                      idle_power, idle_util, idle_power * cfg.aggregate_time_s,
-                      sum(u.n_samples for u in updates), None, True)
-        else:
-            ctx.write("stalled", rnd, clock, clock + cfg.aggregate_time_s)
-        clock += cfg.aggregate_time_s
-        ctx.evaluate(rnd, w, clock)
-
-    return ctx.result(w, clock, last_round, last_round)
-
-
-class _Event(NamedTuple):
-    """One completion of the async schedule: the client's attempt, its
-    completion time, and the version it trained on, None if it dropped."""
-
-    attempt: int
-    client_id: str
-    clock: float
-    base: int | None
-
-
-def _async_schedule(
-    ctx: _Run, budget: int, eval_every: int
-) -> Iterator[tuple[list[_Event], SimulationError | None]]:
-    """The async run's events in order, computed without any model, one
-    evaluation window at a time.
-
-    Completions pop from a heap in (time, client_id) order.  A present
-    client's event is an application on the version it fetched when its
-    last application was applied; an absent one's is a dropout.  Who
-    completes when, on which version and whether present depend only on
-    the durations, the keyed presence coins and the budget.  Each window
-    ends at an application an evaluation follows, and comes with None; if
-    every client is absorbed, the last window comes with the
-    `SimulationError` to raise once its records are written.
-    """
-    fetched = dict.fromkeys(ctx.durations, 0)
-    attempts = dict.fromkeys(ctx.durations, 0)
-    heap = [(d, cid) for cid, d in ctx.durations.items()]
-    heapq.heapify(heap)
-    version, window = 0, []  # version: the number of applications scheduled
-    while version < budget:
-        clock, cid = heapq.heappop(heap)
-        heapq.heappush(heap, (clock + ctx.durations[cid], cid))
-        attempt = attempts[cid] = attempts[cid] + 1
-        if not ctx.presence.is_present(cid, attempt):
-            window.append(_Event(attempt, cid, clock, None))
-            if all(map(ctx.presence.absorbed, ctx.durations)):
-                yield window, SimulationError(
-                    f"every client is permanently absent after {version} of "
-                    f"{budget} applications; the run cannot finish"
-                )
-                return
-            continue
-        window.append(_Event(attempt, cid, clock, fetched[cid]))
-        version += 1
-        fetched[cid] = version
-        if version % eval_every == 0 or version == budget:
-            yield window, None
-            window = []
-
-
-def _train(ctx: _Run, apps: list[_Event], models: dict[int, np.ndarray]) -> list[tuple]:
-    """Train `apps` in one cohort, each from its base version's model:
-    (params, sample count, loss, power, utilization) per application."""
-    attempts, cids = [a.attempt for a in apps], [a.client_id for a in apps]
-    trained = train_cohort(
-        np.stack([models[a.base] for a in apps]), [ctx.datasets[c] for c in cids],
-        ctx.train_seeds(attempts, cids), ctx.cfg.train,
-    )
-    return [t + drawn for t, drawn in zip(trained, ctx.power_draws(attempts, cids))]
+    return _execute(ctx, _sync_schedule(ctx, done + 1, last, clock), w, done, clock)
 
 
 def run_async(cfg: ExperimentConfig, sink: MetricsWriter | None = None) -> RunResult:
-    """Asynchronous run: updates applied on arrival.
+    """Asynchronous run (FedAsync): `_async_schedule` run by `_execute`.
 
     Each client repeatedly fetches the global model, trains for its modeled
     duration, and its completion is applied via staleness-weighted convex
     mixing.  Completions are processed in (time, client_id) order; the run
     ends after `async.applications` server applications (default rounds x
     clients), evaluating every `async.eval_every` (default the client count).
-
-    `_async_schedule` gives the events one evaluation window at a time.
-    At the window's first untrained application, every untrained
-    application of the window whose base version exists trains in one
-    `train_cohort` call, each from its own base model; records are then
-    written in schedule order.  A batch that fails is retrained one
-    application at a time, so a failure surfaces at the same application,
-    after the same records, as in a loop that trains each on arrival.
     """
     ctx = _Run(cfg, sink, "run_async", ("fedasync",))
-    budget = cfg.async_cfg.applications or cfg.rounds * cfg.n_clients
-    eval_every = cfg.async_cfg.eval_every or cfg.n_clients
-    for cid in ctx.entries:
-        if cid not in ctx.durations:
-            ctx.oom(0, cid)
-
     w = zero_params(cfg.task.n_features, cfg.task.n_classes)
-    version = evals = 0  # version: the number of updates applied
-    clock = 0.0
-    models = {0: w}  # version -> global model, while some client holds it
-    held = dict.fromkeys(ctx.durations, 0)  # client -> the version it trains on
-    one_at_a_time = False
-    for window, failure in _async_schedule(ctx, budget, eval_every):
-        trained: dict[int, tuple] = {}  # window index -> what `_train` gives
-        for i, (attempt, cid, clock, base) in enumerate(window):
-            if base is None:
-                ctx.dropout(attempt, cid, clock)
-                continue
-            while i not in trained:
-                batch = [i] if one_at_a_time else [
-                    j for j in range(i, len(window))
-                    if j not in trained and window[j].base is not None
-                    and window[j].base <= version
-                ]
-                try:
-                    trained.update(zip(batch, _train(ctx, [window[j] for j in batch], models)))
-                except SimulationError:
-                    if len(batch) == 1:
-                        raise
-                    one_at_a_time = True
-            w_new, n, loss, power, util = trained.pop(i)
-            ctx.train_window(attempt, cid, clock - ctx.durations[cid], clock, n, loss, power, util)
-            staleness = version - base
-            w = fedasync_update(w, ClientUpdate(cid, w_new, n), staleness, cfg.async_cfg)
-            version += 1
-            # No power, util or energy: the client and its update's staleness.
-            ctx.write("aggregate", attempt, cid, clock, clock, None, None, None, n, staleness,
-                      False)
-            held[cid] = version
-            models[version] = w
-            if base not in held.values():
-                del models[base]
-        if failure is not None:
-            raise failure
-        evals += 1
-        ctx.evaluate(evals, w, clock)
-
-    return ctx.result(w, clock, evals, version)
+    return _execute(ctx, _async_schedule(ctx), w, 0, 0.0)
 
 
 def run(
@@ -608,5 +593,9 @@ def write_checkpoint(cp: Checkpoint, path) -> None:
 
 
 def read_checkpoint(path) -> Checkpoint:
-    with open(path) as fh:
-        return Checkpoint.from_json(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise ConfigError(f"checkpoint file not found: {path}") from None
+    return Checkpoint.from_json(text)

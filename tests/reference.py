@@ -39,7 +39,7 @@ def async_one_at_a_time(cfg, sink) -> None:
     eval_every = cfg.async_cfg.eval_every or cfg.n_clients
     for cid in ctx.entries:
         if cid not in ctx.durations:
-            ctx.oom(0, cid)
+            ctx.write("oom", 0, *ctx.oom(cid))
     w = zero_params(cfg.task.n_features, cfg.task.n_classes)
     version = evals = 0
     fetched = dict.fromkeys(ctx.durations, (0, w))
@@ -52,7 +52,7 @@ def async_one_at_a_time(cfg, sink) -> None:
         heapq.heappush(heap, (clock + duration, cid))
         attempt = attempts[cid] = attempts[cid] + 1
         if not ctx.presence.is_present(cid, attempt):
-            ctx.dropout(attempt, cid, clock)
+            ctx.write("dropout", attempt, cid, clock, clock)
             if all(map(ctx.presence.absorbed, ctx.durations)):
                 raise SimulationError(
                     f"every client is permanently absent after {version} of "
@@ -60,7 +60,8 @@ def async_one_at_a_time(cfg, sink) -> None:
                 )
             continue
         base, model = fetched[cid]
-        (seed,) = ctx.train_seeds(attempt, [cid])
+        seed = int(np.random.SeedSequence([cfg.master_seed, orchestrator._TRAIN, attempt,
+                                           orchestrator._cid_key(cid)]).generate_state(1)[0])
         w_new, n, loss = local_train(model, ctx.datasets[cid], seed, cfg.train)
         rng = np.random.default_rng(np.random.SeedSequence(
             [cfg.master_seed, orchestrator._POWER, attempt, orchestrator._cid_key(cid)]))

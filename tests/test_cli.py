@@ -206,6 +206,21 @@ class TestResumeRejectsMalformedCheckpoint:
     def test_raw_text_exit_2_and_log_untouched(self, tmp_path, capsys, rewrite, log_exists):
         self.check(tmp_path, capsys, rewrite, "checkpoint is not valid JSON", log_exists)
 
+    @pytest.mark.parametrize("log_exists", [False, True], ids=["new-log", "existing-log"])
+    def test_missing_checkpoint_exit_2_and_log_untouched(self, tmp_path, capsys, log_exists):
+        cfg, cp, log = tmp_path / "cfg.json", tmp_path / "absent.json", tmp_path / "m.jsonl"
+        assert run_cli("scenarios", "--emit", "kitti-sync", "--out", str(cfg)) == EXIT_OK
+        if log_exists:
+            log.write_text("earlier run\n")
+        capsys.readouterr()
+        code = run_cli("resume", "--config", str(cfg), "--checkpoint", str(cp), "--log", str(log))
+        assert code == EXIT_CONFIG
+        assert f"checkpoint file not found: {cp}" in capsys.readouterr().err
+        if log_exists:
+            assert log.read_text() == "earlier run\n"
+        else:
+            assert not log.exists()
+
     @staticmethod
     def check(tmp_path, capsys, rewrite, message, log_exists):
         """Resume from a sync checkpoint whose text `rewrite` changed: exit 2
@@ -475,6 +490,16 @@ class TestCostsCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"calibration file {path} is malformed: {problem}" in captured.err
+
+    @pytest.mark.parametrize("validate", [[], ["--validate"]], ids=["query", "validate"])
+    def test_missing_calibration_exits_2(self, tmp_path, capsys, validate):
+        path = tmp_path / "absent.json"
+        code = run_cli("costs", "--calibration", str(path), *validate,
+                       "--arch", "v8", "--res", "960", "--batch", "8")
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"calibration file not found: {path}" in captured.err
 
 
 class TestScenariosCommand:

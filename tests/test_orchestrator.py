@@ -714,6 +714,32 @@ class TestBatchedExecutor:
         assert sizes == [4, 1, 1, 1]
 
 
+class TestSyncTrainingFailure:
+    def test_records_before_the_failing_participant(self, monkeypatch):
+        """A sync round trains as one batch.  When C3's training overflows,
+        the batch is retrained one client at a time, so C1's and C2's
+        train_window records are written before the error, as in an async
+        window."""
+        sizes = []
+        train_cohort = orchestrator.train_cohort
+
+        def spy(w0, datasets, seeds, cfg):
+            sizes.append(len(datasets))
+            return train_cohort(w0, datasets, seeds, cfg)
+
+        monkeypatch.setattr(orchestrator, "train_cohort", spy)
+        doc = kitti_sync()
+        _diverging("C3")(doc, monkeypatch)
+        sink = MetricsWriter(None)
+        with np.errstate(all="ignore"), pytest.raises(SimulationError,
+                                                      match="^non-finite parameters"):
+            run_sync(config_from_dict(doc), sink)
+        assert [(r.event, r.round, r.client_id) for r in sink.records] == [
+            ("train_window", 1, "C1"), ("train_window", 1, "C2"),
+        ]
+        assert sizes == [4, 1, 1, 1]
+
+
 def _async_dropout_long():
     """FedAsync over bdd-async-hetero's 8 clients for 800 applications,
     every client under stochastic dropout (perfbench's async-dropout-long)."""

@@ -3,7 +3,9 @@ and Generator.
 
 Warnings are errors here: numpy warns on scalar uint32 overflow, and such
 a warning would mean a hash constant is computed as a scalar, not as an
-array.
+array.  The one exception is the DeprecationWarning the hypothesis plugin
+raises while it reports a failing example: as an error it becomes a pytest
+INTERNALERROR, which hides the results of every later test.
 """
 
 import numpy as np
@@ -13,7 +15,10 @@ from hypothesis import strategies as st
 
 from fedsim import streams
 
-pytestmark = pytest.mark.filterwarnings("error")
+pytestmark = [
+    pytest.mark.filterwarnings("error"),
+    pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"),
+]
 
 HEAD_MASK, PART_MASK = 2**63 - 1, 2**32 - 1
 EDGE_MASTERS = [0, 2**32 - 1, 2**32, 2**40 + 3, 2**63 - 1]
