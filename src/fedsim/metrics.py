@@ -8,18 +8,24 @@ line holds all of `MetricsRecord`'s keys in its field order, null (false
 for ``estimated``) where the event has no such field.  The writer renders
 each line from its event's template, built from the table; `read_log`
 reports and leaves out a line that is not a JSON object and a record whose
-required field is missing or of a type the table does not admit, so
-`build_report` reads those fields unguarded.
+required field is missing or of a type the table does not admit, or that
+breaks a record check, so `build_report` reads those fields unguarded.
+`read_log` decodes the log a block of lines at a time and builds each
+record, a tuple, straight from its line's object when the keys are the
+record's own in order, as they are on every line the writer produces.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from itertools import product
-from operator import attrgetter
+from itertools import islice, product
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import IncompleteLogError
 
@@ -66,10 +72,7 @@ def _check(event: str, t_start_s, t_end_s, power_w, energy_j) -> None:
                 )
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
-    """One log record; the field order is the key order of its log line."""
-
+class _Fields(NamedTuple):
     run_id: str
     round: int
     event: str
@@ -86,12 +89,23 @@ class MetricsRecord:
     staleness: int | None = None
     estimated: bool = False
 
-    def __post_init__(self):
-        _check(self.event, self.t_start_s, self.t_end_s, self.power_w, self.energy_j)
+
+class MetricsRecord(_Fields):
+    """One log record; the field order is the key order of its log line.
+
+    Constructing one runs the record checks; `_make` builds one from its
+    field values without them, for a caller that has run them itself.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        rec = super().__new__(cls, *args, **kwargs)
+        _check(rec.event, rec.t_start_s, rec.t_end_s, rec.power_w, rec.energy_j)
+        return rec
 
     def to_line(self) -> str:
-        doc = {k: getattr(self, k) for k in _KEY_ORDER}
-        return json.dumps(doc)
+        return json.dumps(self._asdict())
 
     @staticmethod
     def from_line(line: str) -> "MetricsRecord":
@@ -103,7 +117,7 @@ class MetricsRecord:
         return MetricsRecord(**doc)
 
 
-_KEY_ORDER = tuple(f.name for f in fields(MetricsRecord))
+_KEY_ORDER = MetricsRecord._fields
 _FIELD_NAMES = frozenset(_KEY_ORDER)
 _WINDOW = ("t_start_s", "t_end_s", "power_w", "energy_j")
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -143,7 +157,7 @@ def _form(event: str, types: dict[str, type]) -> tuple[str, tuple, tuple]:
     names = [k for k in _KEY_ORDER if k in types]
     slots = {"run_id": "%s", "round": "%d", "event": json.dumps(event)}
     slots.update(dict.fromkeys(names, "%s"))
-    defaults = {f.name: f.default for f in fields(MetricsRecord)}
+    defaults = MetricsRecord._field_defaults
     pieces = [f'"{k}": {slots.get(k) or json.dumps(defaults[k])}' for k in _KEY_ORDER]
     return (
         "{" + ", ".join(pieces) + "}\n",
@@ -170,7 +184,7 @@ class MetricsWriter:
     the disk when the stream's buffer fills or it is closed.
 
     A writer over a stream keeps nothing in memory, so a long run's log
-    costs no heap; read the stream back with `MetricsRecord.from_line`.
+    costs no heap; read a log file back with `read_log`.
     A writer without a stream (``MetricsWriter(None)``) keeps every record
     in `records` instead, which is None for a streaming writer.
     """
@@ -245,8 +259,16 @@ _REQUIRED = {
     for event, types in SCHEMA.items()
 }
 _REQUIRED["aggregate"]["energy_j"] = (float, int, type(None))
-_REQUIRED_VALUES = {event: attrgetter(*names) for event, names in _REQUIRED.items()}
+_REQUIRED_VALUES = {event: itemgetter(*map(_KEY_ORDER.index, names))
+                    for event, names in _REQUIRED.items()}
 _SIGNATURES = {event: frozenset(product(*fields.values())) for event, fields in _REQUIRED.items()}
+_CHECK_ARGS = itemgetter(*map(_KEY_ORDER.index, ("event", *_WINDOW)))
+_DEFAULTS = tuple(MetricsRecord._field_defaults.get(k) for k in _KEY_ORDER)
+_UNPARSEABLE = "unparseable record (truncated log?)"
+# Lines decoded at once: enough to spread one `json.loads` over many
+# records, few enough that the block's text and objects stay small next to
+# the records read.
+_BLOCK_LINES = 128
 
 
 def _misfit(event: str, values: tuple) -> str:
@@ -257,43 +279,114 @@ def _misfit(event: str, values: tuple) -> str:
     return f"lacks {', '.join(lacks)}" if lacks else f"has mistyped {', '.join(k for k, _ in bad)}"
 
 
-def _unparseable(line: str) -> str:
-    """Why `from_line` refused `line`: a known event's misfit values, or no record."""
+def _record(doc):
+    """The record a decoded log line holds, or why it holds none.
+
+    An object whose keys are the record's, in order, gives its values as
+    they stand; any other object drops the keys the record lacks and takes
+    the record's defaults.  The required fields' types are checked before
+    the record checks, so a mistyped value is reported as mistyped.
+    """
+    if not isinstance(doc, dict):
+        return _UNPARSEABLE
+    if tuple(doc) == _KEY_ORDER:
+        values = tuple(doc.values())
+    else:
+        values = tuple(map(doc.get, _KEY_ORDER, _DEFAULTS))
+    event = values[2]
+    try:
+        admits = _SIGNATURES[event]
+    except (KeyError, TypeError):  # an unknown or unhashable event
+        return _UNPARSEABLE
+    required = _REQUIRED_VALUES[event](values)
+    if tuple(map(type, required)) not in admits:
+        return f"{event} record {_misfit(event, required)}"
+    try:
+        _check(*_CHECK_ARGS(values))
+    except ValueError as exc:
+        return f"{event} record breaks a rule: {exc}"
+    except TypeError:  # a nullable field of a type the checks cannot use
+        return _UNPARSEABLE
+    return MetricsRecord._make(values)
+
+
+def _utf8(text: str) -> bool:
+    """Whether `text` was read from UTF-8 alone: `read_log` reads any other
+    byte as a lone surrogate, which does not encode back."""
+    if text.isascii():
+        return True
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _line_record(line: str):
+    """`_record` of one stripped line; a line holding a byte that is not
+    UTF-8 or no JSON value holds no record."""
+    if not _utf8(line):
+        return _UNPARSEABLE
     try:
         doc = json.loads(line)
-        event = doc["event"]
-        values = tuple(map(doc.get, _REQUIRED[event]))
-        if tuple(map(type, values)) not in _SIGNATURES[event]:
-            return f"{event} record {_misfit(event, values)}"
-    except (AttributeError, KeyError, TypeError, ValueError):
-        pass
-    return "unparseable record (truncated log?)"
+    except ValueError:
+        return _UNPARSEABLE
+    return _record(doc)
+
+
+def _block_docs(lines: list[str]) -> list | None:
+    """The JSON values of a block's stripped, non-blank lines, one a line,
+    from one decode of the whole block; None when one decode cannot tell
+    that each line holds exactly one value.
+
+    The lines are joined with a newline and a comma.  A strict decode
+    admits no raw newline in a string, so no string crosses a joiner.  When
+    no line holds a ``[`` and every line after the first starts with ``{``,
+    no object crosses a joiner either, since after the joiner's comma an
+    object wants a key.  Each line then holds whole values, at least one,
+    and as many values as lines means one a line.
+    """
+    text = "[" + "\n,".join(lines) + "]"
+    if not _utf8(text) or text.count("[") != 1 or text.count("\n,{") != len(lines) - 1:
+        return None
+    try:
+        docs = json.loads(text)
+    except ValueError:
+        return None
+    return docs if len(docs) == len(lines) else None
 
 
 def read_log(path) -> tuple[list[MetricsRecord], list[str]]:
     """Parse a JSONL log; returns (records, problems).
 
     An unparseable tail marks the log truncated rather than failing the
-    whole read.  A line that is not a JSON object, a record whose required
-    field (`SCHEMA`) is missing or of another JSON type, and an aggregate
-    whose energy is neither a number nor null are reported and left out.
+    whole read.  A line that is not a JSON object or holds a byte that is
+    not UTF-8, a record whose required field (`SCHEMA`) is missing or of
+    another JSON type, an aggregate whose energy is neither a number nor
+    null, and a record that breaks a record check are reported and left
+    out.  Problems name their line, counting blank ones.
+
+    The file is read `_BLOCK_LINES` lines at a time and each block decoded
+    at once (`_block_docs`); a block that does not decode into one value a
+    line is decoded line by line, so that the bad lines are named.
     """
     records, problems = [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = MetricsRecord.from_line(line)
-            except (json.JSONDecodeError, TypeError, ValueError):
-                problems.append(f"line {lineno}: {_unparseable(line)}")
-                continue
-            values = _REQUIRED_VALUES[rec.event](rec)
-            if tuple(map(type, values)) not in _SIGNATURES[rec.event]:
-                problems.append(f"line {lineno}: {rec.event} record {_misfit(rec.event, values)}")
-                continue
-            records.append(rec)
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        first = 1
+        while block := list(islice(fh, _BLOCK_LINES)):
+            stripped = [line.strip() for line in block]
+            lines = list(filter(None, stripped))
+            docs = _block_docs(lines)
+            parsed = map(_record, docs) if docs is not None else map(_line_record, lines)
+            numbers = None
+            for i, rec in enumerate(parsed):
+                if type(rec) is MetricsRecord:
+                    records.append(rec)
+                    continue
+                if numbers is None:
+                    numbers = [n for n, line in enumerate(stripped, first) if line]
+                problems.append(f"line {numbers[i]}: {rec}")
+            first += len(block)
     return records, problems
 
 
@@ -412,7 +505,10 @@ def render_report(report: RunReport, fmt: str = "table") -> str:
                 f"energy_j={_fmt(ct.energy_j, 6)};"
                 f"rounds={ct.rounds_participated};oom={ct.oom_count}"
             )
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(
+            ("problem", i, p) for i, p in enumerate(report.problems, start=1))
+        return "\n".join(lines) + "\n" + out.getvalue()
     if fmt == "table":
         lines = [f"run {report.run_id}"]
         lines.append(f"{'round':>6} {'accuracy':>9}")

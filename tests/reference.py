@@ -1,15 +1,15 @@
 """Reference computations the tests compare the simulator's kernels with."""
 
-import dataclasses
 import heapq
 import json
+from operator import attrgetter
 
 import numpy as np
 
 from fedsim import orchestrator
 from fedsim.aggregate import ClientUpdate, fedasync_update
 from fedsim.errors import SimulationError
-from fedsim.metrics import MetricsRecord
+from fedsim.metrics import _REQUIRED, _SIGNATURES, MetricsRecord, _check, _misfit
 from fedsim.task import LocalDataset, local_train, loss_and_gradient, zero_params
 
 
@@ -25,9 +25,60 @@ def dataset_loss(w: np.ndarray, data: LocalDataset, w_anchor=None, mu: float = 0
 def reference_line(run_id: str, round_idx: int, event: str, **fields) -> str:
     """A record's log line as `json.dumps` writes it: every record key in
     field order, each absent one at its default."""
-    doc = {f.name: f.default for f in dataclasses.fields(MetricsRecord)}
+    doc = {k: MetricsRecord._field_defaults.get(k) for k in MetricsRecord._fields}
     doc.update(run_id=run_id, round=round_idx, event=event, **fields)
     return json.dumps(doc) + "\n"
+
+
+UNPARSEABLE = "unparseable record (truncated log?)"
+
+
+def _refused(line: str) -> str:
+    """Why `MetricsRecord.from_line` refused `line`: a known event's misfit
+    required values or broken record check, or no record."""
+    try:
+        doc = json.loads(line)
+        event = doc["event"]
+        values = {**MetricsRecord._field_defaults, **doc}
+        required = tuple(map(values.get, _REQUIRED[event]))
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return UNPARSEABLE
+    if tuple(map(type, required)) not in _SIGNATURES[event]:
+        return f"{event} record {_misfit(event, required)}"
+    try:
+        _check(event, *map(values.get, ("t_start_s", "t_end_s", "power_w", "energy_j")))
+    except ValueError as exc:
+        return f"{event} record breaks a rule: {exc}"
+    except TypeError:
+        pass
+    return UNPARSEABLE
+
+
+def read_log(path) -> tuple[list, list[str]]:
+    """`metrics.read_log` one line at a time: each stripped, non-blank line
+    of the text file goes through `MetricsRecord.from_line` on its own."""
+    records, problems = [], []
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                line.encode()
+            except UnicodeEncodeError:  # a byte that is not UTF-8, escaped on reading
+                problems.append(f"line {lineno}: {UNPARSEABLE}")
+                continue
+            try:
+                rec = MetricsRecord.from_line(line)
+            except (json.JSONDecodeError, TypeError, ValueError):
+                problems.append(f"line {lineno}: {_refused(line)}")
+                continue
+            values = attrgetter(*_REQUIRED[rec.event])(rec)
+            if tuple(map(type, values)) not in _SIGNATURES[rec.event]:
+                problems.append(f"line {lineno}: {rec.event} record {_misfit(rec.event, values)}")
+                continue
+            records.append(rec)
+    return records, problems
 
 
 def async_one_at_a_time(cfg, sink) -> None:

@@ -119,6 +119,33 @@ class TestRunResumeReport:
         log.write_text("\n".join(cut) + "\n")
         assert run_cli("report", str(log)) == EXIT_INCOMPLETE
 
+    def test_report_names_line_with_byte_that_is_not_utf8(self, tmp_path, capsys):
+        log = tmp_path / "m.jsonl"
+        run_cli("run", "--scenario", "kitti-sync", "--seed", "0", "--log", str(log))
+        lines = log.read_bytes().split(b"\n")
+        lines[2] = lines[2][:40] + b"\xff" + lines[2][40:]
+        log.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert run_cli("report", str(log)) == EXIT_INCOMPLETE
+        out = capsys.readouterr().out
+        assert "final accuracy" in out
+        assert out.endswith("INCOMPLETE LOG:\n  line 3: unparseable record (truncated log?)\n")
+
+    def test_report_csv_lists_problems(self, tmp_path, capsys):
+        log = tmp_path / "m.jsonl"
+        run_cli("run", "--scenario", "kitti-sync", "--seed", "0", "--log", str(log))
+        complete = tmp_path / "complete.csv"
+        assert run_cli("report", str(log), "--format", "csv") == EXIT_OK
+        complete.write_text(capsys.readouterr().out)
+        lines = log.read_text().splitlines()
+        doc = json.loads(lines[0])
+        lines[0] = json.dumps({**doc, "t_start_s": "0", "t_end_s": "5"})
+        log.write_text("\n".join(lines) + "\n")
+        assert run_cli("report", str(log), "--format", "csv") == EXIT_INCOMPLETE
+        rows = capsys.readouterr().out.splitlines()
+        assert "problem" not in complete.read_text()
+        assert rows[-1] == 'problem,1,"line 1: train_window record has mistyped t_start_s, t_end_s"'
+
     def test_report_flags_log_appended_by_two_runs(self, tmp_path, capsys):
         log = tmp_path / "m.jsonl"
         for seed in ("0", "1"):

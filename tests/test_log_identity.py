@@ -17,12 +17,20 @@ import glob
 import hashlib
 import io
 import os
+import warnings
+from contextlib import closing
 
 import numpy as np
 import pytest
 
 from fedsim.config import config_from_dict
-from fedsim.metrics import MetricsWriter
+from fedsim.metrics import (
+    MetricsWriter,
+    open_log_writer,
+    render_comparison,
+    render_report,
+    report_from_log,
+)
 from fedsim.orchestrator import run
 from fedsim.scenarios import (
     SCENARIOS,
@@ -136,6 +144,12 @@ WIDE_MASTER_DIGESTS = {
 DIVERGED_DIGEST = "a169314b79fdb98a66dd81098d6cb874bfe2277aae470d3c2529a36f2592f589"
 
 
+def _diverged(seed):
+    doc = kitti_sync(seed=seed)
+    doc["train"]["learning_rate"] = 1e300
+    return doc
+
+
 def _log_digest(doc) -> str:
     buf = io.StringIO()
     run(config_from_dict(doc), MetricsWriter(buf))
@@ -172,6 +186,59 @@ def test_two_word_master_log_digest(name, seed):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverged_run_log_digest():
-    doc = kitti_sync(seed=0)
-    doc["train"]["learning_rate"] = 1e300
-    assert _log_digest(doc) == DIVERGED_DIGEST, _mismatch()
+    assert _log_digest(_diverged(seed=0)) == DIVERGED_DIGEST, _mismatch()
+
+
+
+# Logs whose reports are pinned: a sync and an async scenario and the
+# diverged run, whose train_window lines hold "loss": NaN.
+REPORT_LOGS = {"kitti-sync": kitti_sync, "bdd-async-hetero": bdd_async_hetero,
+               "diverged": _diverged}
+
+# (log, format) -> sha256 of `render_report` on the report read back from
+# the log file; (None, format) for `render_comparison` of all three.
+REPORT_DIGESTS = {
+    ("bdd-async-hetero", "csv"): "d8c95ad160acbf0de2d8f124e5f602700d3e5bd79a7394a6f010b5d8c8c3bf31",
+    ("bdd-async-hetero", "json"): "5ca59241453d39593b6583f8dbac40ec269e23b347ed62b48e5a251e490c5c00",
+    ("bdd-async-hetero", "table"): "177aabcca48eacc1dea57c3d841cffde0f64418f0e71cbeb22da7cd60436bad4",
+    ("diverged", "csv"): "8835f1fba83dc7b57b7a9206d42cd51db214d0081add45cebabf03017cd60f43",
+    ("diverged", "json"): "a1c7a3efb5fc9a72714c79ee5445c8fa31899890bbeba127bde8b0981e2c49d1",
+    ("diverged", "table"): "f7ba711efce983adcf4fcd1923e38f91c59e67100bdb2ec228d9f887e3d91337",
+    ("kitti-sync", "csv"): "bd4b22fc43a8904362b4d5a02c6c25e5410ea643d359857e726b58ab8f2cda99",
+    ("kitti-sync", "json"): "fb90eee17b07895a6994464eea566eb944ab6ed39b6be930fd0ee9b98e9a7148",
+    ("kitti-sync", "table"): "1b6e25da8c2489c7cea2bfe9fffbe58bf31049eeadd1368d0ff9597ac899a6b1",
+    (None, "csv"): "e5de91a23019f3bc899067710aabb1af306edd680a12388f54e18dd4a45a5765",
+    (None, "json"): "7aae9f5615d7a1564252943e801e00c892c571baf0f7fa84976400d78be3544d",
+    (None, "table"): "b12cff68e1881d83442d3609795d98b020bab3ce0c4de876fa4cbee4a5265b7a",
+}
+
+
+@pytest.fixture(scope="module")
+def report_logs(tmp_path_factory):
+    """Each pinned log's report, read back from a file written by a run."""
+    reports = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for name, builder in REPORT_LOGS.items():
+            path = tmp_path_factory.mktemp("logs") / f"{name}.jsonl"
+            sink, fh = open_log_writer(path)
+            with closing(fh):
+                run(config_from_dict(builder(seed=0)), sink)
+            reports[name] = report_from_log(path)
+    return reports
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, fmt", sorted((n, f) for n, f in REPORT_DIGESTS if n))
+def test_report_bytes(report_logs, name, fmt):
+    assert report_logs[name].complete
+    assert _sha(render_report(report_logs[name], fmt)) == REPORT_DIGESTS[name, fmt], _mismatch()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+def test_comparison_bytes(report_logs, fmt):
+    text = render_comparison(list(report_logs.values()), fmt)
+    assert _sha(text) == REPORT_DIGESTS[None, fmt], _mismatch()

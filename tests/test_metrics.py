@@ -1,14 +1,19 @@
 """Metrics records, JSONL logs, and report generation."""
 
+import functools
 import io
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import read_log as reference_read_log
 from reference import reference_line
 
+from fedsim.config import config_from_dict
 from fedsim.errors import IncompleteLogError
 from fedsim.metrics import (
     SCHEMA,
@@ -21,6 +26,8 @@ from fedsim.metrics import (
     render_report,
     report_from_log,
 )
+from fedsim.orchestrator import run
+from fedsim.scenarios import SCENARIOS, kitti_sync
 
 
 def rec(**kw):
@@ -198,6 +205,38 @@ class TestWriterReader:
         path.write_text("".join(r.to_line() + "\n" for r in records))
         assert read_log(path) == (records, [])
 
+    def test_read_log_reports_byte_that_is_not_utf8(self, tmp_path):
+        lines = [train_rec(1, f"C{i}", 0.0, 2.0).to_line().encode() for i in range(4)]
+        lines[2] = lines[2].replace(b'"C2"', b'"C\xff2"')  # inside a JSON string
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        got, problems = read_log(path)
+        assert [r.client_id for r in got] == ["C0", "C1", "C3"]
+        assert problems == ["line 3: unparseable record (truncated log?)"]
+
+    @pytest.mark.parametrize("fields, rule", [
+        ({"t_start_s": 5.0, "t_end_s": 3.0}, "t_end_s must be >= t_start_s"),
+        ({"energy_j": 150.0},
+         "energy_j 150.0 inconsistent with power x duration 600.0"),
+    ])
+    def test_read_log_reports_record_that_breaks_a_rule(self, tmp_path, fields, rule):
+        doc = json.loads(train_rec(1, "C1", 0.0, 2.0).to_line())
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps({**doc, **fields}) + "\n" + rec(accuracy=0.4).to_line() + "\n")
+        assert read_log(path) == ([rec(accuracy=0.4)],
+                                  [f"line 1: train_window record breaks a rule: {rule}"])
+
+    def test_read_log_numbers_lines_across_blocks_and_blanks(self, tmp_path):
+        good = rec(accuracy=0.4).to_line()
+        lines = [good] * 300
+        lines[10] = "  "
+        lines[127] = lines[299] = '{"run_id": "r1", "rou'
+        path = tmp_path / "m.jsonl"
+        path.write_text("\r\n".join(lines) + "\r\n")
+        got, problems = read_log(path)
+        assert len(got) == 297
+        assert problems == [f"line {n}: unparseable record (truncated log?)" for n in (128, 300)]
+
 
 _TEXT = st.text(st.sampled_from(["C", "7", '"', "\\", "%", "s", "\u00e9", "\u4e2d",
                                   "\U0001f697", "\n", "\x00", "\x7f"])) | st.text(max_size=6)
@@ -229,6 +268,135 @@ def _records(draw):
         if values.get("power_w") is not None and "energy_j" in values:
             values["energy_j"] = values["power_w"] * (t1 - t0)
     return draw(_TEXT), draw(_INT), event, values
+
+
+# Real logs the equivalence test injects faults into: sync and async runs,
+# dropouts, a log of several read blocks, and one whose losses are NaN.
+_LOGS = {name: SCENARIOS[name][0] for name in
+         ("kitti-sync", "bdd-dropout-dual", "bdd-async-hetero", "overlap-60")}
+
+
+def _diverged(seed):
+    doc = kitti_sync(seed)
+    doc["train"]["learning_rate"] = 1e300
+    return doc
+
+
+_LOGS["diverged"] = _diverged
+
+
+@functools.cache
+def _log_lines(name: str) -> tuple[bytes, ...]:
+    buf = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        run(config_from_dict(_LOGS[name](seed=0)), MetricsWriter(buf))
+    return tuple(line.encode() for line in buf.getvalue().splitlines())
+
+
+_NOT_OBJECTS = (b'"abc"', b"[1, 2]", b"7", b"null", b"{}")
+_WRONG_TYPES = ("5", True, None, [1], 1.5, 2, {"a": 1}, [{}, {}])
+_NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def _edit_object(kind: str, doc: dict, arg: int) -> dict:
+    """`doc` with one fault of `kind` that leaves it a JSON object."""
+    keys = list(doc)
+    key = keys[arg % len(keys)] if keys else "run_id"
+    if kind == "unknown_key":
+        at = arg % (len(keys) + 1)
+        return dict([*doc.items()][:at] + [("extra", 1)] + [*doc.items()][at:])
+    if kind == "reorder" and keys:
+        a, b = arg % len(keys), (arg // len(keys)) % len(keys)
+        keys[a], keys[b] = keys[b], keys[a]
+        return {k: doc[k] for k in keys}
+    if kind == "drop_key":
+        return {k: v for k, v in doc.items() if k != key}
+    if kind == "mistype":
+        return {**doc, key: _WRONG_TYPES[arg % len(_WRONG_TYPES)]}
+    if kind == "swap_times":
+        return {**doc, "t_start_s": doc.get("t_end_s"), "t_end_s": doc.get("t_start_s")}
+    if kind == "energy":
+        return {**doc, "energy_j": (doc.get("energy_j") or 0.0) * 1.5 + 1.0,
+                "power_w": doc.get("power_w") or 1.0}
+    if kind == "non_finite":
+        return {**doc, key: _NON_FINITE[arg % len(_NON_FINITE)]}
+    return doc
+
+
+def _inject(lines: list, fault: tuple) -> None:
+    """Apply one (kind, line index, argument) fault to `lines`, a list of
+    [line bytes, terminator] pairs; the index wraps around."""
+    kind, index, arg = fault
+    i = index % len(lines)
+    line, end = lines[i]
+    if kind == "blank":
+        lines.insert(i, [(b"", b"  \t ", b"\t")[arg % 3], (b"\n", b"\r\n")[arg % 2]])
+    elif kind in ("crlf", "cr"):
+        lines[i][1] = b"\r\n" if kind == "crlf" else b"\r"
+    elif kind == "truncate":
+        del lines[i + 1:]
+        lines[i] = [line[:arg % max(len(line), 1)], b""]
+    elif kind == "merge" and i + 1 < len(lines):
+        lines[i:i + 2] = [[line + b", " + lines[i + 1][0], lines[i + 1][1]]]
+    elif kind == "split":
+        cut = arg % (len(line) + 1)
+        lines[i:i + 1] = [[line[:cut], b"\n"], [line[cut:], end]]
+    elif kind == "wrap" and b"," in line:  # split at a comma, dropping it
+        commas = [k for k, c in enumerate(line) if c == ord(",")]
+        cut = commas[arg % len(commas)]
+        lines[i:i + 1] = [[line[:cut], b"\n"], [line[cut + 1:], end]]
+    elif kind == "not_object":
+        lines[i][0] = _NOT_OBJECTS[arg % len(_NOT_OBJECTS)]
+    elif kind == "byte":
+        cut = arg % (len(line) + 1)
+        lines[i][0] = line[:cut] + b"\xff" + line[cut:]
+    else:
+        try:
+            doc = json.loads(line)
+        except ValueError:
+            return
+        if isinstance(doc, dict):
+            lines[i][0] = json.dumps(_edit_object(kind, doc, arg)).encode()
+
+
+_KINDS = ("blank", "crlf", "cr", "truncate", "merge", "split", "wrap", "not_object", "byte",
+          "unknown_key", "reorder", "drop_key", "mistype", "swap_times", "energy",
+          "non_finite")
+_FAULT = st.tuples(st.sampled_from(_KINDS), st.integers(0, 10**6), st.integers(0, 10**6))
+
+
+class TestReadLogMatchesReference:
+    """The block reader against the line-by-line reference, on real logs
+    with injected faults: equal records and equal problems."""
+
+    @pytest.fixture(scope="class")
+    def log_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("faulted") / "m.jsonl"
+
+    # overlap-60's 620 lines span five 128-line blocks: faults at the first
+    # block boundary (lines 128 and 129), at line 256 and on the last line
+    @example(case=("overlap-60", [("merge", 127, 0)]))
+    @example(case=("overlap-60", [("split", 127, 40)]))
+    @example(case=("overlap-60", [("split", 255, 0), ("reorder", 128, 17)]))
+    @example(case=("overlap-60", [("byte", 255, 30), ("not_object", 256, 1)]))
+    @example(case=("overlap-60", [("truncate", 619, 100)]))
+    @example(case=("overlap-60", [("merge", 618, 0)]))
+    @example(case=("kitti-sync", [("blank", 59, 1), ("truncate", 60, 50)]))
+    # an object wrapped over two lines next to two objects on one line, in
+    # the same block: as many values as lines, but not one a line; then the
+    # same with the wrap inside a list of objects
+    @example(case=("overlap-60", [("wrap", 5, 0), ("merge", 10, 0)]))
+    @example(case=("overlap-60", [("mistype", 5, 103), ("wrap", 5, 13), ("merge", 10, 0)]))
+    @given(case=st.tuples(st.sampled_from(sorted(_LOGS)), st.lists(_FAULT, max_size=6)))
+    @settings(max_examples=200, deadline=None)
+    def test_read_log_equals_reference(self, log_path, case):
+        name, faults = case
+        lines = [[line, b"\n"] for line in _log_lines(name)]
+        for fault in faults:
+            _inject(lines, fault)
+        log_path.write_bytes(b"".join(line + end for line, end in lines))
+        assert read_log(log_path) == reference_read_log(log_path)
 
 
 class TestDirectWrite:
