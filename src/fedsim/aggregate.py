@@ -6,9 +6,10 @@ updates are applied on arrival by convex mixing with a polynomial
 staleness weight.
 
 Both engines pass plain, unchecked `ClientUpdate`s.  Finiteness is
-guaranteed by the training kernel and by one check of each result here,
-which names the offending clients: every weight is positive, so a
-non-finite entry in any update leaves the result non-finite.
+guaranteed by the executor, which stops at a diverged client, and by one
+check of each result here, which names the offending clients: every
+weight is positive, so a non-finite entry in any update leaves the result
+non-finite.
 """
 
 from __future__ import annotations

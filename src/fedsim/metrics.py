@@ -261,7 +261,12 @@ _REQUIRED = {
 _REQUIRED["aggregate"]["energy_j"] = (float, int, type(None))
 _REQUIRED_VALUES = {event: itemgetter(*map(_KEY_ORDER.index, names))
                     for event, names in _REQUIRED.items()}
-_SIGNATURES = {event: frozenset(product(*fields.values())) for event, fields in _REQUIRED.items()}
+# Per event, each admitted type signature of the required values, with the positions
+# of its ints in float fields, which must convert to floats (the writer writes none).
+_SIGNATURES = {event: {sig: tuple(i for i, (typ, admits) in enumerate(zip(sig, fields.values()))
+                                  if typ is int and float in admits)
+                       for sig in product(*fields.values())}
+               for event, fields in _REQUIRED.items()}
 _CHECK_ARGS = itemgetter(*map(_KEY_ORDER.index, ("event", *_WINDOW)))
 _DEFAULTS = tuple(MetricsRecord._field_defaults.get(k) for k in _KEY_ORDER)
 _UNPARSEABLE = "unparseable record (truncated log?)"
@@ -299,13 +304,16 @@ def _record(doc):
     except (KeyError, TypeError):  # an unknown or unhashable event
         return _UNPARSEABLE
     required = _REQUIRED_VALUES[event](values)
-    if tuple(map(type, required)) not in admits:
+    int_floats = admits.get(tuple(map(type, required)))
+    if int_floats is None:
         return f"{event} record {_misfit(event, required)}"
     try:
         _check(*_CHECK_ARGS(values))
+        for i in int_floats:
+            float(required[i])
     except ValueError as exc:
         return f"{event} record breaks a rule: {exc}"
-    except TypeError:  # a nullable field of a type the checks cannot use
+    except (TypeError, OverflowError):  # a type the checks cannot use, or past float range
         return _UNPARSEABLE
     return MetricsRecord._make(values)
 
@@ -329,7 +337,7 @@ def _line_record(line: str):
         return _UNPARSEABLE
     try:
         doc = json.loads(line)
-    except ValueError:
+    except (ValueError, RecursionError):  # RecursionError: nested past the interpreter's limit
         return _UNPARSEABLE
     return _record(doc)
 
@@ -351,7 +359,7 @@ def _block_docs(lines: list[str]) -> list | None:
         return None
     try:
         docs = json.loads(text)
-    except ValueError:
+    except (ValueError, RecursionError):
         return None
     return docs if len(docs) == len(lines) else None
 
@@ -361,10 +369,10 @@ def read_log(path) -> tuple[list[MetricsRecord], list[str]]:
 
     An unparseable tail marks the log truncated rather than failing the
     whole read.  A line that is not a JSON object or holds a byte that is
-    not UTF-8, a record whose required field (`SCHEMA`) is missing or of
-    another JSON type, an aggregate whose energy is neither a number nor
-    null, and a record that breaks a record check are reported and left
-    out.  Problems name their line, counting blank ones.
+    not UTF-8, a record whose required field (`SCHEMA`) is missing, of
+    another JSON type or an int past float range, an aggregate whose energy
+    is neither a number nor null, and a record that breaks a record check
+    are reported and left out.  Problems name their line, counting blank ones.
 
     The file is read `_BLOCK_LINES` lines at a time and each block decoded
     at once (`_block_docs`); a block that does not decode into one value a
@@ -477,6 +485,13 @@ def _fmt(x, digits=4):
     return str(x)
 
 
+def _csv(rows) -> str:
+    """`rows` as CSV text, a field quoted where it holds a comma, quote or newline."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def render_report(report: RunReport, fmt: str = "table") -> str:
     if fmt == "json":
         doc = {
@@ -493,22 +508,17 @@ def render_report(report: RunReport, fmt: str = "table") -> str:
         }
         return json.dumps(doc, indent=2)
     if fmt == "csv":
-        lines = ["section,key,value"]
-        for rnd, acc in report.round_accuracy:
-            lines.append(f"round_accuracy,{rnd},{_fmt(acc)}")
-        lines.append(f"summary,final_accuracy,{_fmt(report.final_accuracy)}")
-        lines.append(f"summary,total_energy_j,{_fmt(report.total_energy_j, 6)}")
-        lines.append(f"summary,total_time_s,{_fmt(report.total_time_s, 6)}")
-        for cid, ct in sorted(report.clients.items()):
-            lines.append(
-                f"client,{cid},time_s={_fmt(ct.time_s, 6)};"
-                f"energy_j={_fmt(ct.energy_j, 6)};"
-                f"rounds={ct.rounds_participated};oom={ct.oom_count}"
-            )
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows(
-            ("problem", i, p) for i, p in enumerate(report.problems, start=1))
-        return "\n".join(lines) + "\n" + out.getvalue()
+        return _csv([
+            ("section", "key", "value"),
+            *(("round_accuracy", rnd, _fmt(acc)) for rnd, acc in report.round_accuracy),
+            ("summary", "final_accuracy", _fmt(report.final_accuracy)),
+            ("summary", "total_energy_j", _fmt(report.total_energy_j, 6)),
+            ("summary", "total_time_s", _fmt(report.total_time_s, 6)),
+            *(("client", cid, f"time_s={_fmt(ct.time_s, 6)};energy_j={_fmt(ct.energy_j, 6)};"
+                              f"rounds={ct.rounds_participated};oom={ct.oom_count}")
+              for cid, ct in sorted(report.clients.items())),
+            *(("problem", i, p) for i, p in enumerate(report.problems, start=1)),
+        ])
     if fmt == "table":
         lines = [f"run {report.run_id}"]
         lines.append(f"{'round':>6} {'accuracy':>9}")
@@ -547,10 +557,8 @@ def render_comparison(reports: list[RunReport], fmt: str = "table") -> str:
             indent=2,
         )
     if fmt == "csv":
-        lines = ["run_id,final_accuracy,total_energy_j"]
-        for r in rows:
-            lines.append(f"{r.run_id},{_fmt(r.final_accuracy)},{_fmt(r.total_energy_j, 6)}")
-        return "\n".join(lines) + "\n"
+        return _csv([("run_id", "final_accuracy", "total_energy_j"), *(
+            (r.run_id, _fmt(r.final_accuracy), _fmt(r.total_energy_j, 6)) for r in rows)])
     lines = [f"{'run_id':>20} {'final_acc':>10} {'energy_j':>14}"]
     for r in rows:
         lines.append(

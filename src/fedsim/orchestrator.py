@@ -15,13 +15,15 @@ evaluation window at a time; a sync round is one window whose clients all
 train on the previous round's model.  One executor, `_execute`, runs
 either schedule: each batch of applications whose base models exist
 trains in one `train_cohort` call, with its training seeds and power
-draws keyed in one batch, and records are written in schedule order.
-Every record but `eval` goes to the writer as values (`MetricsWriter.write`);
-`eval` records stay `MetricsRecord`s, which a caller's sink may observe.
+draws keyed in one batch, and records are written in schedule order; a
+client whose training diverged raises at its application.  Every record
+but `eval` goes to the writer as values (`MetricsWriter.write`); `eval`
+records stay `MetricsRecord`s, which a caller's sink may observe.
 Only aggregation depends on the strategy; it takes plain `ClientUpdate`s,
-whose finiteness the kernel guarantees, and checks each result once.
-`run` picks the schedule from the config's strategy.  `local_train` and `apply_dropout` are kept for
-callers and perfbench's tracer; the engines call neither.
+whose finiteness the executor guarantees, and checks each result once.
+`run` picks the schedule from the config's strategy.  `local_train` and
+`apply_dropout` are kept for callers and perfbench's tracer; the engines
+call neither.
 """
 
 from __future__ import annotations
@@ -73,23 +75,21 @@ class RunResult:
 
 
 class _Presence:
-    """Participant sets under dropout rules, carried forward round by round.
+    """Participant sets under dropout rules.
 
     A stochastic rule is a presence chain from round 1: a participating
     client drops with probability p afterwards, an absent one rejoins with
     probability q the next round.  Coins are keyed per (seed, client,
     round), so presence at round r never depends on how it was queried.
-    Each chain keeps the last round asked about and the state there: a
-    later round draws only the coins in between, an earlier one restarts
-    the chain from round 1.
+    Each chain keeps its states from round 0 (present, as at round 1): a
+    later round draws only the coins past the last state kept, an earlier
+    one is read back.
     """
 
     def __init__(self, rules: dict[str, DropoutRule], seed: int):
         self._rules = rules
         self._seed = seed
-        self._chains = {
-            cid: (1, True) for cid, rule in rules.items() if rule.mode == "stochastic"
-        }
+        self._states = {cid: [True, True] for cid in rules}  # read under a stochastic rule
 
     def is_present(self, cid: str, round_idx: int) -> bool:
         rule = self._rules[cid]
@@ -97,23 +97,20 @@ class _Presence:
             return True
         if rule.mode == "absent_rounds":
             return round_idx not in rule.absent_rounds
-        at, state = self._chains[cid]
-        if round_idx < at:
-            at, state = 1, True
-        coins = streams.derive(self._seed, _DROPOUT, _cid_key(cid), range(at, round_idx))
-        for coin in coins:
+        states = self._states[cid]
+        for coin in streams.derive(self._seed, _DROPOUT, _cid_key(cid),
+                                   range(len(states) - 1, round_idx)):
             u = np.random.default_rng(coin).random()
-            state = (u >= rule.p) if state else (u < rule.q)
-        self._chains[cid] = (max(at, round_idx), state)
-        return state
+            states.append((u >= rule.p) if states[-1] else (u < rule.q))
+        return states[max(round_idx, 0)]
 
     def participants(self, round_idx: int) -> list[str]:
         return [cid for cid in sorted(self._rules) if self.is_present(cid, round_idx)]
 
-    def absorbed(self, cid: str) -> bool:
-        """Absent at the last round asked about, and never to rejoin."""
+    def absorbed(self, cid: str, round_idx: int) -> bool:
+        """Absent at `round_idx`, and never to rejoin."""
         rule = self._rules[cid]
-        return rule.mode == "stochastic" and rule.q == 0.0 and not self._chains[cid][1]
+        return rule.mode == "stochastic" and rule.q == 0.0 and not self.is_present(cid, round_idx)
 
 
 def apply_dropout(rules: dict[str, DropoutRule], round_idx: int, seed: int) -> list[str]:
@@ -299,7 +296,7 @@ def _async_schedule(ctx: _Run) -> Iterator[_Window]:
         attempt = attempts[cid] = attempts[cid] + 1
         if not ctx.presence.is_present(cid, attempt):
             window.append(("dropout", attempt, cid, clock, clock))
-            if all(map(ctx.presence.absorbed, ctx.durations)):
+            if all(ctx.presence.absorbed(c, attempts[c]) for c in ctx.durations):
                 yield window, clock, SimulationError(
                     f"every client is permanently absent after {version} of "
                     f"{budget} applications; the run cannot finish"
@@ -337,9 +334,8 @@ def _execute(ctx: _Run, schedule: Iterator[_Window], w: np.ndarray, version: int
 
     Records are written in schedule order.  At a window's first untrained
     application, every untrained application of the window whose base
-    version exists trains in one batch.  A batch that fails is retrained
-    one application at a time, so a failure surfaces at the same
-    application, after the same records, as in a loop that trains each in
+    version exists trains in one batch, once; a diverged client raises at
+    its application, after the same records as a loop that trains each in
     turn.  FedAsync mixes each update in on arrival; FedAvg and FedProx
     average a window's updates at its end and move the version up by one.
     Every window ends with an evaluation, numbered on from `version`.
@@ -349,7 +345,6 @@ def _execute(ctx: _Run, schedule: Iterator[_Window], w: np.ndarray, version: int
     evals = version
     models = {version: w}  # version -> global model, while some client holds it
     held = dict.fromkeys(ctx.durations, version)  # fedasync: client -> version it trains on
-    one_at_a_time = False
     for window, end, failure in schedule:
         # Both are emptied before the window trains and `trained` is popped
         # as records are written, so no window's results outlive it.
@@ -359,19 +354,14 @@ def _execute(ctx: _Run, schedule: Iterator[_Window], w: np.ndarray, version: int
             if type(item) is not _Application:
                 ctx.write(*item)
                 continue
-            while i not in trained:
-                batch = [i] if one_at_a_time else [
-                    j for j in range(i, len(window)) if j not in trained
-                    and type(window[j]) is _Application and window[j].base <= version
-                ]
-                try:
-                    trained.update(zip(batch, _train(ctx, [window[j] for j in batch], models)))
-                except SimulationError:
-                    if len(batch) == 1:
-                        raise
-                    one_at_a_time = True
+            if i not in trained:
+                batch = [j for j in range(i, len(window)) if j not in trained
+                         and type(window[j]) is _Application and window[j].base <= version]
+                trained.update(zip(batch, _train(ctx, [window[j] for j in batch], models)))
             attempt, cid, start, stop, base = item
             w_new, n, loss, power, util = trained.pop(i)
+            if w_new is None:
+                raise SimulationError("non-finite parameters after local training")
             ctx.train_window(attempt, cid, start, stop, n, loss, power, util)
             if not on_arrival:
                 updates.append(ClientUpdate(cid, w_new, n))

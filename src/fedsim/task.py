@@ -31,7 +31,7 @@ from itertools import groupby
 import numpy as np
 
 from . import streams
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError
 from .partition import largest_remainder
 
 REFERENCE_SCENARIO = "reference"
@@ -326,7 +326,8 @@ def local_train(
     """Minibatch SGD (optionally proximal) from w0 for one client.
 
     A cohort of one: see `train_cohort` for the procedure.  Returns
-    (updated params, sample count, final full-dataset loss).
+    (updated params, sample count, final full-dataset loss), the params
+    None if training diverged.
     """
     return train_cohort(w0, [data], [seed], cfg)[0]
 
@@ -358,8 +359,8 @@ def train_cohort(
     full-dataset loss) per client, in input order.  The loss is computed
     by the kernel too, and equals `loss_and_gradient` over the whole
     dataset, anchored at the client's starting point, bit for bit.
-    Training that leaves any parameter non-finite raises `SimulationError`,
-    so every returned parameter vector is finite.
+    A client whose training leaves any parameter non-finite has diverged:
+    its params are None, so every returned parameter vector is finite.
     """
     if len(datasets) != len(seeds):
         raise ValueError("need one seed per dataset")
@@ -381,8 +382,8 @@ def train_cohort(
             anchors if anchors.ndim == 1 else anchors[chunk],
             [datasets[i] for i in chunk], [keys[i * e : i * e + e] for i in chunk], cfg,
         )
-        for i, w, loss in zip(chunk, params, losses):
-            results[i] = (w, sizes[i], loss)
+        for i, w, finite, loss in zip(chunk, params, np.isfinite(params).all(axis=1), losses):
+            results[i] = (w if finite else None, sizes[i], loss)
     return results
 
 
@@ -480,8 +481,6 @@ def _sgd_chunk(
             g += mu * (p - a)
             g *= lr
             p -= g
-    if not np.all(np.isfinite(params)):
-        raise SimulationError("non-finite parameters after local training")
 
     # Final loss, once per distinct size: the loss half of
     # `loss_and_gradient` over each client's whole dataset in its original

@@ -31,6 +31,16 @@ def reference_line(run_id: str, round_idx: int, event: str, **fields) -> str:
 
 
 UNPARSEABLE = "unparseable record (truncated log?)"
+# The least int `float` refuses: halfway from the largest float, 2**1024 - 2**971,
+# to 2**1024, which the tie rounds to.
+FLOAT_OVERFLOW = 2**1024 - 2**970
+
+
+def _past_float_range(event: str, required) -> bool:
+    """Whether a required float field of `event` holds an int too large in
+    magnitude to convert to a float."""
+    return any(type(v) is int and float in admits and abs(v) >= FLOAT_OVERFLOW
+               for v, admits in zip(required, _REQUIRED[event].values()))
 
 
 def _refused(line: str) -> str:
@@ -41,7 +51,7 @@ def _refused(line: str) -> str:
         event = doc["event"]
         values = {**MetricsRecord._field_defaults, **doc}
         required = tuple(map(values.get, _REQUIRED[event]))
-    except (AttributeError, KeyError, TypeError, ValueError):
+    except (AttributeError, KeyError, TypeError, ValueError, RecursionError):
         return UNPARSEABLE
     if tuple(map(type, required)) not in _SIGNATURES[event]:
         return f"{event} record {_misfit(event, required)}"
@@ -49,7 +59,7 @@ def _refused(line: str) -> str:
         _check(event, *map(values.get, ("t_start_s", "t_end_s", "power_w", "energy_j")))
     except ValueError as exc:
         return f"{event} record breaks a rule: {exc}"
-    except TypeError:
+    except (TypeError, OverflowError):
         pass
     return UNPARSEABLE
 
@@ -70,12 +80,15 @@ def read_log(path) -> tuple[list, list[str]]:
                 continue
             try:
                 rec = MetricsRecord.from_line(line)
-            except (json.JSONDecodeError, TypeError, ValueError):
+            except (json.JSONDecodeError, TypeError, ValueError, OverflowError, RecursionError):
                 problems.append(f"line {lineno}: {_refused(line)}")
                 continue
             values = attrgetter(*_REQUIRED[rec.event])(rec)
             if tuple(map(type, values)) not in _SIGNATURES[rec.event]:
                 problems.append(f"line {lineno}: {rec.event} record {_misfit(rec.event, values)}")
+                continue
+            if _past_float_range(rec.event, values):
+                problems.append(f"line {lineno}: {UNPARSEABLE}")
                 continue
             records.append(rec)
     return records, problems
@@ -104,7 +117,7 @@ def async_one_at_a_time(cfg, sink) -> None:
         attempt = attempts[cid] = attempts[cid] + 1
         if not ctx.presence.is_present(cid, attempt):
             ctx.write("dropout", attempt, cid, clock, clock)
-            if all(map(ctx.presence.absorbed, ctx.durations)):
+            if all(ctx.presence.absorbed(c, attempts[c]) for c in ctx.durations):
                 raise SimulationError(
                     f"every client is permanently absent after {version} of "
                     f"{budget} applications; the run cannot finish"
@@ -114,6 +127,8 @@ def async_one_at_a_time(cfg, sink) -> None:
         seed = int(np.random.SeedSequence([cfg.master_seed, orchestrator._TRAIN, attempt,
                                            orchestrator._cid_key(cid)]).generate_state(1)[0])
         w_new, n, loss = local_train(model, ctx.datasets[cid], seed, cfg.train)
+        if w_new is None:
+            raise SimulationError("non-finite parameters after local training")
         rng = np.random.default_rng(np.random.SeedSequence(
             [cfg.master_seed, orchestrator._POWER, attempt, orchestrator._cid_key(cid)]))
         entry = ctx.entries[cid]

@@ -131,6 +131,32 @@ class TestRunResumeReport:
         assert "final accuracy" in out
         assert out.endswith("INCOMPLETE LOG:\n  line 3: unparseable record (truncated log?)\n")
 
+    @pytest.mark.parametrize("fields", [
+        {"power_w": 10**400},
+        {"power_w": None, "energy_j": 10**400},
+        {"power_w": None, "t_end_s": 10**400},
+    ], ids=["power", "energy", "end"])
+    def test_report_names_line_with_int_past_float_range(self, tmp_path, capsys, fields):
+        log = tmp_path / "m.jsonl"
+        run_cli("run", "--scenario", "kitti-sync", "--seed", "0", "--log", str(log))
+        lines = log.read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), **fields})
+        log.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("report", str(log)) == EXIT_INCOMPLETE
+        out = capsys.readouterr().out
+        assert out.endswith("INCOMPLETE LOG:\n  line 3: unparseable record (truncated log?)\n")
+
+    def test_report_names_line_nested_past_the_recursion_limit(self, tmp_path, capsys):
+        log = tmp_path / "m.jsonl"
+        run_cli("run", "--scenario", "kitti-sync", "--seed", "0", "--log", str(log))
+        lines = log.read_text().splitlines()
+        lines[2] = "[" * 100_000
+        log.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("report", str(log)) == EXIT_INCOMPLETE
+        assert "  line 3: unparseable record (truncated log?)\n" in capsys.readouterr().out
+
     def test_report_csv_lists_problems(self, tmp_path, capsys):
         log = tmp_path / "m.jsonl"
         run_cli("run", "--scenario", "kitti-sync", "--seed", "0", "--log", str(log))

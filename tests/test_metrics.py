@@ -1,5 +1,6 @@
 """Metrics records, JSONL logs, and report generation."""
 
+import csv
 import functools
 import io
 import json
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import FLOAT_OVERFLOW, reference_line
 from reference import read_log as reference_read_log
-from reference import reference_line
 
 from fedsim.config import config_from_dict
 from fedsim.errors import IncompleteLogError
@@ -27,6 +28,7 @@ from fedsim.metrics import (
     report_from_log,
 )
 from fedsim.orchestrator import run
+from fedsim.partition import builtin_plan
 from fedsim.scenarios import SCENARIOS, kitti_sync
 
 
@@ -226,6 +228,49 @@ class TestWriterReader:
         assert read_log(path) == ([rec(accuracy=0.4)],
                                   [f"line 1: train_window record breaks a rule: {rule}"])
 
+    @pytest.mark.parametrize("fields", [
+        {"power_w": 10**400},
+        {"power_w": None, "energy_j": 10**400},
+        {"power_w": None, "t_end_s": 10**400},
+        {"power_w": None, "energy_j": -FLOAT_OVERFLOW},
+    ], ids=["power", "energy", "end", "least-energy"])
+    @pytest.mark.parametrize("path", ["block", "line"])
+    def test_read_log_reports_int_past_float_range(self, tmp_path, fields, path):
+        """The report would add these to floats: each line is named, on the
+        block path and on the line path (a line holding a list sends its
+        block there)."""
+        lines = [train_rec(1, f"C{i}", 0.0, 2.0).to_line() for i in range(4)]
+        lines[1] = json.dumps({**json.loads(lines[1]), **fields})
+        if path == "line":
+            lines[3] = "[1, 2]"
+        log = tmp_path / "m.jsonl"
+        log.write_text("\n".join(lines) + "\n")
+        got, problems = read_log(log)
+        assert [r.client_id for r in got] == (["C0", "C2", "C3"] if path == "block"
+                                              else ["C0", "C2"])
+        assert problems[0] == "line 2: unparseable record (truncated log?)"
+        assert (got, problems) == reference_read_log(log)
+
+    def test_read_log_admits_int_just_inside_float_range(self, tmp_path):
+        doc = json.loads(train_rec(1, "C1", 0.0, 2.0).to_line())
+        log = tmp_path / "m.jsonl"
+        log.write_text(json.dumps({**doc, "power_w": None, "energy_j": FLOAT_OVERFLOW - 1}) + "\n")
+        got, problems = read_log(log)
+        assert problems == [] and got[0].energy_j == FLOAT_OVERFLOW - 1
+
+    @pytest.mark.parametrize("opener", ["[", '{"a": '])
+    @pytest.mark.parametrize("path", ["block", "line"])
+    def test_read_log_reports_line_nested_past_the_recursion_limit(self, tmp_path, opener, path):
+        lines = [rec(accuracy=0.4).to_line()] * 4
+        lines[2] = opener * 100_000
+        if path == "line":
+            lines[0] = "[1, 2]"
+        log = tmp_path / "m.jsonl"
+        log.write_text("\n".join(lines) + "\n")
+        got, problems = read_log(log)
+        assert len(got) == (3 if path == "block" else 2)
+        assert problems[-1] == "line 3: unparseable record (truncated log?)"
+
     def test_read_log_numbers_lines_across_blocks_and_blanks(self, tmp_path):
         good = rec(accuracy=0.4).to_line()
         lines = [good] * 300
@@ -297,6 +342,7 @@ def _log_lines(name: str) -> tuple[bytes, ...]:
 _NOT_OBJECTS = (b'"abc"', b"[1, 2]", b"7", b"null", b"{}")
 _WRONG_TYPES = ("5", True, None, [1], 1.5, 2, {"a": 1}, [{}, {}])
 _NON_FINITE = (math.nan, math.inf, -math.inf)
+_HUGE_INTS = (10**400, -(10**400), FLOAT_OVERFLOW, FLOAT_OVERFLOW - 1)
 
 
 def _edit_object(kind: str, doc: dict, arg: int) -> dict:
@@ -317,10 +363,15 @@ def _edit_object(kind: str, doc: dict, arg: int) -> dict:
     if kind == "swap_times":
         return {**doc, "t_start_s": doc.get("t_end_s"), "t_end_s": doc.get("t_start_s")}
     if kind == "energy":
-        return {**doc, "energy_j": (doc.get("energy_j") or 0.0) * 1.5 + 1.0,
-                "power_w": doc.get("power_w") or 1.0}
+        try:
+            energy = (doc.get("energy_j") or 0.0) * 1.5 + 1.0
+        except (TypeError, OverflowError):  # mistyped, or an int past float range
+            energy = 1.0
+        return {**doc, "energy_j": energy, "power_w": doc.get("power_w") or 1.0}
     if kind == "non_finite":
         return {**doc, key: _NON_FINITE[arg % len(_NON_FINITE)]}
+    if kind == "huge_int":
+        return {**doc, key: _HUGE_INTS[arg % len(_HUGE_INTS)]}
     return doc
 
 
@@ -351,10 +402,12 @@ def _inject(lines: list, fault: tuple) -> None:
     elif kind == "byte":
         cut = arg % (len(line) + 1)
         lines[i][0] = line[:cut] + b"\xff" + line[cut:]
+    elif kind == "deep":  # nested past the interpreter's recursion limit
+        lines[i][0] = (b"[", b'{"a": ')[arg % 2] * 100_000
     else:
         try:
             doc = json.loads(line)
-        except ValueError:
+        except (ValueError, RecursionError):
             return
         if isinstance(doc, dict):
             lines[i][0] = json.dumps(_edit_object(kind, doc, arg)).encode()
@@ -362,7 +415,7 @@ def _inject(lines: list, fault: tuple) -> None:
 
 _KINDS = ("blank", "crlf", "cr", "truncate", "merge", "split", "wrap", "not_object", "byte",
           "unknown_key", "reorder", "drop_key", "mistype", "swap_times", "energy",
-          "non_finite")
+          "non_finite", "huge_int", "deep")
 _FAULT = st.tuples(st.sampled_from(_KINDS), st.integers(0, 10**6), st.integers(0, 10**6))
 
 
@@ -557,6 +610,26 @@ class TestRendering:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             render_report(self.report(), "xml")
+
+    def test_csv_rows_read_back_with_csv_reader(self):
+        """Client and run ids holding a comma or a quote stay one field."""
+        ids = ["C,1", 'C"2', "C3", "C4"]
+        plan = builtin_plan("kitti-4").scaled(16).to_json_dict()
+        del plan["scenario_mix"]
+        doc = kitti_sync(0)
+        doc["plan"] = {"inline": {**plan, "client_ids": ids}}
+        doc["clients"] = [{"client_id": cid} for cid in ids]
+        sink = MetricsWriter(None)
+        run(config_from_dict(doc), sink)
+        report = build_report(sink.records, ["line 9: a, \"quoted\" problem"])
+        rows = list(csv.reader(io.StringIO(render_report(report, "csv"))))
+        assert {len(row) for row in rows} == {3}
+        assert [row[1] for row in rows if row[0] == "client"] == sorted(ids)
+        assert rows[-1] == ["problem", "1", 'line 9: a, "quoted" problem']
+        other = build_report([r._replace(run_id='r,"2"') for r in sink.records])
+        rows = list(csv.reader(io.StringIO(render_comparison([report, other], "csv"))))
+        assert {len(row) for row in rows} == {3}
+        assert sorted(row[0] for row in rows[1:]) == sorted([report.run_id, 'r,"2"'])
 
     def test_comparison_sorted_best_first(self):
         a = build_report(TestReport().full_log())

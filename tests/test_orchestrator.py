@@ -565,10 +565,14 @@ class TestPresenceChain:
         rule = DropoutRule(mode="stochastic", p=p, q=q)
         rules = {"C1": rule, "C2": DropoutRule()}
         presence = orchestrator._Presence(rules, seed)
+        absorbing = DropoutRule(mode="stochastic", p=p, q=0.0)
+        absorbed = orchestrator._Presence({"C1": absorbing}, seed)
         for r in rounds:
             expect = replay(rule, "C1", r, seed)
             assert presence.is_present("C1", r) == expect
             assert (apply_dropout(rules, r, seed) == ["C1", "C2"]) == expect
+            assert presence.absorbed("C1", r) == (q == 0.0 and not expect)
+            assert absorbed.absorbed("C1", r) == (not replay(absorbing, "C1", r, seed))
 
     @pytest.mark.parametrize("rounds", [3, 12])
     def test_coin_draws_linear_in_attempts(self, monkeypatch, rounds):
@@ -696,7 +700,7 @@ class TestBatchedExecutor:
         assert log.count("\n") >= 4  # C8's and C7's records at least
         assert (raised is None) if error is None else raised.startswith(error)
 
-    def test_failed_batch_retrained_one_at_a_time(self, monkeypatch):
+    def test_failing_batch_trained_once(self, monkeypatch):
         sizes = []
         train_cohort = orchestrator.train_cohort
 
@@ -709,17 +713,16 @@ class TestBatchedExecutor:
         _diverging("C6")(doc, monkeypatch)
         with np.errstate(all="ignore"), pytest.raises(SimulationError):
             run_async(config_from_dict(doc), MetricsWriter(None))
-        # C8, C7, C6 and C5 fetch version 0 and fail together; then C8 and
-        # C7 train alone and C6 fails alone
-        assert sizes == [4, 1, 1, 1]
+        # C8, C7, C6 and C5 fetch version 0 and train together, once: C6's
+        # diverged training raises when its application is reached
+        assert sizes == [4]
 
 
 class TestSyncTrainingFailure:
     def test_records_before_the_failing_participant(self, monkeypatch):
-        """A sync round trains as one batch.  When C3's training overflows,
-        the batch is retrained one client at a time, so C1's and C2's
-        train_window records are written before the error, as in an async
-        window."""
+        """A sync round trains as one batch, once.  When C3's training
+        overflows, C1's and C2's train_window records are written before
+        the error, as in an async window."""
         sizes = []
         train_cohort = orchestrator.train_cohort
 
@@ -737,7 +740,7 @@ class TestSyncTrainingFailure:
         assert [(r.event, r.round, r.client_id) for r in sink.records] == [
             ("train_window", 1, "C1"), ("train_window", 1, "C2"),
         ]
-        assert sizes == [4, 1, 1, 1]
+        assert sizes == [4]
 
 
 def _async_dropout_long():

@@ -4,6 +4,8 @@ import pytest
 
 from fedsim.config import ExperimentConfig
 from fedsim.errors import ConfigError
+from fedsim.metrics import MetricsWriter, build_report
+from fedsim.orchestrator import run
 from fedsim.scenarios import SCENARIOS, scenario_config
 
 
@@ -129,3 +131,31 @@ class TestBuilderOutput:
         doc = builder(seed=0)
         cfg = scenario_config(name)
         assert [c["client_id"] for c in doc["clients"]] == [c.client_id for c in cfg.clients]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+class TestLogInvariants:
+    """Conservation laws every built-in scenario's seed-0 log keeps."""
+
+    @pytest.fixture
+    def records(self, name):
+        sink = MetricsWriter(None)
+        run(scenario_config(name, seed=0), sink)
+        return sink.records
+
+    def test_sync_aggregate_counts_its_rounds_samples(self, name, records):
+        windows: dict[int, int] = {}
+        for rec in records:
+            if rec.event == "train_window":
+                windows[rec.round] = windows.get(rec.round, 0) + rec.n_samples
+        sync = [rec for rec in records if rec.event == "aggregate" and rec.client_id is None]
+        for rec in sync:
+            assert rec.n_samples == windows[rec.round]
+        assert bool(sync) == (scenario_config(name).strategy != "fedasync")
+
+    def test_report_energy_is_the_records_sum(self, name, records):
+        total = 0.0
+        for rec in records:
+            if rec.event in ("train_window", "aggregate"):
+                total += rec.energy_j or 0.0
+        assert build_report(records).total_energy_j == total

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fedsim import streams
 from fedsim import task as task_module
-from fedsim.errors import ConfigError, SimulationError
+from fedsim.errors import ConfigError
 from fedsim.partition import largest_remainder
 from fedsim.task import (
     LocalDataset,
@@ -538,12 +538,24 @@ class TestTrainCohort:
         with pytest.raises(ValueError):
             train_cohort(zero_params(16, 8), [data], [0, 1], TrainConfig())
 
-    def test_non_finite_parameters_rejected(self):
+    def test_diverged_client_gets_none(self):
+        """A client whose training leaves a parameter non-finite gets None
+        params; its finite chunk-mates equal training alone, bit for bit."""
         task = default_task()
-        data = generate_dataset(task, [4] * 8, None, 0, "C1")
-        w0 = np.full(param_length(16, 8), np.inf)
-        with np.errstate(all="ignore"), pytest.raises(SimulationError):
-            train_cohort(w0, [data], [0], TrainConfig())
+        datasets = [generate_dataset(task, [4] * 8, None, i, f"C{i}") for i in range(4)]
+        bad = datasets[2]
+        datasets[2] = LocalDataset("C2", bad.features * 1e200, bad.labels, bad.scenarios)
+        w0 = 0.1 * np.random.default_rng(0).standard_normal((4, param_length(16, 8)))
+        w0[1] = np.inf
+        cfg = TrainConfig()
+        with np.errstate(all="ignore"):
+            got = train_cohort(w0, datasets, [0, 1, 2, 3], cfg)
+            alone = [local_train(w0[k], datasets[k], k, cfg) for k in range(4)]
+        assert [w is None for w, _, _ in got] == [False, True, True, False]
+        assert [w is None for w, _, _ in alone] == [False, True, True, False]
+        for k in (0, 3):
+            assert np.array_equal(got[k][0], alone[k][0])
+            assert got[k][1:] == alone[k][1:]
 
 
 class TestCohortFinalLoss:
