@@ -317,6 +317,8 @@ def _parse_plan(doc, n_classes: int) -> PartitionPlan | OverlapPlan:
     if "inline" in fields:
         if "scenario_mix" in fields["inline"]:  # null (as `fedsim partition` writes) is left out
             raise ConfigError("no run reads inline plan.scenario_mix; set a client's scenario_mix")
+        if "test_client" in fields["inline"]:  # null (as older plan files hold) is left out
+            raise ConfigError("no run reads inline plan.test_client; leave it out or null")
         plan = PartitionPlan.from_json_dict(fields["inline"])
     else:
         plan = builtin_plan(fields["builtin"])

@@ -18,7 +18,6 @@ record's own in order, as they are on every line the writer produces.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -104,21 +103,8 @@ class MetricsRecord(_Fields):
         _check(rec.event, rec.t_start_s, rec.t_end_s, rec.power_w, rec.energy_j)
         return rec
 
-    def to_line(self) -> str:
-        return json.dumps(self._asdict())
-
-    @staticmethod
-    def from_line(line: str) -> "MetricsRecord":
-        doc = json.loads(line)
-        if not isinstance(doc, dict):
-            raise ValueError("a log line must be a JSON object")
-        if not _FIELD_NAMES.issuperset(doc):
-            doc = {k: v for k, v in doc.items() if k in _FIELD_NAMES}
-        return MetricsRecord(**doc)
-
 
 _KEY_ORDER = MetricsRecord._fields
-_FIELD_NAMES = frozenset(_KEY_ORDER)
 _WINDOW = ("t_start_s", "t_end_s", "power_w", "energy_j")
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -169,13 +155,21 @@ def _form(event: str, types: dict[str, type]) -> tuple[str, tuple, tuple]:
 _FORMS = {event: _form(event, types) for event, types in SCHEMA.items()}
 
 
-class MetricsWriter:
-    """Single-writer JSONL sink.
+class _Void:
+    """A stream that keeps nothing: `write` hands its text back, so a writer over
+    it drops each line once rendered and `csv.writer.writerow` returns its row."""
 
-    A record object goes through `emit`; the engines hand every other
-    record's values straight to `write`, which renders its line from the
-    event's template without building a `MetricsRecord`.  Both run the
-    record checks.
+    def write(self, text: str) -> str:
+        return text
+
+    def flush(self) -> None:
+        pass
+
+
+class MetricsWriter:
+    """Single-writer JSONL sink: `write` renders every line from its
+    event's template, after the record checks.  The engines hand `write`
+    each record's values; `emit` hands it a record's.
 
     The stream is flushed after every ``eval`` record, which closes each
     sync round and each async evaluation window: at those points the file
@@ -183,39 +177,35 @@ class MetricsWriter:
     `run_sync` returns is never ahead of the log.  Lines in between reach
     the disk when the stream's buffer fills or it is closed.
 
-    A writer over a stream keeps nothing in memory, so a long run's log
-    costs no heap; read a log file back with `read_log`.
-    A writer without a stream (``MetricsWriter(None)``) keeps every record
-    in `records` instead, which is None for a streaming writer.
+    The writer keeps nothing in memory, so a long run's log costs no heap;
+    read a log file back with `read_log`.  A writer without a stream
+    (``MetricsWriter(None)``) checks and renders every record and drops
+    it, so a run given no sink fails at the record a logged run fails at.
     """
 
     def __init__(self, stream):
-        self._stream = stream
-        self.records: list[MetricsRecord] | None = [] if stream is None else None
+        self._stream = _Void() if stream is None else stream
 
     def emit(self, record: MetricsRecord) -> None:
-        if self._stream is None:
-            self.records.append(record)
-        else:
-            self._stream.write(record.to_line() + "\n")
-            if record.event == "eval":
-                self._stream.flush()
+        """`write` of `record`'s `SCHEMA` fields, refusing a value its event lacks."""
+        # Kept for perfbench's `_stamp_evals`, which wraps it to time evaluations (ROADMAP item 1).
+        values = record._asdict()
+        args = [values.pop(k) for k in ("event", "run_id", "round", *SCHEMA[record.event])]
+        if stray := [k for k, v in values.items() if v is not MetricsRecord._field_defaults[k]]:
+            raise ValueError(f"{record.event} record sets {', '.join(stray)}, which its event lacks")
+        self.write(*args)
 
     def write(self, event: str, run_id: str, round_idx: int, *values) -> None:
         """Write one `event` record from the values of its `SCHEMA` fields,
-        in key order: the record's `to_line` and a newline."""
+        in key order: the line `json.dumps` writes of the record, and a newline."""
         if event not in _FORMS:
             raise ValueError(f"unknown event {event!r}")
         template, renderers, window = _FORMS[event]
         _check(event, *[None if i is None else values[i] for i in window])
         texts = [render(v) for render, v in zip(renderers, values)]
-        line = template % (encode_basestring_ascii(run_id), round_idx, *texts)
-        if self._stream is None:
-            self.records.append(MetricsRecord.from_line(line))
-        else:
-            self._stream.write(line)
-            if event == "eval":
-                self._stream.flush()
+        self._stream.write(template % (encode_basestring_ascii(run_id), round_idx, *texts))
+        if event == "eval":
+            self._stream.flush()
 
 
 class _LogFile:
@@ -486,10 +476,11 @@ def _fmt(x, digits=4):
 
 
 def _csv(rows) -> str:
-    """`rows` as CSV text, a field quoted where it holds a comma, quote or newline."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    return out.getvalue()
+    """`rows` as CSV text, a field quoted where it holds a comma, a quote, a
+    LF or a CR.  The writer quotes a field holding a character of its line
+    terminator, so each row is rendered ending in CR LF, then ends in LF."""
+    writer = csv.writer(_Void(), lineterminator="\r\n")
+    return "".join(writer.writerow(row)[:-2] + "\n" for row in rows)
 
 
 def render_report(report: RunReport, fmt: str = "table") -> str:

@@ -16,9 +16,8 @@ train on the previous round's model.  One executor, `_execute`, runs
 either schedule: each batch of applications whose base models exist
 trains in one `train_cohort` call, with its training seeds and power
 draws keyed in one batch, and records are written in schedule order; a
-client whose training diverged raises at its application.  Every record
-but `eval` goes to the writer as values (`MetricsWriter.write`); `eval`
-records stay `MetricsRecord`s, which a caller's sink may observe.
+client whose training diverged raises at its application.  Every line is
+rendered by `MetricsWriter.write`, an `eval` record's through `emit`.
 Only aggregation depends on the strategy; it takes plain `ClientUpdate`s,
 whose finiteness the executor guarantees, and checks each result once.
 `run` picks the schedule from the config's strategy.  `local_train` and
@@ -48,6 +47,7 @@ from .task import (
     generate_dataset,
     generate_datasets,
     local_train,
+    param_length,
     train_cohort,
     zero_params,
 )
@@ -546,10 +546,10 @@ def checkpoint_resume(
 ) -> RunResult:
     """Continue a checkpointed sync run to completion.
 
-    Refuses to resume under a different configuration, past the config's
-    last round, or at a version other than the round (a sync run's version
-    counts its rounds); the continuation is bit-identical to the
-    uninterrupted run.
+    Refuses, before any record, to resume under a different configuration,
+    past the config's last round, at a version other than the round (a sync
+    run's version counts its rounds) or from parameters not the task's
+    length; the continuation is bit-identical to the uninterrupted run.
     """
     if cp.config_digest != cfg.digest():
         raise ConfigError(
@@ -561,6 +561,9 @@ def checkpoint_resume(
                           f"{cfg.rounds} rounds")
     if cp.version != cp.round:
         raise ConfigError(f"checkpoint field 'version' is {cp.version}, not its round {cp.round}")
+    expect = param_length(cfg.task.n_features, cfg.task.n_classes)
+    if len(cp.params) != expect:
+        raise ConfigError(f"checkpoint field 'params' holds {len(cp.params)} values, not {expect}")
     return run_sync(cfg, sink, _checkpoint=cp)
 
 

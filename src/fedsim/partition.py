@@ -64,7 +64,6 @@ LIGHTING_WEATHER_COUNTS = {
 }
 
 WEATHER_FRACTIONS = (0.30, 0.25, 0.20, 0.15, 0.10)
-WEATHER_TEST_CLIENT = 2  # 0-based: the 20% share is the evaluation holder
 NUSCENES_FRACTIONS = (0.5, 0.25, 0.125, 0.125)
 # 24 categories minus 4 excluded rare ones.
 NUSCENES_CLASS_SLOTS = 20
@@ -102,7 +101,6 @@ class PartitionPlan:
     client_ids: tuple[str, ...]
     class_names: tuple[str, ...]
     counts: tuple[tuple[int, ...], ...]  # row per client, column per class
-    test_client: str | None = None
     # client id -> row index; derived, so out of equality, repr and JSON.
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
@@ -118,8 +116,6 @@ class PartitionPlan:
                 raise ConfigError(f"negative count in row for {cid}")
             if sum(row) == 0:
                 raise ConfigError(f"client {cid} holds no samples")
-        if self.test_client is not None and self.test_client not in self.client_ids:
-            raise ConfigError(f"unknown test client {self.test_client!r}")
 
     @property
     def class_totals(self) -> tuple[int, ...]:
@@ -152,7 +148,7 @@ class PartitionPlan:
             tuple(max(1, round(c / divisor)) if c > 0 else 0 for c in row)
             for row in self.counts
         )
-        return PartitionPlan(self.client_ids, self.class_names, rows, test_client=self.test_client)
+        return PartitionPlan(self.client_ids, self.class_names, rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -162,7 +158,6 @@ class PartitionPlan:
             "class_totals": list(self.class_totals),
             "counts": [list(r) for r in self.counts],
             "scenario_mix": None,  # a client's mix is set in its config entry
-            "test_client": self.test_client,
         }
 
     @staticmethod
@@ -172,7 +167,6 @@ class PartitionPlan:
                 client_ids=tuple(doc["client_ids"]),
                 class_names=tuple(doc["class_names"]),
                 counts=tuple(map(tuple, doc["counts"])),
-                test_client=doc.get("test_client"),
             )
         except KeyError as exc:
             raise ConfigError(f"partition plan missing field {exc}") from None
@@ -262,9 +256,7 @@ def builtin_plan(name: str) -> PartitionPlan:
         }
         return fraction_split(totals, NUSCENES_FRACTIONS)
     if name == "weather-5":
-        return scenario_split(
-            LIGHTING_WEATHER_COUNTS, WEATHER_FRACTIONS, WEATHER_TEST_CLIENT
-        )
+        return scenario_split(LIGHTING_WEATHER_COUNTS, WEATHER_FRACTIONS)
     raise ConfigError(
         f"unknown plan {name!r}; expected one of {', '.join(BUILTIN_PLAN_NAMES)}"
     )
@@ -310,22 +302,8 @@ def overlap_split(n_clients: int, window: int, per_partition_counts=()) -> Overl
     return OverlapPlan(n_clients, n_clients, window, assignment, tuple(per_partition_counts))
 
 
-def scenario_split(table: dict, fractions, test_client: int) -> PartitionPlan:
-    """Split each (lighting, weather) cell across clients by fractions.
-
-    The plan's columns are the cells (named "lighting|weather"); the
-    test client's share is flagged as evaluation-only.
-    """
-    fractions = _check_fractions(fractions)
-    if not 0 <= test_client < len(fractions):
-        raise ConfigError("test_client index out of range")
-    cells = tuple(table)
-    names = tuple(f"{light}|{weather}" for light, weather in cells)
-    clients = tuple(client_name(i) for i in range(1, len(fractions) + 1))
-    columns = {cell: largest_remainder(int(table[cell]), fractions) for cell in cells}
-    counts = tuple(
-        tuple(columns[cell][i] for cell in cells) for i in range(len(fractions))
-    )
-    return PartitionPlan(
-        clients, names, counts, test_client=clients[test_client]
-    )
+def scenario_split(table: dict, fractions) -> PartitionPlan:
+    """Split each (lighting, weather) cell across clients by fractions: the
+    `fraction_split` whose classes are the cells, named "lighting|weather"."""
+    return fraction_split({f"{light}|{weather}": n for (light, weather), n in table.items()},
+                          fractions)

@@ -1,6 +1,7 @@
 """Reference computations the tests compare the simulator's kernels with."""
 
 import heapq
+import io
 import json
 from operator import attrgetter
 
@@ -9,7 +10,7 @@ import numpy as np
 from fedsim import orchestrator
 from fedsim.aggregate import ClientUpdate, fedasync_update
 from fedsim.errors import SimulationError
-from fedsim.metrics import _REQUIRED, _SIGNATURES, MetricsRecord, _check, _misfit
+from fedsim.metrics import _REQUIRED, _SIGNATURES, MetricsRecord, MetricsWriter, _check, _misfit
 from fedsim.task import LocalDataset, local_train, loss_and_gradient, zero_params
 
 
@@ -30,6 +31,29 @@ def reference_line(run_id: str, round_idx: int, event: str, **fields) -> str:
     return json.dumps(doc) + "\n"
 
 
+def from_line(line: str) -> MetricsRecord:
+    """The record a log line holds, built by `MetricsRecord` with its checks;
+    keys that are no record field are dropped."""
+    doc = json.loads(line)
+    if not isinstance(doc, dict):
+        raise ValueError("a log line must be a JSON object")
+    return MetricsRecord(**{k: v for k, v in doc.items() if k in MetricsRecord._fields})
+
+
+def written(*records: MetricsRecord) -> str:
+    """The log text a writer writes of `records`, one line each."""
+    buf = io.StringIO()
+    sink = MetricsWriter(buf)
+    for record in records:
+        sink.emit(record)
+    return buf.getvalue()
+
+
+def read_back(buf: io.StringIO) -> list[MetricsRecord]:
+    """The records a writer into `buf` wrote, in order."""
+    return [from_line(line) for line in buf.getvalue().splitlines()]
+
+
 UNPARSEABLE = "unparseable record (truncated log?)"
 # The least int `float` refuses: halfway from the largest float, 2**1024 - 2**971,
 # to 2**1024, which the tie rounds to.
@@ -44,7 +68,7 @@ def _past_float_range(event: str, required) -> bool:
 
 
 def _refused(line: str) -> str:
-    """Why `MetricsRecord.from_line` refused `line`: a known event's misfit
+    """Why `from_line` refused `line`: a known event's misfit
     required values or broken record check, or no record."""
     try:
         doc = json.loads(line)
@@ -66,7 +90,7 @@ def _refused(line: str) -> str:
 
 def read_log(path) -> tuple[list, list[str]]:
     """`metrics.read_log` one line at a time: each stripped, non-blank line
-    of the text file goes through `MetricsRecord.from_line` on its own."""
+    of the text file goes through `from_line` on its own."""
     records, problems = [], []
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -79,7 +103,7 @@ def read_log(path) -> tuple[list, list[str]]:
                 problems.append(f"line {lineno}: {UNPARSEABLE}")
                 continue
             try:
-                rec = MetricsRecord.from_line(line)
+                rec = from_line(line)
             except (json.JSONDecodeError, TypeError, ValueError, OverflowError, RecursionError):
                 problems.append(f"line {lineno}: {_refused(line)}")
                 continue

@@ -10,7 +10,7 @@ import pytest
 from fedsim import scenarios
 from fedsim.cli import EXIT_CONFIG, EXIT_INCOMPLETE, EXIT_OK, EXIT_RUNTIME, main
 from fedsim.costs import load_calibration, lookup
-from fedsim.metrics import MetricsRecord
+from reference import from_line
 
 
 CALIBRATION_JSON = resources.files("fedsim.data").joinpath("cost_calibration.json").read_text()
@@ -86,7 +86,7 @@ class TestRunResumeReport:
                        "--log", str(log)) == EXIT_OK
         lines = log.read_text().splitlines()
         assert lines
-        MetricsRecord.from_line(lines[0])  # parseable
+        from_line(lines[0])  # parseable
         assert "final accuracy" in capsys.readouterr().out
 
     def test_report_table(self, tmp_path, capsys):
@@ -178,7 +178,7 @@ class TestRunResumeReport:
             assert run_cli("run", "--scenario", "kitti-sync", "--seed", seed,
                            "--log", str(log)) == EXIT_OK
         run_ids = list(dict.fromkeys(
-            MetricsRecord.from_line(ln).run_id for ln in log.read_text().splitlines()
+            from_line(ln).run_id for ln in log.read_text().splitlines()
         ))
         assert len(run_ids) == 2
         capsys.readouterr()
@@ -243,9 +243,12 @@ class TestResumeRejectsMalformedCheckpoint:
         (lambda doc: dict(doc, params=["nan"] + doc["params"][1:]), "'params'"),
         (lambda doc: dict(doc, round=99, version=99), "'round'"),
         (lambda doc: dict(doc, version=doc["round"] + 1), "'version'"),
+        (lambda doc: dict(doc, params=doc["params"][:-3]), "'params'"),
+        (lambda doc: dict(doc, params=doc["params"] + ["0x0.0p+0"]), "'params'"),
     ], ids=["only-version", "list", "bad-hex-clock", "float-round", "string-params",
             "inf-clock", "nan-clock", "negative-clock", "negative-round",
-            "negative-version", "nan-param", "round-past-config", "version-not-round"])
+            "negative-version", "nan-param", "round-past-config", "version-not-round",
+            "short-params", "long-params"])
     @pytest.mark.parametrize("log_exists", [False, True], ids=["new-log", "existing-log"])
     def test_exit_2_and_log_untouched(self, tmp_path, capsys, mangle, field, log_exists):
         self.check(tmp_path, capsys, lambda text: json.dumps(mangle(json.loads(text))), field,

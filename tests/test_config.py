@@ -1,10 +1,12 @@
 """Experiment configuration: parsing, validation, canonical digests."""
 
 import dataclasses
+import io
 import json
 import math
 
 import pytest
+from reference import read_back
 
 from fedsim import scenarios
 from fedsim.aggregate import AsyncConfig
@@ -57,9 +59,10 @@ CONFIG_SHA256 = {
 
 def async_counts(doc) -> dict[str, int]:
     """The aggregate and eval records of a fedasync run of `doc`."""
-    sink = MetricsWriter(None)
+    buf = io.StringIO()
+    sink = MetricsWriter(buf)
     run_async(config_from_dict(doc), sink)
-    events = [r.event for r in sink.records]
+    events = [r.event for r in read_back(buf)]
     return {event: events.count(event) for event in ("aggregate", "eval")}
 
 
@@ -158,6 +161,17 @@ class TestParsing:
             "C1", "C2", "C3", "C4")
         plan["scenario_mix"] = {"C1": {"reference": 1.0}}
         with pytest.raises(ConfigError, match="set a client's scenario_mix"):
+            config_from_dict(minimal_doc(plan={"inline": plan}))
+
+    def test_inline_plan_test_client_only_null(self):
+        # a plan file written before plans lost their test client carries one
+        plan = builtin_plan("kitti-4").scaled(64).to_json_dict()
+        assert "test_client" not in plan
+        plan["test_client"] = None
+        assert config_from_dict(minimal_doc(plan={"inline": plan})).plan.client_ids == (
+            "C1", "C2", "C3", "C4")
+        plan["test_client"] = "C3"
+        with pytest.raises(ConfigError, match="no run reads inline plan.test_client"):
             config_from_dict(minimal_doc(plan={"inline": plan}))
 
     def test_explicit_task_means(self):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import FLOAT_OVERFLOW, reference_line
+from reference import FLOAT_OVERFLOW, from_line, read_back, reference_line, written
 from reference import read_log as reference_read_log
 
 from fedsim.config import config_from_dict
@@ -49,11 +49,13 @@ def train_rec(rnd, cid, t0, dur, power=300.0, **kw):
 class TestRecord:
     def test_line_round_trip(self):
         r = train_rec(2, "C1", 0.0, 5.0, mem_mib=1024.0)
-        again = MetricsRecord.from_line(r.to_line())
+        buf = io.StringIO()
+        MetricsWriter(buf).emit(r)
+        [again] = read_back(buf)
         assert again == r
 
     def test_key_order_fixed(self):
-        line = train_rec(1, "C1", 0.0, 1.0).to_line()
+        line = written(train_rec(1, "C1", 0.0, 1.0))
         keys = list(json.loads(line).keys())
         assert keys == [
             "run_id", "round", "event", "client_id", "t_start_s", "t_end_s",
@@ -89,9 +91,8 @@ class TestWriterReader:
         emitted = [rec(accuracy=0.5), train_rec(1, "C1", 0.0, 2.0)]
         for r in emitted:
             w.emit(r)
-        lines = buf.getvalue().splitlines()
-        assert [MetricsRecord.from_line(line) for line in lines] == emitted
-        assert w.records is None  # a streaming writer keeps nothing in memory
+        assert read_back(buf) == emitted
+        assert not hasattr(w, "records")  # a writer keeps nothing in memory
 
     def test_round_on_disk_once_eval_emitted(self, tmp_path):
         path = tmp_path / "m.jsonl"
@@ -105,7 +106,7 @@ class TestWriterReader:
                 # read through a separate handle: what the file holds now
                 lines = path.read_text().splitlines()
                 assert len(lines) == 3 * rnd
-                assert [MetricsRecord.from_line(x) for x in lines[-3:]] == emitted + [
+                assert [from_line(x) for x in lines[-3:]] == emitted + [
                     rec(round=rnd, accuracy=0.5)
                 ]
         finally:
@@ -124,7 +125,7 @@ class TestWriterReader:
     def test_read_log_round_trip(self, tmp_path):
         path = tmp_path / "m.jsonl"
         records = [train_rec(1, "C1", 0.0, 2.0), rec(accuracy=0.4)]
-        path.write_text("".join(r.to_line() + "\n" for r in records))
+        path.write_text(written(*records))
         got, problems = read_log(path)
         assert got == records
         assert problems == []
@@ -133,7 +134,7 @@ class TestWriterReader:
         path = tmp_path / "m.jsonl"
         path.write_text(
             '{"run_id": "x", "round": 1, "event": "train_window", "client_id": "C1"}\n'
-            + rec(run_id="x", accuracy=0.4).to_line() + "\n"
+            + written(rec(run_id="x", accuracy=0.4))
             + '{"run_id": "x", "round": null, "event": "eval", "accuracy": 0.5}\n'
         )
         got, problems = read_log(path)
@@ -146,7 +147,7 @@ class TestWriterReader:
 
     def test_read_log_tolerates_truncated_tail(self, tmp_path):
         path = tmp_path / "m.jsonl"
-        path.write_text(rec(accuracy=0.4).to_line() + "\n" + '{"run_id": "r1", "rou')
+        path.write_text(written(rec(accuracy=0.4)) + '{"run_id": "r1", "rou')
         got, problems = read_log(path)
         assert len(got) == 1
         assert len(problems) == 1
@@ -155,7 +156,7 @@ class TestWriterReader:
     @pytest.mark.parametrize("line", ['"abc"', "[1, 2]", "7", "null"])
     def test_read_log_reports_line_that_is_not_an_object(self, tmp_path, line):
         path = tmp_path / "m.jsonl"
-        path.write_text(line + "\n" + rec(accuracy=0.4).to_line() + "\n")
+        path.write_text(line + "\n" + written(rec(accuracy=0.4)))
         got, problems = read_log(path)
         assert got == [rec(accuracy=0.4)]
         assert problems == ["line 1: unparseable record (truncated log?)"]
@@ -172,16 +173,16 @@ class TestWriterReader:
     ])
     def test_read_log_reports_mistyped_field(self, tmp_path, fields, problem):
         # No power, so that no record check reads the times or the energy.
-        doc = json.loads(rec(event="train_window", client_id="C1", t_start_s=0.0, t_end_s=2.0,
-                             energy_j=5.0, n_samples=10, loss=1.0).to_line())
+        doc = json.loads(written(rec(event="train_window", client_id="C1", t_start_s=0.0,
+                                     t_end_s=2.0, energy_j=5.0, n_samples=10, loss=1.0)))
         path = tmp_path / "m.jsonl"
-        path.write_text(json.dumps({**doc, **fields}) + "\n" + rec(accuracy=0.4).to_line() + "\n")
+        path.write_text(json.dumps({**doc, **fields}) + "\n" + written(rec(accuracy=0.4)))
         got, problems = read_log(path)
         assert got == [rec(accuracy=0.4)]
         assert problems == [f"line 1: train_window record {problem}"]
 
     def test_read_log_reports_mistyped_value_a_record_check_trips_on(self, tmp_path):
-        doc = json.loads(train_rec(1, "C1", 0.0, 2.0).to_line())
+        doc = json.loads(written(train_rec(1, "C1", 0.0, 2.0)))
         path = tmp_path / "m.jsonl"
         path.write_text(json.dumps({**doc, "t_start_s": "0", "t_end_s": "5"}) + "\n")
         assert read_log(path) == (
@@ -192,10 +193,10 @@ class TestWriterReader:
     def test_read_log_reports_aggregate_energy_that_is_no_number(self, tmp_path, energy):
         # the report adds aggregate energies up, so this one nullable field
         # is type-checked too
-        doc = json.loads(rec(event="aggregate", energy_j=5.0).to_line())
+        doc = json.loads(written(rec(event="aggregate", energy_j=5.0)))
         path = tmp_path / "m.jsonl"
         path.write_text(json.dumps({**doc, "energy_j": energy}) + "\n"
-                        + rec(accuracy=0.4).to_line() + "\n")
+                        + written(rec(accuracy=0.4)))
         assert read_log(path) == ([rec(accuracy=0.4)],
                                   ["line 1: aggregate record has mistyped energy_j"])
 
@@ -204,11 +205,11 @@ class TestWriterReader:
                    rec(event="aggregate", energy_j=None), rec(event="aggregate", energy_j=3),
                    rec(accuracy=1)]
         path = tmp_path / "m.jsonl"
-        path.write_text("".join(r.to_line() + "\n" for r in records))
+        path.write_text(written(*records))
         assert read_log(path) == (records, [])
 
     def test_read_log_reports_byte_that_is_not_utf8(self, tmp_path):
-        lines = [train_rec(1, f"C{i}", 0.0, 2.0).to_line().encode() for i in range(4)]
+        lines = [written(train_rec(1, f"C{i}", 0.0, 2.0))[:-1].encode() for i in range(4)]
         lines[2] = lines[2].replace(b'"C2"', b'"C\xff2"')  # inside a JSON string
         path = tmp_path / "m.jsonl"
         path.write_bytes(b"\n".join(lines) + b"\n")
@@ -222,9 +223,9 @@ class TestWriterReader:
          "energy_j 150.0 inconsistent with power x duration 600.0"),
     ])
     def test_read_log_reports_record_that_breaks_a_rule(self, tmp_path, fields, rule):
-        doc = json.loads(train_rec(1, "C1", 0.0, 2.0).to_line())
+        doc = json.loads(written(train_rec(1, "C1", 0.0, 2.0)))
         path = tmp_path / "m.jsonl"
-        path.write_text(json.dumps({**doc, **fields}) + "\n" + rec(accuracy=0.4).to_line() + "\n")
+        path.write_text(json.dumps({**doc, **fields}) + "\n" + written(rec(accuracy=0.4)))
         assert read_log(path) == ([rec(accuracy=0.4)],
                                   [f"line 1: train_window record breaks a rule: {rule}"])
 
@@ -239,7 +240,7 @@ class TestWriterReader:
         """The report would add these to floats: each line is named, on the
         block path and on the line path (a line holding a list sends its
         block there)."""
-        lines = [train_rec(1, f"C{i}", 0.0, 2.0).to_line() for i in range(4)]
+        lines = [written(train_rec(1, f"C{i}", 0.0, 2.0))[:-1] for i in range(4)]
         lines[1] = json.dumps({**json.loads(lines[1]), **fields})
         if path == "line":
             lines[3] = "[1, 2]"
@@ -252,7 +253,7 @@ class TestWriterReader:
         assert (got, problems) == reference_read_log(log)
 
     def test_read_log_admits_int_just_inside_float_range(self, tmp_path):
-        doc = json.loads(train_rec(1, "C1", 0.0, 2.0).to_line())
+        doc = json.loads(written(train_rec(1, "C1", 0.0, 2.0)))
         log = tmp_path / "m.jsonl"
         log.write_text(json.dumps({**doc, "power_w": None, "energy_j": FLOAT_OVERFLOW - 1}) + "\n")
         got, problems = read_log(log)
@@ -261,7 +262,7 @@ class TestWriterReader:
     @pytest.mark.parametrize("opener", ["[", '{"a": '])
     @pytest.mark.parametrize("path", ["block", "line"])
     def test_read_log_reports_line_nested_past_the_recursion_limit(self, tmp_path, opener, path):
-        lines = [rec(accuracy=0.4).to_line()] * 4
+        lines = [written(rec(accuracy=0.4))[:-1]] * 4
         lines[2] = opener * 100_000
         if path == "line":
             lines[0] = "[1, 2]"
@@ -272,7 +273,7 @@ class TestWriterReader:
         assert problems[-1] == "line 3: unparseable record (truncated log?)"
 
     def test_read_log_numbers_lines_across_blocks_and_blanks(self, tmp_path):
-        good = rec(accuracy=0.4).to_line()
+        good = written(rec(accuracy=0.4))[:-1]
         lines = [good] * 300
         lines[10] = "  "
         lines[127] = lines[299] = '{"run_id": "r1", "rou'
@@ -487,13 +488,39 @@ class TestDirectWrite:
             MetricsWriter(buf).write(event, "r1", 1, *values)
         assert buf.getvalue() == ""
 
-    def test_writer_without_stream_keeps_records(self):
+    def test_writer_without_stream_checks_renders_and_keeps_nothing(self):
         sink = MetricsWriter(None)
         sink.write("oom", "r1", 2, "C1", 9113, True)
-        assert sink.records == [
-            MetricsRecord(run_id="r1", round=2, event="oom", client_id="C1", mem_mib=9113,
-                          estimated=True)
-        ]
+        assert not hasattr(sink, "records")
+        with pytest.raises(ValueError, match="t_end_s must be >= t_start_s"):
+            sink.write("stalled", "r1", 2, 5.0, 4.0)
+        with pytest.raises(TypeError):  # a client id that is no string does not render
+            sink.write("oom", "r1", 2, 7, 9113, True)
+
+    @given(_records())
+    @settings(max_examples=400, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_emitted_line_equals_json_dumps(self, record):
+        run_id, rnd, event, values = record
+        try:
+            emitted = MetricsRecord(run_id=run_id, round=rnd, event=event, **values)
+        except ValueError:  # the record checks, which `test_line_equals_json_dumps` covers
+            return
+        buf = io.StringIO()
+        MetricsWriter(buf).emit(emitted)
+        assert buf.getvalue() == reference_line(run_id, rnd, event, **values)
+
+    @pytest.mark.parametrize("fields, stray", [
+        ({"event": "eval", "accuracy": 0.5, "client_id": "C1"}, "client_id"),
+        ({"event": "stalled", "loss": math.nan, "estimated": True}, "loss, estimated"),
+        ({"event": "oom", "client_id": "C1", "staleness": 0}, "staleness"),
+    ])
+    def test_emit_refuses_value_off_its_schema(self, fields, stray):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=f"sets {stray}, which its event lacks"):
+            MetricsWriter(buf).emit(MetricsRecord(run_id="r1", round=1, **fields))
+        assert buf.getvalue() == ""
 
     def test_eval_write_is_flushed(self, tmp_path):
         path = tmp_path / "m.jsonl"
@@ -612,21 +639,24 @@ class TestRendering:
             render_report(self.report(), "xml")
 
     def test_csv_rows_read_back_with_csv_reader(self):
-        """Client and run ids holding a comma or a quote stay one field."""
-        ids = ["C,1", 'C"2', "C3", "C4"]
+        """Client and run ids holding a comma, a quote or a carriage return
+        stay one field."""
+        ids = ["C,1", 'C"2', "C3", "C4", "C\r1"]
         plan = builtin_plan("kitti-4").scaled(16).to_json_dict()
-        del plan["scenario_mix"]
+        del plan["scenario_mix"], plan["class_totals"]
         doc = kitti_sync(0)
-        doc["plan"] = {"inline": {**plan, "client_ids": ids}}
+        doc["plan"] = {"inline": {**plan, "client_ids": ids,
+                                  "counts": plan["counts"] + plan["counts"][-1:]}}
         doc["clients"] = [{"client_id": cid} for cid in ids]
-        sink = MetricsWriter(None)
-        run(config_from_dict(doc), sink)
-        report = build_report(sink.records, ["line 9: a, \"quoted\" problem"])
+        buf = io.StringIO()
+        run(config_from_dict(doc), MetricsWriter(buf))
+        records = read_back(buf)
+        report = build_report(records, ["line 9: a, \"quoted\" problem"])
         rows = list(csv.reader(io.StringIO(render_report(report, "csv"))))
         assert {len(row) for row in rows} == {3}
         assert [row[1] for row in rows if row[0] == "client"] == sorted(ids)
         assert rows[-1] == ["problem", "1", 'line 9: a, "quoted" problem']
-        other = build_report([r._replace(run_id='r,"2"') for r in sink.records])
+        other = build_report([r._replace(run_id='r,"2"') for r in records])
         rows = list(csv.reader(io.StringIO(render_comparison([report, other], "csv"))))
         assert {len(row) for row in rows} == {3}
         assert sorted(row[0] for row in rows[1:]) == sorted([report.run_id, 'r,"2"'])

@@ -18,7 +18,7 @@ import fedsim
 from fedsim import costs, orchestrator, streams
 from fedsim.config import DropoutRule, config_from_dict
 from fedsim.errors import ConfigError, SimulationError
-from fedsim.metrics import MetricsRecord, MetricsWriter, build_report, open_log_writer
+from fedsim.metrics import MetricsWriter, build_report, open_log_writer
 from fedsim.orchestrator import (
     Checkpoint,
     apply_dropout,
@@ -33,7 +33,7 @@ from fedsim.orchestrator import (
 from fedsim.scenarios import SCENARIOS, bdd_async_hetero, kitti_sync
 from fedsim.task import LocalDataset
 
-from reference import async_one_at_a_time
+from reference import async_one_at_a_time, from_line, read_back
 
 
 def small_doc(**overrides):
@@ -49,10 +49,6 @@ def small_doc(**overrides):
     }
     doc.update(overrides)
     return doc
-
-
-def parse(buf):
-    return [MetricsRecord.from_line(line) for line in buf.getvalue().splitlines()]
 
 
 def capture(cfg, runner=run_sync, **kw):
@@ -128,7 +124,7 @@ class TestRunSync:
         cfg = config_from_dict(small_doc())
         buf = io.StringIO()
         run_sync(cfg, MetricsWriter(buf))
-        report = build_report(parse(buf))
+        report = build_report(read_back(buf))
         assert report.complete
         assert len(report.clients) == 4
 
@@ -136,7 +132,7 @@ class TestRunSync:
         cfg = config_from_dict(small_doc(rounds=1))
         buf = io.StringIO()
         run_sync(cfg, MetricsWriter(buf))
-        records = parse(buf)
+        records = read_back(buf)
         trains = [r for r in records if r.event == "train_window"]
         aggregate = next(r for r in records if r.event == "aggregate")
         assert aggregate.t_start_s == pytest.approx(
@@ -150,11 +146,13 @@ class TestRunSync:
             {"client_id": "C2"}, {"client_id": "C3"}, {"client_id": "C4"},
         ])
         cfg = config_from_dict(doc)
-        sink = MetricsWriter(None)
+        buf = io.StringIO()
+        sink = MetricsWriter(buf)
         run_sync(cfg, sink)
-        drops = [r for r in sink.records if r.event == "dropout"]
+        records = read_back(buf)
+        drops = [r for r in records if r.event == "dropout"]
         assert [(r.round, r.client_id) for r in drops] == [(1, "C1"), (2, "C1")]
-        trained = {(r.round, r.client_id) for r in sink.records
+        trained = {(r.round, r.client_id) for r in records
                    if r.event == "train_window"}
         assert (1, "C1") not in trained
         assert (3, "C1") in trained
@@ -164,13 +162,15 @@ class TestRunSync:
             {"client_id": "C1", "resolution": 960},  # 50892 MiB > default capacity
             {"client_id": "C2"}, {"client_id": "C3"}, {"client_id": "C4"},
         ])
-        sink = MetricsWriter(None)
+        buf = io.StringIO()
+        sink = MetricsWriter(buf)
         run_sync(config_from_dict(doc), sink)
-        ooms = [r for r in sink.records if r.event == "oom"]
+        records = read_back(buf)
+        ooms = [r for r in records if r.event == "oom"]
         assert len(ooms) == 4  # every round
         assert all(r.client_id == "C1" for r in ooms)
         assert not any(
-            r.client_id == "C1" for r in sink.records if r.event == "train_window"
+            r.client_id == "C1" for r in records if r.event == "train_window"
         )
 
     def test_all_absent_round_stalls_and_carries_model(self):
@@ -178,9 +178,10 @@ class TestRunSync:
             {"client_id": cid, "dropout": {"mode": "absent_rounds", "rounds": [2]}}
             for cid in ("C1", "C2", "C3", "C4")
         ])
-        sink = MetricsWriter(None)
+        buf = io.StringIO()
+        sink = MetricsWriter(buf)
         result = run_sync(config_from_dict(doc), sink)
-        stalled = [r for r in sink.records if r.event == "stalled"]
+        stalled = [r for r in read_back(buf) if r.event == "stalled"]
         assert [r.round for r in stalled] == [2]
         accs = dict(result.history)
         assert accs[2] == accs[1]  # unchanged model, same eval set
@@ -200,9 +201,10 @@ class TestRunSync:
             run_sync(cfg)
 
     def test_energy_consistency_in_log(self):
-        sink = MetricsWriter(None)
+        buf = io.StringIO()
+        sink = MetricsWriter(buf)
         run_sync(config_from_dict(small_doc()), sink)
-        for r in sink.records:
+        for r in read_back(buf):
             if r.event == "train_window":
                 assert r.energy_j == pytest.approx(
                     r.power_w * (r.t_end_s - r.t_start_s)
@@ -235,14 +237,16 @@ class TestRunAsync:
 
     def test_budget_respected(self):
         cfg = config_from_dict(self.async_doc())
-        sink = MetricsWriter(None)
+        buf = io.StringIO()
+        sink = MetricsWriter(buf)
         run_async(cfg, sink)
-        applications = [r for r in sink.records if r.event == "aggregate"]
+        applications = [r for r in read_back(buf) if r.event == "aggregate"]
         assert len(applications) == 4 * 4  # the default: rounds x clients
         cfg = config_from_dict(self.async_doc(**{"async": {"applications": 7}}))
-        sink = MetricsWriter(None)
+        buf = io.StringIO()
+        sink = MetricsWriter(buf)
         run_async(cfg, sink)
-        assert [r.event for r in sink.records].count("aggregate") == 7
+        assert [r.event for r in read_back(buf)].count("aggregate") == 7
 
     def test_eval_cadence(self):
         cfg = config_from_dict(self.async_doc())
@@ -258,9 +262,10 @@ class TestRunAsync:
 
     def test_staleness_recorded_nonnegative(self):
         cfg = config_from_dict(self.async_doc())
-        sink = MetricsWriter(None)
+        buf = io.StringIO()
+        sink = MetricsWriter(buf)
         run_async(cfg, sink)
-        staleness = [r.staleness for r in sink.records if r.event == "aggregate"]
+        staleness = [r.staleness for r in read_back(buf) if r.event == "aggregate"]
         assert all(s >= 0 for s in staleness)
         assert any(s > 0 for s in staleness)  # concurrency produces staleness
 
@@ -271,20 +276,22 @@ class TestRunAsync:
             {"client_id": "C3"},
             {"client_id": "C4", "device": {"speed_factor": 50.0}},
         ])
-        sink = MetricsWriter(None)
+        buf = io.StringIO()
+        sink = MetricsWriter(buf)
         run_async(config_from_dict(doc), sink)
         counts = {}
-        for r in sink.records:
+        for r in read_back(buf):
             if r.event == "aggregate":
                 counts[r.client_id] = counts.get(r.client_id, 0) + 1
         assert counts["C4"] == max(counts.values())
 
     def test_event_order_is_time_then_id(self):
         cfg = config_from_dict(self.async_doc())
-        sink = MetricsWriter(None)
+        buf = io.StringIO()
+        sink = MetricsWriter(buf)
         run_async(cfg, sink)
         completions = [
-            (r.t_end_s, r.client_id) for r in sink.records if r.event == "train_window"
+            (r.t_end_s, r.client_id) for r in read_back(buf) if r.event == "train_window"
         ]
         assert completions == sorted(completions)
 
@@ -307,10 +314,11 @@ class TestRunAsync:
 
     def test_run_dispatcher_stops_sync_only(self):
         assert run(config_from_dict(small_doc()), stop_after_round=2).rounds_completed == 2
-        sink = MetricsWriter(None)
+        buf = io.StringIO()
+        sink = MetricsWriter(buf)
         with pytest.raises(ConfigError, match="sync runs only"):
             run(config_from_dict(self.async_doc()), sink, stop_after_round=2)
-        assert sink.records == []
+        assert read_back(buf) == []
 
 
 def _uncalibrated_sync():
@@ -497,7 +505,7 @@ class TestCheckpoint:
             fh.close()
         _, expected = capture(cfg, stop_after_round=3)
         assert on_disk == expected
-        last = MetricsRecord.from_line(on_disk.splitlines()[-1])
+        last = from_line(on_disk.splitlines()[-1])
         assert (last.event, last.round) == ("eval", result.rounds_completed)
 
     def test_digest_mismatch_refused(self):
@@ -506,6 +514,17 @@ class TestCheckpoint:
         other = config_from_dict(small_doc(master_seed=99))
         with pytest.raises(ConfigError, match="different configuration"):
             checkpoint_resume(cp, other)
+
+    @pytest.mark.parametrize("params", [lambda p: p[:-3], lambda p: np.append(p, 0.0)],
+                             ids=["short", "long"])
+    def test_params_of_another_length_refused(self, params):
+        cfg = config_from_dict(small_doc())
+        cp = checkpoint_save(run_sync(cfg, stop_after_round=2), cfg)
+        buf = io.StringIO()
+        with pytest.raises(ConfigError, match="field 'params' holds"):
+            checkpoint_resume(dataclasses.replace(cp, params=params(cp.params)), cfg,
+                              MetricsWriter(buf))
+        assert buf.getvalue() == ""
 
     def test_unsupported_version_rejected(self, tmp_path):
         cfg = config_from_dict(small_doc())
@@ -591,10 +610,12 @@ class TestPresenceChain:
             {"client_id": cid, "dropout": {"mode": "stochastic", "p": 0.3, "q": 0.4}}
             for cid in ("C1", "C2", "C3", "C4")
         ]
-        sink = MetricsWriter(None)
+        buf = io.StringIO()
+        sink = MetricsWriter(buf)
         run_async(config_from_dict(doc), sink)
-        attempts = sum(r.event in ("train_window", "dropout") for r in sink.records)
-        assert sum(r.event == "dropout" for r in sink.records) > 0
+        records = read_back(buf)
+        attempts = sum(r.event in ("train_window", "dropout") for r in records)
+        assert sum(r.event == "dropout" for r in records) > 0
         assert draws <= attempts
 
 
@@ -633,12 +654,14 @@ class TestAsyncTermination:
         gone = doc["clients"][-1]  # a fast client: it comes back often
         gone["dropout"] = {"mode": "stochastic", "p": 1.0, "q": 0.0}
         cfg = config_from_dict(doc)
-        sink = MetricsWriter(None)
+        buf = io.StringIO()
+        sink = MetricsWriter(buf)
         run_async(cfg, sink)
-        trained = [r.client_id for r in sink.records if r.event == "train_window"]
-        dropped = [r.client_id for r in sink.records if r.event == "dropout"]
+        records = read_back(buf)
+        trained = [r.client_id for r in records if r.event == "train_window"]
+        dropped = [r.client_id for r in records if r.event == "dropout"]
         assert len(trained) == 2 * 8  # the default budget: rounds x clients
-        assert [r.event for r in sink.records].count("aggregate") == 2 * 8
+        assert [r.event for r in records].count("aggregate") == 2 * 8
         assert trained.count(gone["client_id"]) == 1
         assert dropped and set(dropped) == {gone["client_id"]}
 
@@ -733,11 +756,12 @@ class TestSyncTrainingFailure:
         monkeypatch.setattr(orchestrator, "train_cohort", spy)
         doc = kitti_sync()
         _diverging("C3")(doc, monkeypatch)
-        sink = MetricsWriter(None)
+        buf = io.StringIO()
+        sink = MetricsWriter(buf)
         with np.errstate(all="ignore"), pytest.raises(SimulationError,
                                                       match="^non-finite parameters"):
             run_sync(config_from_dict(doc), sink)
-        assert [(r.event, r.round, r.client_id) for r in sink.records] == [
+        assert [(r.event, r.round, r.client_id) for r in read_back(buf)] == [
             ("train_window", 1, "C1"), ("train_window", 1, "C2"),
         ]
         assert sizes == [4]
@@ -840,10 +864,11 @@ class TestPowerCalls:
         builders = {"fleet-1600": _fleet_1600, "async-dropout-long": _async_dropout_long,
                     "sgd-cohort": _sgd_cohort}
         doc = builders[name]() if name in builders else SCENARIOS[name][0](seed=0)
-        sink = MetricsWriter(None)
+        buf = io.StringIO()
+        sink = MetricsWriter(buf)
         run(config_from_dict(doc), sink)
         assert len(made) == calls
-        assert sum(made) == sum(r.event == "train_window" for r in sink.records)
+        assert sum(made) == sum(r.event == "train_window" for r in read_back(buf))
 
 
 class TestPowerDraws:
@@ -853,9 +878,10 @@ class TestPowerDraws:
         logs what numpy's own Generator draws from that window's key.  No
         BLAS call touches these fields, so this holds on any x86 host."""
         cfg = config_from_dict(SCENARIOS["overlap-60"][0](seed=seed))
-        sink = MetricsWriter(None)
+        buf = io.StringIO()
+        sink = MetricsWriter(buf)
         run_sync(cfg, sink, stop_after_round=1)
-        windows = [r for r in sink.records if r.event == "train_window"]
+        windows = [r for r in read_back(buf) if r.event == "train_window"]
         assert len(windows) == 60 >= streams.BATCH_MIN
         cal = costs.load_calibration()
         clients = {c.client_id: c for c in cfg.clients}

@@ -127,7 +127,7 @@ class TestBuiltinPlans:
         plan = builtin_plan("weather-5")
         assert len(plan.client_ids) == 5
         assert len(plan.class_names) == 15
-        assert plan.test_client == "C3"  # the 20% share
+        assert "test_client" not in plan.to_json_dict()  # no client is held out
         assert plan.total_samples == sum(LIGHTING_WEATHER_COUNTS.values())
         assert [plan.client_total(c) for c in plan.client_ids] == [
             21132, 17613, 14090, 10565, 7042,
@@ -270,14 +270,10 @@ class TestOverlapSplit:
 
 class TestScenarioSplit:
     def test_full_table(self):
-        plan = scenario_split(LIGHTING_WEATHER_COUNTS, WEATHER_FRACTIONS, 2)
-        assert plan.test_client == "C3"
+        plan = scenario_split(LIGHTING_WEATHER_COUNTS, WEATHER_FRACTIONS)
+        assert not hasattr(plan, "test_client")  # no share is held out for evaluation
         for cell, total in LIGHTING_WEATHER_COUNTS.items():
             name = f"{cell[0]}|{cell[1]}"
             j = plan.class_names.index(name)
             column = [row[j] for row in plan.counts]
             assert column == lr_oracle(total, WEATHER_FRACTIONS)
-
-    def test_test_client_index_validated(self):
-        with pytest.raises(ConfigError):
-            scenario_split(LIGHTING_WEATHER_COUNTS, WEATHER_FRACTIONS, 5)

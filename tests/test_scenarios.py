@@ -1,6 +1,9 @@
 """Built-in scenarios: shapes, registry, and config validity."""
 
+import io
+
 import pytest
+from reference import read_back
 
 from fedsim.config import ExperimentConfig
 from fedsim.errors import ConfigError
@@ -139,9 +142,10 @@ class TestLogInvariants:
 
     @pytest.fixture
     def records(self, name):
-        sink = MetricsWriter(None)
+        buf = io.StringIO()
+        sink = MetricsWriter(buf)
         run(scenario_config(name, seed=0), sink)
-        return sink.records
+        return read_back(buf)
 
     def test_sync_aggregate_counts_its_rounds_samples(self, name, records):
         windows: dict[int, int] = {}
