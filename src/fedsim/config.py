@@ -10,14 +10,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .costs import ARCHITECTURES, DeviceSpec
 from .aggregate import AsyncConfig
-from .errors import ConfigError
+from .errors import ConfigError, array, integer, mapping, number, section, string
 from .partition import OverlapPlan, PartitionPlan, builtin_plan, overlap_split
 from .task import REFERENCE_SCENARIO, SyntheticTask, TrainConfig, default_task
 
@@ -27,54 +26,8 @@ DEFAULT_RESOLUTION_NOISE = {320: 1.5, 640: 1.0, 960: 0.67}
 DEFAULT_PROX_MU = 0.01
 
 
-def _as_is(value):
-    return value
-
-
-def _integer(value) -> int:
-    """A JSON integer only; `int()` would truncate 2.9, take true and parse "3"."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _integers(values) -> tuple[int, ...]:
-    return tuple(map(_integer, values))
-
-
-def _number(value) -> float:
-    """A JSON integer or float, as a finite float; `float()` would take
-    true and "0.5", and Python's JSON reader takes NaN and Infinity."""
-    if type(value) not in (int, float):
-        raise TypeError(f"expected a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:  # NaN fails it, as does an int past float range
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _section(doc, table: dict, context: str) -> dict:
-    """Convert one config section through its key table.
-
-    ``table`` maps every allowed key to a converter.  Unknown keys, and
-    values a converter rejects, raise `ConfigError` naming the section.
-    Absent keys and nulls are left out, so the dataclass defaults apply:
-    every default lives on its dataclass (or `default_task`), not here.
-    """
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{context} must be a JSON object")
-    unknown = set(doc) - set(table)
-    if unknown:
-        raise ConfigError(
-            f"unknown field(s) {sorted(unknown)} in {context}; allowed: {sorted(table)}"
-        )
-    fields = {}
-    for key, value in doc.items():
-        if value is not None:
-            try:
-                fields[key] = table[key](value)
-            except (AttributeError, TypeError, ValueError) as exc:
-                raise ConfigError(f"{context}.{key}: {exc}") from None
-    return fields
+# A scenario mix: tag -> weight.
+_mix = mapping(number)
 
 
 @dataclass(frozen=True)
@@ -101,8 +54,10 @@ class DropoutRule:
 
     @staticmethod
     def from_dict(doc: dict, context: str) -> "DropoutRule":
-        table = _DROPOUT_KEYS.get(doc.get("mode"), _DROPOUT_KEYS["always_on"])
-        fields = _section(doc, table, context)
+        mode = doc.get("mode") if isinstance(doc, dict) else None
+        # Tested against a tuple: a mode of another JSON type may be unhashable.
+        table = _DROPOUT_KEYS[mode if mode in tuple(_DROPOUT_KEYS) else "always_on"]
+        fields = section(doc, table, context)
         if "rounds" in fields:
             fields["absent_rounds"] = fields.pop("rounds")
         return DropoutRule(**fields)
@@ -111,11 +66,11 @@ class DropoutRule:
 # Each dropout mode's keys; an unknown mode gets always_on's and is then
 # refused by `DropoutRule` itself.
 _DROPOUT_KEYS = {
-    "always_on": {"mode": _as_is},
-    "absent_rounds": {"mode": _as_is, "rounds": lambda rounds: frozenset(_integers(rounds))},
-    "stochastic": {"mode": _as_is, "p": _number, "q": _number},
+    "always_on": {"mode": string},
+    "absent_rounds": {"mode": string, "rounds": lambda rounds: frozenset(array(integer)(rounds))},
+    "stochastic": {"mode": string, "p": number, "q": number},
 }
-_DEVICE_KEYS = {"mem_capacity_mib": _number, "speed_factor": _number}
+_DEVICE_KEYS = {"mem_capacity_mib": number, "speed_factor": number}
 
 
 @dataclass(frozen=True)
@@ -150,22 +105,22 @@ class ClientSpec:
 
     @staticmethod
     def from_dict(doc: dict) -> "ClientSpec":
-        cid = doc.get("client_id")
+        cid = doc.get("client_id") if isinstance(doc, dict) else None
         if not cid:
-            raise ConfigError("client entry missing client_id")
+            raise ConfigError("client entry must be an object with a client_id")
         context = f"client {cid}"
-        return ClientSpec(**_section(doc, _client_keys(context), context))
+        return ClientSpec(**section(doc, _client_keys(context), context))
 
 
 def _client_keys(context: str) -> dict:
     """A client entry's key table; `context` names the client in errors."""
     return {
-        "client_id": _as_is,
-        "resolution": _integer,
-        "batch": _integer,
-        "architecture": _as_is,
-        "device": lambda d: DeviceSpec(**_section(d, _DEVICE_KEYS, f"{context} device")),
-        "scenario_mix": _as_is,
+        "client_id": string,
+        "resolution": integer,
+        "batch": integer,
+        "architecture": string,
+        "device": lambda d: DeviceSpec(**section(d, _DEVICE_KEYS, f"{context} device")),
+        "scenario_mix": _mix,
         "dropout": lambda d: DropoutRule.from_dict(d, f"{context} dropout"),
     }
 
@@ -219,11 +174,21 @@ class ExperimentConfig:
             raise ConfigError(
                 f"aggregate_time_s must be finite and >= 0, got {self.aggregate_time_s}"
             )
+        # A key the strategy never reads would change the digest and nothing else.
+        if self.strategy == "fedasync" and self.aggregate_time_s != type(self).aggregate_time_s:
+            raise ConfigError("aggregate_time_s applies to fedavg and fedprox only, not fedasync")
+        unread = [k for k, v in asdict(self.async_cfg).items() if v != getattr(AsyncConfig, k)]
+        if unread and self.strategy != "fedasync":
+            raise ConfigError(f"async.{unread[0]} applies to fedasync only, not {self.strategy}")
         ids = [c.client_id for c in self.clients]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate client_id")
         if set(ids) != set(self.plan.client_ids):
             raise ConfigError("clients do not match the partition plan's client_ids")
+        classes = len(self.plan.class_names if self.plan.draws_per_client
+                      else self.plan.per_partition_counts)
+        if classes != self.task.n_classes:
+            raise ConfigError(f"plan has {classes} classes but task has {self.task.n_classes}")
         for c in self.clients:
             if c.scenario_mix:
                 if not self.plan.draws_per_client:
@@ -267,7 +232,7 @@ class ExperimentConfig:
 
 
 def _matrix(value) -> np.ndarray:
-    means = np.asarray(value, dtype=np.float64)
+    means = np.array(array(array(number))(value))
     if means.ndim != 2:
         raise ValueError(f"expected a (n_classes, n_features) matrix, got shape {means.shape}")
     return means
@@ -276,30 +241,26 @@ def _matrix(value) -> np.ndarray:
 # The two forms of the task section.  Without class_means the means and
 # scenario shifts are drawn by `default_task`; with them, both are given.
 _GENERATED_TASK_KEYS = {
-    "n_classes": _integer, "n_features": _integer, "noise_sigma": _number,
-    "means_seed": _integer, "scenario_tags": tuple, "shift_scale": _number,
+    "n_classes": integer, "n_features": integer, "noise_sigma": number,
+    "means_seed": integer, "scenario_tags": array(string), "shift_scale": number,
 }
 _GIVEN_TASK_KEYS = {
-    "n_classes": _integer, "n_features": _integer, "noise_sigma": _number,
-    "class_means": _matrix, "scenario_shifts": dict,
+    "n_classes": integer, "n_features": integer, "noise_sigma": number,
+    "class_means": _matrix, "scenario_shifts": mapping(array(number)),
 }
 
 
 def _parse_task(doc) -> SyntheticTask:
     if not isinstance(doc, dict) or doc.get("class_means") is None:
-        return default_task(**_section(doc, _GENERATED_TASK_KEYS, "task"))
-    fields = _section(doc, _GIVEN_TASK_KEYS, "task with class_means")
+        return default_task(**section(doc, _GENERATED_TASK_KEYS, "task"))
+    fields = section(doc, _GIVEN_TASK_KEYS, "task with class_means")
     fields.setdefault("n_classes", fields["class_means"].shape[0])
     fields.setdefault("n_features", fields["class_means"].shape[1])
     return SyntheticTask(**fields)
 
 
-def _parse_plan(doc, n_classes: int) -> PartitionPlan | OverlapPlan:
-    fields = _section(doc, {
-        "builtin": _as_is, "scale_divisor": _integer,
-        "inline": lambda d: _section(d, _INLINE_KEYS, "inline plan"),
-        "overlap": lambda d: _section(d, _OVERLAP_KEYS, "overlap plan"),
-    }, "plan")
+def _parse_plan(doc) -> PartitionPlan | OverlapPlan:
+    fields = section(doc, _PLAN_KEYS, "plan")
     given = [k for k in ("builtin", "inline", "overlap") if k in fields]
     if len(given) != 1:
         raise ConfigError("plan needs exactly one of: builtin, inline, overlap")
@@ -308,61 +269,66 @@ def _parse_plan(doc, n_classes: int) -> PartitionPlan | OverlapPlan:
     if "overlap" in fields:
         ov = fields["overlap"]
         try:
-            plan = overlap_split(ov["n_clients"], ov["window"], ov["per_partition_counts"])
+            return overlap_split(ov["n_clients"], ov["window"], ov["per_partition_counts"])
         except KeyError as exc:
             raise ConfigError(f"overlap plan missing field {exc}") from None
-        if len(plan.per_partition_counts) != n_classes:
-            raise ConfigError("overlap per_partition_counts length must equal n_classes")
-        return plan
     if "inline" in fields:
-        if "scenario_mix" in fields["inline"]:  # null (as `fedsim partition` writes) is left out
-            raise ConfigError("no run reads inline plan.scenario_mix; set a client's scenario_mix")
-        if "test_client" in fields["inline"]:  # null (as older plan files hold) is left out
-            raise ConfigError("no run reads inline plan.test_client; leave it out or null")
-        plan = PartitionPlan.from_json_dict(fields["inline"])
-    else:
-        plan = builtin_plan(fields["builtin"])
-        if "scale_divisor" in fields:
-            plan = plan.scaled(fields["scale_divisor"])
-    if len(plan.class_names) != n_classes:
-        raise ConfigError(f"plan has {len(plan.class_names)} classes but task has {n_classes}")
-    return plan
+        return PartitionPlan.from_json_dict(fields["inline"])
+    plan = builtin_plan(fields["builtin"])
+    return plan.scaled(fields["scale_divisor"]) if "scale_divisor" in fields else plan
 
 
-# An inline plan takes a plan file's keys, as `fedsim partition` writes them.
-_INLINE_KEYS = {
-    "schema_version": _as_is, "client_ids": _as_is, "class_names": _as_is,
-    "class_totals": _integers, "counts": lambda rows: tuple(map(_integers, rows)),
-    "scenario_mix": _as_is, "test_client": _as_is,
+def _unread(message: str):
+    """A converter refusing every value: `message` says why no run reads it."""
+    def refuse(value):
+        raise ConfigError(message)
+    return refuse
+
+
+_PLAN_KEYS = {
+    "builtin": string, "scale_divisor": integer,
+    "inline": lambda d: section(d, _INLINE_KEYS, "inline plan"),
+    "overlap": lambda d: section(d, _OVERLAP_KEYS, "overlap plan"),
 }
-_OVERLAP_KEYS = {"n_clients": _integer, "window": _integer, "per_partition_counts": _integers}
+# An inline plan takes a plan file's keys, as `fedsim partition` writes them;
+# its `scenario_mix` and `test_client` are accepted only as null.
+_INLINE_KEYS = {
+    "schema_version": integer, "client_ids": array(string), "class_names": array(string),
+    "class_totals": array(integer), "counts": array(array(integer)),
+    "scenario_mix": _unread("no run reads inline plan.scenario_mix; set a client's scenario_mix"),
+    "test_client": _unread("no run reads inline plan.test_client; leave it out or null"),
+}
+_OVERLAP_KEYS = {"n_clients": integer, "window": integer, "per_partition_counts": array(integer)}
 _TRAIN_KEYS = {
-    "local_epochs": _integer, "batch_size": _integer, "learning_rate": _number, "prox_mu": _number,
+    "local_epochs": integer, "batch_size": integer, "learning_rate": number, "prox_mu": number,
 }
 _ASYNC_KEYS = {
-    "alpha": _number, "staleness_exponent": _number, "applications": _integer,
-    "eval_every": _integer,
+    "alpha": number, "staleness_exponent": number, "applications": integer,
+    "eval_every": integer,
 }
-_EVAL_KEYS = {"per_class": _integer, "scenario": _as_is, "seed": _integer}
+# The eval scenario is one tag or a mix.
+_EVAL_KEYS = {
+    "per_class": integer, "scenario": lambda s: s if type(s) is str else _mix(s), "seed": integer,
+}
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     version = doc.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}")
-    fields = _section(doc, {
-        "schema_version": _as_is,
-        "strategy": _as_is,
-        "rounds": _integer,
-        "master_seed": _integer,
-        "train": lambda d: _section(d, _TRAIN_KEYS, "train"),
-        "task": _as_is,
-        "plan": _as_is,
-        "clients": lambda docs: tuple(ClientSpec.from_dict(c) for c in docs),
-        "async": lambda d: AsyncConfig(**_section(d, _ASYNC_KEYS, "async")),
-        "eval": lambda d: EvalSpec(**_section(d, _EVAL_KEYS, "eval")),
-        "resolution_noise": lambda d: {int(k): _number(v) for k, v in d.items()},
-        "aggregate_time_s": _number,
+    fields = section(doc, {
+        "schema_version": integer,
+        "strategy": string,
+        "rounds": integer,
+        "master_seed": integer,
+        "train": lambda d: section(d, _TRAIN_KEYS, "train"),
+        "task": _parse_task,
+        "plan": _parse_plan,
+        "clients": array(ClientSpec.from_dict),
+        "async": lambda d: AsyncConfig(**section(d, _ASYNC_KEYS, "async")),
+        "eval": lambda d: EvalSpec(**section(d, _EVAL_KEYS, "eval")),
+        "resolution_noise": lambda d: {int(k): v for k, v in mapping(number)(d).items()},
+        "aggregate_time_s": number,
     }, "experiment config")
     fields.pop("schema_version", None)
     if "plan" not in fields:
@@ -372,19 +338,15 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if fields.get("strategy") == "fedprox":
         train.setdefault("prox_mu", DEFAULT_PROX_MU)
     fields["train"] = TrainConfig(**train)
-
-    task = _parse_task(fields.setdefault("task", {}))
-    plan = _parse_plan(fields["plan"], task.n_classes)
     if not fields.get("clients"):
-        fields["clients"] = tuple(ClientSpec(client_id=cid) for cid in plan.client_ids)
+        fields["clients"] = tuple(ClientSpec(client_id=cid) for cid in fields["plan"].client_ids)
 
     return ExperimentConfig(
         strategy=fields.pop("strategy", None),
-        task=task,
-        plan=plan,
+        task=fields.pop("task", None) or default_task(),
         async_cfg=fields.pop("async", AsyncConfig()),
-        raw_task=fields.pop("task"),
-        raw_plan=fields.pop("plan"),
+        raw_task=doc.get("task") or {},
+        raw_plan=doc["plan"],
         **fields,
     )
 

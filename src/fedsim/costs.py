@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, replace
 from importlib import resources
 from itertools import chain
@@ -18,7 +17,7 @@ from itertools import chain
 import numpy as np
 
 from . import streams
-from .errors import ConfigError
+from .errors import ConfigError, mapping, number
 
 ARCHITECTURES = ("v5", "v8", "v11")
 RESOLUTIONS = (320, 640, 960)
@@ -42,9 +41,13 @@ class CostEntry:
     def __post_init__(self):
         if self.train_time_s <= 0 or self.peak_mem_mib <= 0:
             raise ConfigError("time and memory must be strictly positive")
-        for low, high in (self.power_w_range, self.util_pct_range):
-            if low > high:
-                raise ConfigError("range low must not exceed high")
+        _check_range("power_w_range", *self.power_w_range, math.inf)
+        _check_range("util_pct_range", *self.util_pct_range, 100.0)
+
+
+def _check_range(name: str, low: float, high: float, top: float) -> None:
+    if not 0.0 <= low <= high <= top:  # NaN fails it too
+        raise ConfigError(f"{name} [{low}, {high}] must be a [low, high] range within [0, {top:g}]")
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,14 @@ class Calibration:
     idle_power_w: float
     idle_util_pct_range: tuple[float, float]
 
+    def __post_init__(self):
+        factor = self.fedprox_time_factor
+        if not factor > 0:  # NaN fails these too
+            raise ConfigError(f"fedprox_time_factor must be positive, got {factor}")
+        if not self.idle_power_w >= 0:
+            raise ConfigError(f"idle_power_w must be nonnegative, got {self.idle_power_w}")
+        _check_range("idle_util_pct_range", *self.idle_util_pct_range, 100.0)
+
     def profile(self, architecture: str) -> CostProfile:
         try:
             return self.profiles[architecture]
@@ -88,8 +99,8 @@ _CACHED: Calibration | None = None
 
 def load_calibration(path: str | None = None) -> Calibration:
     """Load the shipped calibration tables, or an override file; a file
-    that is missing, is not JSON, or lacks or mistypes a field is a
-    `ConfigError`."""
+    that is missing, is not JSON, or lacks, mistypes or holds out of range
+    a field is a `ConfigError`."""
     global _CACHED
     if path is None and _CACHED is not None:
         return _CACHED
@@ -105,7 +116,7 @@ def load_calibration(path: str | None = None) -> Calibration:
             raise ConfigError(f"calibration file not found: {path}") from None
     try:
         cal = _build_calibration(json.loads(text))
-    except (ConfigError, AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         problem = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ConfigError(f"calibration file {path or 'cost_calibration.json'} is malformed: "
                           f"{problem}") from None
@@ -114,25 +125,42 @@ def load_calibration(path: str | None = None) -> Calibration:
     return cal
 
 
-def _range(value) -> tuple:
-    """A JSON [low, high] pair of finite numbers, as read."""
-    if not (type(value) is list and len(value) == 2
-            and all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in value)):
+def _range(value) -> tuple[float, float]:
+    """A JSON [low, high] pair of finite numbers, as floats."""
+    if type(value) is not list or len(value) != 2:
         raise TypeError(f"expected a [low, high] pair of finite numbers, got {value!r}")
-    return tuple(value)
+    return tuple(map(number, value))
 
 
-def _build_calibration(doc: dict) -> Calibration:
+def _read(table: dict):
+    """A converter for a JSON object: its keys in `table`, converted.  Nulls
+    are left out, and so are keys no run reads (`comment`, `inference_ms`)."""
+    def convert(doc) -> dict:
+        if type(doc) is not dict:
+            raise TypeError(f"expected an object, got {doc!r}")
+        return {key: read(doc[key]) for key, read in table.items() if doc.get(key) is not None}
+    return convert
+
+
+_CALIBRATION = _read({
+    "architectures": mapping(_read({
+        "power_w_range": _range, "util_pct_range": _range,
+        "entries": mapping(_read({"peak_mem_mib": number, "train_time_s": number})),
+    })),
+    "fedprox_time_factor": number, "idle_power_w": number, "idle_util_pct_range": _range,
+})
+
+
+def _build_calibration(doc) -> Calibration:
+    cal = _CALIBRATION(doc)
     profiles = {}
-    archs = doc["architectures"]
+    archs = cal["architectures"]
     v8_times = {
         key: spec["train_time_s"]
         for key, spec in archs["v8"]["entries"].items()
         if "train_time_s" in spec
     }
     for arch, arch_doc in archs.items():
-        power = _range(arch_doc["power_w_range"])
-        util = _range(arch_doc["util_pct_range"])
         entries = {}
         # Architectures without a full time series get v8's shape scaled by
         # the measured 640x32 ratio; those times are flagged estimated.
@@ -149,18 +177,18 @@ def _build_calibration(doc: dict) -> Calibration:
             entries[(res, batch)] = CostEntry(
                 resolution=res,
                 batch=batch,
-                train_time_s=float(time),
-                peak_mem_mib=float(spec["peak_mem_mib"]),
-                power_w_range=power,
-                util_pct_range=util,
+                train_time_s=time,
+                peak_mem_mib=spec["peak_mem_mib"],
+                power_w_range=arch_doc["power_w_range"],
+                util_pct_range=arch_doc["util_pct_range"],
                 estimated=estimated,
             )
         profiles[arch] = CostProfile(arch, entries)
     return Calibration(
         profiles=profiles,
-        fedprox_time_factor=float(doc["fedprox_time_factor"]),
-        idle_power_w=float(doc["idle_power_w"]),
-        idle_util_pct_range=_range(doc["idle_util_pct_range"]),
+        fedprox_time_factor=cal["fedprox_time_factor"],
+        idle_power_w=cal["idle_power_w"],
+        idle_util_pct_range=cal["idle_util_pct_range"],
     )
 
 
@@ -263,15 +291,12 @@ def sample_power_and_util(entries: list[CostEntry], head, *parts) -> list[tuple[
     return list(zip(*(low + (ranges[:, 1::2] - low) * u).T.tolist()))
 
 
-def sample_idle_power_and_util(
-    seed, calibration: Calibration | None = None
-) -> tuple[float, float]:
+def sample_idle_power_and_util(seed, calibration: Calibration) -> tuple[float, float]:
     """Seeded (watts, utilization %) for the idle aggregation phase: the
-    fixed idle power floor and a uniform draw from the observed 0-10%
+    calibration's fixed idle power floor and a uniform draw from its idle
     utilization band."""
-    cal = calibration or load_calibration()
-    util = float(np.random.default_rng(seed).uniform(*cal.idle_util_pct_range))
-    return cal.idle_power_w, util
+    util = float(np.random.default_rng(seed).uniform(*calibration.idle_util_pct_range))
+    return calibration.idle_power_w, util
 
 
 def validate_calibration(cal: Calibration) -> list[str]:

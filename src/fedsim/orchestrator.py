@@ -39,7 +39,7 @@ import numpy as np
 from . import costs, streams
 from .aggregate import ClientUpdate, fedasync_update, fedavg_aggregate
 from .config import DropoutRule, ExperimentConfig
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, SimulationError, array, integer, string
 from .metrics import MetricsRecord, MetricsWriter
 from .task import (
     LocalDataset,
@@ -467,13 +467,6 @@ def run(
 CHECKPOINT_VERSION = 1
 
 
-def _only(kind: type, value):
-    """`value` if its JSON type is `kind`: no float or bool passes as an int."""
-    if type(value) is not kind:
-        raise TypeError(f"expected a JSON {kind.__name__}")
-    return value
-
-
 def _at_least(low: float, values):
     """`values` if each is finite and at least `low`."""
     if not (np.isfinite(values).all() and np.all(values >= low)):
@@ -481,16 +474,25 @@ def _at_least(low: float, values):
     return values
 
 
+def _evaluation(entry) -> tuple[int, float]:
+    """A history entry: [round of at least 1, hex accuracy in [0, 1]]."""
+    if type(entry) is not list or len(entry) != 2:
+        raise TypeError(f"expected a [round, accuracy] pair, got {entry!r}")
+    round_idx, accuracy = integer(entry[0]), float.fromhex(entry[1])
+    if not (round_idx >= 1 and 0.0 <= accuracy <= 1.0):  # NaN fails it too
+        raise ValueError(f"expected a round >= 1 and an accuracy in [0, 1], got {entry!r}")
+    return round_idx, accuracy
+
+
 # Each checkpoint field, in file order, with its JSON encoder and strict decoder.
 _CHECKPOINT_FIELDS = {
-    "config_digest": (str, lambda d: _only(str, d)),
-    "round": (int, lambda r: _at_least(0, _only(int, r))),
-    "version": (int, lambda v: _at_least(0, _only(int, v))),
+    "config_digest": (str, string),
+    "round": (int, lambda r: _at_least(0, integer(r))),
+    "version": (int, lambda v: _at_least(0, integer(v))),
     "clock": (lambda c: float(c).hex(), lambda c: _at_least(0.0, float.fromhex(c))),
     "params": (lambda p: [float(x).hex() for x in p],
-               lambda xs: _at_least(-np.inf, np.array(list(map(float.fromhex, _only(list, xs)))))),
-    "history": (lambda h: [[r, float(a).hex()] for r, a in h],
-                lambda h: tuple((_only(int, r), float.fromhex(a)) for r, a in _only(list, h))),
+               lambda xs: _at_least(-np.inf, np.array(array(float.fromhex)(xs)))),
+    "history": (lambda h: [[r, float(a).hex()] for r, a in h], array(_evaluation)),
 }
 
 

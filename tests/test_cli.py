@@ -245,10 +245,16 @@ class TestResumeRejectsMalformedCheckpoint:
         (lambda doc: dict(doc, version=doc["round"] + 1), "'version'"),
         (lambda doc: dict(doc, params=doc["params"][:-3]), "'params'"),
         (lambda doc: dict(doc, params=doc["params"] + ["0x0.0p+0"]), "'params'"),
+        (lambda doc: dict(doc, history=[[1, "nan"]]), "'history'"),
+        (lambda doc: dict(doc, history=[[1, (1.5).hex()]]), "'history'"),
+        (lambda doc: dict(doc, history=[[0, (0.5).hex()]]), "'history'"),
+        (lambda doc: dict(doc, history=[[1, (0.5).hex(), 2]]), "'history'"),
+        (lambda doc: dict(doc, history=[[]]), "'history'"),
     ], ids=["only-version", "list", "bad-hex-clock", "float-round", "string-params",
             "inf-clock", "nan-clock", "negative-clock", "negative-round",
             "negative-version", "nan-param", "round-past-config", "version-not-round",
-            "short-params", "long-params"])
+            "short-params", "long-params", "nan-accuracy", "accuracy-past-one",
+            "round-zero-evaluation", "history-triple", "empty-history-entry"])
     @pytest.mark.parametrize("log_exists", [False, True], ids=["new-log", "existing-log"])
     def test_exit_2_and_log_untouched(self, tmp_path, capsys, mangle, field, log_exists):
         self.check(tmp_path, capsys, lambda text: json.dumps(mangle(json.loads(text))), field,
@@ -387,6 +393,18 @@ def _inline_plan_mix(doc):
     doc["plan"]["inline"]["scenario_mix"] = {"C1": {"nosuch": 1.0}}
 
 
+def _client_mix_weight(weight):
+    def mutate(doc):
+        doc["clients"][0]["scenario_mix"] = {"night": weight}
+    return mutate
+
+
+def _class_means(value):
+    def mutate(doc):
+        doc["task"] = {"n_classes": 8, "n_features": 16, "class_means": [[value] * 16] * 8}
+    return mutate
+
+
 class TestRunRejectsBadConfig:
     """Configs that would otherwise fail mid-run, or run with a field
     ignored or truncated: each is a configuration error, raised before
@@ -411,11 +429,23 @@ class TestRunRejectsBadConfig:
         (scenarios.kitti_sync, _set("train", "prox_mu", 5.0), "train.prox_mu"),
         (lambda: scenarios.kitti_sync(strategy="fedasync"), _set("train", "prox_mu", 0.5),
          "train.prox_mu"),
+        (scenarios.lighting_crossdomain, _client_mix_weight("1"), "scenario_mix"),
+        (scenarios.lighting_crossdomain, _client_mix_weight(True), "scenario_mix"),
+        (scenarios.kitti_sync, _set("eval", "scenario", 3), "eval.scenario"),
+        (scenarios.kitti_sync, _set("task", "scenario_tags", "fog"), "task.scenario_tags"),
+        (scenarios.kitti_sync, _class_means("1.5"), "class_means"),
+        (scenarios.kitti_sync, _class_means(True), "class_means"),
+        (scenarios.kitti_sync, _set("async", "alpha", 0.5), "async.alpha"),
+        (lambda: scenarios.kitti_sync(strategy="fedasync"), _set(None, "aggregate_time_s", 2.0),
+         "aggregate_time_s"),
     ], ids=["renamed-overlap-client", "zero-overlap-counts", "negative-overlap-count",
             "overlap-client-mix", "alpha", "float-batch", "bool-rounds",
             "string-absent-rounds", "string-learning-rate", "bool-prox-mu",
             "float-inline-count", "zero-divisor", "divisor-beside-overlap",
-            "inline-plan-mix", "fedavg-prox-mu", "fedasync-prox-mu"])
+            "inline-plan-mix", "fedavg-prox-mu", "fedasync-prox-mu",
+            "string-mix-weight", "bool-mix-weight", "number-eval-scenario",
+            "string-scenario-tags", "string-class-means", "bool-class-means",
+            "fedavg-async-key", "fedasync-aggregate-time"])
     def test_exit_2_and_no_log(self, tmp_path, capsys, make_doc, mutate, expected):
         doc = make_doc()
         mutate(doc)
@@ -546,6 +576,30 @@ class TestCostsCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"calibration file {path} is malformed: {problem}" in captured.err
+
+    @pytest.mark.parametrize("mangle, problem", [
+        (lambda doc: doc["architectures"]["v8"]["entries"]["640x32"].update(peak_mem_mib=True),
+         "expected a number, got True"),
+        (lambda doc: doc.update(fedprox_time_factor=-2.0),
+         "fedprox_time_factor must be positive, got -2.0"),
+        (lambda doc: doc.update(idle_util_pct_range=[10, 0]), "idle_util_pct_range"),
+        (lambda doc: doc["architectures"]["v5"].update(util_pct_range=[85.0, 105.0]),
+         "util_pct_range"),
+        (lambda doc: doc["architectures"]["v8"]["entries"]["640x32"].update(train_time_s=0),
+         "division by zero"),
+    ], ids=["bool-memory", "negative-fedprox-factor", "reversed-idle-util", "util-past-100",
+            "zero-reference-time"])
+    def test_mistyped_or_out_of_range_calibration_fails_validate(self, tmp_path, capsys,
+                                                                  mangle, problem):
+        doc = json.loads(CALIBRATION_JSON)
+        mangle(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("costs", "--validate", "--calibration", str(path)) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"calibration file {path} is malformed: " in captured.err
+        assert problem in captured.err
 
     @pytest.mark.parametrize("validate", [[], ["--validate"]], ids=["query", "validate"])
     def test_missing_calibration_exits_2(self, tmp_path, capsys, validate):

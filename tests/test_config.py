@@ -451,7 +451,7 @@ class TestNumberKeys:
     @staticmethod
     def doc_with(path, value):
         doc = minimal_doc(
-            strategy="fedprox",
+            strategy="fedasync" if path[0] == "async" else "fedprox",
             clients=[{"client_id": f"C{i}", "device": {}, "dropout": {"mode": "stochastic"}}
                      for i in range(1, 5)],
             resolution_noise={"640": 1.0},
@@ -633,6 +633,36 @@ class TestBudgets:
 
     def test_eval_spec_string_mix(self):
         assert EvalSpec(scenario="reference").scenario_mix() == {"reference": 1.0}
+
+
+class TestStrategyKeys:
+    """A key the strategy never reads is refused unless it holds its
+    default, as `train.prox_mu` is: it would change the digest and nothing
+    else."""
+
+    @pytest.mark.parametrize("strategy", ["fedavg", "fedprox"])
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", 0.5), ("staleness_exponent", 1.0), ("applications", 10), ("eval_every", 2),
+    ])
+    def test_async_key_refused_under_sync(self, strategy, key, value):
+        doc = minimal_doc(strategy=strategy)
+        doc["async"] = {key: value}
+        with pytest.raises(ConfigError, match=f"async.{key} applies to fedasync only, "
+                                              f"not {strategy}"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("value", [0.0, 2.5])
+    def test_aggregate_time_refused_under_fedasync(self, value):
+        with pytest.raises(ConfigError, match="aggregate_time_s applies to fedavg and fedprox"):
+            config_from_dict(minimal_doc(strategy="fedasync", aggregate_time_s=value))
+
+    @pytest.mark.parametrize("strategy", ["fedavg", "fedprox", "fedasync"])
+    def test_defaults_accepted_and_round_trip(self, strategy):
+        doc = minimal_doc(strategy=strategy, aggregate_time_s=1,
+                          **{"async": {"alpha": 0.6, "applications": None}})
+        cfg = config_from_dict(doc)
+        assert config_from_dict(cfg.to_dict()).digest() == cfg.digest()
+        assert cfg.with_seed(7).master_seed == 7
 
 
 class TestKeyTables:

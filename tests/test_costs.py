@@ -9,8 +9,10 @@ import pytest
 from fedsim.costs import (
     BATCHES,
     DEFAULT_MEM_CAPACITY_MIB,
-    DeviceSpec,
     RESOLUTIONS,
+    Calibration,
+    CostEntry,
+    DeviceSpec,
     check_memory,
     client_round_time,
     load_calibration,
@@ -266,3 +268,38 @@ class TestOverrideFile:
         assert validate_calibration(load_calibration(str(path))) == [
             f"{arch}: no entry for 320x32" for arch in doc["architectures"]
         ]
+
+
+class TestCalibrationRanges:
+    """Each calibrated figure lies in its physical range, wherever the
+    calibration comes from."""
+
+    @pytest.mark.parametrize("fields", [
+        {"power_w_range": (-5.0, 10.0)}, {"power_w_range": (10.0, 5.0)},
+        {"util_pct_range": (-1.0, 50.0)}, {"util_pct_range": (50.0, 101.0)},
+        {"util_pct_range": (60.0, 50.0)}, {"util_pct_range": (math.nan, 50.0)},
+    ], ids=["negative-power", "reversed-power", "negative-util", "util-past-100",
+            "reversed-util", "nan-util"])
+    def test_cost_entry_refuses(self, fields):
+        good = {"resolution": 640, "batch": 32, "train_time_s": 1.0, "peak_mem_mib": 1.0,
+                "power_w_range": (300.0, 350.0), "util_pct_range": (85.0, 95.0)}
+        CostEntry(**good)
+        with pytest.raises(ConfigError, match="range within"):
+            CostEntry(**{**good, **fields})
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"fedprox_time_factor": 0.0}, "fedprox_time_factor must be positive"),
+        ({"fedprox_time_factor": -2.0}, "fedprox_time_factor must be positive"),
+        ({"fedprox_time_factor": math.nan}, "fedprox_time_factor must be positive"),
+        ({"idle_power_w": -1.0}, "idle_power_w must be nonnegative"),
+        ({"idle_util_pct_range": (10.0, 0.0)}, "idle_util_pct_range"),
+        ({"idle_util_pct_range": (-1.0, 10.0)}, "idle_util_pct_range"),
+        ({"idle_util_pct_range": (0.0, 100.5)}, "idle_util_pct_range"),
+    ], ids=["zero-factor", "negative-factor", "nan-factor", "negative-idle-power",
+            "reversed-idle-util", "negative-idle-util", "idle-util-past-100"])
+    def test_calibration_refuses(self, cal, fields, message):
+        good = {"profiles": cal.profiles, "fedprox_time_factor": 1.15, "idle_power_w": 0.0,
+                "idle_util_pct_range": (0.0, 100.0)}
+        Calibration(**good)
+        with pytest.raises(ConfigError, match=message):
+            Calibration(**{**good, **fields})
