@@ -86,6 +86,10 @@ class ClientSpec:
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
             raise ConfigError(f"unknown architecture {self.architecture!r}")
+        for key in ("resolution", "batch"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"client {self.client_id} {key} must be >= 1, "
+                                  f"got {getattr(self, key)}")
 
     def to_dict(self) -> dict:
         # Spelled out rather than `asdict`, which costs about 5 µs per

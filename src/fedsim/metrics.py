@@ -6,7 +6,8 @@ functions of the log and can always be regenerated byte-identically.
 `SCHEMA` is the log format: each event's fields with their types.  Every
 line holds all of `MetricsRecord`'s keys in its field order, null (false
 for ``estimated``) where the event has no such field.  The writer renders
-each line from its event's template, built from the table; `read_log`
+each line from its event's template, built from the table, a window of
+records per call; `read_log`
 reports and leaves out a line that is not a JSON object and a record whose
 required field is missing or of a type the table does not admit, or that
 breaks a record check, so `build_report` reads those fields unguarded.
@@ -55,7 +56,7 @@ SCHEMA: dict[str, dict[str, type]] = {
 }
 
 
-def _check(event: str, t_start_s, t_end_s, power_w, energy_j) -> None:
+def _check(event: str, t_start_s=None, t_end_s=None, power_w=None, energy_j=None) -> None:
     """The checks every record passes, on whichever path it is written."""
     if event not in SCHEMA:
         raise ValueError(f"unknown event {event!r}")
@@ -128,31 +129,81 @@ def _flag(x) -> str:
     return "true" if x else "false"
 
 
-def _renderer(typ):
-    kinds = set(getattr(typ, "__args__", (typ,)))
-    return _string if str in kinds else _flag if bool in kinds else _number
+def _native(typ) -> type:
+    """A field type's one type other than None."""
+    return next(kind for kind in getattr(typ, "__args__", (typ,)) if kind is not type(None))
 
 
-def _form(event: str, types: dict[str, type]) -> tuple[str, tuple, tuple]:
-    """One event's line template, the renderer of each of its fields, and
-    the fields' positions of `_WINDOW` (None where the event has none).
+_RENDERERS = {str: _string, bool: _flag, int: _number, float: _number}
 
-    The template's slots are the run id, the round and the event's fields
-    in key order; every other key holds its record default.
+
+def _values_at(positions: list[int]):
+    """A callable giving a row's values at `positions`, as a tuple."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda values: tuple(values[i] for i in positions)
+
+
+def _form(event: str, types: dict[str, type]) -> tuple:
+    """How one event's rows become lines: its direct and rendered
+    templates, each field's renderer, a getter of the row's `_WINDOW`
+    values (a prefix of `_WINDOW`, so `_check`'s leading arguments), each
+    field's type other than None, a getter of the row's floats, and the
+    position and renderer of each string and flag field.
+
+    The slots are the run id, the round and the event's fields in key
+    order; every other key holds its record default.  The rendered
+    template takes every field's text from its renderer.  The direct one
+    takes a number as it is, by `%r`, which writes a Python float as
+    `float.__repr__` and an int as `int.__repr__`, as `json.dumps` does.
+    It fills a row whose values are each exactly of their field's type and
+    whose floats are finite; a None, an np.float64 (whose repr names its
+    type), an int in a float field, a bool in a number field and a NaN or
+    infinity (`%r` writes ``nan``) send a row through the rendered one.
     """
     names = [k for k in _KEY_ORDER if k in types]
+    natives = [_native(types[k]) for k in names]
+    renderers = [_RENDERERS[typ] for typ in natives]
     slots = {"run_id": "%s", "round": "%d", "event": json.dumps(event)}
-    slots.update(dict.fromkeys(names, "%s"))
     defaults = MetricsRecord._field_defaults
-    pieces = [f'"{k}": {slots.get(k) or json.dumps(defaults[k])}' for k in _KEY_ORDER]
+
+    def template(number: str) -> str:
+        fill = {**slots, **{k: "%s" if render is not _number else number
+                            for k, render in zip(names, renderers)}}
+        return "{" + ", ".join(f'"{k}": {fill.get(k) or json.dumps(defaults[k])}'
+                               for k in _KEY_ORDER) + "}\n"
+
+    window = [k for k in _WINDOW if k in names]
+    assert window == list(_WINDOW[:len(window)]), event
     return (
-        "{" + ", ".join(pieces) + "}\n",
-        tuple(_renderer(types[k]) for k in names),
-        tuple(names.index(k) if k in names else None for k in _WINDOW),
+        template("%r"),
+        template("%s"),
+        tuple(renderers),
+        _values_at([names.index(k) for k in window]),
+        tuple(natives),
+        _values_at([i for i, typ in enumerate(natives) if typ is float]),
+        tuple((i, render) for i, render in enumerate(renderers) if render is not _number),
     )
 
 
 _FORMS = {event: _form(event, types) for event, types in SCHEMA.items()}
+# Lines joined into one stream write: a window of many clients is written
+# in pieces of this many, so its text never all sits in memory at once.
+_PIECE_LINES = 256
+
+
+def _line(run_id: str, event: str, round_idx: int, values: list) -> str:
+    """One row's line: the record checks, then its event's direct template
+    if the row fills it, else its rendered one (see `_form`)."""
+    if event not in _FORMS:
+        raise ValueError(f"unknown event {event!r}")
+    direct, rendered, renderers, window, natives, floats, texts = _FORMS[event]
+    _check(event, *window(values))
+    if tuple(map(type, values)) == natives and all(map(math.isfinite, floats(values))):
+        for i, render in texts:
+            values[i] = render(values[i])
+        return direct % (run_id, round_idx, *values)
+    return rendered % (run_id, round_idx, *[render(v) for render, v in zip(renderers, values)])
 
 
 class _Void:
@@ -167,9 +218,10 @@ class _Void:
 
 
 class MetricsWriter:
-    """Single-writer JSONL sink: `write` renders every line from its
-    event's template, after the record checks.  The engines hand `write`
-    each record's values; `emit` hands it a record's.
+    """Single-writer JSONL sink: `write_rows` renders every line from its
+    event's template, after the record checks.  The engines hand it a
+    window's rows at once; `write` hands it one record's values and `emit`
+    a record's.
 
     The stream is flushed after every ``eval`` record, which closes each
     sync round and each async evaluation window: at those points the file
@@ -197,15 +249,28 @@ class MetricsWriter:
 
     def write(self, event: str, run_id: str, round_idx: int, *values) -> None:
         """Write one `event` record from the values of its `SCHEMA` fields,
-        in key order: the line `json.dumps` writes of the record, and a newline."""
-        if event not in _FORMS:
-            raise ValueError(f"unknown event {event!r}")
-        template, renderers, window = _FORMS[event]
-        _check(event, *[None if i is None else values[i] for i in window])
-        texts = [render(v) for render, v in zip(renderers, values)]
-        self._stream.write(template % (encode_basestring_ascii(run_id), round_idx, *texts))
-        if event == "eval":
-            self._stream.flush()
+        in key order: `write_rows` of one row."""
+        self.write_rows(run_id, [(event, round_idx, *values)])
+
+    def write_rows(self, run_id: str, rows) -> None:
+        """Write one record of run `run_id` per row, (event, round, values
+        of the event's `SCHEMA` fields in key order), in order: the line
+        `json.dumps` writes of the record, and a newline.  A row that fails
+        the record checks or does not render raises, after every row
+        before it is written and with nothing of its own."""
+        run_id = encode_basestring_ascii(run_id)
+        lines: list[str] = []
+        try:
+            for event, round_idx, *values in rows:
+                lines.append(_line(run_id, event, round_idx, values))
+                if event == "eval" or len(lines) == _PIECE_LINES:
+                    self._stream.write("".join(lines))
+                    lines.clear()
+                    if event == "eval":
+                        self._stream.flush()
+        finally:
+            if lines:
+                self._stream.write("".join(lines))
 
 
 class _LogFile:

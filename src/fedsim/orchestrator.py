@@ -16,8 +16,10 @@ train on the previous round's model.  One executor, `_execute`, runs
 either schedule: each batch of applications whose base models exist
 trains in one `train_cohort` call, with its training seeds and power
 draws keyed in one batch, and records are written in schedule order; a
-client whose training diverged raises at its application.  Every line is
-rendered by `MetricsWriter.write`, an `eval` record's through `emit`.
+client whose training diverged raises at its application.  A window's
+records reach the writer in one `MetricsWriter.write_rows` call, made
+also when the window raises, so the records before the raise are
+written; its `eval` record follows through `emit`.
 Only aggregation depends on the strategy; it takes plain `ClientUpdate`s,
 whose finiteness the executor guarantees, and checks each result once.
 `run` picks the schedule from the config's strategy.  `local_train` and
@@ -219,12 +221,17 @@ class _Run:
         entry = self.entries[cid]
         return cid, entry.peak_mem_mib, entry.estimated
 
-    def train_window(self, round_idx: int, cid: str, t_start: float, t_end: float,
-                     n: int, loss: float, power: float, util: float) -> None:
-        """Both ends are given: async's (t - d) + d need not round back to t."""
+    def train_row(self, round_idx: int, cid: str, t_start: float, t_end: float,
+                  n: int, loss: float, power: float, util: float) -> tuple:
+        """The row of a `train_window` record, as the writer takes it.  Both
+        ends are given: async's (t - d) + d need not round back to t."""
         entry = self.entries[cid]
-        self.write("train_window", round_idx, cid, t_start, t_end, entry.peak_mem_mib,
-                   power, util, power * self.durations[cid], n, loss, entry.estimated)
+        return ("train_window", round_idx, cid, t_start, t_end, entry.peak_mem_mib,
+                power, util, power * self.durations[cid], n, loss, entry.estimated)
+
+    def train_window(self, *args) -> None:
+        """Write the `train_window` record `train_row` gives."""
+        self.write(*self.train_row(*args))
 
     def evaluate(self, round_idx: int, w: np.ndarray, clock: float) -> None:
         acc = evaluate(w, self.eval_ds)
@@ -332,7 +339,8 @@ def _execute(ctx: _Run, schedule: Iterator[_Window], w: np.ndarray, version: int
              clock: float) -> RunResult:
     """Run `schedule` from model `w` at `version` and `clock`.
 
-    Records are written in schedule order.  At a window's first untrained
+    Records are written in schedule order, a window's in one call at its
+    end or at a raise inside it.  At a window's first untrained
     application, every untrained application of the window whose base
     version exists trains in one batch, once; a diverged client raises at
     its application, after the same records as a loop that trains each in
@@ -347,53 +355,57 @@ def _execute(ctx: _Run, schedule: Iterator[_Window], w: np.ndarray, version: int
     held = dict.fromkeys(ctx.durations, version)  # fedasync: client -> version it trains on
     for window, end, failure in schedule:
         # Both are emptied before the window trains and `trained` is popped
-        # as records are written, so no window's results outlive it.
+        # as rows are made, so no window's results outlive it.
         trained: dict[int, tuple] = {}  # window index -> what `_train` gives
         updates = []
-        for i, item in enumerate(window):
-            if type(item) is not _Application:
-                ctx.write(*item)
-                continue
-            if i not in trained:
-                batch = [j for j in range(i, len(window)) if j not in trained
-                         and type(window[j]) is _Application and window[j].base <= version]
-                trained.update(zip(batch, _train(ctx, [window[j] for j in batch], models)))
-            attempt, cid, start, stop, base = item
-            w_new, n, loss, power, util = trained.pop(i)
-            if w_new is None:
-                raise SimulationError("non-finite parameters after local training")
-            ctx.train_window(attempt, cid, start, stop, n, loss, power, util)
+        rows: list[tuple] = []  # the window's records, written in one call
+        try:
+            for i, item in enumerate(window):
+                if type(item) is not _Application:
+                    rows.append(item)
+                    continue
+                if i not in trained:
+                    batch = [j for j in range(i, len(window)) if j not in trained
+                             and type(window[j]) is _Application and window[j].base <= version]
+                    trained.update(zip(batch, _train(ctx, [window[j] for j in batch], models)))
+                attempt, cid, start, stop, base = item
+                w_new, n, loss, power, util = trained.pop(i)
+                if w_new is None:
+                    raise SimulationError("non-finite parameters after local training")
+                rows.append(ctx.train_row(attempt, cid, start, stop, n, loss, power, util))
+                if not on_arrival:
+                    updates.append(ClientUpdate(cid, w_new, n))
+                    continue
+                staleness = version - base
+                w = fedasync_update(w, ClientUpdate(cid, w_new, n), staleness, cfg.async_cfg)
+                version += 1
+                # No power, util or energy: the client and its update's staleness.
+                rows.append(("aggregate", attempt, cid, stop, stop, None, None, None, n,
+                             staleness, False))
+                held[cid] = version
+                models[version] = w
+                if base not in held.values():
+                    del models[base]
+            if failure is not None:
+                raise failure
+            clock = end
             if not on_arrival:
-                updates.append(ClientUpdate(cid, w_new, n))
-                continue
-            staleness = version - base
-            w = fedasync_update(w, ClientUpdate(cid, w_new, n), staleness, cfg.async_cfg)
-            version += 1
-            # No power, util or energy: the client and its update's staleness.
-            ctx.write("aggregate", attempt, cid, stop, stop, None, None, None, n, staleness,
-                      False)
-            held[cid] = version
-            models[version] = w
-            if base not in held.values():
-                del models[base]
-        if failure is not None:
-            raise failure
-        clock = end
-        if not on_arrival:
-            version += 1
-            if updates:
-                w = fedavg_aggregate(updates)
-                idle_power, idle_util = costs.sample_idle_power_and_util(
-                    streams.derive(cfg.master_seed, _POWER, version, 0)[0], ctx.cal
-                )
-                # No client or staleness: the idle server's power, and estimated.
-                ctx.write("aggregate", version, None, clock, clock + cfg.aggregate_time_s,
-                          idle_power, idle_util, idle_power * cfg.aggregate_time_s,
-                          sum(u.n_samples for u in updates), None, True)
-            else:
-                ctx.write("stalled", version, clock, clock + cfg.aggregate_time_s)
-            clock += cfg.aggregate_time_s
-            models = {version: w}  # the next round trains on it
+                version += 1
+                if updates:
+                    w = fedavg_aggregate(updates)
+                    idle_power, idle_util = costs.sample_idle_power_and_util(
+                        streams.derive(cfg.master_seed, _POWER, version, 0)[0], ctx.cal
+                    )
+                    # No client or staleness: the idle server's power, and estimated.
+                    rows.append(("aggregate", version, None, clock, clock + cfg.aggregate_time_s,
+                                 idle_power, idle_util, idle_power * cfg.aggregate_time_s,
+                                 sum(u.n_samples for u in updates), None, True))
+                else:
+                    rows.append(("stalled", version, clock, clock + cfg.aggregate_time_s))
+                clock += cfg.aggregate_time_s
+                models = {version: w}  # the next round trains on it
+        finally:  # a raise writes the rows made before it
+            ctx.sink.write_rows(ctx.run_id, rows)
         evals += 1
         ctx.evaluate(evals, w, clock)
     return RunResult(ctx.run_id, w, ctx.history, clock, evals, version)

@@ -77,6 +77,8 @@ class SyntheticTask:
     def __post_init__(self):
         if self.n_classes < 1:
             raise ConfigError("n_classes must be >= 1")
+        if self.n_features < 1:
+            raise ConfigError("n_features must be >= 1")
         means = np.asarray(self.class_means, dtype=np.float64)
         if means.shape != (self.n_classes, self.n_features):
             raise ConfigError(
@@ -133,6 +135,10 @@ def default_task(
     Extra scenario tags get frozen Gaussian feature offsets of magnitude
     ``shift_scale`` per dimension, derived from the same seed.
     """
+    for name, value, low in (("n_classes", n_classes, 1), ("n_features", n_features, 1),
+                             ("means_seed", means_seed, 0)):
+        if value < low:  # before the draws, which would refuse it in numpy's words
+            raise ConfigError(f"{name} must be >= {low}, got {value}")
     rng = np.random.default_rng(np.random.SeedSequence([means_seed, n_classes, n_features]))
     means = rng.standard_normal((n_classes, n_features))
     shifts: dict[str, np.ndarray | None] = {REFERENCE_SCENARIO: None}
@@ -310,8 +316,14 @@ def loss_and_gradient(
 
 # Samples trained together in one stacked chunk of `train_cohort`: bounds
 # the per-epoch feature, label and one-hot copies to about 0.8 MiB at 16
-# features and 8 classes.
+# features and 8 classes, and the stacked samples (`STACKED_GATHER_SAMPLES`)
+# to about 0.5 MiB more.
 COHORT_SAMPLES = 4096
+# Clients of one size holding fewer samples than this each are gathered in
+# one `take` per epoch from a stack of their samples.  A larger client's own
+# take costs little next to its batch steps, and stacking it would copy its
+# samples once more for nothing.
+STACKED_GATHER_SAMPLES = 64
 # From this many rows per class on, a class-axis max runs as one `np.maximum`
 # per class slice; `.max(axis=2)`, whose cost grows with the rows, is faster below.
 SLICED_MAX_ROWS_PER_CLASS = 16
@@ -406,6 +418,13 @@ def _sgd_chunk(
     losses.
 
     The feature, label and one-hot buffers are padded to the largest n.
+    Each epoch fills the feature and label buffers with one `take` per
+    size group of small clients, from its members' samples stacked once
+    per chunk, each member's permutation offset to its rows of the stack;
+    every other client takes from its dataset's own arrays, not copied
+    (`STACKED_GATHER_SAMPLES`).  A gather copies values, so it rounds
+    nothing.
+
     Batch step s runs over the prefix of clients that still hold a full
     batch at s; a client's last, shorter batch runs with the clients of
     its own size, the only ones whose tail has its length at that step.
@@ -458,13 +477,35 @@ def _sgd_chunk(
         spans += [(n, lo, hi) for n, lo, hi in groups if start < n < start + b]
         steps += [(start, stop, views(lo, hi)) for stop, lo, hi in spans]
 
+    # The gathers, each a range of clients of one size with its (G, n, d)
+    # features, (G, n) labels and each member's row offset in them: a size
+    # group of small clients is stacked once per chunk; any other client is
+    # a gather of its own, whose samples are views of its dataset's arrays.
+    gathers = []
+    for n, lo, hi in groups:
+        if hi - lo > 1 and n < STACKED_GATHER_SAMPLES:
+            members = datasets[lo:hi]
+            gathers.append((n, lo, hi, np.stack([d.features for d in members]),
+                            np.stack([d.labels for d in members]),
+                            np.arange(0, (hi - lo) * n, n)[:, None]))
+        else:
+            gathers += [(n, k, k + 1, datasets[k].features[None], datasets[k].labels[None], 0)
+                        for k in range(lo, hi)]
+
     mu, lr = cfg.prox_mu, cfg.learning_rate
     clients, rows = np.arange(n_clients)[:, None], np.arange(n_max)
     for epoch in range(cfg.local_epochs):
-        for k, (data, n, client_keys) in enumerate(zip(datasets, sizes, keys)):
-            perm = np.random.default_rng(client_keys[epoch]).permutation(n)
-            np.take(data.features, perm, axis=0, out=x_all[k, :n])
-            np.take(data.labels, perm, out=y_all[k, :n])
+        for n, lo, hi, features, labels, offset in gathers:
+            # Each member's permutation, moved to its rows of the flattened
+            # samples, indexes one `take`.  "clip" never clips an index in
+            # range; unlike "raise", it lets `take` write straight into a
+            # contiguous target.
+            perms = np.array([np.random.default_rng(k[epoch]).permutation(n)
+                              for k in keys[lo:hi]])
+            perms += offset
+            features.reshape(-1, n_features).take(perms, axis=0, out=x_all[lo:hi, :n],
+                                                  mode="clip")
+            labels.reshape(-1).take(perms, out=y_all[lo:hi, :n], mode="clip")
         onehot.fill(0.0)
         onehot[clients, rows, y_all] = 1.0
         for start, stop, (xs, hots, p, W_t, b_row, g, g_W, g_b, a) in steps:
@@ -484,15 +525,16 @@ def _sgd_chunk(
 
     # Final loss, once per distinct size: the loss half of
     # `loss_and_gradient` over each client's whole dataset in its original
-    # order, the same operations over the client axis.  The proximal term
-    # stays one dot product per client: a reduction over the stacked
-    # differences would round differently.
+    # order, copied back from its gather's samples, the same operations
+    # over the client axis.  The proximal term stays one dot product per
+    # client: a reduction over the stacked differences would round
+    # differently.
     losses: list[float] = []
+    for n, lo, hi, features, labels, _ in gathers:
+        x_all[lo:hi, :n] = features
+        y_all[lo:hi, :n] = labels
     for n, lo, hi in groups:
         xs, hots, p, W_t, b_row, *_, a = views(lo, hi)
-        for k in range(lo, hi):
-            x_all[k, :n] = datasets[k].features
-            y_all[k, :n] = datasets[k].labels
         probs = np.matmul(xs[:, :n], W_t, out=hots[:, :n])
         probs += b_row
         probs -= _class_max(probs)

@@ -381,6 +381,12 @@ def _set(section, key, value):
     return mutate
 
 
+def _set_client(index, key, value):
+    def mutate(doc):
+        doc["clients"][index][key] = value
+    return mutate
+
+
 def _string_absent_rounds(doc):
     doc["clients"][0]["dropout"] = {"mode": "absent_rounds", "rounds": ["2", "3"]}
 
@@ -438,6 +444,13 @@ class TestRunRejectsBadConfig:
         (scenarios.kitti_sync, _set("async", "alpha", 0.5), "async.alpha"),
         (lambda: scenarios.kitti_sync(strategy="fedasync"), _set(None, "aggregate_time_s", 2.0),
          "aggregate_time_s"),
+        (scenarios.kitti_sync, _set("task", "n_features", 0), "n_features must be >= 1, got 0"),
+        (scenarios.kitti_sync, _set("task", "means_seed", -1), "means_seed must be >= 0, got -1"),
+        (scenarios.kitti_sync, _set_client(0, "batch", 0), "client C1 batch must be >= 1, got 0"),
+        (scenarios.kitti_sync, _set_client(0, "batch", -4),
+         "client C1 batch must be >= 1, got -4"),
+        (scenarios.kitti_sync, _set_client(2, "resolution", 0),
+         "client C3 resolution must be >= 1, got 0"),
     ], ids=["renamed-overlap-client", "zero-overlap-counts", "negative-overlap-count",
             "overlap-client-mix", "alpha", "float-batch", "bool-rounds",
             "string-absent-rounds", "string-learning-rate", "bool-prox-mu",
@@ -445,7 +458,8 @@ class TestRunRejectsBadConfig:
             "inline-plan-mix", "fedavg-prox-mu", "fedasync-prox-mu",
             "string-mix-weight", "bool-mix-weight", "number-eval-scenario",
             "string-scenario-tags", "string-class-means", "bool-class-means",
-            "fedavg-async-key", "fedasync-aggregate-time"])
+            "fedavg-async-key", "fedasync-aggregate-time", "no-features",
+            "negative-means-seed", "zero-batch", "negative-batch", "zero-resolution"])
     def test_exit_2_and_no_log(self, tmp_path, capsys, make_doc, mutate, expected):
         doc = make_doc()
         mutate(doc)

@@ -522,6 +522,68 @@ class TestDirectWrite:
             MetricsWriter(buf).emit(MetricsRecord(run_id="r1", round=1, **fields))
         assert buf.getvalue() == ""
 
+    # every value kind the direct template must leave to the renderers: an
+    # np.float64, NaN, both infinities, ints in float fields and None, then
+    # a row that fails a check and one after it
+    @example(run_id="r1", records=[
+        ("", 1, "train_window", dict(zip(SCHEMA["train_window"], (
+            "C1", 0.0, 2.0, np.float64(1.5), 3.0, math.nan, 6.0, 10, math.inf, True)))),
+        ("", 1, "aggregate", dict(zip(SCHEMA["aggregate"], (
+            None, 1, 2, None, None, None, 5, None, False)))),
+        ("", 2, "eval", dict(zip(SCHEMA["eval"], (0.0, 0.0, None, np.float64(0.25))))),
+        ("", 2, "oom", dict(zip(SCHEMA["oom"], ("C2", -math.inf, False)))),
+        ("", 3, "stalled", dict(zip(SCHEMA["stalled"], (3.0, 2.0)))),
+        ("", 3, "dropout", dict(zip(SCHEMA["dropout"], ("C3", None, None)))),
+    ])
+    @given(run_id=_TEXT, records=st.lists(_records(), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_window_lines_equal_json_dumps(self, run_id, records):
+        """`write_rows` of a window of mixed events: each line is the one
+        `json.dumps` writes, up to the first row that fails the record
+        checks, which raises with nothing of its own written."""
+        expected, fails = [], False
+        for _, rnd, event, values in records:
+            try:
+                MetricsRecord(run_id=run_id, round=rnd, event=event, **values)
+            except ValueError:
+                fails = True
+                break
+            expected.append(reference_line(run_id, rnd, event, **values))
+        rows = [(event, rnd, *values.values()) for _, rnd, event, values in records]
+        buf = io.StringIO()
+        if fails:
+            with pytest.raises(ValueError):
+                MetricsWriter(buf).write_rows(run_id, rows)
+        else:
+            MetricsWriter(buf).write_rows(run_id, rows)
+        assert buf.getvalue() == "".join(expected)
+
+    def test_long_window_written_in_pieces(self):
+        """A window of many rows reaches the stream in bounded pieces; a
+        failing row leaves the rows before it written, across pieces."""
+        writes = []
+
+        class Stream(io.StringIO):
+            def write(self, text):
+                writes.append(text.count("\n"))
+                return super().write(text)
+
+        rows = [("dropout", 1, f"C{k}", float(k), float(k)) for k in range(600)]
+        buf = Stream()
+        MetricsWriter(buf).write_rows("r1", rows)
+        assert buf.getvalue() == "".join(
+            reference_line("r1", 1, "dropout", client_id=f"C{k}", t_start_s=float(k),
+                           t_end_s=float(k)) for k in range(600))
+        assert sum(writes) == 600 and max(writes) < 600
+        writes.clear()
+        buf = Stream()
+        rows[500] = ("dropout", 1, "C500", 2.0, 1.0)
+        with pytest.raises(ValueError, match="t_end_s must be >= t_start_s"):
+            MetricsWriter(buf).write_rows("r1", rows)
+        assert buf.getvalue().count("\n") == sum(writes) == 500
+
     def test_eval_write_is_flushed(self, tmp_path):
         path = tmp_path / "m.jsonl"
         sink, fh = open_log_writer(path)

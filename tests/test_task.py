@@ -90,6 +90,18 @@ class TestTaskConstruction:
                 noise_sigma=1.0, scenario_shifts={"reference": np.ones(2)},
             )
 
+    @pytest.mark.parametrize("n_features", [0, -1])
+    def test_rejects_no_features(self, n_features):
+        with pytest.raises(ConfigError, match="n_features must be >= 1"):
+            SyntheticTask(n_classes=2, n_features=n_features,
+                          class_means=np.zeros((2, max(n_features, 0))))
+        with pytest.raises(ConfigError, match="n_features must be >= 1"):
+            default_task(n_features=n_features)
+
+    def test_rejects_negative_means_seed(self):
+        with pytest.raises(ConfigError, match="means_seed must be >= 0, got -1"):
+            default_task(means_seed=-1)
+
     def test_rejects_bad_means_shape(self):
         with pytest.raises(ConfigError):
             SyntheticTask(
@@ -477,6 +489,17 @@ class TestTrainCohort:
              budget=1024, per_client=True, seed=5)
     @example(shape=(5, 11), sizes=[3, 10, 1, 7, 9, 5, 12, 10, 3], batch=5, mu=0.3, epochs=2,
              budget=1024, per_client=True, seed=6)
+    # 300 equal clients of 16 samples at the default budget: one stacked
+    # gather per epoch in each of two chunks, of 256 clients and 44
+    @example(shape=(16, 8), sizes=[16] * 300, batch=5, mu=0.3, epochs=2,
+             budget=task_module.COHORT_SAMPLES, per_client=False, seed=7)
+    # groups of one (7, 1) and of two clients too large to stack (70) beside
+    # stacked groups (16 and 2), short of the padded size; then the same cut
+    # into small chunks, some holding only groups of one
+    @example(shape=(5, 11), sizes=[16, 2, 70, 16, 7, 2, 1, 16, 70], batch=5, mu=0.3, epochs=2,
+             budget=1024, per_client=True, seed=8)
+    @example(shape=(5, 11), sizes=[16, 2, 70, 16, 7, 2, 1, 16, 70], batch=5, mu=0.3, epochs=2,
+             budget=24, per_client=True, seed=9)
     @settings(max_examples=60, deadline=None)
     def test_equals_independent_reference_runs(
         self, shape, sizes, batch, mu, epochs, budget, per_client, seed
