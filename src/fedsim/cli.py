@@ -14,7 +14,7 @@ from contextlib import closing
 from dataclasses import asdict
 
 from . import costs as costmod
-from .config import load_config, save_config
+from .config import load_config, parse_plan, save_config
 from .errors import ConfigError, FedsimError, IncompleteLogError
 from .metrics import (
     open_log_writer,
@@ -29,7 +29,7 @@ from .orchestrator import (
     run,
     write_checkpoint,
 )
-from .partition import builtin_plan, overlap_split, BUILTIN_PLAN_NAMES
+from .partition import BUILTIN_PLAN_NAMES
 from .scenarios import SCENARIOS, scenario_config
 
 EXIT_OK = 0
@@ -39,17 +39,13 @@ EXIT_INCOMPLETE = 4
 
 
 def _cmd_partition(args) -> int:
+    # A config's plan section; an option not given is null, which it leaves out.
     if args.plan == "overlap":
-        if args.clients is None or args.window is None:
-            raise ConfigError("overlap plan requires --clients and --window")
-        if args.scale_divisor is not None:
-            raise ConfigError("--scale-divisor applies to a builtin plan, not to overlap")
-        doc = overlap_split(args.clients, args.window).to_json_dict()
+        plan = {"overlap": {"n_clients": args.clients, "window": args.window,
+                            "per_partition_counts": []}}
     else:
-        plan = builtin_plan(args.plan)
-        if args.scale_divisor is not None:
-            plan = plan.scaled(args.scale_divisor)
-        doc = plan.to_json_dict()
+        plan = {"builtin": args.plan}
+    doc = parse_plan({**plan, "scale_divisor": args.scale_divisor}).to_json_dict()
     text = json.dumps(doc, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

@@ -263,7 +263,8 @@ def _parse_task(doc) -> SyntheticTask:
     return SyntheticTask(**fields)
 
 
-def _parse_plan(doc) -> PartitionPlan | OverlapPlan:
+def parse_plan(doc) -> PartitionPlan | OverlapPlan:
+    """The plan a config's plan section names, as `fedsim partition` builds it too."""
     fields = section(doc, _PLAN_KEYS, "plan")
     given = [k for k in ("builtin", "inline", "overlap") if k in fields]
     if len(given) != 1:
@@ -327,7 +328,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         "master_seed": integer,
         "train": lambda d: section(d, _TRAIN_KEYS, "train"),
         "task": _parse_task,
-        "plan": _parse_plan,
+        "plan": parse_plan,
         "clients": array(ClientSpec.from_dict),
         "async": lambda d: AsyncConfig(**section(d, _ASYNC_KEYS, "async")),
         "eval": lambda d: EvalSpec(**section(d, _EVAL_KEYS, "eval")),

@@ -6,8 +6,8 @@ functions of the log and can always be regenerated byte-identically.
 `SCHEMA` is the log format: each event's fields with their types.  Every
 line holds all of `MetricsRecord`'s keys in its field order, null (false
 for ``estimated``) where the event has no such field.  The writer renders
-each line from its event's template, built from the table, a window of
-records per call; `read_log`
+each line from its event's one template, built from the table, a window of
+records per call, every value as `json.dumps` writes it; `read_log`
 reports and leaves out a line that is not a JSON object and a record whose
 required field is missing or of a type the table does not admit, or that
 breaks a record check, so `build_report` reads those fields unguarded.
@@ -111,30 +111,20 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _number(x) -> str:
-    """A float's or an int's JSON text, as `json.dumps` writes it; None is null."""
+    """A number's or a flag's JSON text, as `json.dumps` writes it; None is null."""
     if isinstance(x, float):  # np.float64 too, whose own repr names its type
         text = float.__repr__(x)
         return _NON_FINITE.get(text, text)
     if x is None:
         return "null"
+    if type(x) is bool:
+        return "true" if x else "false"
     return int.__repr__(x)
 
 
 def _string(x) -> str:
     """A string's JSON text, as `json.dumps` writes it; None is null."""
     return "null" if x is None else encode_basestring_ascii(x)
-
-
-def _flag(x) -> str:
-    return "true" if x else "false"
-
-
-def _native(typ) -> type:
-    """A field type's one type other than None."""
-    return next(kind for kind in getattr(typ, "__args__", (typ,)) if kind is not type(None))
-
-
-_RENDERERS = {str: _string, bool: _flag, int: _number, float: _number}
 
 
 def _values_at(positions: list[int]):
@@ -145,45 +135,36 @@ def _values_at(positions: list[int]):
 
 
 def _form(event: str, types: dict[str, type]) -> tuple:
-    """How one event's rows become lines: its direct and rendered
-    templates, each field's renderer, a getter of the row's `_WINDOW`
-    values (a prefix of `_WINDOW`, so `_check`'s leading arguments), each
-    field's type other than None, a getter of the row's floats, and the
-    position and renderer of each string and flag field.
+    """How one event's rows become lines: its template, each slot's type
+    and renderer, a getter of the row's `_WINDOW` values (a prefix of
+    `_WINDOW`, so `_check`'s leading arguments), a getter of its floats,
+    and the position and renderer of each string and flag slot.
 
-    The slots are the run id, the round and the event's fields in key
-    order; every other key holds its record default.  The rendered
-    template takes every field's text from its renderer.  The direct one
-    takes a number as it is, by `%r`, which writes a Python float as
+    A row is the round, then the event's fields in key order.  The
+    template's slots are the run id and the row's values, all `%s`; every
+    other key holds its record default.  Each slot has one type: int for
+    the round, each field's type other than None.  A row whose values are
+    each exactly of their slot's type, with finite floats, fills the
+    template with its numbers as they are: `%s` writes a float as
     `float.__repr__` and an int as `int.__repr__`, as `json.dumps` does.
-    It fills a row whose values are each exactly of their field's type and
-    whose floats are finite; a None, an np.float64 (whose repr names its
-    type), an int in a float field, a bool in a number field and a NaN or
-    infinity (`%r` writes ``nan``) send a row through the rendered one.
+    Any other row (a None, an np.float64, a NaN or infinity, an int in a
+    float field, a bool or float round, a bool in a number field) has every
+    value rendered by its slot's renderer, which writes it as `json.dumps`
+    does.
     """
     names = [k for k in _KEY_ORDER if k in types]
-    natives = [_native(types[k]) for k in names]
-    renderers = [_RENDERERS[typ] for typ in natives]
-    slots = {"run_id": "%s", "round": "%d", "event": json.dumps(event)}
+    kinds = (int, *(next(kind for kind in getattr(types[k], "__args__", (types[k],))
+                         if kind is not type(None)) for k in names))
+    renderers = tuple(_string if kind is str else _number for kind in kinds)
+    fill = {"run_id": "%s", "round": "%s", "event": json.dumps(event), **dict.fromkeys(names, "%s")}
     defaults = MetricsRecord._field_defaults
-
-    def template(number: str) -> str:
-        fill = {**slots, **{k: "%s" if render is not _number else number
-                            for k, render in zip(names, renderers)}}
-        return "{" + ", ".join(f'"{k}": {fill.get(k) or json.dumps(defaults[k])}'
+    template = "{" + ", ".join(f'"{k}": {fill.get(k) or json.dumps(defaults[k])}'
                                for k in _KEY_ORDER) + "}\n"
-
     window = [k for k in _WINDOW if k in names]
     assert window == list(_WINDOW[:len(window)]), event
-    return (
-        template("%r"),
-        template("%s"),
-        tuple(renderers),
-        _values_at([names.index(k) for k in window]),
-        tuple(natives),
-        _values_at([i for i, typ in enumerate(natives) if typ is float]),
-        tuple((i, render) for i, render in enumerate(renderers) if render is not _number),
-    )
+    return (template, kinds, renderers, _values_at([1 + names.index(k) for k in window]),
+            _values_at([i for i, kind in enumerate(kinds) if kind is float]),
+            tuple((i, renderers[i]) for i, kind in enumerate(kinds) if kind in (str, bool)))
 
 
 _FORMS = {event: _form(event, types) for event, types in SCHEMA.items()}
@@ -192,18 +173,18 @@ _FORMS = {event: _form(event, types) for event, types in SCHEMA.items()}
 _PIECE_LINES = 256
 
 
-def _line(run_id: str, event: str, round_idx: int, values: list) -> str:
-    """One row's line: the record checks, then its event's direct template
-    if the row fills it, else its rendered one (see `_form`)."""
+def _line(run_id: str, event: str, row: list) -> str:
+    """One row's line: the record checks, then its event's template, filled
+    with the row's numbers as they are if the row's types allow (see `_form`)."""
     if event not in _FORMS:
         raise ValueError(f"unknown event {event!r}")
-    direct, rendered, renderers, window, natives, floats, texts = _FORMS[event]
-    _check(event, *window(values))
-    if tuple(map(type, values)) == natives and all(map(math.isfinite, floats(values))):
+    template, kinds, renderers, window, floats, texts = _FORMS[event]
+    _check(event, *window(row))
+    if tuple(map(type, row)) == kinds and all(map(math.isfinite, floats(row))):
         for i, render in texts:
-            values[i] = render(values[i])
-        return direct % (run_id, round_idx, *values)
-    return rendered % (run_id, round_idx, *[render(v) for render, v in zip(renderers, values)])
+            row[i] = render(row[i])
+        return template % (run_id, *row)
+    return template % (run_id, *[render(v) for render, v in zip(renderers, row)])
 
 
 class _Void:
@@ -219,9 +200,10 @@ class _Void:
 
 class MetricsWriter:
     """Single-writer JSONL sink: `write_rows` renders every line from its
-    event's template, after the record checks.  The engines hand it a
-    window's rows at once; `write` hands it one record's values and `emit`
-    a record's.
+    event's one template, after the record checks, each value as
+    `json.dumps` writes it.  The engines hand it a window's rows at once
+    and each `eval` record through `emit`, which hands `write` a record's
+    values; `write` hands it one record's values.
 
     The stream is flushed after every ``eval`` record, which closes each
     sync round and each async evaluation window: at those points the file
@@ -255,14 +237,16 @@ class MetricsWriter:
     def write_rows(self, run_id: str, rows) -> None:
         """Write one record of run `run_id` per row, (event, round, values
         of the event's `SCHEMA` fields in key order), in order: the line
-        `json.dumps` writes of the record, and a newline.  A row that fails
-        the record checks or does not render raises, after every row
-        before it is written and with nothing of its own."""
+        `json.dumps` writes of the record, and a newline, whatever the
+        values' types (a bool or float round, a bool in a number field).
+        A row that fails the record checks or that `json.dumps` would not
+        write (an np.int64, a client id that is no string) raises, after
+        every row before it is written and with nothing of its own."""
         run_id = encode_basestring_ascii(run_id)
         lines: list[str] = []
         try:
-            for event, round_idx, *values in rows:
-                lines.append(_line(run_id, event, round_idx, values))
+            for event, *row in rows:
+                lines.append(_line(run_id, event, row))
                 if event == "eval" or len(lines) == _PIECE_LINES:
                     self._stream.write("".join(lines))
                     lines.clear()

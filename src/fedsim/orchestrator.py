@@ -17,9 +17,10 @@ either schedule: each batch of applications whose base models exist
 trains in one `train_cohort` call, with its training seeds and power
 draws keyed in one batch, and records are written in schedule order; a
 client whose training diverged raises at its application.  A window's
-records reach the writer in one `MetricsWriter.write_rows` call, made
-also when the window raises, so the records before the raise are
-written; its `eval` record follows through `emit`.
+records reach the writer as rows in one `MetricsWriter.write_rows` call,
+made also when the window raises, so the records before the raise are
+written; its `eval` record follows through `emit`.  The engine reaches
+the writer by no other path.
 Only aggregation depends on the strategy; it takes plain `ClientUpdate`s,
 whose finiteness the executor guarantees, and checks each result once.
 `run` picks the schedule from the config's strategy.  `local_train` and
@@ -166,13 +167,15 @@ def _build_datasets(cfg: ExperimentConfig) -> dict[str, LocalDataset]:
 
 
 class _Run:
-    """One run's fixed inputs and the records both engines emit.
+    """One run's fixed inputs and the rows of its client records.
 
     Built before anything is logged: every client's cost entry is looked
     up once here, so an uncalibrated client, or a run in which no client
     fits its device memory, fails with no record written.  `durations`
     holds a client exactly when it fits its device memory; its value is
-    the client's modeled training window.
+    the client's modeled training window.  `oom` and `train_row` build
+    rows; the engine writes them through `sink.write_rows` and its `eval`
+    records through `evaluate`, which hands them to `sink.emit`.
     """
 
     def __init__(self, cfg: ExperimentConfig, sink: MetricsWriter | None, engine: str,
@@ -212,10 +215,6 @@ class _Run:
         self.presence = _Presence({c.client_id: c.dropout for c in cfg.clients}, cfg.master_seed)
         self.history: list[tuple[int, float]] = []
 
-    def write(self, event: str, round_idx: int, *values) -> None:
-        """One record of `event`, its `SCHEMA` fields given in key order."""
-        self.sink.write(event, self.run_id, round_idx, *values)
-
     def oom(self, cid: str) -> tuple:
         """The fields of `cid`'s `oom` record that follow its round."""
         entry = self.entries[cid]
@@ -228,10 +227,6 @@ class _Run:
         entry = self.entries[cid]
         return ("train_window", round_idx, cid, t_start, t_end, entry.peak_mem_mib,
                 power, util, power * self.durations[cid], n, loss, entry.estimated)
-
-    def train_window(self, *args) -> None:
-        """Write the `train_window` record `train_row` gives."""
-        self.write(*self.train_row(*args))
 
     def evaluate(self, round_idx: int, w: np.ndarray, clock: float) -> None:
         acc = evaluate(w, self.eval_ds)

@@ -127,7 +127,7 @@ def async_one_at_a_time(cfg, sink) -> None:
     eval_every = cfg.async_cfg.eval_every or cfg.n_clients
     for cid in ctx.entries:
         if cid not in ctx.durations:
-            ctx.write("oom", 0, *ctx.oom(cid))
+            ctx.sink.write("oom", ctx.run_id, 0, *ctx.oom(cid))
     w = zero_params(cfg.task.n_features, cfg.task.n_classes)
     version = evals = 0
     fetched = dict.fromkeys(ctx.durations, (0, w))
@@ -140,7 +140,7 @@ def async_one_at_a_time(cfg, sink) -> None:
         heapq.heappush(heap, (clock + duration, cid))
         attempt = attempts[cid] = attempts[cid] + 1
         if not ctx.presence.is_present(cid, attempt):
-            ctx.write("dropout", attempt, cid, clock, clock)
+            ctx.sink.write("dropout", ctx.run_id, attempt, cid, clock, clock)
             if all(ctx.presence.absorbed(c, attempts[c]) for c in ctx.durations):
                 raise SimulationError(
                     f"every client is permanently absent after {version} of "
@@ -158,11 +158,13 @@ def async_one_at_a_time(cfg, sink) -> None:
         entry = ctx.entries[cid]
         power = float(rng.uniform(*entry.power_w_range))
         util = float(rng.uniform(*entry.util_pct_range))
-        ctx.train_window(attempt, cid, clock - duration, clock, n, loss, power, util)
+        ctx.sink.write_rows(ctx.run_id, [ctx.train_row(attempt, cid, clock - duration, clock,
+                                                      n, loss, power, util)])
         staleness = version - base
         w = fedasync_update(w, ClientUpdate(cid, w_new, n), staleness, cfg.async_cfg)
         version += 1
-        ctx.write("aggregate", attempt, cid, clock, clock, None, None, None, n, staleness, False)
+        ctx.sink.write("aggregate", ctx.run_id, attempt, cid, clock, clock, None, None, None, n,
+                       staleness, False)
         if version % eval_every == 0 or version == budget:
             evals += 1
             ctx.evaluate(evals, w, clock)

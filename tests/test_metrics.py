@@ -488,6 +488,20 @@ class TestDirectWrite:
             MetricsWriter(buf).write(event, "r1", 1, *values)
         assert buf.getvalue() == ""
 
+    # values off their field's type, which no engine writes: a bool in a
+    # number field, a float round and a bool round
+    @pytest.mark.parametrize("event, round_idx, values", [
+        ("oom", 1, ("C1", True, False)),
+        ("stalled", 2.7, (0.0, 1.0)),
+        ("stalled", True, (0.0, 1.0)),
+        ("aggregate", 3, (None, 1.0, 2.0, None, None, None, True, None, False)),
+    ], ids=["bool-mem", "float-round", "bool-round", "bool-samples"])
+    def test_off_type_value_written_as_json_dumps(self, event, round_idx, values):
+        buf = io.StringIO()
+        MetricsWriter(buf).write(event, "r1", round_idx, *values)
+        assert buf.getvalue() == reference_line(
+            "r1", round_idx, event, **dict(zip(SCHEMA[event], values)))
+
     def test_writer_without_stream_checks_renders_and_keeps_nothing(self):
         sink = MetricsWriter(None)
         sink.write("oom", "r1", 2, "C1", 9113, True)
