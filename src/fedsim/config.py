@@ -18,6 +18,7 @@ from .costs import ARCHITECTURES, DeviceSpec
 from .aggregate import AsyncConfig
 from .errors import ConfigError, array, integer, mapping, number, section, string
 from .partition import OverlapPlan, PartitionPlan, builtin_plan, overlap_split
+from .streams import client_key
 from .task import REFERENCE_SCENARIO, SyntheticTask, TrainConfig, default_task
 
 SCHEMA_VERSION = 1
@@ -187,6 +188,12 @@ class ExperimentConfig:
         ids = [c.client_id for c in self.clients]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate client_id")
+        keyed: dict[int, str] = {}
+        for cid in ids:
+            other = keyed.setdefault(client_key(cid), cid)
+            if other != cid:
+                raise ConfigError(f"client_ids {other!r} and {cid!r} share the stream key "
+                                  f"{client_key(cid)}, so they would draw identical values")
         if set(ids) != set(self.plan.client_ids):
             raise ConfigError("clients do not match the partition plan's client_ids")
         classes = len(self.plan.class_names if self.plan.draws_per_client

@@ -7,16 +7,18 @@ All randomness is keyed from (master_seed, stream, round, client) by
 `streams`, bit-identical to numpy's SeedSequence, so any round can be
 recomputed in isolation and checkpoint/resume is exact.
 
-A run is one `_Run` (its datasets, evaluation set, presence chains and
-per-client costs, all built before any record) and two passes.  Its
-schedule, `_sync_schedule` or `_async_schedule`, says who trains when on
-which model version and builds every record that reads no model, one
-evaluation window at a time; a sync round is one window whose clients all
-train on the previous round's model.  One executor, `_execute`, runs
-either schedule: each batch of applications whose base models exist
-trains in one `train_cohort` call, with its training seeds and power
-draws keyed in one batch, and records are written in schedule order; a
-client whose training diverged raises at its application.  A window's
+A run is one `_Run` (its datasets, evaluation set, presence chains,
+per-client costs and keyed streams, all built before any record) and two
+passes.  Its schedule, `_sync_schedule` or `_async_schedule`, says who
+trains when on which model version and builds every record that reads no
+model, one evaluation window at a time; a sync round is one window whose
+clients all train on the previous round's model.  One executor, `_execute`,
+runs either schedule: each batch of applications whose base models exist
+trains in one `train_cohort` call, and records are written in schedule
+order; a client whose training diverged raises at its application.  The
+training seeds, power draws and dropout coins are read from `_Blocks`, each
+drawn a block of attempts for every client in one batched `streams` pass;
+the schedules release the blocks behind them.  A window's
 records reach the writer as rows in one `MetricsWriter.write_rows` call,
 made also when the window raises, so the records before the raise are
 written; its `eval` record follows through `emit`.  The engine reaches
@@ -33,9 +35,9 @@ from __future__ import annotations
 import heapq
 import json
 import os
-import zlib
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -59,10 +61,6 @@ from .task import (
 _DATA, _TRAIN, _DROPOUT, _EVAL, _POWER = 1, 2, 3, 4, 5
 
 
-def _cid_key(client_id: str) -> int:
-    return zlib.crc32(client_id.encode())
-
-
 @dataclass
 class RunResult:
     run_id: str
@@ -77,22 +75,80 @@ class RunResult:
         return self.history[-1][1] if self.history else float("nan")
 
 
+# Keys from which one batched `streams` pass costs about 2 µs a key, against
+# about 12 µs for numpy's own SeedSequence per key.
+_BLOCK_KEYS = 128
+
+
+class _Blocks:
+    """One keyed stream's values for any (attempt, client) of a run.
+
+    Attempts count from 1 and fall in blocks of ceil(_BLOCK_KEYS / clients)
+    attempts.  The first read inside a block draws it for every client in
+    one `draw(attempts, keys, clients)` call, key k being (attempts[k],
+    keys[k]) with keys[k] the `streams.client_key` of clients[k], so each
+    call holds at least _BLOCK_KEYS keys.  Each value comes from its own
+    key, so the block size changes none.  `release` drops the blocks no
+    read will reach; a read into a dropped block draws it again.
+    """
+
+    def __init__(self, clients: list[str], draw: Callable[[np.ndarray, np.ndarray, list], list]):
+        self._column = {cid: i for i, cid in enumerate(clients)}
+        self._size = -(-_BLOCK_KEYS // max(len(clients), 1))
+        # Every block's clients and their keys, attempt by attempt.
+        self._clients = clients * self._size
+        self._keys = np.tile(np.array([streams.client_key(c) for c in clients], np.uint64),
+                             self._size)
+        self._draw = draw
+        self._held: dict[int, list] = {}  # block index -> its values, attempt by attempt
+
+    def take(self, attempts: Iterable[int], cids: Iterable[str]) -> list:
+        """The values of the keys (attempt, client) that `attempts` and
+        `cids` pair up; a run of equal attempts finds its block once."""
+        column, out, last = self._column, [], None
+        for attempt, cid in zip(attempts, cids):
+            if attempt != last:
+                values, start = self._row(attempt)
+                last = attempt
+            out.append(values[start + column[cid]])
+        return out
+
+    def _row(self, attempt: int) -> tuple[list, int]:
+        """The block that holds `attempt`, drawn on its first read, and the
+        index of the attempt's first value in it."""
+        block, row = divmod(attempt - 1, self._size)
+        values = self._held.get(block)
+        if values is None:
+            first = block * self._size + 1
+            attempts = np.repeat(np.arange(first, first + self._size), len(self._column))
+            values = self._held[block] = self._draw(attempts, self._keys, self._clients)
+        return values, row * len(self._column)
+
+    def release(self, attempt: int) -> None:
+        """Drop the blocks that end before `attempt`."""
+        for block in [b for b in self._held if (b + 1) * self._size < attempt]:
+            del self._held[block]
+
+
 class _Presence:
     """Participant sets under dropout rules.
 
     A stochastic rule is a presence chain from round 1: a participating
     client drops with probability p afterwards, an absent one rejoins with
     probability q the next round.  Coins are keyed per (seed, client,
-    round), so presence at round r never depends on how it was queried.
-    Each chain keeps its states from round 0 (present, as at round 1): a
-    later round draws only the coins past the last state kept, an earlier
-    one is read back.
+    round), so presence at round r never depends on how it was queried;
+    `coins` draws them a block of rounds at a time for every stochastic
+    client.  Each chain keeps its states from round 0 (present, as at
+    round 1): a later round reads only the coins past the last state kept,
+    an earlier one is read back.
     """
 
     def __init__(self, rules: dict[str, DropoutRule], seed: int):
         self._rules = rules
-        self._seed = seed
-        self._states = {cid: [True, True] for cid in rules}  # read under a stochastic rule
+        chains = [cid for cid, rule in rules.items() if rule.mode == "stochastic"]
+        self.coins = _Blocks(chains, lambda rounds, keys, _: streams.uniforms(
+            1, seed, _DROPOUT, keys, rounds)[:, 0].tolist())
+        self._states = {cid: [True, True] for cid in chains}
 
     def is_present(self, cid: str, round_idx: int) -> bool:
         rule = self._rules[cid]
@@ -101,9 +157,8 @@ class _Presence:
         if rule.mode == "absent_rounds":
             return round_idx not in rule.absent_rounds
         states = self._states[cid]
-        for coin in streams.derive(self._seed, _DROPOUT, _cid_key(cid),
-                                   range(len(states) - 1, round_idx)):
-            u = np.random.default_rng(coin).random()
+        rounds = range(len(states) - 1, round_idx)
+        for u in self.coins.take(rounds, repeat(cid, len(rounds))):
             states.append((u >= rule.p) if states[-1] else (u < rule.q))
         return states[max(round_idx, 0)]
 
@@ -121,7 +176,7 @@ def apply_dropout(rules: dict[str, DropoutRule], round_idx: int, seed: int) -> l
 
     A fresh `_Presence` advanced to `round_idx`, so every stochastic chain
     runs from round 1 (see `_Presence` for the state machine).  The engines
-    keep one `_Presence` per run instead, which draws each coin once.
+    keep one `_Presence` per run instead, which draws each block of coins once.
     """
     return _Presence(rules, seed).participants(round_idx)
 
@@ -137,7 +192,8 @@ def _build_datasets(cfg: ExperimentConfig) -> dict[str, LocalDataset]:
     """
     plan = cfg.plan
     if plan.draws_per_client:
-        keys = streams.derive(cfg.master_seed, _DATA, [_cid_key(c.client_id) for c in cfg.clients])
+        keys = streams.derive(cfg.master_seed, _DATA,
+                              [streams.client_key(c.client_id) for c in cfg.clients])
         groups: dict[tuple, tuple[dict | None, list, list]] = {}
         for client, key in zip(cfg.clients, keys):
             factor = cfg.resolution_noise.get(client.resolution, 1.0)
@@ -173,9 +229,12 @@ class _Run:
     up once here, so an uncalibrated client, or a run in which no client
     fits its device memory, fails with no record written.  `durations`
     holds a client exactly when it fits its device memory; its value is
-    the client's modeled training window.  `oom` and `train_row` build
-    rows; the engine writes them through `sink.write_rows` and its `eval`
-    records through `evaluate`, which hands them to `sink.emit`.
+    the client's modeled training window.  `seeds` and `power` hold the
+    training seed and the (power, utilization) draw of any (attempt, fitting
+    client), and `release` drops the drawn values the schedule is past.
+    `oom` and `train_row` build rows; the engine writes them through
+    `sink.write_rows` and its `eval` records through `evaluate`, which hands
+    them to `sink.emit`.
     """
 
     def __init__(self, cfg: ExperimentConfig, sink: MetricsWriter | None, engine: str,
@@ -213,7 +272,20 @@ class _Run:
         if not self.durations:
             raise SimulationError("no client fits its device memory budget; nothing can run")
         self.presence = _Presence({c.client_id: c.dropout for c in cfg.clients}, cfg.master_seed)
+        # The draws hold no reference to `self`: a cycle would keep each
+        # finished run's datasets alive until the garbage collector ran.
+        seed, fit, entries = cfg.master_seed, list(self.durations), self.entries
+        self.seeds = _Blocks(fit, lambda attempts, keys, _: streams.first_words(
+            seed, _TRAIN, attempts, keys))
+        self.power = _Blocks(fit, lambda attempts, keys, cids: costs.sample_power_and_util(
+            [entries[c] for c in cids], seed, _POWER, attempts, keys))
         self.history: list[tuple[int, float]] = []
+
+    def release(self, attempt: int) -> None:
+        """Drop the drawn seeds, power draws and coins of the attempts before
+        `attempt`: the schedule asks for none of them again."""
+        for blocks in (self.seeds, self.power, self.presence.coins):
+            blocks.release(attempt)
 
     def oom(self, cid: str) -> tuple:
         """The fields of `cid`'s `oom` record that follow its round."""
@@ -261,6 +333,7 @@ def _sync_schedule(ctx: _Run, first: int, last: int, clock: float) -> Iterator[_
     slowest participant; the next starts after the aggregation."""
     durations = ctx.durations
     for rnd in range(first, last + 1):
+        ctx.release(rnd - 1)
         participants = ctx.presence.participants(rnd)
         window: list = [("dropout", rnd, cid, None, None)
                         for cid in sorted(ctx.entries.keys() - set(participants))]
@@ -311,23 +384,21 @@ def _async_schedule(ctx: _Run) -> Iterator[_Window]:
         if version % eval_every == 0 or version == budget:
             yield window, clock, None
             window = []
+            ctx.release(min(attempts.values()))  # no client reads below its last attempt again
 
 
 def _train(ctx: _Run, apps: list[_Application], models: dict[int, np.ndarray]) -> list[tuple]:
     """Train `apps` in one cohort, each from its base version's model:
     (params, sample count, loss, power, utilization) per application.
-    Seeds and power are keyed (master, stream, attempt, client); an
-    attempt or a base model that every application shares is passed once."""
-    cids = [a.client_id for a in apps]
-    keys = [_cid_key(c) for c in cids]
-    attempts, bases = {a.attempt for a in apps}, {a.base for a in apps}
-    rounds = attempts.pop() if len(attempts) == 1 else [a.attempt for a in apps]
-    w0 = models[bases.pop()] if len(bases) == 1 else np.stack([models[a.base] for a in apps])
-    seed = ctx.cfg.master_seed
+    Each application's training seed and power draw, keyed (master, stream,
+    attempt, client), are read from the run's blocks; a base model that
+    every application shares is passed once."""
+    attempts, cids, bases = zip(*[(a.attempt, a.client_id, a.base) for a in apps])
+    distinct = set(bases)
+    w0 = models[distinct.pop()] if len(distinct) == 1 else np.stack([models[b] for b in bases])
     trained = train_cohort(w0, [ctx.datasets[c] for c in cids],
-                           streams.first_words(seed, _TRAIN, rounds, keys), ctx.cfg.train)
-    drawn = costs.sample_power_and_util([ctx.entries[c] for c in cids], seed, _POWER, rounds, keys)
-    return [t + d for t, d in zip(trained, drawn)]
+                           ctx.seeds.take(attempts, cids), ctx.cfg.train)
+    return [t + d for t, d in zip(trained, ctx.power.take(attempts, cids))]
 
 
 def _execute(ctx: _Run, schedule: Iterator[_Window], w: np.ndarray, version: int,

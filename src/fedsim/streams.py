@@ -12,6 +12,7 @@ of K keys draws its doubles with no Generator at all.  A pass costs about
 numpy's own.
 """
 
+import zlib
 from itertools import repeat
 
 import numpy as np
@@ -22,6 +23,13 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
 BATCH_MIN = 16  # key count from which one batch beats a SeedSequence per key
 _HEAD_MASK, _PART_MASK = 2**63 - 1, 2**32 - 1
+
+
+def client_key(client_id: str) -> int:
+    """The key part that stands for a client in every per-client stream.
+    Two ids with one key would draw the same values, so a config refuses
+    them."""
+    return zlib.crc32(client_id.encode())
 
 
 def _hashmix(values: np.ndarray, init: int, mult: int, call: int) -> np.ndarray:
@@ -85,6 +93,7 @@ def _keys(head, parts) -> tuple | list:
     if k >= BATCH_MIN:
         cols = [
             np.full(k, int(c) & m, dtype=np.uint64) if s
+            else c.astype(np.uint64) & np.uint64(m) if isinstance(c, np.ndarray)
             else np.fromiter((int(v) & m for v in c), np.uint64, k)
             for c, s, m in zip(columns, scalar, [_HEAD_MASK] + [_PART_MASK] * len(parts))
         ]
@@ -101,7 +110,8 @@ def _keys(head, parts) -> tuple | list:
 
 def derive(head, *parts) -> list:
     """Seed sequences for K keys (head, *parts).  Each argument is an int
-    shared by every key or a length-K sequence (K is 1 with none).  Key k is
+    shared by every key or a length-K sequence, such as an integer array,
+    which a batch masks in one pass (K is 1 with none).  Key k is
     `SeedSequence([h, *p])`, h the head masked to 63 bits (two entropy words
     from 2**32 on), each part masked to 32 bits; numpy's own objects below
     `BATCH_MIN` keys or when the heads differ in word count."""

@@ -7,7 +7,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from fedsim import orchestrator
+from fedsim import orchestrator, streams
 from fedsim.aggregate import ClientUpdate, fedasync_update
 from fedsim.errors import SimulationError
 from fedsim.metrics import _REQUIRED, _SIGNATURES, MetricsRecord, MetricsWriter, _check, _misfit
@@ -149,12 +149,12 @@ def async_one_at_a_time(cfg, sink) -> None:
             continue
         base, model = fetched[cid]
         seed = int(np.random.SeedSequence([cfg.master_seed, orchestrator._TRAIN, attempt,
-                                           orchestrator._cid_key(cid)]).generate_state(1)[0])
+                                           streams.client_key(cid)]).generate_state(1)[0])
         w_new, n, loss = local_train(model, ctx.datasets[cid], seed, cfg.train)
         if w_new is None:
             raise SimulationError("non-finite parameters after local training")
         rng = np.random.default_rng(np.random.SeedSequence(
-            [cfg.master_seed, orchestrator._POWER, attempt, orchestrator._cid_key(cid)]))
+            [cfg.master_seed, orchestrator._POWER, attempt, streams.client_key(cid)]))
         entry = ctx.entries[cid]
         power = float(rng.uniform(*entry.power_w_range))
         util = float(rng.uniform(*entry.util_pct_range))

@@ -391,6 +391,14 @@ def _string_absent_rounds(doc):
     doc["clients"][0]["dropout"] = {"mode": "absent_rounds", "rounds": ["2", "3"]}
 
 
+def _colliding_client_ids(doc):
+    """Rename two clients to ids with one crc32, the key of every per-client
+    stream."""
+    ids = doc["plan"]["inline"]["client_ids"]
+    for i, cid in enumerate(("plumless", "buckeroo")):
+        ids[i] = doc["clients"][i]["client_id"] = cid
+
+
 def _float_inline_count(doc):
     doc["plan"]["inline"]["counts"][0][0] = 2.9
 
@@ -451,6 +459,7 @@ class TestRunRejectsBadConfig:
          "client C1 batch must be >= 1, got -4"),
         (scenarios.kitti_sync, _set_client(2, "resolution", 0),
          "client C3 resolution must be >= 1, got 0"),
+        (scenarios.scale_800, _colliding_client_ids, "'plumless' and 'buckeroo'"),
     ], ids=["renamed-overlap-client", "zero-overlap-counts", "negative-overlap-count",
             "overlap-client-mix", "alpha", "float-batch", "bool-rounds",
             "string-absent-rounds", "string-learning-rate", "bool-prox-mu",
@@ -459,7 +468,8 @@ class TestRunRejectsBadConfig:
             "string-mix-weight", "bool-mix-weight", "number-eval-scenario",
             "string-scenario-tags", "string-class-means", "bool-class-means",
             "fedavg-async-key", "fedasync-aggregate-time", "no-features",
-            "negative-means-seed", "zero-batch", "negative-batch", "zero-resolution"])
+            "negative-means-seed", "zero-batch", "negative-batch", "zero-resolution",
+            "colliding-client-ids"])
     def test_exit_2_and_no_log(self, tmp_path, capsys, make_doc, mutate, expected):
         doc = make_doc()
         mutate(doc)

@@ -276,6 +276,16 @@ class TestValidation:
         with pytest.raises(ConfigError):
             config_from_dict(doc)
 
+    def test_clients_sharing_a_stream_key(self):
+        # crc32("plumless") == crc32("buckeroo"): the two would draw
+        # identical datasets, seeds, power and dropout coins.
+        doc = scenarios.scale_800()
+        ids = doc["plan"]["inline"]["client_ids"]
+        for i, cid in enumerate(("plumless", "buckeroo")):
+            ids[i] = doc["clients"][i]["client_id"] = cid
+        with pytest.raises(ConfigError, match="'plumless' and 'buckeroo' share the stream key"):
+            config_from_dict(doc)
+
     def test_scenario_mix_tag_must_exist(self):
         doc = minimal_doc(clients=[
             {"client_id": "C1", "scenario_mix": {"fog": 1.0}},

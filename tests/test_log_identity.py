@@ -15,10 +15,13 @@ products round differently, so a failing pin names the active core.
 import ctypes
 import glob
 import hashlib
+import importlib.util
 import io
 import os
+import sys
 import warnings
 from contextlib import closing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +191,32 @@ def test_two_word_master_log_digest(name, seed):
 def test_diverged_run_log_digest():
     assert _log_digest(_diverged(seed=0)) == DIVERGED_DIGEST, _mismatch()
 
+
+def _perfbench_workloads() -> dict:
+    """The benchmark's workloads, loaded from perfbench/workloads.py alone
+    (perfbench is not a package, and its other files are not imported)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOADS = _perfbench_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_benchmark_pins(tmp_path, name):
+    """The benchmark's correctness gate at seed 0: each workload's log file,
+    written as perfbench writes it, and its final accuracy and clock equal
+    the workload's `Pinned` values."""
+    workload, path = WORKLOADS[name], tmp_path / "log.jsonl"
+    sink, fh = open_log_writer(path)
+    with closing(fh):
+        result = run(config_from_dict(workload.build(0)), sink)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == workload.pinned.log_sha256, _mismatch()
+    assert result.final_accuracy == workload.pinned.final_accuracy
+    assert result.clock == workload.pinned.clock
 
 
 # Logs whose reports are pinned: a sync and an async scenario and the

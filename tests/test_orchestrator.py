@@ -1,12 +1,15 @@
 """Orchestration: sync rounds, async event loop, dropout, checkpointing."""
 
 import dataclasses
+import gc
 import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+import unittest.mock
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -421,7 +424,7 @@ class TestBuildDatasets:
         ids = [c.client_id for c in cfg.clients]
         assert list(datasets) == ids
         assert calls == [ids[g::4] for g in range(4)]
-        keys = streams.derive(0, orchestrator._DATA, [orchestrator._cid_key(cid) for cid in ids])
+        keys = streams.derive(0, orchestrator._DATA, [streams.client_key(cid) for cid in ids])
         for client, key in zip(cfg.clients, keys):
             factor = cfg.resolution_noise[client.resolution]
             one = orchestrator.generate_dataset(
@@ -557,7 +560,7 @@ def replay(rule, cid, round_idx, seed):
     """Reference presence: the chain run from round 1 on every query."""
     state = True
     for k in range(1, round_idx):
-        key = [seed & 0x7FFFFFFFFFFFFFFF, orchestrator._DROPOUT, orchestrator._cid_key(cid), k]
+        key = [seed & 0x7FFFFFFFFFFFFFFF, orchestrator._DROPOUT, streams.client_key(cid), k]
         u = np.random.default_rng(np.random.SeedSequence(key)).random()
         state = (u >= rule.p) if state else (u < rule.q)
     return state
@@ -596,19 +599,20 @@ class TestPresenceChain:
     @pytest.mark.parametrize("rounds", [3, 12])
     def test_coin_draws_linear_in_attempts(self, monkeypatch, rounds):
         draws = 0
-        derive = streams.derive
+        uniforms = streams.uniforms
 
-        def counting_derive(head, stream, *parts):
+        def counting_uniforms(n, head, stream, *parts):
             nonlocal draws
-            keys = derive(head, stream, *parts)
-            draws += len(keys) if stream == orchestrator._DROPOUT else 0
-            return keys
+            drawn = uniforms(n, head, stream, *parts)
+            draws += len(drawn) if stream == orchestrator._DROPOUT else 0
+            return drawn
 
-        monkeypatch.setattr(streams, "derive", counting_derive)
+        monkeypatch.setattr(streams, "uniforms", counting_uniforms)
+        ids = ("C1", "C2", "C3", "C4")
         doc = small_doc(strategy="fedasync", rounds=rounds, eval={"per_class": 10})
         doc["clients"] = [
             {"client_id": cid, "dropout": {"mode": "stochastic", "p": 0.3, "q": 0.4}}
-            for cid in ("C1", "C2", "C3", "C4")
+            for cid in ids
         ]
         buf = io.StringIO()
         sink = MetricsWriter(buf)
@@ -616,7 +620,11 @@ class TestPresenceChain:
         records = read_back(buf)
         attempts = sum(r.event in ("train_window", "dropout") for r in records)
         assert sum(r.event == "dropout" for r in records) > 0
-        assert draws <= attempts
+        block = -(-orchestrator._BLOCK_KEYS // len(ids))  # attempts in a block
+        assert 0 < draws <= attempts + block * len(ids)
+        # Each block is drawn once, up to the last coin the furthest client read.
+        last = max(r.round for r in records if r.event in ("train_window", "dropout"))
+        assert draws == -(-(last - 1) // block) * block * len(ids)
 
 
 class TestAsyncTermination:
@@ -767,10 +775,10 @@ class TestSyncTrainingFailure:
         assert sizes == [4]
 
 
-def _async_dropout_long():
+def _async_dropout_long(seed=0):
     """FedAsync over bdd-async-hetero's 8 clients for 800 applications,
     every client under stochastic dropout (perfbench's async-dropout-long)."""
-    doc = bdd_async_hetero()
+    doc = bdd_async_hetero(seed=seed)
     doc["rounds"] = 100
     doc["train"]["local_epochs"] = 1
     for client in doc["clients"]:
@@ -836,12 +844,31 @@ def _sgd_cohort():
     return doc
 
 
-class TestPowerCalls:
-    """`costs.sample_power_and_util` calls per run at seed 0: one per sync
-    round, one per trained batch of an async run.  A fall back to one draw
-    per training window would raise these counts."""
+# Scenario -> `costs.sample_power_and_util` calls and the keys they draw at
+# seed 0: one call per block of ceil(128 / fitting clients) attempts, for
+# every fitting client.
+POWER_BLOCKS = {
+    "kitti-sync": (1, 128),
+    "bdd-dropout-dual": (1, 128),
+    "bdd-async-hetero": (2, 256),
+    "overlap-60": (4, 720),
+    "hetero-resolution": (1, 128),
+    "lighting-crossdomain": (1, 128),
+    "scale-800": (3, 2400),
+    "fleet-1600": (3, 4800),
+    "async-dropout-long": (21, 2688),
+    "sgd-cohort": (7, 1260),
+}
 
-    @pytest.mark.parametrize("name, calls", [
+
+class TestPowerCalls:
+    """Trained batches (`train_cohort` calls) and power draws per run at
+    seed 0.  The draws are made a block at a time, on the first training
+    inside the block, whatever the batches: a draw per trained batch or per
+    training window would raise the call count, and a block drawn twice
+    would raise both the calls and the keys."""
+
+    @pytest.mark.parametrize("name, cohorts", [
         ("kitti-sync", 10),
         ("bdd-dropout-dual", 10),
         ("bdd-async-hetero", 29),
@@ -853,47 +880,150 @@ class TestPowerCalls:
         ("async-dropout-long", 306),
         ("sgd-cohort", 20),
     ])
-    def test_calls_at_seed_0(self, monkeypatch, name, calls):
-        made = []
-        sample = costs.sample_power_and_util
+    def test_calls_at_seed_0(self, monkeypatch, name, cohorts):
+        made, trained = [], []
+        sample, train_cohort = costs.sample_power_and_util, orchestrator.train_cohort
+
         def counted(entries, *key):
             made.append(len(entries))
             return sample(entries, *key)
 
+        def counted_cohort(*args):
+            trained.append(1)
+            return train_cohort(*args)
+
         monkeypatch.setattr(costs, "sample_power_and_util", counted)
+        monkeypatch.setattr(orchestrator, "train_cohort", counted_cohort)
         builders = {"fleet-1600": _fleet_1600, "async-dropout-long": _async_dropout_long,
                     "sgd-cohort": _sgd_cohort}
         doc = builders[name]() if name in builders else SCENARIOS[name][0](seed=0)
-        buf = io.StringIO()
-        sink = MetricsWriter(buf)
-        run(config_from_dict(doc), sink)
+        run(config_from_dict(doc), MetricsWriter(None))
+        calls, keys = POWER_BLOCKS[name]
+        assert len(trained) == cohorts
         assert len(made) == calls
-        assert sum(made) == sum(r.event == "train_window" for r in read_back(buf))
+        assert sum(made) == keys
+
+
+def _power_pair(cfg, client_id, attempt):
+    """numpy's own (power, utilization) draw for a training window."""
+    client = next(c for c in cfg.clients if c.client_id == client_id)
+    cal = costs.load_calibration()
+    entry = costs.lookup(cal.profile(client.architecture), client.resolution, client.batch,
+                         allow_extrapolation=True)
+    rng = np.random.default_rng(np.random.SeedSequence(
+        [cfg.master_seed, orchestrator._POWER, attempt, streams.client_key(client_id)]))
+    return rng.uniform(*entry.power_w_range), rng.uniform(*entry.util_pct_range)
 
 
 class TestPowerDraws:
+    """Training windows log what numpy's own Generator draws from each
+    window's key.  No BLAS call touches these fields, so this holds on any
+    x86 host."""
+
     @pytest.mark.parametrize("seed", [0, 2**40 + 3])
     def test_batched_round_equals_numpy_generator(self, seed):
-        """Each training window of a 60-client round, drawn in one batch,
-        logs what numpy's own Generator draws from that window's key.  No
-        BLAS call touches these fields, so this holds on any x86 host."""
+        """Each training window of a 60-client round, drawn in one batch."""
         cfg = config_from_dict(SCENARIOS["overlap-60"][0](seed=seed))
         buf = io.StringIO()
         sink = MetricsWriter(buf)
         run_sync(cfg, sink, stop_after_round=1)
         windows = [r for r in read_back(buf) if r.event == "train_window"]
         assert len(windows) == 60 >= streams.BATCH_MIN
-        cal = costs.load_calibration()
-        clients = {c.client_id: c for c in cfg.clients}
-        assert sorted(r.client_id for r in windows) == sorted(clients)
+        assert sorted(r.client_id for r in windows) == sorted(c.client_id for c in cfg.clients)
         for record in windows:
-            client = clients[record.client_id]
-            entry = costs.lookup(cal.profile(client.architecture), client.resolution,
-                                 client.batch, allow_extrapolation=True)
-            rng = np.random.default_rng(np.random.SeedSequence(
-                [seed, orchestrator._POWER, 1, orchestrator._cid_key(client.client_id)]))
-            assert record.power_w == rng.uniform(*entry.power_w_range)
-            assert record.util_pct == rng.uniform(*entry.util_pct_range)
+            assert (record.power_w, record.util_pct) == _power_pair(cfg, record.client_id, 1)
+
+    @pytest.mark.parametrize("seed", [0, 2**40 + 3])
+    def test_async_blocks_equal_numpy_generator(self, seed):
+        """Each of async-dropout-long's 800 training windows, whose draws
+        come from blocks of 16 attempts for all 8 clients, read out of
+        attempt order: a mis-indexed block logs another key's draw."""
+        cfg = config_from_dict(_async_dropout_long(seed))
+        buf = io.StringIO()
+        sink = MetricsWriter(buf)
+        run_async(cfg, sink)
+        windows = [r for r in read_back(buf) if r.event == "train_window"]
+        assert len(windows) == 800
+        for record in windows:
+            pair = _power_pair(cfg, record.client_id, record.round)
+            assert (record.power_w, record.util_pct) == pair
+
+
+class TestBlocks:
+    """A keyed stream's values do not depend on how its blocks fall."""
+
+    @pytest.mark.parametrize("name", [*SCENARIOS, "async-dropout-long"])
+    def test_log_independent_of_block_size(self, monkeypatch, name):
+        doc = _async_dropout_long() if name == "async-dropout-long" else SCENARIOS[name][0](seed=0)
+        logs = []
+        for keys in (1, 7, orchestrator._BLOCK_KEYS):
+            monkeypatch.setattr(orchestrator, "_BLOCK_KEYS", keys)
+            logs.append(capture(config_from_dict(doc), run)[1])
+        assert logs[0] == logs[1] == logs[2]
+
+    @given(
+        n=st.integers(1, 20),
+        seed=st.sampled_from([0, 2**32, 2**40 + 3, 2**63 - 1]),
+        block_keys=st.integers(1, 160),
+        reads=st.lists(st.tuples(st.integers(1, 70), st.integers(0, 19), st.booleans()),
+                       min_size=1, max_size=30),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_reads_in_any_order_equal_numpy_draws(self, n, seed, block_keys, reads):
+        """Seeds, power draws and coins read in any (attempt, client) order,
+        each read after an optional release of the attempts before it, equal
+        numpy's own per-key draws, with passes on both sides of BATCH_MIN."""
+        ids = [f"C{i}" for i in range(1, n + 1)]
+        doc = small_doc(master_seed=seed, eval={"per_class": 2})
+        doc["task"]["n_classes"] = 2
+        doc["plan"] = {"inline": {"client_ids": ids, "class_names": ["a", "b"],
+                                  "counts": [[2, 2]] * n}}
+        doc["clients"] = [{"client_id": cid, "dropout": {"mode": "stochastic", "p": 0.5,
+                                                         "q": 0.5}} for cid in ids]
+        cfg = config_from_dict(doc)
+        with unittest.mock.patch.object(orchestrator, "_BLOCK_KEYS", block_keys):
+            ctx = orchestrator._Run(cfg, None, "run_sync", ("fedavg",))
+        for attempt, i, release in reads:
+            cid = ids[i % n]
+            if release:
+                ctx.release(attempt)
+            key = streams.client_key(cid)
+            assert ctx.seeds.take([attempt], [cid]) == [int(np.random.SeedSequence(
+                [seed, orchestrator._TRAIN, attempt, key]).generate_state(1)[0])]
+            assert ctx.power.take([attempt], [cid]) == [_power_pair(cfg, cid, attempt)]
+            assert ctx.presence.coins.take([attempt], [cid]) == [np.random.default_rng(
+                np.random.SeedSequence([seed, orchestrator._DROPOUT, key, attempt])).random()]
+
+
+class TestRunLifetime:
+    @pytest.mark.parametrize("name", ["kitti-sync-stochastic", "async-dropout-long"])
+    def test_finished_run_freed_without_the_collector(self, monkeypatch, name):
+        """A run's `_Run`, with its datasets and drawn blocks, is freed as
+        the run returns, with the garbage collector off: a reference cycle
+        would hold it until a collection, so back-to-back runs would pile
+        up in memory."""
+        made = []
+        init = orchestrator._Run.__init__
+
+        def tracked(self, *args):
+            init(self, *args)
+            made.append(weakref.ref(self))
+
+        monkeypatch.setattr(orchestrator._Run, "__init__", tracked)
+        if name == "async-dropout-long":
+            doc = _async_dropout_long()
+        else:
+            doc = kitti_sync(seed=0)
+            for client in doc["clients"]:
+                client["dropout"] = {"mode": "stochastic", "p": 0.3, "q": 0.4}
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run(config_from_dict(doc), MetricsWriter(None))
+            assert len(made) == 1 and made[0]() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestCheckpointWrite:

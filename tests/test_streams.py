@@ -83,6 +83,38 @@ def test_head_column_matches_seed_sequence(seeds, epochs):
         assert_same_state(key, reference(head, epoch))
 
 
+@given(
+    master=masters,
+    k=st.sampled_from(EDGE_KS),
+    dtype=st.sampled_from([np.uint64, np.int64]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_array_columns_match_lists(master, k, dtype, data):
+    """An integer array column is masked as its list of ints is, negative
+    values and values past 32 bits included, in a head column too."""
+    # Columns count down from a value that each dtype holds, so a head
+    # column keeps one entropy word count and goes through the batch.
+    top = {np.uint64: [2**64 - 1, 2**63 + 2**40, 2**63 - 1, 2**32 + 99],
+           np.int64: [-1, -(2**40), -(2**62), 2**63 - 1]}[dtype]
+    info = np.iinfo(dtype)
+    starts = st.one_of(st.sampled_from(top), st.integers(int(info.min) + k, int(info.max)))
+    head, rnd = data.draw(starts), data.draw(starts)
+    heads, rounds = [head - i for i in range(k)], [rnd - i for i in range(k)]
+    clients = data.draw(st.lists(words, min_size=k, max_size=k))
+    as_arrays = np.array(rounds, dtype), np.array(clients, np.uint64)
+    for got, ref in zip(streams.derive(master, 3, *as_arrays),
+                        streams.derive(master, 3, rounds, clients)):
+        assert_same_state(got, ref)
+    for got, ref in zip(streams.derive(np.array(heads, dtype), 3, *as_arrays),
+                        streams.derive(heads, 3, rounds, clients)):
+        assert_same_state(got, ref)
+    assert np.array_equal(streams.uniforms(2, master, 3, *as_arrays),
+                          streams.uniforms(2, master, 3, rounds, clients))
+    assert streams.first_words(master, 3, *as_arrays) == streams.first_words(
+        master, 3, rounds, clients)
+
+
 @pytest.mark.parametrize("master", EDGE_MASTERS)
 def test_fleet_sized_batch(master):
     clients = [0, PART_MASK, *range(1, 1599)]
