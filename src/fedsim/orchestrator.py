@@ -17,8 +17,9 @@ runs either schedule: each batch of applications whose base models exist
 trains in one `train_cohort` call, and records are written in schedule
 order; a client whose training diverged raises at its application.  The
 training seeds, power draws and dropout coins are read from `_Blocks`, each
-drawn a block of attempts for every client in one batched `streams` pass;
-the schedules release the blocks behind them.  A window's
+drawn a block of attempts for every client in one batched `streams` pass,
+a sync run's last block ending at its last round; the schedules release
+the blocks behind them.  A window's
 records reach the writer as rows in one `MetricsWriter.write_rows` call,
 made also when the window raises, so the records before the raise are
 written; its `eval` record follows through `emit`.  The engine reaches
@@ -87,12 +88,16 @@ class _Blocks:
     attempts.  The first read inside a block draws it for every client in
     one `draw(attempts, keys, clients)` call, key k being (attempts[k],
     keys[k]) with keys[k] the `streams.client_key` of clients[k], so each
-    call holds at least _BLOCK_KEYS keys.  Each value comes from its own
-    key, so the block size changes none.  `release` drops the blocks no
-    read will reach; a read into a dropped block draws it again.
+    call holds at least _BLOCK_KEYS keys.  A block that holds `last`, the
+    last attempt a run reads, ends there; a read past it draws a whole
+    block.  Each value comes from its own key, so the block size changes
+    none.  `release` drops the blocks no read will reach; a read into a
+    dropped block draws it again.
     """
 
-    def __init__(self, clients: list[str], draw: Callable[[np.ndarray, np.ndarray, list], list]):
+    def __init__(self, clients: list[str], draw: Callable[[np.ndarray, np.ndarray, list], list],
+                 last: int | None = None):
+        self._last = last
         self._column = {cid: i for i, cid in enumerate(clients)}
         self._size = -(-_BLOCK_KEYS // max(len(clients), 1))
         # Every block's clients and their keys, attempt by attempt.
@@ -100,7 +105,7 @@ class _Blocks:
         self._keys = np.tile(np.array([streams.client_key(c) for c in clients], np.uint64),
                              self._size)
         self._draw = draw
-        self._held: dict[int, list] = {}  # block index -> its values, attempt by attempt
+        self._held: dict[int, list] = {}  # first attempt -> the block's values, attempt by attempt
 
     def take(self, attempts: Iterable[int], cids: Iterable[str]) -> list:
         """The values of the keys (attempt, client) that `attempts` and
@@ -115,19 +120,26 @@ class _Blocks:
 
     def _row(self, attempt: int) -> tuple[list, int]:
         """The block that holds `attempt`, drawn on its first read, and the
-        index of the attempt's first value in it."""
-        block, row = divmod(attempt - 1, self._size)
-        values = self._held.get(block)
+        index of the attempt's first value in it.  Blocks past `last` count
+        from `last`, so none of them overlaps the block that ends there."""
+        last = self._last
+        base = last if last is not None and attempt > last else 0
+        first = attempt - (attempt - 1 - base) % self._size
+        values = self._held.get(first)
         if values is None:
-            first = block * self._size + 1
-            attempts = np.repeat(np.arange(first, first + self._size), len(self._column))
-            values = self._held[block] = self._draw(attempts, self._keys, self._clients)
-        return values, row * len(self._column)
+            stop = first + self._size
+            if last is not None and first <= last:
+                stop = min(stop, last + 1)
+            attempts = np.repeat(np.arange(first, stop), len(self._column))
+            count = len(attempts)
+            values = self._held[first] = self._draw(attempts, self._keys[:count],
+                                                    self._clients[:count])
+        return values, (attempt - first) * len(self._column)
 
     def release(self, attempt: int) -> None:
         """Drop the blocks that end before `attempt`."""
-        for block in [b for b in self._held if (b + 1) * self._size < attempt]:
-            del self._held[block]
+        for first in [f for f in self._held if f + self._size <= attempt]:
+            del self._held[first]
 
 
 class _Presence:
@@ -138,16 +150,16 @@ class _Presence:
     probability q the next round.  Coins are keyed per (seed, client,
     round), so presence at round r never depends on how it was queried;
     `coins` draws them a block of rounds at a time for every stochastic
-    client.  Each chain keeps its states from round 0 (present, as at
-    round 1): a later round reads only the coins past the last state kept,
-    an earlier one is read back.
+    client, up to round `last` if given.  Each chain keeps its states from
+    round 0 (present, as at round 1): a later round reads only the coins
+    past the last state kept, an earlier one is read back.
     """
 
-    def __init__(self, rules: dict[str, DropoutRule], seed: int):
+    def __init__(self, rules: dict[str, DropoutRule], seed: int, last: int | None = None):
         self._rules = rules
         chains = [cid for cid, rule in rules.items() if rule.mode == "stochastic"]
         self.coins = _Blocks(chains, lambda rounds, keys, _: streams.uniforms(
-            1, seed, _DROPOUT, keys, rounds)[:, 0].tolist())
+            1, seed, _DROPOUT, keys, rounds)[:, 0].tolist(), last)
         self._states = {cid: [True, True] for cid in chains}
 
     def is_present(self, cid: str, round_idx: int) -> bool:
@@ -231,14 +243,15 @@ class _Run:
     holds a client exactly when it fits its device memory; its value is
     the client's modeled training window.  `seeds` and `power` hold the
     training seed and the (power, utilization) draw of any (attempt, fitting
-    client), and `release` drops the drawn values the schedule is past.
-    `oom` and `train_row` build rows; the engine writes them through
-    `sink.write_rows` and its `eval` records through `evaluate`, which hands
-    them to `sink.emit`.
+    client), and `release` drops the drawn values the schedule is past.  A
+    sync run passes its last round as `last_attempt`, where these blocks and
+    the presence coins end.  `oom` and `train_row` build rows; the engine
+    writes them through `sink.write_rows` and its `eval` records through
+    `evaluate`, which hands them to `sink.emit`.
     """
 
     def __init__(self, cfg: ExperimentConfig, sink: MetricsWriter | None, engine: str,
-                 strategies: tuple[str, ...]):
+                 strategies: tuple[str, ...], last_attempt: int | None = None):
         if cfg.strategy not in strategies:
             raise ConfigError(f"{engine} cannot execute strategy {cfg.strategy!r}")
         self.cfg = cfg
@@ -271,14 +284,15 @@ class _Run:
         }
         if not self.durations:
             raise SimulationError("no client fits its device memory budget; nothing can run")
-        self.presence = _Presence({c.client_id: c.dropout for c in cfg.clients}, cfg.master_seed)
+        self.presence = _Presence({c.client_id: c.dropout for c in cfg.clients}, cfg.master_seed,
+                                  last_attempt)
         # The draws hold no reference to `self`: a cycle would keep each
         # finished run's datasets alive until the garbage collector ran.
         seed, fit, entries = cfg.master_seed, list(self.durations), self.entries
         self.seeds = _Blocks(fit, lambda attempts, keys, _: streams.first_words(
-            seed, _TRAIN, attempts, keys))
+            seed, _TRAIN, attempts, keys), last_attempt)
         self.power = _Blocks(fit, lambda attempts, keys, cids: costs.sample_power_and_util(
-            [entries[c] for c in cids], seed, _POWER, attempts, keys))
+            [entries[c] for c in cids], seed, _POWER, attempts, keys), last_attempt)
         self.history: list[tuple[int, float]] = []
 
     def release(self, attempt: int) -> None:
@@ -495,7 +509,7 @@ def run_sync(
     """
     if stop_after_round is not None and stop_after_round < 1:
         raise ConfigError(f"stop_after_round must be at least 1, got {stop_after_round}")
-    ctx = _Run(cfg, sink, "run_sync", ("fedavg", "fedprox"))
+    ctx = _Run(cfg, sink, "run_sync", ("fedavg", "fedprox"), cfg.rounds)
     if not any(ctx.presence.is_present(cid, rnd)
                for cid in ctx.durations for rnd in range(1, cfg.rounds + 1)):
         raise SimulationError(

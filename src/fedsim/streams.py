@@ -1,5 +1,5 @@
-"""Seed sequences and uniform draws for many random keys at once,
-bit-identical to numpy's.
+"""Seed sequences, uniform draws and permutations for many random keys at
+once, bit-identical to numpy's.
 
 Every draw of a run is numpy's `default_rng(SeedSequence(key))`, or equal
 to it bit for bit.  `derive` mixes K keys' entropy and generates their state
@@ -9,7 +9,10 @@ in one pass over a (K, L) uint32 matrix, each key wrapped in an
 `uniforms` runs PCG64 itself over the pass's uint64 state words, so a batch
 of K keys draws its doubles with no Generator at all.  A pass costs about
 0.2 ms and numpy about 12 µs a key, so below `BATCH_MIN` keys all three are
-numpy's own.
+numpy's own.  `permutations` replays numpy's shuffle over the same PCG64
+outputs, every lane at once; that costs about 30 µs an index however few
+the lanes, so only a batch wide enough for its n (`shuffles_in_batch`)
+shuffles itself, and every other key is shuffled by numpy's own Generator.
 """
 
 import zlib
@@ -152,23 +155,93 @@ def _step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
     return _add128(lo_hi + hi * _MULT_LO + lo * _MULT_HI, lo * _MULT_LO, inc_hi, inc_lo)
 
 
-def uniforms(n: int, head, *parts) -> np.ndarray:
-    """`default_rng(key).random(n)` for each key `derive(head, *parts)`
-    makes, as a (K, n) array.  A batch runs PCG64 over all its keys at once:
-    seeded as `pcg64_set_seed` does from the uint64 words (state = (w0, w1),
-    inc = (w2, w3), then `srandom`), each output a step and then XSL-RR, each
-    double the output's top 53 bits; numpy's own draws below `BATCH_MIN`."""
-    keys = _keys(head, parts)
-    if isinstance(keys, list):
-        return np.array([np.random.default_rng(key).random(n) for key in keys]).reshape(-1, n)
-    w, one = keys[2], np.uint64(1)
+def _outputs(w: np.ndarray, n: int) -> np.ndarray:
+    """The first n PCG64 outputs, (K, n) uint64, of K keys' uint64 state
+    words, seeded as `pcg64_set_seed` does: state = (w0, w1), inc = (w2, w3),
+    then `srandom`; each output a step and then XSL-RR."""
+    one = np.uint64(1)
     inc_hi, inc_lo = (w[:, 2] << one) | (w[:, 3] >> np.uint64(63)), (w[:, 3] << one) | one
     # srandom: a step from state 0 leaves inc; add the seed's state; step.
     hi, lo = _step(*_add128(inc_hi, inc_lo, w[:, 0], w[:, 1]), inc_hi, inc_lo)
-    out = np.empty((len(w), n))
+    out = np.empty((len(w), n), dtype=np.uint64)
     for j in range(n):
         hi, lo = _step(hi, lo, inc_hi, inc_lo)
         x, rot = hi ^ lo, hi >> np.uint64(58)  # XSL-RR: xor the words, rotate by the top 6 bits
-        x = (x >> rot) | (x << (-rot & np.uint64(63)))
-        out[:, j] = (x >> np.uint64(11)) * 2.0**-53
+        out[:, j] = (x >> rot) | (x << (-rot & np.uint64(63)))
     return out
+
+
+def uniforms(n: int, head, *parts) -> np.ndarray:
+    """`default_rng(key).random(n)` for each key `derive(head, *parts)`
+    makes, as a (K, n) array.  A batch runs PCG64 over all its keys at once
+    (`_outputs`), each double an output's top 53 bits; numpy's own draws
+    below `BATCH_MIN`."""
+    keys = _keys(head, parts)
+    if isinstance(keys, list):
+        return np.array([np.random.default_rng(key).random(n) for key in keys]).reshape(-1, n)
+    return (_outputs(keys[2], n) >> np.uint64(11)) * 2.0**-53
+
+
+# Outputs a lane draws past n for its shuffle.  numpy's n - 1 interval draws
+# take under 1.5 words each on average, two words an output, so n + 4
+# outputs leave a lane short only after a long run of rejections.
+_SPARE_OUTPUTS = 4
+# Keys from which one batch of 16-index shuffles beats numpy's Generator per
+# key.  A batch costs about 30 µs an index plus 0.05 µs an index a key, numpy
+# about 5 µs a key, so the crossover grows with n: measured near 12 keys an
+# index up to n = 48, about 20 at n = 64, and none by n = 128.  Scaling it
+# with n squared keeps every batch inside the measured gain.
+SHUFFLE_BATCH_MIN = 256
+
+
+def shuffles_in_batch(lanes: int, n: int) -> bool:
+    """Whether a batch of `lanes` keys shuffles n indices itself."""
+    return lanes >= SHUFFLE_BATCH_MIN * (n / 16) ** 2
+
+
+def permutations(n: int, head, *parts) -> np.ndarray:
+    """`default_rng(key).permutation(n)` for each key `derive(head, *parts)`
+    makes, as a (K, n) int64 array.
+
+    numpy shuffles `arange(n)` by swapping entry i with entry
+    j = `random_interval(i)` for i = n - 1 down to 1, where j is the first
+    `next_uint32` draw whose bits under the smallest mask 2**b - 1 >= i are
+    at most i; PCG64 hands out each 64-bit output's low half, then its high
+    half.  A batch wide enough for its n (`shuffles_in_batch`) replays
+    that over all its lanes at once, from a block of n + `_SPARE_OUTPUTS`
+    outputs per lane (`_outputs`); a lane that rejects past its block is
+    shuffled by numpy's own Generator.  Other keys are numpy's own
+    `default_rng(key).permutation(n)`.
+    """
+    keys = _keys(head, parts)
+    lanes = len(keys) if isinstance(keys, list) else len(keys[0])
+    if isinstance(keys, list) or not shuffles_in_batch(lanes, n):
+        own = keys if isinstance(keys, list) else [_Derived(keys, i) for i in range(lanes)]
+        return np.array([np.random.default_rng(key).permutation(n) for key in own],
+                        dtype=np.int64).reshape(lanes, n)
+    drawn = 2 * (n + _SPARE_OUTPUTS)
+    # Each lane's words, then n zero words that every draw accepts, so a
+    # lane past its block reads no other lane's words.
+    words = np.zeros((lanes, drawn + n), dtype="<u4")
+    words[:, :drawn] = _outputs(keys[2], n + _SPARE_OUTPUTS).astype("<u8").view("<u4")
+    start = np.arange(lanes) * (drawn + n)
+    at, words = start.copy(), words.ravel()  # each lane's next word
+    perms, rows = np.tile(np.arange(n, dtype=np.int64), lanes), np.arange(lanes) * n
+    for i in range(n - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        j = words[at] & mask
+        at += 1
+        late = np.flatnonzero(j > i)
+        while late.size:
+            again = words[at[late]] & mask
+            at[late] += 1
+            j[late] = again
+            late = late[again > i]
+        row_i, row_j = rows + i, rows + j
+        held = perms[row_j]
+        perms[row_j] = perms[row_i]
+        perms[row_i] = held
+    perms = perms.reshape(lanes, n)
+    for lane in np.flatnonzero(at - start > drawn):
+        perms[lane] = np.random.default_rng(_Derived(keys, lane)).permutation(n)
+    return perms

@@ -363,9 +363,14 @@ def train_cohort(
     Clients of any sizes are trained together in ragged stacks
     (`_sgd_chunk`): largest first, each chunk bounded by its padded size,
     clients times its largest sample count, at `COHORT_SAMPLES`; every
-    operation carries a leading client axis.  All clients' permutation
-    keys are derived before that in one `streams.derive` batch, which a
-    small chunk could not pay for.  Each element goes through the same
+    operation carries a leading client axis.  Before that, a size group
+    wide enough for the batched shuffle (`streams.shuffles_in_batch`, such
+    as many small clients) has every (client, epoch) permutation drawn in
+    one `streams.permutations` call, which a chunk could not pay for.  Every
+    other client's (seed, epoch) keys are derived in one `streams.derive`
+    batch, and its chunk draws each epoch's permutation from numpy's own
+    Generator, so no call holds those permutations up front.  Both are
+    numpy's `permutation` bit for bit.  Each element goes through the same
     floating-point operations as the one-client loop, so the results are
     bit-identical to it.  Returns (updated params, sample count, final
     full-dataset loss) per client, in input order.  The loss is computed
@@ -383,8 +388,21 @@ def train_cohort(
     if 0 in sizes:
         raise ValueError("cannot train on an empty dataset")
     e = cfg.local_epochs
-    keys = streams.derive([s for s in seeds for _ in range(e)], list(range(e)) * len(seeds))
     order = sorted(range(len(datasets)), key=sizes.__getitem__, reverse=True)
+    # Each client's shuffles, indexed by epoch: the client's rows of its
+    # size group's permutations where one batched pass draws them, else its
+    # (seed, epoch) keys, from which its chunk draws each epoch's.
+    shuffles, keyed = {}, []
+    for n, members in groupby(order, key=sizes.__getitem__):
+        members = list(members)
+        if streams.shuffles_in_batch(len(members) * e, n):
+            heads = [seeds[i] for i in members for _ in range(e)]
+            drawn = streams.permutations(n, heads, list(range(e)) * len(members))
+            shuffles.update(zip(members, drawn.reshape(len(members), e, n)))
+        else:
+            keyed += members
+    keys = streams.derive([seeds[i] for i in keyed for _ in range(e)], list(range(e)) * len(keyed))
+    shuffles.update((i, keys[j * e : j * e + e]) for j, i in enumerate(keyed))
     results: list = [None] * len(datasets)
     lo = 0
     while lo < len(order):
@@ -392,7 +410,7 @@ def train_cohort(
         lo += len(chunk)
         params, losses = _sgd_chunk(
             anchors if anchors.ndim == 1 else anchors[chunk],
-            [datasets[i] for i in chunk], [keys[i * e : i * e + e] for i in chunk], cfg,
+            [datasets[i] for i in chunk], [shuffles[i] for i in chunk], cfg,
         )
         for i, w, finite, loss in zip(chunk, params, np.isfinite(params).all(axis=1), losses):
             results[i] = (w if finite else None, sizes[i], loss)
@@ -409,13 +427,13 @@ def _class_max(scores: np.ndarray) -> np.ndarray:
 def _sgd_chunk(
     anchor: np.ndarray,
     datasets: list[LocalDataset],
-    keys: list[list],
+    shuffles: list,
     cfg: TrainConfig,
 ) -> tuple[np.ndarray, list[float]]:
     """SGD for K clients ordered largest first, given each client's
-    permutation key per epoch and the anchor, one (P,) row shared by all or
-    a (K, P) block; returns their params, (K, P), and final full-dataset
-    losses.
+    shuffles, indexed by epoch (drawn permutations or their keys), and the
+    anchor, one (P,) row shared by all or a (K, P) block; returns their
+    params, (K, P), and final full-dataset losses.
 
     The feature, label and one-hot buffers are padded to the largest n.
     Each epoch fills the feature and label buffers with one `take` per
@@ -500,8 +518,9 @@ def _sgd_chunk(
             # samples, indexes one `take`.  "clip" never clips an index in
             # range; unlike "raise", it lets `take` write straight into a
             # contiguous target.
-            perms = np.array([np.random.default_rng(k[epoch]).permutation(n)
-                              for k in keys[lo:hi]])
+            perms = np.array([s[epoch] if isinstance(s, np.ndarray)
+                              else np.random.default_rng(s[epoch]).permutation(n)
+                              for s in shuffles[lo:hi]])
             perms += offset
             features.reshape(-1, n_features).take(perms, axis=0, out=x_all[lo:hi, :n],
                                                   mode="clip")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fedsim
@@ -824,6 +824,42 @@ class TestKernelCalls:
         run(config_from_dict(doc), MetricsWriter(None))
         assert counts == {"cohorts": cohorts, "chunks": chunks}
 
+    @pytest.mark.parametrize("name, batches, shuffles", [
+        # 3 rounds of 1600 clients of 16 samples, 1 epoch: one batched
+        # shuffle per round, where each client built a Generator before
+        ("fleet-1600", 3, 0),
+        # 20 rounds of 60 clients of 240 samples, 3 epochs
+        ("sgd-cohort", 0, 3600),
+        # 800 applications, 1 epoch, about 2.6 to a batch
+        ("async-dropout-long", 0, 800),
+    ])
+    def test_shuffle_generators_at_seed_0(self, monkeypatch, name, batches, shuffles):
+        """`streams.permutations` calls and numpy Generators built inside
+        `train_cohort`, which builds them only to shuffle: a wide group of
+        small clients is drawn up front by the batched kernel, any other
+        client epoch by epoch from numpy's own Generator per key."""
+        made, training, batched = [], [], []
+        default_rng, train_cohort = np.random.default_rng, orchestrator.train_cohort
+        permutations = streams.permutations
+
+        def counted_rng(*args):
+            made.append(bool(training))
+            return default_rng(*args)
+
+        def flagged(*args):
+            training.append(1)
+            try:
+                return train_cohort(*args)
+            finally:
+                training.pop()
+
+        monkeypatch.setattr(np.random, "default_rng", counted_rng)
+        monkeypatch.setattr(orchestrator, "train_cohort", flagged)
+        monkeypatch.setattr(streams, "permutations",
+                            lambda *args: batched.append(1) or permutations(*args))
+        run(config_from_dict(_WORKLOADS[name]()), MetricsWriter(None))
+        assert (len(batched), sum(made)) == (batches, shuffles)
+
 
 def _fleet_1600():
     """scale-800 widened to 1600 clients of one minibatch each."""
@@ -844,20 +880,25 @@ def _sgd_cohort():
     return doc
 
 
+# perfbench's workloads at seed 0.
+_WORKLOADS = {"fleet-1600": _fleet_1600, "async-dropout-long": _async_dropout_long,
+              "sgd-cohort": _sgd_cohort}
+
+
 # Scenario -> `costs.sample_power_and_util` calls and the keys they draw at
 # seed 0: one call per block of ceil(128 / fitting clients) attempts, for
-# every fitting client.
+# every fitting client; a sync run's last block ends at its last round.
 POWER_BLOCKS = {
-    "kitti-sync": (1, 128),
-    "bdd-dropout-dual": (1, 128),
+    "kitti-sync": (1, 40),
+    "bdd-dropout-dual": (1, 80),
     "bdd-async-hetero": (2, 256),
-    "overlap-60": (4, 720),
-    "hetero-resolution": (1, 128),
-    "lighting-crossdomain": (1, 128),
+    "overlap-60": (4, 600),
+    "hetero-resolution": (1, 40),
+    "lighting-crossdomain": (1, 40),
     "scale-800": (3, 2400),
     "fleet-1600": (3, 4800),
     "async-dropout-long": (21, 2688),
-    "sgd-cohort": (7, 1260),
+    "sgd-cohort": (7, 1200),
 }
 
 
@@ -894,9 +935,7 @@ class TestPowerCalls:
 
         monkeypatch.setattr(costs, "sample_power_and_util", counted)
         monkeypatch.setattr(orchestrator, "train_cohort", counted_cohort)
-        builders = {"fleet-1600": _fleet_1600, "async-dropout-long": _async_dropout_long,
-                    "sgd-cohort": _sgd_cohort}
-        doc = builders[name]() if name in builders else SCENARIOS[name][0](seed=0)
+        doc = _WORKLOADS[name]() if name in _WORKLOADS else SCENARIOS[name][0](seed=0)
         run(config_from_dict(doc), MetricsWriter(None))
         calls, keys = POWER_BLOCKS[name]
         assert len(trained) == cohorts
@@ -965,14 +1004,21 @@ class TestBlocks:
         n=st.integers(1, 20),
         seed=st.sampled_from([0, 2**32, 2**40 + 3, 2**63 - 1]),
         block_keys=st.integers(1, 160),
+        last=st.one_of(st.none(), st.integers(1, 70)),
         reads=st.lists(st.tuples(st.integers(1, 70), st.integers(0, 19), st.booleans()),
                        min_size=1, max_size=30),
     )
+    # a block of 32 attempts capped at 10, read on both sides of the cap,
+    # then past it in the capped block's span and in the next block's
+    @example(n=4, seed=2**40 + 3, block_keys=128, last=10,
+             reads=[(9, 0, False), (10, 1, False), (11, 2, False), (32, 3, False),
+                    (33, 0, False), (42, 1, True), (10, 2, False), (43, 3, True)])
     @settings(max_examples=40, deadline=None)
-    def test_reads_in_any_order_equal_numpy_draws(self, n, seed, block_keys, reads):
+    def test_reads_in_any_order_equal_numpy_draws(self, n, seed, block_keys, last, reads):
         """Seeds, power draws and coins read in any (attempt, client) order,
         each read after an optional release of the attempts before it, equal
-        numpy's own per-key draws, with passes on both sides of BATCH_MIN."""
+        numpy's own per-key draws, with passes on both sides of BATCH_MIN,
+        and with blocks capped at a last attempt that reads pass."""
         ids = [f"C{i}" for i in range(1, n + 1)]
         doc = small_doc(master_seed=seed, eval={"per_class": 2})
         doc["task"]["n_classes"] = 2
@@ -982,7 +1028,7 @@ class TestBlocks:
                                                          "q": 0.5}} for cid in ids]
         cfg = config_from_dict(doc)
         with unittest.mock.patch.object(orchestrator, "_BLOCK_KEYS", block_keys):
-            ctx = orchestrator._Run(cfg, None, "run_sync", ("fedavg",))
+            ctx = orchestrator._Run(cfg, None, "run_sync", ("fedavg",), last)
         for attempt, i, release in reads:
             cid = ids[i % n]
             if release:

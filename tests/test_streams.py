@@ -8,6 +8,8 @@ raises while it reports a failing example: as an error it becomes a pytest
 INTERNALERROR, which hides the results of every later test.
 """
 
+import unittest.mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,3 +239,107 @@ def test_first_words_are_each_keys_first_state_word(master, k, data):
     want = [int(key.generate_state(1)[0]) for key in streams.derive(master, 2, 9, clients)]
     assert got == want == [int(reference(master, 2, 9, c).generate_state(1)[0]) for c in clients]
     assert all(type(word) is int for word in got)
+
+
+def numpy_permutations(n, keys):
+    return np.array([np.random.default_rng(key).permutation(n) for key in keys],
+                    dtype=np.int64).reshape(-1, n)
+
+
+def batch_min_for(n):
+    """The fewest keys whose batch shuffles n indices itself."""
+    return next(k for k in range(streams.BATCH_MIN, 10**6) if streams.shuffles_in_batch(k, n))
+
+
+# One and two, powers of two and their neighbours, up to past the n at
+# which a batch of a few hundred keys stops shuffling itself.
+EDGE_NS = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33]
+FORCED_NS = [*EDGE_NS, 63, 64, 65, 127, 128, 129, 240]
+
+
+@given(
+    master=st.sampled_from(EDGE_MASTERS),
+    n=st.sampled_from(EDGE_NS),
+    side=st.sampled_from([-1, 0, 1]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_permutations_match_generator(master, n, side, data):
+    """Row k is numpy's `default_rng(key k).permutation(n)`, with K on both
+    sides of `BATCH_MIN` and of the batch's crossover for n."""
+    k = data.draw(st.sampled_from([0, *EDGE_KS, batch_min_for(n) + side]))
+    rnd = data.draw(st.one_of(words, st.lists(words, min_size=k, max_size=k)))
+    clients = data.draw(st.lists(words, min_size=k, max_size=k))
+    got = streams.permutations(n, master, 4, rnd, clients)
+    rounds = rnd if isinstance(rnd, list) else [rnd] * k
+    assert got.shape == (k, n) and got.dtype == np.int64
+    assert np.array_equal(got, numpy_permutations(n, map(reference, [master] * k, [4] * k,
+                                                         rounds, clients)))
+
+
+@given(
+    master=st.sampled_from(EDGE_MASTERS),
+    n=st.sampled_from(FORCED_NS),
+    k=st.sampled_from(EDGE_KS + [40]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_forced_batch_permutations_match_generator(master, n, k, data):
+    """The batched kernel itself, forced on from `BATCH_MIN` keys at any n."""
+    clients = data.draw(st.lists(words, min_size=k, max_size=k))
+    with unittest.mock.patch.object(streams, "SHUFFLE_BATCH_MIN", 0):
+        got = streams.permutations(n, master, 4, 7, clients)
+    assert np.array_equal(got, numpy_permutations(n, (reference(master, 4, 7, c)
+                                                      for c in clients)))
+
+
+@given(
+    seeds=st.lists(st.one_of(words, st.integers(0, 2**64)), min_size=1, max_size=3),
+    n=st.sampled_from([1, 2, 16, 17, 33]),
+    epochs=st.sampled_from([1, 3]),
+)
+@settings(max_examples=40, deadline=None)
+def test_permutations_over_head_column(seeds, n, epochs):
+    """Heads of one and two words, as a cohort's (seed, epoch) keys: a batch
+    when they share a width, numpy's own Generators when they mix."""
+    heads = [s for s in seeds for _ in range(streams.BATCH_MIN * epochs)]
+    rounds = list(range(streams.BATCH_MIN * epochs)) * len(seeds)
+    with unittest.mock.patch.object(streams, "SHUFFLE_BATCH_MIN", 0):
+        got = streams.permutations(n, heads, rounds)
+    assert np.array_equal(got, numpy_permutations(n, map(reference, heads, rounds)))
+
+
+@pytest.mark.parametrize("master", EDGE_MASTERS)
+@pytest.mark.parametrize("n, spare, every", [
+    (2, -2, True), (3, -2, False), (8, -4, False), (16, -6, False), (33, -11, False),
+    (33, -33, True),
+])
+def test_exhausted_lanes_match_numpy(monkeypatch, master, n, spare, every):
+    """Blocks too short for some lanes' shuffles, or for every lane's (a
+    margin below n): those lanes are numpy's own Generator's, the rest the
+    kernel's, all equal to numpy's."""
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda key: made.append(key) or default_rng(key))
+    monkeypatch.setattr(streams, "_SPARE_OUTPUTS", spare)
+    monkeypatch.setattr(streams, "SHUFFLE_BATCH_MIN", 0)
+    clients = list(range(64))
+    got = streams.permutations(n, master, 4, 7, clients)
+    assert 0 < len(made) <= len(clients)
+    assert (len(made) == len(clients)) == every
+    assert np.array_equal(got, numpy_permutations(n, (reference(master, 4, 7, c)
+                                                      for c in clients)))
+
+
+@pytest.mark.parametrize("n", [2, 16, 33])
+def test_permutations_cut_over(monkeypatch, n):
+    """A batch that shuffles makes no Generator; one below its crossover,
+    or below `BATCH_MIN` keys, makes one a key."""
+    cross = batch_min_for(n)
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda key: made.append(key) or default_rng(key))
+    for k in sorted({1, streams.BATCH_MIN - 1, cross - 1, cross, cross + 1}):
+        made.clear()
+        streams.permutations(n, 2**40 + 3, 4, list(range(k)))
+        assert len(made) == (0 if k >= max(cross, streams.BATCH_MIN) else k)

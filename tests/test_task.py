@@ -473,39 +473,49 @@ class TestTrainCohort:
         budget=st.sampled_from([1, 16, 1024]),
         per_client=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**64 - 1),
+        batched=st.booleans(),
     )
     # eight equal clients take the sliced class max in full batches and the
     # final loss, `.max` in the short last batch; the two-sample client
     # takes `.max` throughout (see TestClassMax)
     @example(shape=(3, 2), sizes=[33] * 8 + [2], batch=5, mu=0.3, epochs=2, budget=1024,
-             per_client=False, seed=1)
+             per_client=False, seed=1, batched=False)
     @example(shape=(5, 11), sizes=[33] * 8 + [2], batch=32, mu=0.3, epochs=1, budget=1024,
-             per_client=False, seed=2)
+             per_client=False, seed=2, batched=False)
     # one ragged chunk: sizes that are multiples of the batch (64, 32, 10,
     # 5), one short of one (31, 9), below it (7, 3) and of one sample, in
     # an order the kernel sorts, several to a size, each client from its
     # own starting point
     @example(shape=(3, 2), sizes=[7, 64, 1, 33, 31, 32, 7, 64, 1], batch=32, mu=0.3, epochs=2,
-             budget=1024, per_client=True, seed=5)
+             budget=1024, per_client=True, seed=5, batched=False)
     @example(shape=(5, 11), sizes=[3, 10, 1, 7, 9, 5, 12, 10, 3], batch=5, mu=0.3, epochs=2,
-             budget=1024, per_client=True, seed=6)
+             budget=1024, per_client=True, seed=6, batched=False)
     # 300 equal clients of 16 samples at the default budget: one stacked
     # gather per epoch in each of two chunks, of 256 clients and 44
     @example(shape=(16, 8), sizes=[16] * 300, batch=5, mu=0.3, epochs=2,
-             budget=task_module.COHORT_SAMPLES, per_client=False, seed=7)
+             budget=task_module.COHORT_SAMPLES, per_client=False, seed=7, batched=False)
     # groups of one (7, 1) and of two clients too large to stack (70) beside
     # stacked groups (16 and 2), short of the padded size; then the same cut
     # into small chunks, some holding only groups of one
     @example(shape=(5, 11), sizes=[16, 2, 70, 16, 7, 2, 1, 16, 70], batch=5, mu=0.3, epochs=2,
-             budget=1024, per_client=True, seed=8)
+             budget=1024, per_client=True, seed=8, batched=False)
     @example(shape=(5, 11), sizes=[16, 2, 70, 16, 7, 2, 1, 16, 70], batch=5, mu=0.3, epochs=2,
-             budget=24, per_client=True, seed=9)
+             budget=24, per_client=True, seed=9, batched=False)
+    # the same cohorts, each size group's shuffles drawn by the batched
+    # kernel, cut into chunks that split size groups
+    @example(shape=(16, 8), sizes=[16] * 300, batch=5, mu=0.3, epochs=2,
+             budget=task_module.COHORT_SAMPLES, per_client=False, seed=7, batched=True)
+    @example(shape=(5, 11), sizes=[16, 2, 70, 16, 7, 2, 1, 16, 70], batch=5, mu=0.3, epochs=2,
+             budget=24, per_client=True, seed=9, batched=True)
     @settings(max_examples=60, deadline=None)
     def test_equals_independent_reference_runs(
-        self, shape, sizes, batch, mu, epochs, budget, per_client, seed
+        self, shape, sizes, batch, mu, epochs, budget, per_client, seed, batched
     ):
         # mixed sizes stack raggedly; small budgets cut a cohort into
-        # several chunks; n = 1, batch 1 and partial last batches all occur
+        # several chunks; n = 1, batch 1 and partial last batches all occur.
+        # `batched` forces the shuffle crossover and BATCH_MIN low, so every
+        # size group whose heads share a word count takes the batched kernel;
+        # `reference_sgd` keeps numpy's own permutation.
         d, c = shape
         datasets, seeds, w0 = _cohort(shape, sizes, per_client, seed)
         cfg = TrainConfig(
@@ -513,6 +523,9 @@ class TestTrainCohort:
         )
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(task_module, "COHORT_SAMPLES", budget)
+            if batched:
+                mp.setattr(streams, "SHUFFLE_BATCH_MIN", 0)
+                mp.setattr(streams, "BATCH_MIN", 1)
             got = train_cohort(w0, datasets, seeds, cfg)
         assert len(got) == len(datasets)
         for i, (data, s, (w, n, loss)) in enumerate(zip(datasets, seeds, got)):
