@@ -199,8 +199,9 @@ def _build_datasets(cfg: ExperimentConfig) -> dict[str, LocalDataset]:
     Matrix plans scale each client's noise by its resolution quality
     factor.  Clients with the same noise factor, plan row and scenario mix
     have same-shaped datasets, so each such group is drawn in one
-    `generate_datasets` call.  Overlap plans share partition-level datasets
-    verbatim between clients, so overlapping clients hold identical samples.
+    `generate_datasets` call.  Overlap plans draw each partition once and
+    share it verbatim: a holder's features are a read-only row window of
+    one block of the partitions, and all holders share one labels array.
     """
     plan = cfg.plan
     if plan.draws_per_client:
@@ -223,15 +224,17 @@ def _build_datasets(cfg: ExperimentConfig) -> dict[str, LocalDataset]:
                 drawn[data.client_id] = data
         return {c.client_id: drawn[c.client_id] for c in cfg.clients}
     ids = range(1, plan.n_partitions + 1)
-    parts = dict(zip(ids, generate_datasets(
-        cfg.task, plan.per_partition_counts, None,
-        streams.derive(cfg.master_seed, _DATA, ids), [f"partition-{p}" for p in ids],
-    )))
-    held = plan.assignment
-    return {
-        c.client_id: LocalDataset.concat(c.client_id, [parts[p] for p in held[c.client_id]])
-        for c in cfg.clients
-    }
+    parts = generate_datasets(cfg.task, plan.per_partition_counts, None,
+                              streams.derive(cfg.master_seed, _DATA, ids),
+                              [f"partition-{p}" for p in ids])
+    # Every partition, then the first window - 1 again: one row window a holder.
+    n, w, scenarios = len(parts[0]), plan.window, parts[0].scenarios * plan.window
+    block = np.concatenate([parts[k % len(parts)].features for k in range(len(parts) + w - 1)])
+    labels = np.tile(parts[0].labels, w)
+    block.flags.writeable = labels.flags.writeable = False
+    starts = {c.client_id: (plan.assignment[c.client_id][0] - 1) * n for c in cfg.clients}
+    return {cid: LocalDataset(cid, block[lo : lo + w * n], labels, scenarios)
+            for cid, lo in starts.items()}
 
 
 class _Run:

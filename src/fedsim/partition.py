@@ -7,6 +7,7 @@ largest-remainder rounding so column sums are conserved exactly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -181,7 +182,8 @@ class PartitionPlan:
 @dataclass(frozen=True)
 class OverlapPlan:
     """Sliding-window shard assignment: client i holds `window` consecutive
-    partition indices with wraparound.
+    partition indices of 1..n_partitions with wraparound, and each partition
+    has `window` holders; any other assignment is a `ConfigError`.
 
     Each partition holds `per_partition_counts` samples per class, drawn
     once at the task's own noise and shared by its holders, so no client's
@@ -202,12 +204,14 @@ class OverlapPlan:
             raise ConfigError("negative count in per_partition_counts")
         if counts and sum(counts) == 0:
             raise ConfigError("per_partition_counts hold no samples")
-        holders: dict[int, int] = {}
+        n = self.n_partitions
         for cid, parts in self.assignment.items():
             if len(parts) != self.window:
                 raise ConfigError(f"client {cid} does not hold exactly window partitions")
-            for p in parts:
-                holders[p] = holders.get(p, 0) + 1
+            if n < 1 or any(p != (parts[0] + k - 1) % n + 1 for k, p in enumerate(parts)):
+                raise ConfigError(
+                    f"client {cid} does not hold {self.window} consecutive partitions of 1..{n}")
+        holders = Counter(p for parts in self.assignment.values() for p in parts)
         if holders and any(v != self.window for v in holders.values()):
             raise ConfigError("partition multiplicity violated")
 

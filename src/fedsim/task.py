@@ -13,13 +13,13 @@ its own key; `generate_dataset` is a group of one.
 
 Local SGD has one kernel, `train_cohort`, which trains many clients with a
 leading client axis on every array, from one shared starting point or one
-per client.  Clients of different sizes share a ragged stack, largest
-first and padded to the largest: each batch step runs over the clients
-that still hold a batch of its length.  The kernel then computes each
-client's final full-dataset loss, one stacked pass per distinct size;
-`local_train` is a cohort of one.  `loss_and_gradient` (one batch, or a
-whole dataset for the final loss) is the reference the kernel reproduces
-bit for bit.
+per client, in chunks bounded in samples and in clients.  Clients of
+different sizes share a ragged stack, largest first and padded to the
+largest: each batch step runs over the clients that still hold a batch of
+its length.  The kernel then computes each client's final full-dataset
+loss, one stacked pass per distinct size; `local_train` is a cohort of one.
+`loss_and_gradient` (one batch, or a whole dataset for the final loss) is
+the reference the kernel reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -168,15 +168,6 @@ class LocalDataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    @staticmethod
-    def concat(client_id: str, parts: list["LocalDataset"]) -> "LocalDataset":
-        feats = np.concatenate([p.features for p in parts], axis=0)
-        labels = np.concatenate([p.labels for p in parts], axis=0)
-        scen: tuple[str, ...] = ()
-        for p in parts:
-            scen = scen + p.scenarios
-        return LocalDataset(client_id, feats, labels, scen)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -314,11 +305,13 @@ def loss_and_gradient(
     return float(loss), grad
 
 
-# Samples trained together in one stacked chunk of `train_cohort`: bounds
-# the per-epoch feature, label and one-hot copies to about 0.8 MiB at 16
-# features and 8 classes, and the stacked samples (`STACKED_GATHER_SAMPLES`)
-# to about 0.5 MiB more.
-COHORT_SAMPLES = 4096
+# A chunk of `train_cohort` holds at most COHORT_SAMPLES padded samples and
+# COHORT_CLIENTS clients.  The samples bound the per-epoch feature, label and
+# one-hot copies to about 1.6 MiB at 16 features and 8 classes, and the
+# stacked samples (`STACKED_GATHER_SAMPLES`) to about 1 MiB more.  The cap
+# keeps 1600 clients of 16 samples at 256 a chunk; 512 cost more time and memory.
+COHORT_SAMPLES = 8192
+COHORT_CLIENTS = 256
 # Clients of one size holding fewer samples than this each are gathered in
 # one `take` per epoch from a stack of their samples.  A larger client's own
 # take costs little next to its batch steps, and stacking it would copy its
@@ -361,23 +354,23 @@ def train_cohort(
     gives for the batch, anchored at the client's starting point.
 
     Clients of any sizes are trained together in ragged stacks
-    (`_sgd_chunk`): largest first, each chunk bounded by its padded size,
-    clients times its largest sample count, at `COHORT_SAMPLES`; every
-    operation carries a leading client axis.  Before that, a size group
+    (`_sgd_chunk`): largest first, each chunk at most `COHORT_CLIENTS`
+    clients and `COHORT_SAMPLES` padded samples (clients times its largest
+    sample count), with a leading client axis on every operation, so a wider
+    chunk pays each batch step's numpy calls for more clients.  A size group
     wide enough for the batched shuffle (`streams.shuffles_in_batch`, such
-    as many small clients) has every (client, epoch) permutation drawn in
-    one `streams.permutations` call, which a chunk could not pay for.  Every
-    other client's (seed, epoch) keys are derived in one `streams.derive`
-    batch, and its chunk draws each epoch's permutation from numpy's own
-    Generator, so no call holds those permutations up front.  Both are
-    numpy's `permutation` bit for bit.  Each element goes through the same
-    floating-point operations as the one-client loop, so the results are
-    bit-identical to it.  Returns (updated params, sample count, final
-    full-dataset loss) per client, in input order.  The loss is computed
-    by the kernel too, and equals `loss_and_gradient` over the whole
-    dataset, anchored at the client's starting point, bit for bit.
-    A client whose training leaves any parameter non-finite has diverged:
-    its params are None, so every returned parameter vector is finite.
+    as many small clients) has every (client, epoch) permutation drawn up
+    front in one `streams.permutations` call; every other client's
+    (seed, epoch) keys are derived in one `streams.derive` batch, and its
+    chunk draws each epoch's permutation from numpy's own Generator, so no
+    call holds those up front.  Both are numpy's `permutation` bit for bit.
+    Each element goes through the same floating-point operations as the
+    one-client loop, so the results are bit-identical to it.  Returns
+    (updated params, sample count, final full-dataset loss) per client, in
+    input order; the loss equals `loss_and_gradient` over the whole dataset,
+    anchored at the client's starting point, bit for bit.  A client whose
+    training leaves any parameter non-finite has diverged: its params are
+    None, so every returned parameter vector is finite.
     """
     if len(datasets) != len(seeds):
         raise ValueError("need one seed per dataset")
@@ -406,7 +399,7 @@ def train_cohort(
     results: list = [None] * len(datasets)
     lo = 0
     while lo < len(order):
-        chunk = order[lo : lo + max(1, COHORT_SAMPLES // sizes[order[lo]])]
+        chunk = order[lo : lo + max(1, min(COHORT_CLIENTS, COHORT_SAMPLES // sizes[order[lo]]))]
         lo += len(chunk)
         params, losses = _sgd_chunk(
             anchors if anchors.ndim == 1 else anchors[chunk],
@@ -439,9 +432,9 @@ def _sgd_chunk(
     Each epoch fills the feature and label buffers with one `take` per
     size group of small clients, from its members' samples stacked once
     per chunk, each member's permutation offset to its rows of the stack;
-    every other client takes from its dataset's own arrays, not copied
-    (`STACKED_GATHER_SAMPLES`).  A gather copies values, so it rounds
-    nothing.
+    every other client takes from its dataset's own arrays (an overlap
+    holder's are a view of its plan's one partition block), not copied
+    (`STACKED_GATHER_SAMPLES`).  A gather copies values, so it rounds nothing.
 
     Batch step s runs over the prefix of clients that still hold a full
     batch at s; a client's last, shorter batch runs with the clients of

@@ -453,6 +453,35 @@ class TestBuildDatasets:
         assert list(datasets) == [c.client_id for c in cfg.clients]
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("window, held_bytes", [
+        # (60 + window - 1) partitions of 48 samples by 16 float64 features,
+        # and one labels array of window * 48 int64, where a copy per holder
+        # held 60 * 48 * window * (16 + 1) * 8 bytes
+        (5, 64 * 48 * 16 * 8 + 5 * 48 * 8),
+        (1, 60 * 48 * 16 * 8 + 48 * 8),
+    ])
+    def test_overlap_holders_view_one_block(self, window, held_bytes):
+        cfg = config_from_dict(SCENARIOS["overlap-60"][0](window=window, seed=0))
+        datasets = orchestrator._build_datasets(cfg)
+        held = cfg.plan.assignment
+        assert held["C60"] == (60, *range(1, window))  # wraps
+        parts = {
+            p: orchestrator.generate_dataset(cfg.task, cfg.plan.per_partition_counts, None,
+                                             key, f"partition-{p}")
+            for p, key in zip(range(1, 61), streams.derive(0, orchestrator._DATA, range(1, 61)))
+        }
+        block, labels = datasets["C1"].features.base, datasets["C1"].labels
+        for cid, data in datasets.items():
+            mine = [parts[p] for p in held[cid]]
+            assert data.client_id == cid
+            assert np.array_equal(data.features, np.concatenate([p.features for p in mine]))
+            assert np.array_equal(data.labels, np.concatenate([p.labels for p in mine]))
+            assert data.scenarios == sum((p.scenarios for p in mine), ())
+            assert not data.features.flags.writeable and not data.labels.flags.writeable
+            assert data.features.base is block and np.shares_memory(data.features, block)
+            assert data.labels is labels
+        assert block.nbytes + labels.nbytes == held_bytes
+
 
 class TestCheckpoint:
     def test_resume_is_bit_identical(self):
@@ -795,13 +824,18 @@ class TestKernelCalls:
         ("kitti-sync", 10, 10),
         ("bdd-dropout-dual", 10, 10),
         ("bdd-async-hetero", 29, 29),
-        ("overlap-60", 10, 40),
+        ("overlap-60", 10, 20),
         ("hetero-resolution", 10, 10),
         ("lighting-crossdomain", 10, 10),
         ("scale-800", 3, 12),
-        # two six-client batches hold a 729-sample client, so their padded
-        # size passes COHORT_SAMPLES and each takes two chunks
-        ("async-dropout-long", 306, 308),
+        # two six-client batches hold a 729-sample client; their padded
+        # size, 4374, stays within COHORT_SAMPLES, so each is one chunk
+        ("async-dropout-long", 306, 306),
+        # 1600 clients of 16 samples: seven chunks a round, at most
+        # COHORT_CLIENTS each
+        ("fleet-1600", 3, 21),
+        # 60 clients of 240 samples: chunks of 34 and 26
+        ("sgd-cohort", 20, 40),
     ])
     def test_calls_at_seed_0(self, monkeypatch, name, cohorts, chunks):
         counts = {"cohorts": 0, "chunks": 0}
@@ -820,7 +854,7 @@ class TestKernelCalls:
         monkeypatch.setattr(fedsim.task, "_sgd_chunk", count("chunks", sgd_chunk))
         monkeypatch.setattr(orchestrator, "local_train", refuse)
         monkeypatch.setattr(fedsim.task, "local_train", refuse)
-        doc = _async_dropout_long() if name == "async-dropout-long" else SCENARIOS[name][0](seed=0)
+        doc = _WORKLOADS[name]() if name in _WORKLOADS else SCENARIOS[name][0](seed=0)
         run(config_from_dict(doc), MetricsWriter(None))
         assert counts == {"cohorts": cohorts, "chunks": chunks}
 

@@ -250,6 +250,24 @@ class TestOverlapSplit:
         with pytest.raises(ConfigError):
             OverlapPlan(2, 2, 1, {"C1": (1,), "C2": (1,)})
 
+    @pytest.mark.parametrize("n_partitions, window, assignment", [
+        # each partition held `window` times, but not each holder's window
+        (2, 1, {"C1": (3,), "C2": (4,)}),
+        (2, 1, {"C1": (0,), "C2": (1,)}),
+        (3, 2, {"C1": (1, 3), "C2": (2, 1), "C3": (3, 2)}),
+        (4, 2, {"C1": (1, 2), "C2": (2, 1), "C3": (3, 4), "C4": (4, 3)}),
+    ])
+    def test_holders_hold_consecutive_partitions(self, n_partitions, window, assignment):
+        # a holder's samples are one row window of the partitions, so a run
+        # on any of these would read the wrong rows or fail untyped
+        with pytest.raises(ConfigError, match="consecutive partitions"):
+            OverlapPlan(len(assignment), n_partitions, window, assignment)
+
+    def test_wrapped_windows_accepted(self):
+        plan = OverlapPlan(3, 3, 2, {"C1": (1, 2), "C2": (2, 3), "C3": (3, 1)})
+        assert plan.assignment["C3"] == (3, 1)
+        assert overlap_split(60, 5).assignment["C60"] == (60, 1, 2, 3, 4)
+
     def test_client_ids_and_total_samples(self):
         plan = overlap_split(5, 2, [3, 0, 4])
         assert plan.client_ids == ("C1", "C2", "C3", "C4", "C5")

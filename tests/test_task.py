@@ -169,14 +169,6 @@ class TestGenerateDataset:
         with pytest.raises(ConfigError):
             generate_dataset(default_task(), [1] * 7, None, 0, "C1")
 
-    def test_concat(self):
-        task = default_task()
-        a = generate_dataset(task, [2] * 8, None, 1, "p1")
-        b = generate_dataset(task, [3] * 8, None, 2, "p2")
-        both = LocalDataset.concat("C1", [a, b])
-        assert len(both) == len(a) + len(b)
-        assert np.array_equal(both.features[: len(a)], a.features)
-
 
 def reference_dataset(task, plan_row, scenario_mix, seed):
     """The per-segment draw: one normal draw and one centre per (class, tag)."""
