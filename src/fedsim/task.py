@@ -309,7 +309,7 @@ def loss_and_gradient(
 # COHORT_CLIENTS clients.  The samples bound the per-epoch feature, label and
 # one-hot copies to about 1.6 MiB at 16 features and 8 classes, and the
 # stacked samples (`STACKED_GATHER_SAMPLES`) to about 1 MiB more.  The cap
-# keeps 1600 clients of 16 samples at 256 a chunk; 512 cost more time and memory.
+# keeps 1600 clients of 16 samples at 256 a chunk; 512 held 2 MiB more.
 COHORT_SAMPLES = 8192
 COHORT_CLIENTS = 256
 # Clients of one size holding fewer samples than this each are gathered in

@@ -455,8 +455,7 @@ class TestBuildDatasets:
 
     @pytest.mark.parametrize("window, held_bytes", [
         # (60 + window - 1) partitions of 48 samples by 16 float64 features,
-        # and one labels array of window * 48 int64, where a copy per holder
-        # held 60 * 48 * window * (16 + 1) * 8 bytes
+        # and one labels array of window * 48 int64, for all 60 holders
         (5, 64 * 48 * 16 * 8 + 5 * 48 * 8),
         (1, 60 * 48 * 16 * 8 + 48 * 8),
     ])

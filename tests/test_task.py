@@ -483,7 +483,8 @@ class TestTrainCohort:
     @example(shape=(5, 11), sizes=[3, 10, 1, 7, 9, 5, 12, 10, 3], batch=5, mu=0.3, epochs=2,
              budget=1024, per_client=True, seed=6, batched=False)
     # 300 equal clients of 16 samples at the default budget: one stacked
-    # gather per epoch in each of two chunks, of 256 clients and 44
+    # gather per epoch in each of two chunks, of 256 clients (COHORT_CLIENTS)
+    # and 44
     @example(shape=(16, 8), sizes=[16] * 300, batch=5, mu=0.3, epochs=2,
              budget=task_module.COHORT_SAMPLES, per_client=False, seed=7, batched=False)
     # groups of one (7, 1) and of two clients too large to stack (70) beside
