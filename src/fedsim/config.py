@@ -324,6 +324,17 @@ _EVAL_KEYS = {
 }
 
 
+def _resolution_noise(doc) -> dict[int, float]:
+    """Noise factor per resolution.  A key is a resolution of at least 1 in
+    plain decimal digits, so that no two keys name one; a factor is nonnegative."""
+    for key, factor in (factors := mapping(number)(doc)).items():
+        if not (type(key) is str and key.isascii() and key.isdigit() and key[0] != "0"):
+            raise ValueError(f"expected a resolution of at least 1 in decimal digits, got {key!r}")
+        if factor < 0:
+            raise ValueError(f"expected a nonnegative noise factor, got {factor!r} for {key}")
+    return {int(key): factor for key, factor in factors.items()}
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     version = doc.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
@@ -339,7 +350,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         "clients": array(ClientSpec.from_dict),
         "async": lambda d: AsyncConfig(**section(d, _ASYNC_KEYS, "async")),
         "eval": lambda d: EvalSpec(**section(d, _EVAL_KEYS, "eval")),
-        "resolution_noise": lambda d: {int(k): v for k, v in mapping(number)(d).items()},
+        "resolution_noise": _resolution_noise,
         "aggregate_time_s": number,
     }, "experiment config")
     fields.pop("schema_version", None)

@@ -202,8 +202,8 @@ class MetricsWriter:
     """Single-writer JSONL sink: `write_rows` renders every line from its
     event's one template, after the record checks, each value as
     `json.dumps` writes it.  The engines hand it a window's rows at once
-    and each `eval` record through `emit`, which hands `write` a record's
-    values; `write` hands it one record's values.
+    and each `eval` record through `emit`, which hands it the record's
+    values as one row.
 
     The stream is flushed after every ``eval`` record, which closes each
     sync round and each async evaluation window: at those points the file
@@ -221,18 +221,14 @@ class MetricsWriter:
         self._stream = _Void() if stream is None else stream
 
     def emit(self, record: MetricsRecord) -> None:
-        """`write` of `record`'s `SCHEMA` fields, refusing a value its event lacks."""
+        """`write_rows` of `record`'s `SCHEMA` fields, refusing a value its event lacks."""
         # Kept for perfbench's `_stamp_evals`, which wraps it to time evaluations (ROADMAP item 1).
         values = record._asdict()
-        args = [values.pop(k) for k in ("event", "run_id", "round", *SCHEMA[record.event])]
+        run_id = values.pop("run_id")
+        row = tuple(values.pop(k) for k in ("event", "round", *SCHEMA[record.event]))
         if stray := [k for k, v in values.items() if v is not MetricsRecord._field_defaults[k]]:
             raise ValueError(f"{record.event} record sets {', '.join(stray)}, which its event lacks")
-        self.write(*args)
-
-    def write(self, event: str, run_id: str, round_idx: int, *values) -> None:
-        """Write one `event` record from the values of its `SCHEMA` fields,
-        in key order: `write_rows` of one row."""
-        self.write_rows(run_id, [(event, round_idx, *values)])
+        self.write_rows(run_id, [row])
 
     def write_rows(self, run_id: str, rows) -> None:
         """Write one record of run `run_id` per row, (event, round, values

@@ -7,26 +7,22 @@ All randomness is keyed from (master_seed, stream, round, client) by
 `streams`, bit-identical to numpy's SeedSequence, so any round can be
 recomputed in isolation and checkpoint/resume is exact.
 
-A run is one `_Run` (its datasets, evaluation set, presence chains,
-per-client costs and keyed streams, all built before any record) and two
-passes.  Its schedule, `_sync_schedule` or `_async_schedule`, says who
-trains when on which model version and builds every record that reads no
-model, one evaluation window at a time; a sync round is one window whose
-clients all train on the previous round's model.  One executor, `_execute`,
-runs either schedule: each batch of applications whose base models exist
-trains in one `train_cohort` call, and records are written in schedule
-order; a client whose training diverged raises at its application.  The
-training seeds, power draws and dropout coins are read from `_Blocks`, each
-drawn a block of attempts for every client in one batched `streams` pass,
-a sync run's last block ending at its last round; the schedules release
-the blocks behind them.  A window's
-records reach the writer as rows in one `MetricsWriter.write_rows` call,
-made also when the window raises, so the records before the raise are
-written; its `eval` record follows through `emit`.  The engine reaches
-the writer by no other path.
-Only aggregation depends on the strategy; it takes plain `ClientUpdate`s,
-whose finiteness the executor guarantees, and checks each result once.
-`run` picks the schedule from the config's strategy.  `local_train` and
+A run is one `_Run` (its datasets, evaluation set, dropout rules and
+per-client costs, all built before any record) and two passes.  Its
+schedule, `_sync_schedule` or `_async_schedule`, says who trains when on
+which model version and builds every record that reads no model, one
+evaluation window at a time; a sync round is one window whose clients all
+train on the previous round's model.  Each schedule walks its events
+through `_draw_events`, which keeps the presence chains and draws the
+dropout coins, training seeds and power draws a chunk of events at a time,
+in schedule order.  One executor, `_execute`, runs either schedule: each
+batch of applications whose base models exist trains in one `train_cohort`
+call, and records are written in schedule order; a client whose training
+diverged raises at its application.  A window's records reach the writer
+as rows in one `MetricsWriter.write_rows` call, made also when the window
+raises; its `eval` record follows through `emit`.  Only aggregation
+depends on the strategy; it takes plain `ClientUpdate`s, whose finiteness
+the executor guarantees, and checks each result once.  `local_train` and
 `apply_dropout` are kept for callers and perfbench's tracer; the engines
 call neither.
 """
@@ -37,8 +33,8 @@ import heapq
 import json
 import os
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Callable, Iterable, Iterator, NamedTuple
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -76,121 +72,75 @@ class RunResult:
         return self.history[-1][1] if self.history else float("nan")
 
 
-# Keys from which one batched `streams` pass costs about 2 µs a key, against
+# Events from which one batched `streams` pass costs about 2 µs a key, against
 # about 12 µs for numpy's own SeedSequence per key.
-_BLOCK_KEYS = 128
+_CHUNK_EVENTS = 128
 
 
-class _Blocks:
-    """One keyed stream's values for any (attempt, client) of a run.
+def _draw_events(rules: dict[str, DropoutRule], seed: int, fit: dict[str, costs.CostEntry],
+                 groups: Iterable[list[tuple]], first: int = 1) -> Iterator[tuple[list, ...]]:
+    """Each of `groups`, a list of events (attempt, client, ...) in schedule
+    order, and three lists in event order: whether each client is present,
+    and its training seed and (power, utilization) draw, None unless it is
+    present, in `fit` and at an attempt of at least `first`.  Each client's
+    attempts count up from 1.
 
-    Attempts count from 1 and fall in blocks of ceil(_BLOCK_KEYS / clients)
-    attempts.  The first read inside a block draws it for every client in
-    one `draw(attempts, keys, clients)` call, key k being (attempts[k],
-    keys[k]) with keys[k] the `streams.client_key` of clients[k], so each
-    call holds at least _BLOCK_KEYS keys.  A block that holds `last`, the
-    last attempt a run reads, ends there; a read past it draws a whole
-    block.  Each value comes from its own key, so the block size changes
-    none.  `release` drops the blocks no read will reach; a read into a
-    dropped block draws it again.
+    A stochastic rule is a presence chain that keeps only its current
+    state: attempt 1 is present, and coin k, keyed (seed, client, k),
+    decides attempt k + 1, a present client dropping with probability p and
+    an absent one rejoining with probability q.  Whole groups are drawn
+    together once they hold at least _CHUNK_EVENTS events, in one
+    `streams.uniforms` pass for their coins, one `first_words` pass for
+    their seeds and one `costs.sample_power_and_util` pass for their power.
+    Each value comes from its own key, so the chunk size changes none.
     """
-
-    def __init__(self, clients: list[str], draw: Callable[[np.ndarray, np.ndarray, list], list],
-                 last: int | None = None):
-        self._last = last
-        self._column = {cid: i for i, cid in enumerate(clients)}
-        self._size = -(-_BLOCK_KEYS // max(len(clients), 1))
-        # Every block's clients and their keys, attempt by attempt.
-        self._clients = clients * self._size
-        self._keys = np.tile(np.array([streams.client_key(c) for c in clients], np.uint64),
-                             self._size)
-        self._draw = draw
-        self._held: dict[int, list] = {}  # first attempt -> the block's values, attempt by attempt
-
-    def take(self, attempts: Iterable[int], cids: Iterable[str]) -> list:
-        """The values of the keys (attempt, client) that `attempts` and
-        `cids` pair up; a run of equal attempts finds its block once."""
-        column, out, last = self._column, [], None
-        for attempt, cid in zip(attempts, cids):
-            if attempt != last:
-                values, start = self._row(attempt)
-                last = attempt
-            out.append(values[start + column[cid]])
-        return out
-
-    def _row(self, attempt: int) -> tuple[list, int]:
-        """The block that holds `attempt`, drawn on its first read, and the
-        index of the attempt's first value in it.  Blocks past `last` count
-        from `last`, so none of them overlaps the block that ends there."""
-        last = self._last
-        base = last if last is not None and attempt > last else 0
-        first = attempt - (attempt - 1 - base) % self._size
-        values = self._held.get(first)
-        if values is None:
-            stop = first + self._size
-            if last is not None and first <= last:
-                stop = min(stop, last + 1)
-            attempts = np.repeat(np.arange(first, stop), len(self._column))
-            count = len(attempts)
-            values = self._held[first] = self._draw(attempts, self._keys[:count],
-                                                    self._clients[:count])
-        return values, (attempt - first) * len(self._column)
-
-    def release(self, attempt: int) -> None:
-        """Drop the blocks that end before `attempt`."""
-        for first in [f for f in self._held if f + self._size <= attempt]:
-            del self._held[first]
-
-
-class _Presence:
-    """Participant sets under dropout rules.
-
-    A stochastic rule is a presence chain from round 1: a participating
-    client drops with probability p afterwards, an absent one rejoins with
-    probability q the next round.  Coins are keyed per (seed, client,
-    round), so presence at round r never depends on how it was queried;
-    `coins` draws them a block of rounds at a time for every stochastic
-    client, up to round `last` if given.  Each chain keeps its states from
-    round 0 (present, as at round 1): a later round reads only the coins
-    past the last state kept, an earlier one is read back.
-    """
-
-    def __init__(self, rules: dict[str, DropoutRule], seed: int, last: int | None = None):
-        self._rules = rules
-        chains = [cid for cid, rule in rules.items() if rule.mode == "stochastic"]
-        self.coins = _Blocks(chains, lambda rounds, keys, _: streams.uniforms(
-            1, seed, _DROPOUT, keys, rounds)[:, 0].tolist(), last)
-        self._states = {cid: [True, True] for cid in chains}
-
-    def is_present(self, cid: str, round_idx: int) -> bool:
-        rule = self._rules[cid]
-        if rule.mode == "always_on":
-            return True
-        if rule.mode == "absent_rounds":
-            return round_idx not in rule.absent_rounds
-        states = self._states[cid]
-        rounds = range(len(states) - 1, round_idx)
-        for u in self.coins.take(rounds, repeat(cid, len(rounds))):
-            states.append((u >= rule.p) if states[-1] else (u < rule.q))
-        return states[max(round_idx, 0)]
-
-    def participants(self, round_idx: int) -> list[str]:
-        return [cid for cid in sorted(self._rules) if self.is_present(cid, round_idx)]
-
-    def absorbed(self, cid: str, round_idx: int) -> bool:
-        """Absent at `round_idx`, and never to rejoin."""
-        rule = self._rules[cid]
-        return rule.mode == "stochastic" and rule.q == 0.0 and not self.is_present(cid, round_idx)
+    state = {cid: True for cid, rule in rules.items() if rule.mode == "stochastic"}
+    keys = {cid: streams.client_key(cid) for cid in rules}
+    groups = iter(groups)
+    while True:
+        chunk, events = [], []
+        for group in groups:
+            chunk.append(group)
+            events += group
+            if len(events) >= _CHUNK_EVENTS:
+                break
+        if not chunk:
+            return
+        tossed = [(keys[e[1]], e[0] - 1) for e in events if e[0] > 1 and e[1] in state]
+        coins = iter(streams.uniforms(1, seed, _DROPOUT, *zip(*tossed))[:, 0].tolist()
+                     if tossed else ())
+        present = []
+        for event in events:
+            attempt, cid = event[0], event[1]
+            rule = rules[cid]
+            if cid in state and attempt > 1:
+                u = next(coins)
+                state[cid] = u >= rule.p if state[cid] else u < rule.q
+            present.append(state[cid] if cid in state
+                           else rule.mode != "absent_rounds" or attempt not in rule.absent_rounds)
+        trains = [i for i, (e, here) in enumerate(zip(events, present))
+                  if here and e[1] in fit and e[0] >= first]
+        seeds, draws = [None] * len(events), [None] * len(events)
+        if trains:
+            attempts = np.array([events[i][0] for i in trains])
+            cids = [events[i][1] for i in trains]
+            cols = attempts, np.array([keys[c] for c in cids], np.uint64)
+            powers = costs.sample_power_and_util([fit[c] for c in cids], seed, _POWER, *cols)
+            for i, s, d in zip(trains, streams.first_words(seed, _TRAIN, *cols), powers):
+                seeds[i], draws[i] = s, d
+        end = 0
+        for group in chunk:
+            start, end = end, end + len(group)
+            yield group, present[start:end], seeds[start:end], draws[start:end]
 
 
 def apply_dropout(rules: dict[str, DropoutRule], round_idx: int, seed: int) -> list[str]:
-    """Participant set for one round; deterministic in (rules, round, seed).
-
-    A fresh `_Presence` advanced to `round_idx`, so every stochastic chain
-    runs from round 1 (see `_Presence` for the state machine).  The engines
-    keep one `_Presence` per run instead, which draws each block of coins once.
-    """
-    return _Presence(rules, seed).participants(round_idx)
+    """Participant set for round `round_idx`, at least 1; deterministic in
+    (rules, round, seed).  `_draw_events` over rounds 1 to `round_idx`,
+    which draws their coins only; the engines walk their own schedules."""
+    *_, (events, present, _, _) = _draw_events(rules, seed, {}, (
+        [(r, cid) for cid in sorted(rules)] for r in range(1, round_idx + 1)))
+    return [cid for (_, cid), here in zip(events, present) if here]
 
 
 def _build_datasets(cfg: ExperimentConfig) -> dict[str, LocalDataset]:
@@ -244,17 +194,14 @@ class _Run:
     up once here, so an uncalibrated client, or a run in which no client
     fits its device memory, fails with no record written.  `durations`
     holds a client exactly when it fits its device memory; its value is
-    the client's modeled training window.  `seeds` and `power` hold the
-    training seed and the (power, utilization) draw of any (attempt, fitting
-    client), and `release` drops the drawn values the schedule is past.  A
-    sync run passes its last round as `last_attempt`, where these blocks and
-    the presence coins end.  `oom` and `train_row` build rows; the engine
-    writes them through `sink.write_rows` and its `eval` records through
-    `evaluate`, which hands them to `sink.emit`.
+    the client's modeled training window, and `fit` its cost entry.
+    `rules` holds every client's dropout rule.  `oom` and `train_row` build
+    rows; the engine writes them through `sink.write_rows` and its `eval`
+    records through `evaluate`, which hands them to `sink.emit`.
     """
 
     def __init__(self, cfg: ExperimentConfig, sink: MetricsWriter | None, engine: str,
-                 strategies: tuple[str, ...], last_attempt: int | None = None):
+                 strategies: tuple[str, ...]):
         if cfg.strategy not in strategies:
             raise ConfigError(f"{engine} cannot execute strategy {cfg.strategy!r}")
         self.cfg = cfg
@@ -287,22 +234,9 @@ class _Run:
         }
         if not self.durations:
             raise SimulationError("no client fits its device memory budget; nothing can run")
-        self.presence = _Presence({c.client_id: c.dropout for c in cfg.clients}, cfg.master_seed,
-                                  last_attempt)
-        # The draws hold no reference to `self`: a cycle would keep each
-        # finished run's datasets alive until the garbage collector ran.
-        seed, fit, entries = cfg.master_seed, list(self.durations), self.entries
-        self.seeds = _Blocks(fit, lambda attempts, keys, _: streams.first_words(
-            seed, _TRAIN, attempts, keys), last_attempt)
-        self.power = _Blocks(fit, lambda attempts, keys, cids: costs.sample_power_and_util(
-            [entries[c] for c in cids], seed, _POWER, attempts, keys), last_attempt)
+        self.fit = {cid: self.entries[cid] for cid in self.durations}
+        self.rules = {c.client_id: c.dropout for c in cfg.clients}
         self.history: list[tuple[int, float]] = []
-
-    def release(self, attempt: int) -> None:
-        """Drop the drawn seeds, power draws and coins of the attempts before
-        `attempt`: the schedule asks for none of them again."""
-        for blocks in (self.seeds, self.power, self.presence.coins):
-            blocks.release(attempt)
 
     def oom(self, cid: str) -> tuple:
         """The fields of `cid`'s `oom` record that follow its round."""
@@ -328,13 +262,16 @@ class _Run:
 
 class _Application(NamedTuple):
     """One training in a schedule: the client's attempt (a sync run's
-    round), its window, and the model version it trains on."""
+    round), its window, the model version it trains on, and its training
+    seed and (power, utilization) draw."""
 
     attempt: int
     client_id: str
     start: float
     end: float
     base: int
+    seed: int
+    draw: tuple[float, float]
 
 
 # A schedule window: its items in record order (an `_Application`, or a
@@ -347,75 +284,88 @@ def _sync_schedule(ctx: _Run, first: int, last: int, clock: float) -> Iterator[_
     """Rounds `first` to `last` from `clock`, one window each: the absent
     clients' dropouts in id order, then each participant's `oom` record or
     its application on the previous round's model.  A window ends with its
-    slowest participant; the next starts after the aggregation."""
-    durations = ctx.durations
-    for rnd in range(first, last + 1):
-        ctx.release(rnd - 1)
-        participants = ctx.presence.participants(rnd)
+    slowest participant; the next starts after the aggregation.  The
+    presence chains walk from round 1; rounds before `first` draw no seed
+    or power."""
+    durations, ids = ctx.durations, sorted(ctx.entries)
+    rounds = _draw_events(ctx.rules, ctx.cfg.master_seed, ctx.fit,
+                          ([(rnd, cid) for cid in ids] for rnd in range(1, last + 1)), first)
+    for rnd, (_, present, seeds, draws) in enumerate(islice(rounds, first - 1, None), first):
         window: list = [("dropout", rnd, cid, None, None)
-                        for cid in sorted(ctx.entries.keys() - set(participants))]
-        window += [_Application(rnd, cid, clock, clock + durations[cid], rnd - 1)
-                   if cid in durations else ("oom", rnd, *ctx.oom(cid)) for cid in participants]
-        clock += max([durations[c] for c in participants if c in durations], default=0.0)
+                        for cid, here in zip(ids, present) if not here]
+        window += [_Application(rnd, cid, clock, clock + durations[cid], rnd - 1, seed, draw)
+                   if cid in durations else ("oom", rnd, *ctx.oom(cid))
+                   for cid, here, seed, draw in zip(ids, present, seeds, draws) if here]
+        clock = max([item.end for item in window if type(item) is _Application], default=clock)
         yield window, clock, None
         clock += ctx.cfg.aggregate_time_s
+
+
+def _completions(durations: dict[str, float]) -> Iterator[list[tuple]]:
+    """The fitting clients' completions in (time, client_id) order, each
+    client training back to back, forever: [(attempt, client, time)] each."""
+    attempts = dict.fromkeys(durations, 0)
+    heap = [(d, cid) for cid, d in durations.items()]
+    heapq.heapify(heap)
+    while True:
+        clock, cid = heapq.heappop(heap)
+        heapq.heappush(heap, (clock + durations[cid], cid))
+        attempts[cid] += 1
+        yield [(attempts[cid], cid, clock)]
 
 
 def _async_schedule(ctx: _Run) -> Iterator[_Window]:
     """An async run's events, one evaluation window at a time, the first
     opening with the `oom` records.
 
-    Completions pop from a heap in (time, client_id) order.  A present
-    client's event is an application on the version it fetched when its
-    last application was applied; an absent one's is a dropout.  Each
-    window ends at an application an evaluation follows; if every client
-    is absorbed, the last window ends at its dropout and comes with the
-    `SimulationError` to raise.
+    Completions come in (time, client_id) order (`_completions`).  A
+    present client's event is an application on the version it fetched
+    when its last application was applied; an absent one's is a dropout.
+    Each window ends at an application an evaluation follows; if every
+    client is absorbed, the last window ends at its dropout and comes with
+    the `SimulationError` to raise.
     """
     cfg = ctx.cfg
     budget = cfg.async_cfg.applications or cfg.rounds * cfg.n_clients
     eval_every = cfg.async_cfg.eval_every or cfg.n_clients
     fetched = dict.fromkeys(ctx.durations, 0)
-    attempts = dict.fromkeys(ctx.durations, 0)
-    heap = [(d, cid) for cid, d in ctx.durations.items()]
-    heapq.heapify(heap)
+    absorbed: set[str] = set()  # absent under a stochastic rule with q = 0: gone for good
     version = 0  # the number of applications scheduled
     window: list = [("oom", 0, *ctx.oom(cid)) for cid in ctx.entries if cid not in ctx.durations]
-    while version < budget:
-        clock, cid = heapq.heappop(heap)
-        duration = ctx.durations[cid]
-        heapq.heappush(heap, (clock + duration, cid))
-        attempt = attempts[cid] = attempts[cid] + 1
-        if not ctx.presence.is_present(cid, attempt):
+    for [(attempt, cid, clock)], [present], [seed], [draw] in _draw_events(
+            ctx.rules, cfg.master_seed, ctx.fit, _completions(ctx.durations)):
+        if not present:
             window.append(("dropout", attempt, cid, clock, clock))
-            if all(ctx.presence.absorbed(c, attempts[c]) for c in ctx.durations):
+            if ctx.rules[cid].mode == "stochastic" and ctx.rules[cid].q == 0.0:
+                absorbed.add(cid)
+            if len(absorbed) == len(ctx.durations):
                 yield window, clock, SimulationError(
                     f"every client is permanently absent after {version} of "
                     f"{budget} applications; the run cannot finish"
                 )
                 return
             continue
-        window.append(_Application(attempt, cid, clock - duration, clock, fetched[cid]))
+        window.append(_Application(attempt, cid, clock - ctx.durations[cid], clock,
+                                   fetched[cid], seed, draw))
         version += 1
         fetched[cid] = version
         if version % eval_every == 0 or version == budget:
             yield window, clock, None
+            if version == budget:
+                return
             window = []
-            ctx.release(min(attempts.values()))  # no client reads below its last attempt again
 
 
 def _train(ctx: _Run, apps: list[_Application], models: dict[int, np.ndarray]) -> list[tuple]:
-    """Train `apps` in one cohort, each from its base version's model:
-    (params, sample count, loss, power, utilization) per application.
-    Each application's training seed and power draw, keyed (master, stream,
-    attempt, client), are read from the run's blocks; a base model that
-    every application shares is passed once."""
-    attempts, cids, bases = zip(*[(a.attempt, a.client_id, a.base) for a in apps])
-    distinct = set(bases)
-    w0 = models[distinct.pop()] if len(distinct) == 1 else np.stack([models[b] for b in bases])
-    trained = train_cohort(w0, [ctx.datasets[c] for c in cids],
-                           ctx.seeds.take(attempts, cids), ctx.cfg.train)
-    return [t + d for t, d in zip(trained, ctx.power.take(attempts, cids))]
+    """Train `apps` in one cohort, each from its base version's model with
+    its own seed: (params, sample count, loss, power, utilization) per
+    application.  A base model that every application shares is passed
+    once."""
+    bases = {a.base for a in apps}
+    w0 = models[bases.pop()] if len(bases) == 1 else np.stack([models[a.base] for a in apps])
+    trained = train_cohort(w0, [ctx.datasets[a.client_id] for a in apps],
+                           [a.seed for a in apps], ctx.cfg.train)
+    return [t + a.draw for t, a in zip(trained, apps)]
 
 
 def _execute(ctx: _Run, schedule: Iterator[_Window], w: np.ndarray, version: int,
@@ -451,7 +401,7 @@ def _execute(ctx: _Run, schedule: Iterator[_Window], w: np.ndarray, version: int
                     batch = [j for j in range(i, len(window)) if j not in trained
                              and type(window[j]) is _Application and window[j].base <= version]
                     trained.update(zip(batch, _train(ctx, [window[j] for j in batch], models)))
-                attempt, cid, start, stop, base = item
+                attempt, cid, start, stop, base, _, _ = item
                 w_new, n, loss, power, util = trained.pop(i)
                 if w_new is None:
                     raise SimulationError("non-finite parameters after local training")
@@ -512,9 +462,11 @@ def run_sync(
     """
     if stop_after_round is not None and stop_after_round < 1:
         raise ConfigError(f"stop_after_round must be at least 1, got {stop_after_round}")
-    ctx = _Run(cfg, sink, "run_sync", ("fedavg", "fedprox"), cfg.rounds)
-    if not any(ctx.presence.is_present(cid, rnd)
-               for cid in ctx.durations for rnd in range(1, cfg.rounds + 1)):
+    ctx = _Run(cfg, sink, "run_sync", ("fedavg", "fedprox"))
+    # Only an absent_rounds rule keeps a client out of round 1.
+    if all(ctx.rules[cid].mode == "absent_rounds"
+           and ctx.rules[cid].absent_rounds.issuperset(range(1, cfg.rounds + 1))
+           for cid in ctx.durations):
         raise SimulationError(
             "no client that fits its device memory is present in any round; nothing can run"
         )

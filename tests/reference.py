@@ -118,20 +118,34 @@ def read_log(path) -> tuple[list, list[str]]:
     return records, problems
 
 
+def _coin(seed: int, cid: str, k: int) -> float:
+    """The dropout coin k of client `cid`, which decides its attempt k + 1:
+    numpy's own draw from the key, one key at a time."""
+    key = [seed, orchestrator._DROPOUT, streams.client_key(cid), k]
+    return float(np.random.default_rng(np.random.SeedSequence(key)).random())
+
+
 def async_one_at_a_time(cfg, sink) -> None:
     """`run_async` as one loop that trains each application with
-    `local_train` as it pops off the event heap: the reference whose
-    records and errors the scheduled, batched executor reproduces."""
+    `local_train` as it pops off the event heap, and keeps each client's
+    presence from its own coins: the reference whose records and errors
+    the scheduled, batched executor reproduces."""
     ctx = orchestrator._Run(cfg, sink, "run_async", ("fedasync",))
     budget = cfg.async_cfg.applications or cfg.rounds * cfg.n_clients
     eval_every = cfg.async_cfg.eval_every or cfg.n_clients
+    rules = {c.client_id: c.dropout for c in cfg.clients}
+
+    def write(*row):
+        ctx.sink.write_rows(ctx.run_id, [row])
+
     for cid in ctx.entries:
         if cid not in ctx.durations:
-            ctx.sink.write("oom", ctx.run_id, 0, *ctx.oom(cid))
+            write("oom", 0, *ctx.oom(cid))
     w = zero_params(cfg.task.n_features, cfg.task.n_classes)
     version = evals = 0
     fetched = dict.fromkeys(ctx.durations, (0, w))
     attempts = dict.fromkeys(ctx.durations, 0)
+    present = dict.fromkeys(ctx.durations, True)
     heap = [(d, cid) for cid, d in ctx.durations.items()]
     heapq.heapify(heap)
     while version < budget:
@@ -139,9 +153,16 @@ def async_one_at_a_time(cfg, sink) -> None:
         duration = ctx.durations[cid]
         heapq.heappush(heap, (clock + duration, cid))
         attempt = attempts[cid] = attempts[cid] + 1
-        if not ctx.presence.is_present(cid, attempt):
-            ctx.sink.write("dropout", ctx.run_id, attempt, cid, clock, clock)
-            if all(ctx.presence.absorbed(c, attempts[c]) for c in ctx.durations):
+        rule = rules[cid]
+        if rule.mode == "absent_rounds":
+            present[cid] = attempt not in rule.absent_rounds
+        elif rule.mode == "stochastic" and attempt > 1:
+            u = _coin(cfg.master_seed, cid, attempt - 1)
+            present[cid] = u >= rule.p if present[cid] else u < rule.q
+        if not present[cid]:
+            write("dropout", attempt, cid, clock, clock)
+            if not any(present[c] or rules[c].mode != "stochastic" or rules[c].q > 0.0
+                       for c in ctx.durations):
                 raise SimulationError(
                     f"every client is permanently absent after {version} of "
                     f"{budget} applications; the run cannot finish"
@@ -158,13 +179,11 @@ def async_one_at_a_time(cfg, sink) -> None:
         entry = ctx.entries[cid]
         power = float(rng.uniform(*entry.power_w_range))
         util = float(rng.uniform(*entry.util_pct_range))
-        ctx.sink.write_rows(ctx.run_id, [ctx.train_row(attempt, cid, clock - duration, clock,
-                                                      n, loss, power, util)])
+        write(*ctx.train_row(attempt, cid, clock - duration, clock, n, loss, power, util))
         staleness = version - base
         w = fedasync_update(w, ClientUpdate(cid, w_new, n), staleness, cfg.async_cfg)
         version += 1
-        ctx.sink.write("aggregate", ctx.run_id, attempt, cid, clock, clock, None, None, None, n,
-                       staleness, False)
+        write("aggregate", attempt, cid, clock, clock, None, None, None, n, staleness, False)
         if version % eval_every == 0 or version == budget:
             evals += 1
             ctx.evaluate(evals, w, clock)

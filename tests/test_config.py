@@ -446,6 +446,33 @@ class TestIntegerKeys:
             config_from_dict(doc)
 
 
+class TestResolutionNoise:
+    """Each `resolution_noise` key names one resolution in canonical
+    decimal, and each factor is nonnegative; `int()` would read "6_40",
+    " 320" and "+960", and let "640" and "0640" collide."""
+
+    @pytest.mark.parametrize("key", ["6_40", " 320", "+960", "0640", "0", "-640", "", "640.0",
+                                     "\u0666\u0664\u0660"])
+    def test_non_canonical_key_rejected(self, key):
+        with pytest.raises(ConfigError, match=r"^experiment config\.resolution_noise: .*decimal"):
+            config_from_dict(minimal_doc(resolution_noise={"320": 1.5, key: 1.0}))
+
+    def test_colliding_keys_rejected(self):
+        with pytest.raises(ConfigError, match="resolution_noise"):
+            config_from_dict(minimal_doc(resolution_noise={"640": 1.0, "0640": 2.0}))
+
+    @pytest.mark.parametrize("factor", [-1.0, -1e-300, -2])
+    def test_negative_factor_rejected_at_load(self, factor):
+        match = r"^experiment config\.resolution_noise: .*nonnegative"
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict(minimal_doc(resolution_noise={"640": factor}))
+
+    def test_canonical_keys_load(self):
+        cfg = config_from_dict(minimal_doc(resolution_noise={"320": 0.0, "1280": 2}))
+        assert cfg.resolution_noise == {320: 0.0, 1280: 2.0}
+        assert config_from_dict(cfg.to_dict()).digest() == cfg.digest()
+
+
 class TestNumberKeys:
     """Every float key takes a JSON integer or float, stored as a float:
     `float()` would parse a string and read a bool as 0.0 or 1.0."""

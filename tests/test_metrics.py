@@ -465,10 +465,10 @@ class TestDirectWrite:
             MetricsRecord(run_id=run_id, round=rnd, event=event, **values)
         except ValueError:
             with pytest.raises(ValueError):
-                MetricsWriter(buf).write(event, run_id, rnd, *values.values())
+                MetricsWriter(buf).write_rows(run_id, [(event, rnd, *values.values())])
             assert buf.getvalue() == ""
             return
-        MetricsWriter(buf).write(event, run_id, rnd, *values.values())
+        MetricsWriter(buf).write_rows(run_id, [(event, rnd, *values.values())])
         assert buf.getvalue() == reference_line(run_id, rnd, event, **values)
 
     @pytest.mark.parametrize("event, values, message", [
@@ -485,7 +485,7 @@ class TestDirectWrite:
             MetricsRecord(run_id="r1", round=1, event=event, **fields)
         buf = io.StringIO()
         with pytest.raises(ValueError, match=message):
-            MetricsWriter(buf).write(event, "r1", 1, *values)
+            MetricsWriter(buf).write_rows("r1", [(event, 1, *values)])
         assert buf.getvalue() == ""
 
     # values off their field's type, which no engine writes: a bool in a
@@ -498,18 +498,18 @@ class TestDirectWrite:
     ], ids=["bool-mem", "float-round", "bool-round", "bool-samples"])
     def test_off_type_value_written_as_json_dumps(self, event, round_idx, values):
         buf = io.StringIO()
-        MetricsWriter(buf).write(event, "r1", round_idx, *values)
+        MetricsWriter(buf).write_rows("r1", [(event, round_idx, *values)])
         assert buf.getvalue() == reference_line(
             "r1", round_idx, event, **dict(zip(SCHEMA[event], values)))
 
     def test_writer_without_stream_checks_renders_and_keeps_nothing(self):
         sink = MetricsWriter(None)
-        sink.write("oom", "r1", 2, "C1", 9113, True)
+        sink.write_rows("r1", [("oom", 2, "C1", 9113, True)])
         assert not hasattr(sink, "records")
         with pytest.raises(ValueError, match="t_end_s must be >= t_start_s"):
-            sink.write("stalled", "r1", 2, 5.0, 4.0)
+            sink.write_rows("r1", [("stalled", 2, 5.0, 4.0)])
         with pytest.raises(TypeError):  # a client id that is no string does not render
-            sink.write("oom", "r1", 2, 7, 9113, True)
+            sink.write_rows("r1", [("oom", 2, 7, 9113, True)])
 
     @given(_records())
     @settings(max_examples=400, deadline=None)
@@ -602,7 +602,7 @@ class TestDirectWrite:
         path = tmp_path / "m.jsonl"
         sink, fh = open_log_writer(path)
         try:
-            sink.write("eval", "r1", 1, 2.0, 2.0, 40, 0.5)
+            sink.write_rows("r1", [("eval", 1, 2.0, 2.0, 40, 0.5)])
             assert path.read_text() == reference_line(
                 "r1", 1, "eval", t_start_s=2.0, t_end_s=2.0, n_samples=40, accuracy=0.5)
         finally:

@@ -1,5 +1,6 @@
 """Orchestration: sync rounds, async event loop, dropout, checkpointing."""
 
+import collections
 import dataclasses
 import gc
 import io
@@ -373,6 +374,19 @@ class TestRunSetUp:
             run(config_from_dict(doc), MetricsWriter(buf))
         assert buf.getvalue() == ""
 
+    def test_clients_that_leave_for_good_after_round_1_run(self):
+        """A stochastic client is present at round 1, even one that drops
+        for good after it (p = 1, q = 0), so the run is not refused: round 1
+        trains and every later round stalls."""
+        doc = kitti_sync()
+        for client in doc["clients"]:
+            client["dropout"] = {"mode": "stochastic", "p": 1.0, "q": 0.0}
+        buf = io.StringIO()
+        run(config_from_dict(doc), MetricsWriter(buf))
+        records = read_back(buf)
+        assert [r.round for r in records if r.event == "train_window"] == [1] * 4
+        assert [r.round for r in records if r.event == "stalled"] == list(range(2, 11))
+
     @pytest.mark.parametrize("strategy", ["fedavg", "fedasync"])
     def test_cost_lookup_once_per_client(self, monkeypatch, strategy):
         calls = []
@@ -594,13 +608,9 @@ def replay(rule, cid, round_idx, seed):
     return state
 
 
-# A first query at round k (as a resumed run makes), forward steps with
-# repeats and gaps, then arbitrary rounds, backward ones included.
-round_queries = st.tuples(
-    st.integers(0, 30),
-    st.lists(st.integers(0, 6), max_size=12),
-    st.lists(st.integers(0, 40), max_size=6),
-).map(lambda t: list(itertools.accumulate([t[0], *t[1]])) + t[2])
+def _sync_rounds(ids, rounds):
+    """A sync schedule's events: one group per round, every client in it."""
+    return [[(rnd, cid) for cid in ids] for rnd in range(1, rounds + 1)]
 
 
 class TestPresenceChain:
@@ -608,24 +618,36 @@ class TestPresenceChain:
         p=st.floats(0.0, 1.0),
         q=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**63 - 1),
-        rounds=round_queries,
+        rounds=st.integers(1, 40),
+        queries=st.lists(st.integers(1, 40), max_size=4),
     )
     @settings(max_examples=60, deadline=None)
-    def test_carried_chain_matches_replay(self, p, q, seed, rounds):
+    def test_carried_chain_matches_replay(self, p, q, seed, rounds, queries):
+        """The chain `_draw_events` carries from round to round, and
+        `apply_dropout` at any round, equal the chain replayed from round 1
+        with numpy's own coins; under q = 0 an absent client stays out."""
         rule = DropoutRule(mode="stochastic", p=p, q=q)
-        rules = {"C1": rule, "C2": DropoutRule()}
-        presence = orchestrator._Presence(rules, seed)
         absorbing = DropoutRule(mode="stochastic", p=p, q=0.0)
-        absorbed = orchestrator._Presence({"C1": absorbing}, seed)
-        for r in rounds:
-            expect = replay(rule, "C1", r, seed)
-            assert presence.is_present("C1", r) == expect
-            assert (apply_dropout(rules, r, seed) == ["C1", "C2"]) == expect
-            assert presence.absorbed("C1", r) == (q == 0.0 and not expect)
-            assert absorbed.absorbed("C1", r) == (not replay(absorbing, "C1", r, seed))
+        rules = {"C1": rule, "C2": DropoutRule(), "C3": absorbing}
+        walked = orchestrator._draw_events(rules, seed, {}, _sync_rounds(sorted(rules), rounds))
+        gone = False
+        for rnd, (events, here, _, _) in enumerate(walked, 1):
+            present = dict(zip([cid for _, cid in events], here))
+            assert present["C1"] == replay(rule, "C1", rnd, seed)
+            assert present["C2"]
+            assert present["C3"] == replay(absorbing, "C3", rnd, seed)
+            assert not (gone and present["C3"])
+            gone = not present["C3"]
+        for r in queries:
+            expect = {"C1": replay(rule, "C1", r, seed), "C2": True,
+                      "C3": replay(absorbing, "C3", r, seed)}
+            assert apply_dropout(rules, r, seed) == [cid for cid in rules if expect[cid]]
 
     @pytest.mark.parametrize("rounds", [3, 12])
     def test_coin_draws_linear_in_attempts(self, monkeypatch, rounds):
+        """An async run draws each attempt's coin once, a chunk of
+        _CHUNK_EVENTS attempts at a time: every attempt but each client's
+        first, up to the end of the chunk that holds the last."""
         draws = 0
         uniforms = streams.uniforms
 
@@ -648,11 +670,9 @@ class TestPresenceChain:
         records = read_back(buf)
         attempts = sum(r.event in ("train_window", "dropout") for r in records)
         assert sum(r.event == "dropout" for r in records) > 0
-        block = -(-orchestrator._BLOCK_KEYS // len(ids))  # attempts in a block
-        assert 0 < draws <= attempts + block * len(ids)
-        # Each block is drawn once, up to the last coin the furthest client read.
-        last = max(r.round for r in records if r.event in ("train_window", "dropout"))
-        assert draws == -(-(last - 1) // block) * block * len(ids)
+        chunk = orchestrator._CHUNK_EVENTS
+        assert 0 < draws < attempts + chunk
+        assert draws == -(-attempts // chunk) * chunk - len(ids)
 
 
 class TestAsyncTermination:
@@ -919,27 +939,32 @@ _WORKLOADS = {"fleet-1600": _fleet_1600, "async-dropout-long": _async_dropout_lo
 
 
 # Scenario -> `costs.sample_power_and_util` calls and the keys they draw at
-# seed 0: one call per block of ceil(128 / fitting clients) attempts, for
-# every fitting client; a sync run's last block ends at its last round.
+# seed 0: one call per chunk of whole rounds, or async completions, that
+# holds at least _CHUNK_EVENTS events, for the present fitting clients in
+# it.  A sync run's last chunk ends at its last round; an async run's walks
+# past its last application to the chunk's end.
 POWER_BLOCKS = {
     "kitti-sync": (1, 40),
-    "bdd-dropout-dual": (1, 80),
-    "bdd-async-hetero": (2, 256),
+    # 20 of its 80 client rounds are absent_rounds dropouts
+    "bdd-dropout-dual": (1, 60),
+    # 80 applications in one chunk of 128 completions
+    "bdd-async-hetero": (1, 128),
     "overlap-60": (4, 600),
     "hetero-resolution": (1, 40),
     "lighting-crossdomain": (1, 40),
     "scale-800": (3, 2400),
     "fleet-1600": (3, 4800),
-    "async-dropout-long": (21, 2688),
+    # 968 attempts in 8 chunks of 128, 847 of the 1024 present
+    "async-dropout-long": (8, 847),
     "sgd-cohort": (7, 1200),
 }
 
 
 class TestPowerCalls:
     """Trained batches (`train_cohort` calls) and power draws per run at
-    seed 0.  The draws are made a block at a time, on the first training
-    inside the block, whatever the batches: a draw per trained batch or per
-    training window would raise the call count, and a block drawn twice
+    seed 0.  The draws are made a chunk at a time, as the schedule reaches
+    the chunk, whatever the batches: a draw per trained batch or per
+    training window would raise the call count, and a chunk drawn twice
     would raise both the calls and the keys."""
 
     @pytest.mark.parametrize("name, cohorts", [
@@ -1008,8 +1033,8 @@ class TestPowerDraws:
     @pytest.mark.parametrize("seed", [0, 2**40 + 3])
     def test_async_blocks_equal_numpy_generator(self, seed):
         """Each of async-dropout-long's 800 training windows, whose draws
-        come from blocks of 16 attempts for all 8 clients, read out of
-        attempt order: a mis-indexed block logs another key's draw."""
+        come from chunks of 128 completions: a mis-indexed chunk logs
+        another key's draw."""
         cfg = config_from_dict(_async_dropout_long(seed))
         buf = io.StringIO()
         sink = MetricsWriter(buf)
@@ -1021,63 +1046,144 @@ class TestPowerDraws:
             assert (record.power_w, record.util_pct) == pair
 
 
+def _keyed_values(master_seed, entries, attempt, cid):
+    """numpy's own training seed and (power, utilization) draw for a key."""
+    key = streams.client_key(cid)
+    seed = int(np.random.SeedSequence([master_seed, orchestrator._TRAIN, attempt,
+                                       key]).generate_state(1)[0])
+    rng = np.random.default_rng(np.random.SeedSequence([master_seed, orchestrator._POWER,
+                                                        attempt, key]))
+    entry = entries[cid]
+    return seed, (rng.uniform(*entry.power_w_range), rng.uniform(*entry.util_pct_range))
+
+
+_RULES = st.one_of(
+    st.just(DropoutRule()),
+    st.frozensets(st.integers(1, 12)).map(
+        lambda rounds: DropoutRule(mode="absent_rounds", absent_rounds=rounds)),
+    st.tuples(st.sampled_from([0.0, 0.3, 1.0]), st.sampled_from([0.0, 0.5, 1.0])).map(
+        lambda pq: DropoutRule(mode="stochastic", p=pq[0], q=pq[1])),
+)
+
+
 class TestBlocks:
-    """A keyed stream's values do not depend on how its blocks fall."""
+    """A keyed stream's values do not depend on how its chunks fall."""
 
     @pytest.mark.parametrize("name", [*SCENARIOS, "async-dropout-long"])
     def test_log_independent_of_block_size(self, monkeypatch, name):
         doc = _async_dropout_long() if name == "async-dropout-long" else SCENARIOS[name][0](seed=0)
         logs = []
-        for keys in (1, 7, orchestrator._BLOCK_KEYS):
-            monkeypatch.setattr(orchestrator, "_BLOCK_KEYS", keys)
+        for events in (1, 7, orchestrator._CHUNK_EVENTS):
+            monkeypatch.setattr(orchestrator, "_CHUNK_EVENTS", events)
             logs.append(capture(config_from_dict(doc), run)[1])
         assert logs[0] == logs[1] == logs[2]
 
     @given(
-        n=st.integers(1, 20),
         seed=st.sampled_from([0, 2**32, 2**40 + 3, 2**63 - 1]),
-        block_keys=st.integers(1, 160),
-        last=st.one_of(st.none(), st.integers(1, 70)),
-        reads=st.lists(st.tuples(st.integers(1, 70), st.integers(0, 19), st.booleans()),
-                       min_size=1, max_size=30),
+        clients=st.lists(st.tuples(_RULES, st.booleans(), st.sampled_from([320, 640, 960])),
+                         min_size=1, max_size=20),
+        shape=st.sampled_from(["sync", "async", "resume"]),
+        rounds=st.integers(1, 12),
+        first=st.integers(2, 12),
+        pops=st.lists(st.integers(0, 19), max_size=60),
     )
-    # a block of 32 attempts capped at 10, read on both sides of the cap,
-    # then past it in the capped block's span and in the next block's
-    @example(n=4, seed=2**40 + 3, block_keys=128, last=10,
-             reads=[(9, 0, False), (10, 1, False), (11, 2, False), (32, 3, False),
-                    (33, 0, False), (42, 1, True), (10, 2, False), (43, 3, True)])
+    # 20 fitting stochastic clients resumed at round 5: chunks of one round
+    # (20 events) and of seven (140), so passes on both sides of BATCH_MIN,
+    # with the chains walked through rounds that draw coins only
+    @example(seed=2**63 - 1, shape="resume", rounds=12, first=5, pops=[],
+             clients=[(DropoutRule(mode="stochastic", p=0.3, q=0.5), True, 640)] * 20)
     @settings(max_examples=40, deadline=None)
-    def test_reads_in_any_order_equal_numpy_draws(self, n, seed, block_keys, last, reads):
-        """Seeds, power draws and coins read in any (attempt, client) order,
-        each read after an optional release of the attempts before it, equal
-        numpy's own per-key draws, with passes on both sides of BATCH_MIN,
-        and with blocks capped at a last attempt that reads pass."""
-        ids = [f"C{i}" for i in range(1, n + 1)]
-        doc = small_doc(master_seed=seed, eval={"per_class": 2})
-        doc["task"]["n_classes"] = 2
-        doc["plan"] = {"inline": {"client_ids": ids, "class_names": ["a", "b"],
-                                  "counts": [[2, 2]] * n}}
-        doc["clients"] = [{"client_id": cid, "dropout": {"mode": "stochastic", "p": 0.5,
-                                                         "q": 0.5}} for cid in ids]
-        cfg = config_from_dict(doc)
-        with unittest.mock.patch.object(orchestrator, "_BLOCK_KEYS", block_keys):
-            ctx = orchestrator._Run(cfg, None, "run_sync", ("fedavg",), last)
-        for attempt, i, release in reads:
-            cid = ids[i % n]
-            if release:
-                ctx.release(attempt)
-            key = streams.client_key(cid)
-            assert ctx.seeds.take([attempt], [cid]) == [int(np.random.SeedSequence(
-                [seed, orchestrator._TRAIN, attempt, key]).generate_state(1)[0])]
-            assert ctx.power.take([attempt], [cid]) == [_power_pair(cfg, cid, attempt)]
-            assert ctx.presence.coins.take([attempt], [cid]) == [np.random.default_rng(
-                np.random.SeedSequence([seed, orchestrator._DROPOUT, key, attempt])).random()]
+    def test_events_equal_numpy_draws(self, seed, clients, shape, rounds, first, pops):
+        """Every event of a sync schedule, an async one (one completion a
+        group, its clock carried through) and a sync run resumed at a later
+        round: its presence is numpy's own chain, and its seed and power
+        draw are numpy's own draws from its keys exactly when its client is
+        present, fits and trains at or after the first round; at chunks of
+        1, 7 and 128 events, with passes on both sides of BATCH_MIN."""
+        cal = costs.load_calibration()
+        ids = [f"C{i}" for i in range(1, len(clients) + 1)]
+        rules = {cid: rule for cid, (rule, _, _) in zip(ids, clients)}
+        fit = {cid: costs.lookup(cal.profile("v8"), resolution, 32, allow_extrapolation=True)
+               for cid, (_, fits, resolution) in zip(ids, clients) if fits}
+        if shape == "async":
+            attempts = dict.fromkeys(ids, 0)
+            groups = []
+            for k, i in enumerate(pops):
+                cid = ids[i % len(ids)]
+                attempts[cid] += 1
+                groups.append([(attempts[cid], cid, float(k))])
+        else:
+            groups = _sync_rounds(ids, rounds)
+        first = min(first, rounds) if shape == "resume" else 1
+        for size in (1, 7, 128):
+            with unittest.mock.patch.object(orchestrator, "_CHUNK_EVENTS", size):
+                walked = list(orchestrator._draw_events(rules, seed, fit, groups, first))
+            assert [events for events, *_ in walked] == groups
+            assert all(len(values) == len(events) for events, *lists in walked
+                       for values in lists)
+            for event, present, train_seed, draw in itertools.chain.from_iterable(
+                    zip(*drawn) for drawn in walked):
+                attempt, cid = event[:2]
+                rule = rules[cid]
+                expect = (replay(rule, cid, attempt, seed) if rule.mode == "stochastic"
+                          else attempt not in rule.absent_rounds)
+                assert present == expect
+                trains = present and cid in fit and attempt >= first
+                assert (train_seed, draw) == (_keyed_values(seed, fit, attempt, cid) if trains
+                                              else (None, None))
+
+
+def _recording(fn, record):
+    """`streams.uniforms` or `streams.first_words`, handing `record` each
+    call's stream tag and key parts first."""
+    skip = 2 if fn is streams.uniforms else 1  # uniforms' n and head, or the head
+
+    def recorded(*args):
+        stream, *parts = args[skip:]
+        record(stream, parts)
+        return fn(*args)
+    return recorded
+
+
+class TestKeyedDraws:
+    @pytest.mark.parametrize("name", [*SCENARIOS, *_WORKLOADS])
+    def test_no_key_drawn_twice(self, monkeypatch, name):
+        """No (stream, attempt, client) key of the training seeds, power
+        draws or dropout coins is drawn twice in a run."""
+        keys = []
+
+        def record(stream, parts):
+            if stream in (orchestrator._TRAIN, orchestrator._POWER, orchestrator._DROPOUT):
+                keys.extend((stream, *map(int, key)) for key in zip(*parts))
+
+        for name_ in ("uniforms", "first_words"):
+            monkeypatch.setattr(streams, name_, _recording(getattr(streams, name_), record))
+        doc = _WORKLOADS[name]() if name in _WORKLOADS else SCENARIOS[name][0](seed=0)
+        run(config_from_dict(doc), MetricsWriter(None))
+        assert {stream for stream, *_ in keys} >= {orchestrator._TRAIN, orchestrator._POWER}
+        assert len(set(keys)) == len(keys)
+
+    def test_async_draws_at_most_a_chunk_ahead(self, monkeypatch):
+        """async-dropout-long at seed 0 makes 968 attempts, 800 of them
+        trainings: its schedule draws coins, seeds and power at most one
+        chunk of completions past them."""
+        drawn = collections.Counter()
+
+        def record(stream, parts):
+            drawn[stream] += len(parts[0])
+
+        for name in ("uniforms", "first_words"):
+            monkeypatch.setattr(streams, name, _recording(getattr(streams, name), record))
+        run(config_from_dict(_async_dropout_long()), MetricsWriter(None))
+        chunk = orchestrator._CHUNK_EVENTS
+        assert drawn[orchestrator._TRAIN] == drawn[orchestrator._POWER] == 847 <= 800 + chunk
+        assert drawn[orchestrator._DROPOUT] == 1016 <= 968 + chunk
 
 
 class TestRunLifetime:
     @pytest.mark.parametrize("name", ["kitti-sync-stochastic", "async-dropout-long"])
     def test_finished_run_freed_without_the_collector(self, monkeypatch, name):
-        """A run's `_Run`, with its datasets and drawn blocks, is freed as
+        """A run's `_Run`, with its datasets, is freed as
         the run returns, with the garbage collector off: a reference cycle
         would hold it until a collection, so back-to-back runs would pile
         up in memory."""
