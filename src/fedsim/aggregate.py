@@ -1,9 +1,10 @@
 """Server-side model combination.
 
 Synchronous rounds use the sample-count-weighted mean (FedAvg; FedProx
-shares it, the proximal term being purely client-side).  Asynchronous
-updates are applied on arrival by convex mixing with a polynomial
-staleness weight.
+shares it, the proximal term being purely client-side), summed in one
+weighted reduction per chunk of updates, bit-identical to one running sum
+in client_id order.  Asynchronous updates are applied on arrival by convex
+mixing with a polynomial staleness weight.
 
 Both engines pass plain, unchecked `ClientUpdate`s.  Finiteness is
 guaranteed by the executor, which stops at a diverged client, and by one
@@ -15,11 +16,13 @@ non-finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
+from .task import COHORT_CLIENTS
 
 
 class ClientUpdate(NamedTuple):
@@ -61,29 +64,39 @@ def _finite(result: np.ndarray, updates: list[ClientUpdate]) -> np.ndarray:
 
 
 def fedavg_aggregate(updates) -> np.ndarray:
-    """Sample-weighted mean of client parameters.
+    """Sample-weighted mean of client parameters, each a vector of one length.
 
     Accumulation runs in ascending client_id order with weights n_k / N
     (N in exact integer arithmetic), so the result is independent of input
-    order and of any common scaling of the sample counts.
+    order and of any common scaling of the sample counts.  Up to
+    `COHORT_CLIENTS` updates at a time are stacked below the running sum
+    and scaled by their weights, and one reduction over the rows adds them
+    to it: numpy reduces the leading axis of a C-contiguous block one row
+    after another, so this rounds exactly as one running sum.
     """
-    updates = sorted(updates, key=lambda u: u.client_id)
+    updates = sorted(updates, key=attrgetter("client_id"))
     if not updates:
         raise ProtocolError("cannot aggregate an empty update set")
-    length = updates[0].params.size
-    for u in updates:
-        if u.params.size != length:
-            raise ProtocolError(
-                f"parameter length mismatch: {u.client_id} has {u.params.size}, "
-                f"expected {length}"
-            )
-        if u.n_samples < 1:
-            raise ProtocolError(f"update from {u.client_id} carries no samples")
-    total = sum(int(u.n_samples) for u in updates)
-    out = np.zeros(length, dtype=np.float64)
-    for u in updates:
-        out += (u.n_samples / total) * u.params
-    return _finite(out, updates)
+    shape = (updates[0].params.size,)
+    counts = [u.n_samples for u in updates]
+    if min(counts) < 1 or [u.params.shape for u in updates].count(shape) < len(updates):
+        u = next(u for u in updates if u.params.shape != shape or u.n_samples < 1)
+        if u.params.shape != shape:
+            raise ProtocolError(f"parameters from {u.client_id} have shape {u.params.shape}, "
+                                f"expected {shape}")
+        raise ProtocolError(f"update from {u.client_id} carries no samples")
+    total = sum(map(int, counts))
+    weights = np.array([n / total for n in counts])
+    # Row 0 holds the running sum, zeros at first.  Two columns at least:
+    # over a single column, numpy would sum the rows pairwise.
+    block = np.zeros((min(len(updates), COHORT_CLIENTS) + 1, max(shape[0], 2)))
+    for lo in range(0, len(updates), COHORT_CLIENTS):
+        piece = updates[lo : lo + COHORT_CLIENTS]
+        rows = block[1 : len(piece) + 1, : shape[0]]
+        np.concatenate([u.params for u in piece], out=rows.reshape(-1))
+        rows *= weights[lo : lo + len(piece), None]
+        block[0] = np.add.reduce(block[: len(piece) + 1], axis=0)
+    return _finite(block[0, : shape[0]].copy(), updates)
 
 
 def staleness_weight(cfg: AsyncConfig, staleness: int) -> float:

@@ -93,19 +93,14 @@ def _draw_events(rules: dict[str, DropoutRule], seed: int, fit: dict[str, costs.
     `streams.uniforms` pass for their coins, one `first_words` pass for
     their seeds and one `costs.sample_power_and_util` pass for their power.
     Each value comes from its own key, so the chunk size changes none.
+    While a group is out, only its chunk's groups and the three lists are
+    held; a chunk of one group gets its lists whole, not sliced.
     """
     state = {cid: True for cid, rule in rules.items() if rule.mode == "stochastic"}
     keys = {cid: streams.client_key(cid) for cid in rules}
-    groups = iter(groups)
-    while True:
-        chunk, events = [], []
-        for group in groups:
-            chunk.append(group)
-            events += group
-            if len(events) >= _CHUNK_EVENTS:
-                break
-        if not chunk:
-            return
+
+    def draw(events: list[tuple]) -> tuple[list, list, list]:
+        """The three lists for one chunk's events; its temporaries go when it returns."""
         tossed = [(keys[e[1]], e[0] - 1) for e in events if e[0] > 1 and e[1] in state]
         coins = iter(streams.uniforms(1, seed, _DROPOUT, *zip(*tossed))[:, 0].tolist()
                      if tossed else ())
@@ -128,6 +123,22 @@ def _draw_events(rules: dict[str, DropoutRule], seed: int, fit: dict[str, costs.
             powers = costs.sample_power_and_util([fit[c] for c in cids], seed, _POWER, *cols)
             for i, s, d in zip(trains, streams.first_words(seed, _TRAIN, *cols), powers):
                 seeds[i], draws[i] = s, d
+        return present, seeds, draws
+
+    groups = iter(groups)
+    while True:
+        chunk, size = [], 0
+        for group in groups:
+            chunk.append(group)
+            size += len(group)
+            if size >= _CHUNK_EVENTS:
+                break
+        if not chunk:
+            return
+        if len(chunk) == 1:
+            yield chunk[0], *draw(chunk[0])
+            continue
+        present, seeds, draws = draw([e for group in chunk for e in group])
         end = 0
         for group in chunk:
             start, end = end, end + len(group)

@@ -17,7 +17,9 @@ per client, in chunks bounded in samples and in clients.  Clients of
 different sizes share a ragged stack, largest first and padded to the
 largest: each batch step runs over the clients that still hold a batch of
 its length.  The kernel then computes each client's final full-dataset
-loss, one stacked pass per distinct size; `local_train` is a cohort of one.
+loss: the cross-entropy in one stacked pass per distinct size, and every
+client's proximal term in one stacked product per chunk.  `local_train` is
+a cohort of one.
 `loss_and_gradient` (one batch, or a whole dataset for the final loss) is
 the reference the kernel reproduces bit for bit.
 """
@@ -310,6 +312,7 @@ def loss_and_gradient(
 # one-hot copies to about 1.6 MiB at 16 features and 8 classes, and the
 # stacked samples (`STACKED_GATHER_SAMPLES`) to about 1 MiB more.  The cap
 # keeps 1600 clients of 16 samples at 256 a chunk; 512 held 2 MiB more.
+# `aggregate.fedavg_aggregate` sums updates in pieces of COHORT_CLIENTS too.
 COHORT_SAMPLES = 8192
 COHORT_CLIENTS = 256
 # Clients of one size holding fewer samples than this each are gathered in
@@ -426,7 +429,9 @@ def _sgd_chunk(
     """SGD for K clients ordered largest first, given each client's
     shuffles, indexed by epoch (drawn permutations or their keys), and the
     anchor, one (P,) row shared by all or a (K, P) block; returns their
-    params, (K, P), and final full-dataset losses.
+    params, (K, P), and final full-dataset losses.  Each loss's proximal
+    term is one dot product per client, as in `loss_and_gradient`; the
+    chunk's dots are dispatched together in one stacked product.
 
     The feature, label and one-hot buffers are padded to the largest n.
     Each epoch fills the feature and label buffers with one `take` per
@@ -535,26 +540,29 @@ def _sgd_chunk(
             g *= lr
             p -= g
 
-    # Final loss, once per distinct size: the loss half of
-    # `loss_and_gradient` over each client's whole dataset in its original
-    # order, copied back from its gather's samples, the same operations
-    # over the client axis.  The proximal term stays one dot product per
-    # client: a reduction over the stacked differences would round
-    # differently.
-    losses: list[float] = []
+    # Final loss: the loss half of `loss_and_gradient` over each client's
+    # whole dataset in its original order, copied back from its gather's
+    # samples, the same operations over the client axis.  The cross-entropy
+    # runs once per distinct size.  The proximal term is still one dot
+    # product per client, all dispatched in one stacked (1, P) @ (P, 1)
+    # product per chunk: each entry runs numpy's vector dot, the call that
+    # `d @ d` makes, where a reduction over the stacked differences would
+    # round differently.
+    ce = np.empty(n_clients)
     for n, lo, hi, features, labels, _ in gathers:
         x_all[lo:hi, :n] = features
         y_all[lo:hi, :n] = labels
     for n, lo, hi in groups:
-        xs, hots, p, W_t, b_row, *_, a = views(lo, hi)
+        xs, hots, _, W_t, b_row, *_ = views(lo, hi)
         probs = np.matmul(xs[:, :n], W_t, out=hots[:, :n])
         probs += b_row
         probs -= _class_max(probs)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=2, keepdims=True)
-        ce = -np.mean(np.log(probs[clients[: hi - lo], rows[:n], y_all[lo:hi, :n]]), axis=1)
-        losses += [float(c + 0.5 * mu * float(d @ d)) for c, d in zip(ce, p - a)]
-    return params, losses
+        ce[lo:hi] = -np.mean(np.log(probs[clients[: hi - lo], rows[:n], y_all[lo:hi, :n]]),
+                             axis=1)
+    d = params - anchor
+    return params, (ce + 0.5 * mu * np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]).tolist()
 
 
 def predict(w: np.ndarray, features: np.ndarray, n_classes: int) -> np.ndarray:

@@ -23,6 +23,17 @@ def dataset_loss(w: np.ndarray, data: LocalDataset, w_anchor=None, mu: float = 0
     return loss
 
 
+def fedavg_loop(updates) -> np.ndarray:
+    """FedAvg as one running sum: in ascending client_id order, each update
+    scaled by n_k / N (N an exact integer sum) and added in turn."""
+    updates = sorted(updates, key=attrgetter("client_id"))
+    total = sum(int(u.n_samples) for u in updates)
+    out = np.zeros(updates[0].params.size, dtype=np.float64)
+    for u in updates:
+        out += (u.n_samples / total) * u.params
+    return out
+
+
 def reference_line(run_id: str, round_idx: int, event: str, **fields) -> str:
     """A record's log line as `json.dumps` writes it: every record key in
     field order, each absent one at its default."""

@@ -1,8 +1,10 @@
 """Aggregation rules: weighted averaging and staleness-weighted mixing."""
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsim.aggregate import (
@@ -13,6 +15,8 @@ from fedsim.aggregate import (
     staleness_weight,
 )
 from fedsim.errors import ConfigError, ProtocolError
+from fedsim.task import COHORT_CLIENTS
+from reference import fedavg_loop
 
 
 def brute_force_mean(updates):
@@ -81,6 +85,17 @@ class TestFedAvg:
         with pytest.raises(ProtocolError):
             fedavg_aggregate([a, b])
 
+    @pytest.mark.parametrize("shape", [(3, 1), (1, 3), ()])
+    @pytest.mark.parametrize("bad_id", ["C0", "C2", "C9"])
+    def test_misshaped_update_rejected(self, shape, bad_id):
+        """An update that is not a vector is refused by name, wherever it
+        sorts, also when its size equals the others' length."""
+        updates = [ClientUpdate(f"C{i}", np.zeros(3), 1) for i in (1, 3, 5)]
+        updates.insert(1, ClientUpdate(bad_id, np.zeros(shape), 1))
+        message = f"parameters from {bad_id} have shape {shape}, expected"
+        with pytest.raises(ProtocolError, match=re.escape(message)):
+            fedavg_aggregate(updates)
+
     @given(
         counts=st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=10),
         seed=st.integers(min_value=0, max_value=2**31),
@@ -96,6 +111,37 @@ class TestFedAvg:
         stacked = np.stack([u.params for u in updates])
         assert np.all(mean >= stacked.min(axis=0) - 1e-12)
         assert np.all(mean <= stacked.max(axis=0) + 1e-12)
+
+
+class TestWeightedReduction:
+    """The mean is summed a piece of `COHORT_CLIENTS` updates at a time;
+    each piece's reduction must round exactly as the running sum."""
+
+    @given(
+        k=st.integers(1, 600),
+        p=st.sampled_from([1, 9, 136]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=2 * COHORT_CLIENTS + 88, p=1, seed=0)
+    @example(k=2 * COHORT_CLIENTS + 88, p=136, seed=1)
+    @example(k=COHORT_CLIENTS + 1, p=9, seed=2)
+    @settings(max_examples=100, deadline=None)
+    def test_equals_one_running_sum_bit_for_bit(self, k, p, seed):
+        # magnitudes 1e-8 to 1e8 of either sign, scattered zeros of both
+        # signs, and whole columns of -0.0, which the running sum from +0.0
+        # turns into +0.0; the ids come in shuffled order
+        rng = np.random.default_rng(seed)
+        params = rng.choice([-1.0, 1.0], (k, p)) * 10.0 ** rng.uniform(-8, 8, (k, p))
+        params[rng.random((k, p)) < 0.1] = 0.0
+        params[rng.random((k, p)) < 0.1] = -0.0
+        params[:, rng.random(p) < 0.2] = -0.0
+        counts = rng.integers(1, 1001, k)
+        updates = [ClientUpdate(f"C{i:03d}", params[j], int(counts[j]))
+                   for j, i in enumerate(rng.permutation(k))]
+        got, want = fedavg_aggregate(updates), fedavg_loop(updates)
+        assert got.dtype == want.dtype and got.shape == want.shape == (p,)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestClientUpdate:
@@ -117,16 +163,6 @@ class TestClientUpdate:
         for u in (nan, inf):
             with pytest.raises(ProtocolError, match=f"non-finite parameters from {u.client_id}$"):
                 fedasync_update(np.zeros(2), u, 0, AsyncConfig())
-
-
-def reference_fedavg(updates):
-    """`fedavg_aggregate`'s loop as it was with checked constructors."""
-    updates = sorted(updates, key=lambda u: u.client_id)
-    total = sum(int(u.n_samples) for u in updates)
-    out = np.zeros(updates[0].params.size, dtype=np.float64)
-    for u in updates:
-        out += (u.n_samples / total) * u.params
-    return out
 
 
 def reference_fedasync(global_params, params, staleness, cfg):
@@ -170,7 +206,7 @@ class TestResultCheck:
     def test_fedavg(self, drawn):
         updates, bad = drawn
         if not bad:
-            assert np.array_equal(fedavg_aggregate(updates), reference_fedavg(updates))
+            assert np.array_equal(fedavg_aggregate(updates), fedavg_loop(updates))
             return
         with pytest.raises(ProtocolError) as exc_info:
             fedavg_aggregate(updates)

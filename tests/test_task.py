@@ -607,6 +607,12 @@ class TestCohortFinalLoss:
              budget=1024, per_client=True, seed=7)
     @example(shape=(5, 11), sizes=[3, 10, 1, 7, 9, 5, 12, 10, 3], batch=5, mu=0.3, lr=1.0,
              budget=1024, per_client=True, seed=8)
+    # 300 equal clients: chunks of COHORT_CLIENTS = 256 and 44, each with
+    # its proximal terms in one stacked product
+    @example(shape=(3, 2), sizes=[2] * 300, batch=32, mu=0.3, lr=1.0, budget=1024,
+             per_client=True, seed=9)
+    @example(shape=(3, 2), sizes=[2] * 300, batch=32, mu=0.3, lr=1.0, budget=1024,
+             per_client=False, seed=10)
     @settings(max_examples=60, deadline=None)
     def test_equals_full_dataset_loss_and_gradient(
         self, shape, sizes, batch, mu, lr, budget, per_client, seed
