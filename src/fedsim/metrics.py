@@ -56,6 +56,10 @@ SCHEMA: dict[str, dict[str, type]] = {
 }
 
 
+# How far a record's energy_j may stray from power x duration, relative to it.
+ENERGY_RTOL = 1e-6
+
+
 def _check(event: str, t_start_s=None, t_end_s=None, power_w=None, energy_j=None) -> None:
     """The checks every record passes, on whichever path it is written."""
     if event not in SCHEMA:
@@ -65,7 +69,7 @@ def _check(event: str, t_start_s=None, t_end_s=None, power_w=None, energy_j=None
             raise ValueError("t_end_s must be >= t_start_s")
         if power_w is not None and energy_j is not None:
             expect = power_w * (t_end_s - t_start_s)
-            tol = 1e-6 * max(abs(expect), 1e-12)
+            tol = ENERGY_RTOL * max(abs(expect), 1e-12)
             if abs(energy_j - expect) > tol:
                 raise ValueError(
                     f"energy_j {energy_j} inconsistent with power x duration {expect}"

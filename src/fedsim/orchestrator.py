@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from itertools import islice
@@ -42,7 +43,7 @@ from . import costs, streams
 from .aggregate import ClientUpdate, fedasync_update, fedavg_aggregate
 from .config import DropoutRule, ExperimentConfig
 from .errors import ConfigError, SimulationError, array, integer, string
-from .metrics import MetricsRecord, MetricsWriter
+from .metrics import ENERGY_RTOL, MetricsRecord, MetricsWriter
 from .task import (
     LocalDataset,
     evaluate,
@@ -467,9 +468,10 @@ def run_sync(
     fail with an OOM event, the rest train from the current global model
     in one batch, their updates are averaged, and the held-out accuracy is
     logged.  Zero-participant rounds carry the model forward as a stalled
-    round.  A `stop_after_round` below 1 is a `ConfigError`, and a run in
+    round.  A `stop_after_round` below 1 is a `ConfigError`; a run in
     which no client that fits its memory is present in any of the config's
-    rounds a `SimulationError`, both raised before any record.
+    rounds, or whose clock cannot resolve its windows, a `SimulationError`;
+    all are raised before any record.
     """
     if stop_after_round is not None and stop_after_round < 1:
         raise ConfigError(f"stop_after_round must be at least 1, got {stop_after_round}")
@@ -480,6 +482,16 @@ def run_sync(
            for cid in ctx.durations):
         raise SimulationError(
             "no client that fits its device memory is present in any round; nothing can run"
+        )
+    # A record's duration is a difference of clock readings, off by up to the
+    # clock's spacing: at the horizon it must be within the writer's
+    # tolerance of the shortest window and of a positive aggregation.
+    shortest = min(*ctx.durations.values(), cfg.aggregate_time_s or math.inf)
+    horizon = cfg.rounds * (max(ctx.durations.values()) + cfg.aggregate_time_s)
+    if not (math.isfinite(horizon) and math.ulp(horizon) <= ENERGY_RTOL * shortest):
+        raise SimulationError(
+            f"the clock cannot resolve a {shortest:g} s window by its horizon of "
+            f"{horizon:g} s ({cfg.rounds} rounds); nothing can run"
         )
     last = cfg.rounds if stop_after_round is None else min(stop_after_round, cfg.rounds)
     if _checkpoint is None:

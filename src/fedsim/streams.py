@@ -2,17 +2,18 @@
 once, bit-identical to numpy's.
 
 Every draw of a run is numpy's `default_rng(SeedSequence(key))`, or equal
-to it bit for bit.  `derive` mixes K keys' entropy and generates their state
-in one pass over a (K, L) uint32 matrix, each key wrapped in an
-`ISeedSequence` that `default_rng` and `PCG64` take as they take numpy's.
-`first_words` reads each key's first state word from the same pass, and
-`uniforms` runs PCG64 itself over the pass's uint64 state words, so a batch
-of K keys draws its doubles with no Generator at all.  A pass costs about
-0.2 ms and numpy about 12 µs a key, so below `BATCH_MIN` keys all three are
-numpy's own.  `permutations` replays numpy's shuffle over the same PCG64
-outputs, every lane at once; that costs about 30 µs an index however few
-the lanes, so only a batch wide enough for its n (`shuffles_in_batch`)
-shuffles itself, and every other key is shuffled by numpy's own Generator.
+to it bit for bit.  K keys are held as one block (`_keys`): their entropy,
+their eight uint32 state words and the four uint64 words PCG64 reads.  From
+`BATCH_MIN` keys one pass over a (K, L) uint32 matrix mixes the entropy and
+generates the state (`state_words`); a pass costs about 0.2 ms and numpy
+about 12 µs a key, so a smaller batch, or one whose heads differ in word
+count, fills each row from numpy's own SeedSequence.  `derive` wraps each
+row in an `ISeedSequence` that `default_rng` and `PCG64` take as they take
+numpy's, `first_words` reads the block's first state word column, and
+`uniforms` runs PCG64 itself over its uint64 words, with no Generator at
+all.  `permutations` replays numpy's shuffle over the same PCG64 outputs,
+every lane at once; it is exact at any lane count, and `shuffles_in_batch`
+says when it is also faster.
 """
 
 import zlib
@@ -86,13 +87,15 @@ def _entropy(head, parts) -> np.ndarray:
     return np.array(words + [int(p) & _PART_MASK for p in parts], dtype=np.uint32)
 
 
-def _keys(head, parts) -> tuple | list:
-    """The K keys (head, *parts) as one state block (entropy, uint32 state
-    words, the uint64 words PCG64 reads), or as numpy's own SeedSequences
-    below `BATCH_MIN` keys or when the heads differ in word count."""
+def _keys(head, parts) -> tuple:
+    """The K keys (head, *parts) as one state block: (entropy, uint32 state
+    words, the uint64 words PCG64 reads).  From `BATCH_MIN` keys whose heads
+    share a word count one `state_words` pass fills it; otherwise each key's
+    row is numpy's own `SeedSequence(entropy).generate_state(8)`."""
     columns = (head, *parts)
     scalar = [isinstance(c, (int, np.integer)) for c in columns]
     k = max((len(c) for c, s in zip(columns, scalar) if not s), default=1)
+    words = None
     if k >= BATCH_MIN:
         cols = [
             np.full(k, int(c) & m, dtype=np.uint64) if s
@@ -105,10 +108,13 @@ def _keys(head, parts) -> tuple | list:
             head_words = [cols[0] & _PART_MASK, cols[0] >> np.uint64(32)] if wide[0] else cols[:1]
             entropy = np.stack(head_words + cols[1:], axis=1).astype(np.uint32)
             words = state_words(entropy)
-            # numpy's uint64 layout: little-endian word pairs, native values.
-            return entropy, words, words.astype("<u4", order="C").view("<u8").astype(np.uint64)
-    rows = zip(*(repeat(c, k) if s else c for c, s in zip(columns, scalar)))
-    return [np.random.SeedSequence(_entropy(h, ps)) for h, *ps in rows]
+    if words is None:
+        rows = zip(*(repeat(c, k) if s else c for c, s in zip(columns, scalar)))
+        entropy = [_entropy(h, ps) for h, *ps in rows]
+        words = np.array([np.random.SeedSequence(e).generate_state(8) for e in entropy],
+                         dtype=np.uint32).reshape(k, 8)
+    # numpy's uint64 layout: little-endian word pairs, native values.
+    return entropy, words, words.astype("<u4", order="C").view("<u8").astype(np.uint64)
 
 
 def derive(head, *parts) -> list:
@@ -116,21 +122,16 @@ def derive(head, *parts) -> list:
     shared by every key or a length-K sequence, such as an integer array,
     which a batch masks in one pass (K is 1 with none).  Key k is
     `SeedSequence([h, *p])`, h the head masked to 63 bits (two entropy words
-    from 2**32 on), each part masked to 32 bits; numpy's own objects below
-    `BATCH_MIN` keys or when the heads differ in word count."""
+    from 2**32 on), each part masked to 32 bits: a `_Derived` row of the
+    keys' block (`_keys`)."""
     keys = _keys(head, parts)
-    if isinstance(keys, list):
-        return keys
-    return [_Derived(keys, i) for i in range(len(keys[0]))]
+    return [_Derived(keys, i) for i in range(len(keys[1]))]
 
 
 def first_words(head, *parts) -> list[int]:
     """`int(key.generate_state(1)[0])` for each key `derive(head, *parts)`
-    makes: a batch's first state word column."""
-    keys = _keys(head, parts)
-    if isinstance(keys, list):
-        return [int(key.generate_state(1)[0]) for key in keys]
-    return keys[1][:, 0].tolist()
+    makes: the first column of the keys' state words."""
+    return _keys(head, parts)[1][:, 0].tolist()
 
 
 # PCG64's 128-bit multiplier (numpy/random/src/pcg64/pcg64.h), its low word
@@ -173,13 +174,9 @@ def _outputs(w: np.ndarray, n: int) -> np.ndarray:
 
 def uniforms(n: int, head, *parts) -> np.ndarray:
     """`default_rng(key).random(n)` for each key `derive(head, *parts)`
-    makes, as a (K, n) array.  A batch runs PCG64 over all its keys at once
-    (`_outputs`), each double an output's top 53 bits; numpy's own draws
-    below `BATCH_MIN`."""
-    keys = _keys(head, parts)
-    if isinstance(keys, list):
-        return np.array([np.random.default_rng(key).random(n) for key in keys]).reshape(-1, n)
-    return (_outputs(keys[2], n) >> np.uint64(11)) * 2.0**-53
+    makes, as a (K, n) array: PCG64 run over all the keys at once
+    (`_outputs`), each double an output's top 53 bits, with no Generator."""
+    return (_outputs(_keys(head, parts)[2], n) >> np.uint64(11)) * 2.0**-53
 
 
 # Outputs a lane draws past n for its shuffle.  numpy's n - 1 interval draws
@@ -207,18 +204,15 @@ def permutations(n: int, head, *parts) -> np.ndarray:
     j = `random_interval(i)` for i = n - 1 down to 1, where j is the first
     `next_uint32` draw whose bits under the smallest mask 2**b - 1 >= i are
     at most i; PCG64 hands out each 64-bit output's low half, then its high
-    half.  A batch wide enough for its n (`shuffles_in_batch`) replays
-    that over all its lanes at once, from a block of n + `_SPARE_OUTPUTS`
-    outputs per lane (`_outputs`); a lane that rejects past its block is
-    shuffled by numpy's own Generator.  Other keys are numpy's own
-    `default_rng(key).permutation(n)`.
+    half.  This replays that over all K lanes at once, from a block of
+    n + `_SPARE_OUTPUTS` outputs per lane (`_outputs`); a lane that rejects
+    past its block is shuffled by numpy's own Generator.  The replay is
+    exact at any K, but it pays about 30 µs an index however few the lanes,
+    so it beats numpy's Generators only for a batch that
+    `shuffles_in_batch` admits; the caller decides.
     """
     keys = _keys(head, parts)
-    lanes = len(keys) if isinstance(keys, list) else len(keys[0])
-    if isinstance(keys, list) or not shuffles_in_batch(lanes, n):
-        own = keys if isinstance(keys, list) else [_Derived(keys, i) for i in range(lanes)]
-        return np.array([np.random.default_rng(key).permutation(n) for key in own],
-                        dtype=np.int64).reshape(lanes, n)
+    lanes = len(keys[1])
     drawn = 2 * (n + _SPARE_OUTPUTS)
     # Each lane's words, then n zero words that every draw accepts, so a
     # lane past its block reads no other lane's words.

@@ -7,7 +7,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from fedsim import orchestrator, streams
+from fedsim import costs, orchestrator, streams
 from fedsim.aggregate import ClientUpdate, fedasync_update
 from fedsim.errors import SimulationError
 from fedsim.metrics import _REQUIRED, _SIGNATURES, MetricsRecord, MetricsWriter, _check, _misfit
@@ -21,6 +21,21 @@ def dataset_loss(w: np.ndarray, data: LocalDataset, w_anchor=None, mu: float = 0
         w_anchor = w
     loss, _ = loss_and_gradient(w, data, np.arange(len(data)), w_anchor, mu)
     return loss
+
+
+def reference_sgd(w0, data, seed, cfg):
+    """The documented one-client procedure, one `loss_and_gradient` per batch."""
+    w = np.asarray(w0, dtype=np.float64).copy()
+    anchor = w.copy()
+    for epoch in range(cfg.local_epochs):
+        perm = np.random.default_rng(
+            np.random.SeedSequence([seed & 0x7FFFFFFFFFFFFFFF, epoch])
+        ).permutation(len(data))
+        for start in range(0, len(data), cfg.batch_size):
+            batch = perm[start : start + cfg.batch_size]
+            _, grad = loss_and_gradient(w, data, batch, anchor, cfg.prox_mu)
+            w -= cfg.learning_rate * grad
+    return w, len(data), dataset_loss(w, data, anchor, cfg.prox_mu)
 
 
 def fedavg_loop(updates) -> np.ndarray:
@@ -136,6 +151,30 @@ def _coin(seed: int, cid: str, k: int) -> float:
     return float(np.random.default_rng(np.random.SeedSequence(key)).random())
 
 
+def _present(rule, cid: str, attempt: int, was: bool, seed: int) -> bool:
+    """Whether `cid` is present at `attempt`, given its presence at the
+    attempt before."""
+    if rule.mode == "absent_rounds":
+        return attempt not in rule.absent_rounds
+    if rule.mode == "stochastic" and attempt > 1:
+        u = _coin(seed, cid, attempt - 1)
+        return u >= rule.p if was else u < rule.q
+    return was
+
+
+def _training_seed(seed: int, attempt: int, cid: str) -> int:
+    """The training seed of `cid`'s `attempt`: numpy's first state word."""
+    key = [seed, orchestrator._TRAIN, attempt, streams.client_key(cid)]
+    return int(np.random.SeedSequence(key).generate_state(1)[0])
+
+
+def _power_pair(seed: int, attempt: int, cid: str, entry) -> tuple[float, float]:
+    """`cid`'s (power, utilization) at `attempt`: two uniforms from numpy's Generator."""
+    rng = np.random.default_rng(np.random.SeedSequence(
+        [seed, orchestrator._POWER, attempt, streams.client_key(cid)]))
+    return float(rng.uniform(*entry.power_w_range)), float(rng.uniform(*entry.util_pct_range))
+
+
 def async_one_at_a_time(cfg, sink) -> None:
     """`run_async` as one loop that trains each application with
     `local_train` as it pops off the event heap, and keeps each client's
@@ -165,11 +204,7 @@ def async_one_at_a_time(cfg, sink) -> None:
         heapq.heappush(heap, (clock + duration, cid))
         attempt = attempts[cid] = attempts[cid] + 1
         rule = rules[cid]
-        if rule.mode == "absent_rounds":
-            present[cid] = attempt not in rule.absent_rounds
-        elif rule.mode == "stochastic" and attempt > 1:
-            u = _coin(cfg.master_seed, cid, attempt - 1)
-            present[cid] = u >= rule.p if present[cid] else u < rule.q
+        present[cid] = _present(rule, cid, attempt, present[cid], cfg.master_seed)
         if not present[cid]:
             write("dropout", attempt, cid, clock, clock)
             if not any(present[c] or rules[c].mode != "stochastic" or rules[c].q > 0.0
@@ -180,16 +215,11 @@ def async_one_at_a_time(cfg, sink) -> None:
                 )
             continue
         base, model = fetched[cid]
-        seed = int(np.random.SeedSequence([cfg.master_seed, orchestrator._TRAIN, attempt,
-                                           streams.client_key(cid)]).generate_state(1)[0])
-        w_new, n, loss = local_train(model, ctx.datasets[cid], seed, cfg.train)
+        w_new, n, loss = local_train(model, ctx.datasets[cid],
+                                     _training_seed(cfg.master_seed, attempt, cid), cfg.train)
         if w_new is None:
             raise SimulationError("non-finite parameters after local training")
-        rng = np.random.default_rng(np.random.SeedSequence(
-            [cfg.master_seed, orchestrator._POWER, attempt, streams.client_key(cid)]))
-        entry = ctx.entries[cid]
-        power = float(rng.uniform(*entry.power_w_range))
-        util = float(rng.uniform(*entry.util_pct_range))
+        power, util = _power_pair(cfg.master_seed, attempt, cid, ctx.entries[cid])
         write(*ctx.train_row(attempt, cid, clock - duration, clock, n, loss, power, util))
         staleness = version - base
         w = fedasync_update(w, ClientUpdate(cid, w_new, n), staleness, cfg.async_cfg)
@@ -199,3 +229,55 @@ def async_one_at_a_time(cfg, sink) -> None:
             evals += 1
             ctx.evaluate(evals, w, clock)
         fetched[cid] = (version, w)
+
+
+def sync_one_at_a_time(cfg, sink) -> None:
+    """`run_sync` as one loop over rounds and, in each, over the clients in
+    id order: presence kept per client from its own coins, every draw from
+    numpy's own SeedSequence one key at a time, each participant trained
+    alone by `reference_sgd` and the updates averaged by `fedavg_loop`.
+    The reference whose records and errors the scheduled, batched executor
+    reproduces; it leaves out `run_sync`'s refusals before the first
+    record."""
+    ctx = orchestrator._Run(cfg, sink, "run_sync", ("fedavg", "fedprox"))
+    seed, ids = cfg.master_seed, sorted(ctx.entries)
+
+    def write(*row):
+        ctx.sink.write_rows(ctx.run_id, [row])
+
+    w = zero_params(cfg.task.n_features, cfg.task.n_classes)
+    clock = 0.0
+    present = dict.fromkeys(ids, True)
+    for rnd in range(1, cfg.rounds + 1):
+        for cid in ids:
+            present[cid] = _present(ctx.rules[cid], cid, rnd, present[cid], seed)
+        for cid in ids:
+            if not present[cid]:
+                write("dropout", rnd, cid, None, None)
+        end, updates = clock, []
+        for cid in ids:
+            if not present[cid]:
+                continue
+            if cid not in ctx.durations:
+                write("oom", rnd, *ctx.oom(cid))
+                continue
+            w_new, n, loss = reference_sgd(w, ctx.datasets[cid], _training_seed(seed, rnd, cid),
+                                           cfg.train)
+            if not np.isfinite(w_new).all():
+                raise SimulationError("non-finite parameters after local training")
+            power, util = _power_pair(seed, rnd, cid, ctx.entries[cid])
+            stop = clock + ctx.durations[cid]
+            write(*ctx.train_row(rnd, cid, clock, stop, n, loss, power, util))
+            updates.append(ClientUpdate(cid, w_new, n))
+            end = max(end, stop)
+        clock, idle = end, cfg.aggregate_time_s
+        if updates:
+            w = fedavg_loop(updates)
+            idle_power, idle_util = costs.sample_idle_power_and_util(
+                np.random.SeedSequence([seed, orchestrator._POWER, rnd, 0]), ctx.cal)
+            write("aggregate", rnd, None, clock, clock + idle, idle_power, idle_util,
+                  idle_power * idle, sum(u.n_samples for u in updates), None, True)
+        else:
+            write("stalled", rnd, clock, clock + idle)
+        clock += idle
+        ctx.evaluate(rnd, w, clock)

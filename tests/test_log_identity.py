@@ -134,7 +134,7 @@ DIGESTS = {
 
 
 # (scenario, master seed) -> digest.  scale-800 derives its keys in large
-# batches, kitti-sync (4 clients) one numpy SeedSequence at a time.
+# batches, kitti-sync (4 clients) each key's state from numpy's SeedSequence.
 WIDE_MASTER_DIGESTS = {
     ("scale-800", 2**40 + 3): "d9c6f2fcf14158f1a4b39d7014c4526fc060ca431733c13e957cb2d701ab643a",
     ("kitti-sync", 2**32): "9d21b58693e2df314fc9f2a367dc6ec5022d8c10290b04fe857087699afff7ca",
@@ -217,6 +217,28 @@ def test_benchmark_pins(tmp_path, name):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == workload.pinned.log_sha256, _mismatch()
     assert result.final_accuracy == workload.pinned.final_accuracy
     assert result.clock == workload.pinned.clock
+
+
+# numpy SeedSequences each seed-0 run builds: its dataset and evaluation
+# keys, and the rows of key batches below `streams.BATCH_MIN` or of mixed
+# head widths.  A batch that fell back to numpy's objects key by key would
+# raise a count.
+SEED_SEQUENCES = {
+    "kitti-sync": 135, "bdd-dropout-dual": 19, "bdd-async-hetero": 249, "overlap-60": 11,
+    "hetero-resolution": 135, "lighting-crossdomain": 135, "scale-800": 4,
+    "fleet-1600": 4, "async-dropout-long": 809, "sgd-cohort": 21,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_SEQUENCES))
+def test_seed_sequences_built(monkeypatch, name):
+    doc = WORKLOADS[name].build(0) if name in WORKLOADS else CONFIGS[name](seed=0)
+    cfg, built = config_from_dict(doc), []
+    seed_sequence = np.random.SeedSequence
+    monkeypatch.setattr(np.random, "SeedSequence",
+                        lambda *args: built.append(args) or seed_sequence(*args))
+    run(cfg, MetricsWriter(io.StringIO()))
+    assert len(built) == SEED_SEQUENCES[name]
 
 
 # Logs whose reports are pinned: a sync and an async scenario and the

@@ -34,10 +34,17 @@ from fedsim.orchestrator import (
     run_sync,
     write_checkpoint,
 )
-from fedsim.scenarios import SCENARIOS, bdd_async_hetero, kitti_sync
+from fedsim.scenarios import (
+    SCENARIOS,
+    bdd_async_hetero,
+    bdd_dropout_dual,
+    hetero_resolution,
+    kitti_sync,
+    overlap_60,
+)
 from fedsim.task import LocalDataset
 
-from reference import async_one_at_a_time, from_line, read_back
+from reference import async_one_at_a_time, from_line, read_back, sync_one_at_a_time
 
 
 def small_doc(**overrides):
@@ -373,6 +380,34 @@ class TestRunSetUp:
         with pytest.raises(SimulationError, match="present in any round"):
             run(config_from_dict(doc), MetricsWriter(buf))
         assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize("mutate", [
+        # round 1's aggregate would log "energy_j": Infinity, and round 2's
+        # first window a duration of 0.0 s
+        lambda doc: doc.update(aggregate_time_s=1e308),
+        # C1's window of 4.66e302 s would leave round 1's 1 s aggregate a
+        # duration of 0.0 s
+        lambda doc: doc["clients"][0].update(device={"speed_factor": 1e-300}),
+        # past 2**39 s the clock's spacing exceeds 1e-6 of the 115 s windows
+        lambda doc: doc.update(aggregate_time_s=1e12),
+    ], ids=["aggregate-1e308", "speed-1e-300", "aggregate-1e12"])
+    def test_unresolvable_clock_fails_before_any_record(self, mutate):
+        doc = kitti_sync()
+        mutate(doc)
+        buf = io.StringIO()
+        with pytest.raises(SimulationError, match="clock cannot resolve"):
+            run(config_from_dict(doc), MetricsWriter(buf))
+        assert buf.getvalue() == ""
+
+    def test_long_resolvable_clock_runs(self):
+        """At 1e10 s an aggregation, the horizon stays below 2**37 s: every
+        record's duration holds to the writer's tolerance."""
+        doc = kitti_sync()
+        doc["aggregate_time_s"] = 1e10
+        buf = io.StringIO()
+        result = run(config_from_dict(doc), MetricsWriter(buf))
+        assert result.clock > 10 * 1e10
+        assert read_back(buf)[-1].event == "eval"
 
     def test_clients_that_leave_for_good_after_round_1_run(self):
         """A stochastic client is present at round 1, even one that drops
@@ -747,6 +782,19 @@ def _stochastic_dropout(doc, monkeypatch):
         client["dropout"] = {"mode": "stochastic", "p": 0.3, "q": 0.4}
 
 
+def _outcome(runner, cfg) -> tuple[str, str | None]:
+    """The log `runner` writes of `cfg`, and the message of the
+    `SimulationError` it raises, if any."""
+    buf = io.StringIO()
+    with np.errstate(all="ignore"):
+        try:
+            runner(cfg, MetricsWriter(buf))
+            raised = None
+        except SimulationError as exc:
+            raised = str(exc)
+    return buf.getvalue(), raised
+
+
 class TestBatchedExecutor:
     """`run_async` trains applications in batches ahead of their records;
     its records and its error equal those of a loop that trains each
@@ -764,16 +812,7 @@ class TestBatchedExecutor:
         doc = bdd_async_hetero()
         mutate(doc, monkeypatch)
         cfg = config_from_dict(doc)
-        outcomes = []
-        for runner in (async_one_at_a_time, run_async):
-            buf = io.StringIO()
-            with np.errstate(all="ignore"):
-                try:
-                    runner(cfg, MetricsWriter(buf))
-                    raised = None
-                except SimulationError as exc:
-                    raised = str(exc)
-            outcomes.append((buf.getvalue(), raised))
+        outcomes = [_outcome(runner, cfg) for runner in (async_one_at_a_time, run_async)]
         assert outcomes[0] == outcomes[1]
         log, raised = outcomes[1]
         assert log.count("\n") >= 4  # C8's and C7's records at least
@@ -795,6 +834,55 @@ class TestBatchedExecutor:
         # C8, C7, C6 and C5 fetch version 0 and train together, once: C6's
         # diverged training raises when its application is reached
         assert sizes == [4]
+
+
+def _sync_case(build, mutate=None, rounds=None):
+    def case(monkeypatch):
+        doc = build()
+        if rounds is not None:
+            doc["rounds"] = rounds
+        if mutate is not None:
+            mutate(doc, monkeypatch)
+        return config_from_dict(doc)
+    return case
+
+
+def _oom_c2(doc, monkeypatch):
+    """C2 at 960 px keeps batch 32, over its device's memory."""
+    doc["clients"][1].update(resolution=960, batch=32)
+
+
+def _stalls_round_2(doc, monkeypatch):
+    for client in doc["clients"]:
+        client["dropout"] = {"mode": "absent_rounds", "rounds": [2]}
+
+
+class TestSyncOneAtATime:
+    """`run_sync` schedules each round's draws in chunks and trains its
+    participants in one batch; its records and its error equal those of a
+    loop that draws each value from numpy's own SeedSequence and trains
+    each client alone (`reference.sync_one_at_a_time`)."""
+
+    @pytest.mark.parametrize("case, event, error", [
+        (_sync_case(kitti_sync), "aggregate", None),
+        (_sync_case(bdd_dropout_dual), "dropout", None),
+        (_sync_case(hetero_resolution), "aggregate", None),
+        (_sync_case(overlap_60, rounds=2), "aggregate", None),
+        (_sync_case(lambda: kitti_sync(strategy="fedprox")), "aggregate", None),
+        (_sync_case(kitti_sync, _stochastic_dropout), "dropout", None),
+        (_sync_case(hetero_resolution, _oom_c2), "oom", None),
+        (_sync_case(kitti_sync, _stalls_round_2, rounds=3), "stalled", None),
+        # C3 trains after C1's and C2's records of round 1
+        (_sync_case(kitti_sync, _diverging("C3")), "train_window", "non-finite parameters"),
+    ], ids=["kitti-sync", "bdd-dropout-dual", "hetero-resolution", "overlap-60",
+            "fedprox", "stochastic", "oom", "stalled", "diverges"])
+    def test_equals_one_at_a_time(self, monkeypatch, case, event, error):
+        cfg = case(monkeypatch)
+        outcomes = [_outcome(runner, cfg) for runner in (sync_one_at_a_time, run_sync)]
+        assert outcomes[0] == outcomes[1]
+        log, raised = outcomes[1]
+        assert f'"event": "{event}"' in log
+        assert (raised is None) if error is None else raised.startswith(error)
 
 
 class TestSyncTrainingFailure:

@@ -126,12 +126,26 @@ def test_fleet_sized_batch(master):
         assert_same_state(key, reference(master, 2, 3, client))
 
 
-@pytest.mark.parametrize("k", EDGE_KS)
+def head_columns(k):
+    """K heads of one entropy word, of two, and of both widths mixed."""
+    return [[7] * k, [2**40 + 3] * k, [2**40 + i if i % 2 else i for i in range(k)]]
+
+
+@pytest.mark.parametrize("k", [0, *EDGE_KS])
 def test_cut_over(k):
-    """numpy's own objects below `BATCH_MIN` keys, the batch from it on."""
-    got = streams.derive(2**40 + 3, 1, list(range(k)))
-    own = all(isinstance(key, np.random.SeedSequence) for key in got)
-    assert own == (k < streams.BATCH_MIN)
+    """Every key is a row of one block, below `BATCH_MIN` keys and from it
+    on, and when the heads mix widths: its uint32 and uint64 state words
+    and a request past them equal numpy's object's."""
+    for heads in head_columns(k):
+        got = streams.derive(heads, 1, list(range(k)))
+        assert len(got) == k
+        for key, head, i in zip(got, heads, range(k)):
+            assert type(key) is streams._Derived
+            ref = reference(head, 1, i)
+            assert np.array_equal(key.generate_state(8), ref.generate_state(8))
+            assert np.array_equal(key.generate_state(4, np.uint64),
+                                  ref.generate_state(4, np.uint64))
+            assert np.array_equal(key.generate_state(12), ref.generate_state(12))
 
 
 def test_scalar_key_is_one_key():
@@ -217,14 +231,23 @@ def test_uniforms_of_scalar_key_and_fleet(master):
     assert np.array_equal(streams.uniforms(2, master, 5, 3, clients), want)
 
 
-@pytest.mark.parametrize("k", EDGE_KS)
-def test_uniforms_cut_over(monkeypatch, k):
-    """A batch makes no Generator; below `BATCH_MIN` keys each key makes one."""
+def spy_generators(monkeypatch) -> list:
+    """The keys every `np.random.default_rng` call is made with, from now on."""
     made = []
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda key: made.append(key) or default_rng(key))
-    streams.uniforms(2, 2**40 + 3, 5, 1, list(range(k)))
-    assert len(made) == (k if k < streams.BATCH_MIN else 0)
+    return made
+
+
+@pytest.mark.parametrize("k", [0, *EDGE_KS])
+def test_uniforms_cut_over(monkeypatch, k):
+    """`uniforms` and `first_words` make no Generator at any K, whatever
+    the heads' widths."""
+    made = spy_generators(monkeypatch)
+    for heads in head_columns(k):
+        streams.uniforms(2, heads, 5, 1, list(range(k)))
+        streams.first_words(heads, 5, 1, list(range(k)))
+    assert made == []
 
 
 @given(
@@ -333,13 +356,20 @@ def test_exhausted_lanes_match_numpy(monkeypatch, master, n, spare, every):
 
 @pytest.mark.parametrize("n", [2, 16, 33])
 def test_permutations_cut_over(monkeypatch, n):
-    """A batch that shuffles makes no Generator; one below its crossover,
-    or below `BATCH_MIN` keys, makes one a key."""
+    """`permutations` shuffles every lane itself at any K, on either side of
+    `BATCH_MIN` and of the crossover for n: it makes a Generator only for
+    a lane that rejects past its block, here every lane once the block
+    holds no word."""
     cross = batch_min_for(n)
-    made = []
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda key: made.append(key) or default_rng(key))
-    for k in sorted({1, streams.BATCH_MIN - 1, cross - 1, cross, cross + 1}):
+    made = spy_generators(monkeypatch)
+    for k in sorted({0, *EDGE_KS, cross - 1, cross, cross + 1}):
+        for heads in head_columns(k):
+            streams.permutations(n, heads, 4, list(range(k)))
+    assert made == []
+    monkeypatch.setattr(streams, "_SPARE_OUTPUTS", -n)
+    for k in [0, *EDGE_KS]:
         made.clear()
-        streams.permutations(n, 2**40 + 3, 4, list(range(k)))
-        assert len(made) == (0 if k >= max(cross, streams.BATCH_MIN) else k)
+        got = streams.permutations(n, 2**40 + 3, 4, list(range(k)))
+        assert len(made) == k
+        assert np.array_equal(got, numpy_permutations(n, (reference(2**40 + 3, 4, c)
+                                                          for c in range(k))))

@@ -28,7 +28,7 @@ from fedsim.task import (
     zero_params,
 )
 
-from reference import dataset_loss
+from reference import dataset_loss, reference_sgd
 
 
 def reference_loss(w, x, y, w_anchor, mu):
@@ -438,21 +438,6 @@ def _cohort(shape, sizes, per_client, seed):
     w0 = 0.3 * rng.standard_normal((len(sizes), param_length(d, c)) if per_client
                                    else param_length(d, c))
     return datasets, seeds, w0
-
-
-def reference_sgd(w0, data, seed, cfg):
-    """The documented one-client procedure, one `loss_and_gradient` per batch."""
-    w = np.asarray(w0, dtype=np.float64).copy()
-    anchor = w.copy()
-    for epoch in range(cfg.local_epochs):
-        perm = np.random.default_rng(
-            np.random.SeedSequence([seed & 0x7FFFFFFFFFFFFFFF, epoch])
-        ).permutation(len(data))
-        for start in range(0, len(data), cfg.batch_size):
-            batch = perm[start : start + cfg.batch_size]
-            _, grad = loss_and_gradient(w, data, batch, anchor, cfg.prox_mu)
-            w -= cfg.learning_rate * grad
-    return w, len(data), dataset_loss(w, data, anchor, cfg.prox_mu)
 
 
 class TestTrainCohort:
